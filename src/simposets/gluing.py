@@ -11,9 +11,11 @@ asserts the result is simplicial again.
 ``delta_glue`` identifies an order ideal of one poset with an isomorphic
 ideal of another, the isomorphism induced by a facet map plus an atom map.
 ``theta_glue`` glues the separation of a complex's face poset along the
-faces it shares with a second complex.  ``reconstruct_theta_pair`` inverts
-that construction when the atom family is an antichain and the meet poset
-is a face poset.
+faces it shares with a second complex.  ``delta_glue`` builds its disjoint
+union with the same code as ``separation``, and both constructors end in
+``quotient_by_gluing``.
+``reconstruct_theta_pair`` inverts that construction when the atom family
+is an antichain and the meet poset is a face poset.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from .errors import (
     InvalidGluingError,
     InvariantError,
     PreconditionError,
-    StructureError,
 )
 from .labels import Label
-from .poset import Poset
+from .poset import Poset, _partition
 
 
 @dataclass
@@ -72,16 +73,7 @@ class GluingRelation:
     classes: tuple
 
     def __post_init__(self):
-        norm = []
-        for c in self.classes:
-            fs = frozenset(c)
-            if not fs:
-                raise StructureError("gluing classes must be nonempty")
-            norm.append(fs)
-        total = sum(len(c) for c in norm)
-        union = set().union(*norm) if norm else set()
-        if total != len(self.base) or union != set(self.base.elements):
-            raise StructureError("gluing classes must partition the poset")
+        norm = _partition(self.classes, self.base.elements)
         norm.sort(key=lambda c: min(m.key for m in c))
         object.__setattr__(self, "classes", tuple(norm))
 
@@ -116,6 +108,35 @@ class GluingSpec:
         }
 
 
+def _disjoint_union(blocks):
+    """Disjoint copies of pieces of posets, sharing only the bottom.
+
+    A block is ``(copy index, poset, members)`` where ``members`` lists
+    non-bottom elements whose lower sets, bottom aside, stay inside the
+    list.  Member v of block i becomes the copy label ``i@v``.  Returns the
+    union and the map from each copy label to its original element.
+    """
+    bottom = Label.bottom()
+    labels = [bottom]
+    origin = {}
+    leq = np.eye(1 + sum(len(members) for _, _, members in blocks), dtype=bool)
+    leq[0, :] = True
+    covers = []
+    offset = 1
+    for ci, p, members in blocks:
+        copy_of = {v: Label.copy(ci, v) for v in members}
+        labels += copy_of.values()
+        origin.update((c, v) for v, c in copy_of.items())
+        idx = [p._require(v) for v in members]
+        m = len(idx)
+        leq[offset : offset + m, offset : offset + m] = p._leq[np.ix_(idx, idx)]
+        offset += m
+        # Members are closed downward, so a cover into a member starts at
+        # another member or at the bottom.
+        covers += [(copy_of.get(lo, bottom), copy_of[hi]) for lo, hi in p.covers if hi in copy_of]
+    return Poset._trusted(labels, leq, covers=covers), origin
+
+
 def separation(q: Poset) -> SeparationResult:
     """Disjoint union of the lower sets of the maximal elements, sharing
     only the bottom.  Copy i holds the lower set of the i-th maximal
@@ -124,36 +145,9 @@ def separation(q: Poset) -> SeparationResult:
         raise PreconditionError("separation requires a simplicial poset")
     bot_q = q.bottom()
     maxima = sorted(q.maximal_elements())
-    blocks = []  # (copy index, [labels of the lower set, bottom removed])
-    for ci, x in enumerate(maxima, start=1):
-        blocks.append((ci, sorted(q.lower_set(x) - {bot_q})))
-    labels = [Label.bottom()]
-    projection = {Label.bottom(): bot_q}
-    for ci, members in blocks:
-        for v in members:
-            lab = Label.copy(ci, v)
-            labels.append(lab)
-            projection[lab] = v
-    n = len(labels)
-    leq = np.eye(n, dtype=bool)
-    leq[0, :] = True
-    offset = 1
-    for ci, members in blocks:
-        idx = [q._require(v) for v in members]
-        m = len(idx)
-        leq[offset : offset + m, offset : offset + m] = q._leq[np.ix_(idx, idx)]
-        offset += m
-    covers = []
-    atoms_q = q.atoms()
-    for ci, members in blocks:
-        inside = set(members)
-        for v in members:
-            if v in atoms_q:
-                covers.append((Label.bottom(), Label.copy(ci, v)))
-        for lo, hi in q.covers:
-            if lo in inside and hi in inside:
-                covers.append((Label.copy(ci, lo), Label.copy(ci, hi)))
-    sep = Poset._trusted(labels, leq, covers=covers)
+    blocks = [(ci, q, sorted(q.lower_set(x) - {bot_q})) for ci, x in enumerate(maxima, start=1)]
+    sep, origin = _disjoint_union(blocks)
+    projection = {Label.bottom(): bot_q, **origin}
     if not sep.is_face_poset():
         raise InvariantError("separation produced a non face poset")
     return SeparationResult(separated=sep, projection=projection)
@@ -230,8 +224,9 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
     image.  Any failure raises InvalidGluingError with the fixed message.
 
     The result is the quotient of the disjoint union (bottoms identified)
-    that glues each ideal element to its image.  Original labels reappear
-    with copy prefixes 1@ (side a) and 2@ (side b) inside class labels.
+    that glues each ideal element to its image, taken by
+    ``quotient_by_gluing``.  Original labels reappear with copy prefixes 1@
+    (side a) and 2@ (side b) inside class labels.
     """
     if not a.is_simplicial() or not b.is_simplicial():
         raise PreconditionError("delta_glue requires simplicial posets")
@@ -283,40 +278,14 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
 
     ea = [v for v in a.elements if v != bot_a]
     eb = [u for u in b.elements if u != bot_b]
-    labels = [Label.bottom()]
-    labels += [Label.copy(1, v) for v in ea]
-    labels += [Label.copy(2, u) for u in eb]
-    n = len(labels)
-    leq = np.eye(n, dtype=bool)
-    leq[0, :] = True
-    ia = [a._require(v) for v in ea]
-    ib = [b._require(u) for u in eb]
-    leq[1 : 1 + len(ea), 1 : 1 + len(ea)] = a._leq[np.ix_(ia, ia)]
-    leq[1 + len(ea) :, 1 + len(ea) :] = b._leq[np.ix_(ib, ib)]
-    covers = []
-    for v in ea:
-        if v in atoms_a:
-            covers.append((Label.bottom(), Label.copy(1, v)))
-    for lo, hi in a.covers:
-        if lo != bot_a:
-            covers.append((Label.copy(1, lo), Label.copy(1, hi)))
-    for u in eb:
-        if u in atoms_b:
-            covers.append((Label.bottom(), Label.copy(2, u)))
-    for lo, hi in b.covers:
-        if lo != bot_b:
-            covers.append((Label.copy(2, lo), Label.copy(2, hi)))
-    union = Poset._trusted(labels, leq, covers=covers)
+    union, _ = _disjoint_union([(1, a, ea), (2, b, eb)])
 
     glued_b = set(image.values())
     classes = [frozenset([Label.copy(1, w), Label.copy(2, image[w])]) for w in image]
     classes += [frozenset([Label.copy(1, v)]) for v in ea if v not in image]
     classes += [frozenset([Label.copy(2, u)]) for u in eb if u not in glued_b]
     classes.append(frozenset([Label.bottom()]))
-    out = union.quotient(classes)
-    if not out.is_simplicial():
-        raise InvariantError("delta_glue produced a non simplicial quotient")
-    return out
+    return quotient_by_gluing(GluingRelation(base=union, classes=tuple(classes)))
 
 
 def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:

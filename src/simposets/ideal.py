@@ -13,11 +13,14 @@ minimal monomial generating set.  For the complex itself,
 ``stanley_reisner_ideal`` lists the minimal non-faces directly, which gives
 an independent route to the same ideal.
 
-Coefficients are integers throughout; there is no division anywhere.
+Every generator is squarefree with coefficients +1 and -1, so it is kept
+as a record of ``(sorted variable indices, sign)`` terms in graded order
+(degree descending, then lexicographic) and rendered straight from it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -75,122 +78,6 @@ class Monomial:
 ONE = Monomial()
 
 
-class Polynomial:
-    """Integer linear combination of monomials."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        acc = {}
-        for m, c in items:
-            c = int(c)
-            if c:
-                acc[m] = acc.get(m, 0) + c
-                if not acc[m]:
-                    del acc[m]
-        self.terms = acc
-
-    @classmethod
-    def variable(cls, index: int):
-        return cls({Monomial({index: 1}): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        """Graded order: degree descending, then lexicographic."""
-        return sorted(self.terms.items(), key=lambda t: (-t[0].degree, t[0].expanded()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Polynomial({ONE: other})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return Polynomial(acc)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Polynomial({ONE: other})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return Polynomial(acc)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0].exponents)))
-
-    def __repr__(self):
-        return f"Polynomial({self.terms!r})"
-
-    def render(self, variable_names) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for k, (m, c) in enumerate(self.sorted_terms()):
-            body = render_monomial(m, variable_names)
-            mag = abs(c)
-            if body == "1":
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if k == 0:
-                pieces.append(("-" if c < 0 else "") + text)
-            else:
-                pieces.append((" - " if c < 0 else " + ") + text)
-        return "".join(pieces)
-
-    def to_obj(self, variable_names):
-        """JSON-friendly term list mirroring the term map."""
-        out = []
-        for m, c in self.sorted_terms():
-            out.append({
-                "coefficient": c,
-                "monomial": {variable_names[i]: e for i, e in m.exponents},
-            })
-        return out
-
-    @classmethod
-    def from_obj(cls, obj, variable_names):
-        index = {name: i for i, name in enumerate(variable_names)}
-        terms = {}
-        for entry in obj:
-            m = Monomial({index[name]: e for name, e in entry["monomial"].items()})
-            terms[m] = terms.get(m, 0) + int(entry["coefficient"])
-        return cls(terms)
-
-
 def render_monomial(m: Monomial, variable_names) -> str:
     if not m.exponents:
         return "1"
@@ -207,14 +94,21 @@ class IdealPresentation:
 
     poset: Poset
     variables: tuple  # non-bottom element labels, canonical order
-    generators: tuple
-
-    def variable_names(self):
-        return [str(v) for v in self.variables]
+    generators: tuple  # per generator: ((variable indices, +1 or -1), ...)
 
     def render_lines(self):
-        names = self.variable_names()
-        return [g.render(names) for g in self.generators]
+        names = [f"x[{v}]" for v in self.variables]
+        lines = []
+        for terms in self.generators:
+            pieces = []
+            for indices, sign in terms:
+                body = "*".join(names[i] for i in indices)
+                if not pieces:
+                    pieces.append(body if sign > 0 else "-" + body)
+                else:
+                    pieces.append((" + " if sign > 0 else " - ") + body)
+            lines.append("".join(pieces))
+        return lines
 
 
 @dataclass(frozen=True)
@@ -237,18 +131,16 @@ def stanley_poset_ideal(p: Poset) -> IdealPresentation:
     for s, t in combinations(variables, 2):
         if p.leq(s, t) or p.leq(t, s):
             continue
-        product = Monomial({index[s]: 1, index[t]: 1})
+        product = ((index[s], index[t]), 1)
         ubs = p.minimal_upper_bounds(s, t)
         if not ubs:
-            gens.append(Polynomial({product: 1}))
+            gens.append((product,))
             continue
         m = p.meet(s, t)
-        meet_part = {} if m == bot else {index[m]: 1}
-        terms = {product: 1}
-        for z in sorted(ubs):
-            mono = Monomial({**meet_part, index[z]: 1})
-            terms[mono] = terms.get(mono, 0) - 1
-        gens.append(Polynomial(terms))
+        meet_part = () if m == bot else (index[m],)
+        terms = [product] + [(tuple(sorted((*meet_part, index[z]))), -1) for z in ubs]
+        terms.sort(key=lambda term: (-len(term[0]), term[0]))
+        gens.append(tuple(terms))
     return IdealPresentation(poset=p, variables=variables, generators=tuple(gens))
 
 
@@ -274,19 +166,13 @@ def reduce_face_poset_ideal(p: Poset) -> MonomialIdeal:
     atoms = sorted(p.atoms())
     universe = tuple(sorted(str(a) for a in atoms))
     atom_pos = {a: universe.index(str(a)) for a in atoms}
-    subs = []
-    for v in pres.variables:
-        support = p.atom_support(v).atoms
-        subs.append(Monomial({atom_pos[a]: 1 for a in support}))
+    subs = [[atom_pos[a] for a in p.atom_support(v).atoms] for v in pres.variables]
     collected = set()
-    for gen in pres.generators:
+    for terms in pres.generators:
         acc = {}
-        for m, c in gen.terms.items():
-            image = ONE
-            for i, e in m.exponents:
-                for _ in range(e):
-                    image = image * subs[i]
-            acc[image] = acc.get(image, 0) + c
+        for indices, sign in terms:
+            image = Monomial(Counter(a for i in indices for a in subs[i]))
+            acc[image] = acc.get(image, 0) + sign
         acc = {m: c for m, c in acc.items() if c}
         if len(acc) > 1:
             raise InvariantError("substituted generator is neither zero nor a monomial")

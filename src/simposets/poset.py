@@ -46,6 +46,34 @@ def _closure(adj: np.ndarray) -> np.ndarray:
         reach = nxt
 
 
+def _has_cycle(leq: np.ndarray) -> bool:
+    """True when two distinct elements are each below the other, i.e. the
+    relation is not antisymmetric."""
+    return bool((leq & leq.T & ~np.eye(leq.shape[0], dtype=bool)).any())
+
+
+def _label_index(elements) -> dict:
+    """Position of each label; rejects an empty or repeated label list."""
+    index = {e: i for i, e in enumerate(elements)}
+    if not index:
+        raise StructureError("a poset needs at least one element")
+    if len(index) != len(elements):
+        raise StructureError("element labels must be unique")
+    return index
+
+
+def _partition(classes, elements) -> list:
+    """The classes as frozensets; StructureError unless they are nonempty
+    and partition ``elements``."""
+    blocks = [frozenset(c) for c in classes]
+    if not all(blocks):
+        raise StructureError("classes must be nonempty")
+    covered = set().union(*blocks)
+    if sum(len(c) for c in blocks) != len(elements) or covered != set(elements):
+        raise StructureError("classes must partition the elements")
+    return blocks
+
+
 def _reduction(leq: np.ndarray) -> np.ndarray:
     """Transitive reduction (cover matrix) of a partial order matrix."""
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
@@ -68,12 +96,12 @@ class AtomSupport:
 class Poset:
     __slots__ = ("elements", "covers", "_leq", "_index", "_bottom", "_supports", "_simplicial", "_heights")
 
-    def __init__(self, elements, covers, leq):
+    def __init__(self, elements, covers, leq, index):
         # Internal: use from_covers / from_relations / from_json instead.
         self.elements = elements
         self.covers = covers
         self._leq = leq
-        self._index = {e: i for i, e in enumerate(elements)}
+        self._index = index
         self._bottom = None
         self._supports = None
         self._simplicial = None
@@ -90,18 +118,14 @@ class Poset:
         to from_covers and to the test suite.
         """
         elements = list(elements)
-        n = len(elements)
-        if n == 0:
-            raise StructureError("a poset needs at least one element")
-        if len(set(elements)) != n:
-            raise StructureError("element labels must be unique")
-        order = sorted(range(n), key=lambda i: elements[i].key)
+        order = sorted(range(len(elements)), key=lambda i: elements[i].key)
         labels = tuple(elements[i] for i in order)
+        index = _label_index(labels)
         perm = np.asarray(order)
         leq = np.asarray(leq, dtype=bool)[np.ix_(perm, perm)]
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
-        if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+        if _has_cycle(leq):
             raise InvariantError("reachability matrix is not antisymmetric")
         if covers is None:
             red = _reduction(leq)
@@ -111,7 +135,7 @@ class Poset:
         else:
             cover_set = frozenset(covers)
         leq.setflags(write=False)
-        return cls(labels, cover_set, leq)
+        return cls(labels, cover_set, leq, index)
 
     @classmethod
     def from_covers(cls, elements, covers):
@@ -121,11 +145,7 @@ class Poset:
         generate; redundant or cyclic input is rejected.
         """
         elements = list(elements)
-        if not elements:
-            raise StructureError("a poset needs at least one element")
-        if len(set(elements)) != len(elements):
-            raise StructureError("element labels must be unique")
-        index = {e: i for i, e in enumerate(elements)}
+        index = _label_index(elements)
         n = len(elements)
         adj = np.zeros((n, n), dtype=bool)
         cover_list = []
@@ -137,7 +157,7 @@ class Poset:
             adj[index[lo], index[hi]] = True
             cover_list.append((lo, hi))
         reach = _closure(adj)
-        if (reach & reach.T & ~np.eye(n, dtype=bool)).any():
+        if _has_cycle(reach):
             raise StructureError("covers contain a cycle")
         red = _reduction(reach)
         if not (red == adj).all():
@@ -148,11 +168,7 @@ class Poset:
     def from_relations(cls, elements, relations):
         """Build from arbitrary ``lower <= upper`` pairs; closure is taken."""
         elements = list(elements)
-        if not elements:
-            raise StructureError("a poset needs at least one element")
-        if len(set(elements)) != len(elements):
-            raise StructureError("element labels must be unique")
-        index = {e: i for i, e in enumerate(elements)}
+        index = _label_index(elements)
         n = len(elements)
         adj = np.zeros((n, n), dtype=bool)
         for lo, hi in relations:
@@ -160,7 +176,7 @@ class Poset:
                 raise ElementNotFoundError(f"unknown element in relations: ({lo}, {hi})")
             adj[index[lo], index[hi]] = True
         reach = _closure(adj)
-        if (reach & reach.T & ~np.eye(n, dtype=bool)).any():
+        if _has_cycle(reach):
             raise StructureError("relations contain a cycle")
         return cls._trusted(elements, reach)
 
@@ -299,15 +315,17 @@ class Poset:
 
     # ----- bounds and meets ----------------------------------------------
 
+    def _minimal_upper_bound_indices(self, i, j) -> np.ndarray:
+        """Indices of the minimal common upper bounds of elements i and j."""
+        cand = np.flatnonzero(self._leq[i] & self._leq[j])
+        if cand.size == 0:
+            return cand
+        below = self._leq[np.ix_(cand, cand)] & ~np.eye(cand.size, dtype=bool)
+        return cand[~below.any(axis=0)]
+
     def minimal_upper_bounds(self, s, t) -> frozenset:
         i, j = self._require(s), self._require(t)
-        ub = self._leq[i] & self._leq[j]
-        cand = np.flatnonzero(ub)
-        if cand.size == 0:
-            return frozenset()
-        below = self._leq[np.ix_(cand, cand)] & ~np.eye(cand.size, dtype=bool)
-        keep = ~below.any(axis=0)
-        return frozenset(self.elements[c] for c in cand[keep])
+        return frozenset(self.elements[c] for c in self._minimal_upper_bound_indices(i, j))
 
     def meet(self, s, t) -> Label:
         """Greatest lower bound of two elements of a simplicial poset.
@@ -317,8 +335,8 @@ class Poset:
         minimal common upper bound u.
         """
         i, j = self._require(s), self._require(t)
-        ub = self._leq[i] & self._leq[j]
-        if not ub.any():
+        min_ub = self._minimal_upper_bound_indices(i, j)
+        if min_ub.size == 0:
             raise MeetUndefinedError(f"{s} and {t} have no common upper bound")
         lb = self._leq[:, i] & self._leq[:, j]
         cand = np.flatnonzero(lb)
@@ -330,8 +348,6 @@ class Poset:
                 "poset is not simplicial"
             )
         m = int(tops[0])
-        ub_cand = np.flatnonzero(ub)
-        min_ub = ub_cand[~(self._leq[np.ix_(ub_cand, ub_cand)] & ~np.eye(ub_cand.size, dtype=bool)).any(axis=0)]
         for u in min_ub:
             inside = lb & self._leq[:, u]
             if not (~inside | self._leq[:, m]).all():
@@ -345,16 +361,7 @@ class Poset:
         some w in C2, closed transitively.  Elements of the result carry
         class labels.  Raises StructureError when the closure is not
         antisymmetric."""
-        cls_sets = []
-        for c in classes:
-            fs = frozenset(c)
-            if not fs:
-                raise StructureError("quotient classes must be nonempty")
-            cls_sets.append(fs)
-        total = sum(len(c) for c in cls_sets)
-        covered = set().union(*cls_sets) if cls_sets else set()
-        if total != len(self.elements) or covered != set(self.elements):
-            raise StructureError("classes must partition the elements")
+        cls_sets = _partition(classes, self.elements)
         labels = [Label.class_of(c) for c in cls_sets]
         k, n = len(cls_sets), len(self.elements)
         member = np.zeros((k, n), dtype=np.float32)
@@ -363,15 +370,13 @@ class Poset:
                 member[ci, self._require(v)] = 1.0
         rel = (member @ self._leq.astype(np.float32) @ member.T) > 0
         rel = _closure(rel)
-        if (rel & rel.T & ~np.eye(k, dtype=bool)).any():
+        if _has_cycle(rel):
             raise StructureError("quotient is not a partial order")
         return Poset._trusted(labels, rel)
 
     def restrict(self, subset) -> "Poset":
         """Induced subposet on the given elements (covers recomputed)."""
         idx = sorted(self._require(v) for v in set(subset))
-        if not idx:
-            raise StructureError("a poset needs at least one element")
         sub = self._leq[np.ix_(idx, idx)]
         return Poset._trusted([self.elements[i] for i in idx], sub)
 

@@ -309,6 +309,50 @@ def test_delta_glue_shares_glued_faces():
     assert sum(1 for k in counts.values() if k == 2) == 4
 
 
+def random_delta_inputs(rng):
+    """Face posets of two random complexes, an injective atom map on some
+    atoms of the first, and a facet map that mostly sends a face to the face
+    over its image atoms and sometimes anywhere, the bottom included."""
+    a = random_complex(rng, max_vertices=5, max_facets=3).face_poset()
+    b = random_complex(rng, max_vertices=5, max_facets=3).face_poset()
+    atoms_a, atoms_b = sorted(a.atoms()), sorted(b.atoms())
+    rng.shuffle(atoms_b)
+    atom_map = dict(zip(rng.sample(atoms_a, rng.randint(0, len(atoms_a))), atoms_b))
+    by_support = {b.atom_support(u).atoms: u for u in b.elements}
+    faces_a = a.elements[1:]  # the bottom sorts first
+    facet_map = {}
+    for x in rng.sample(faces_a, rng.randint(0, min(3, len(faces_a)))):
+        y = by_support.get(frozenset(atom_map.get(s) for s in a.atom_support(x).atoms))
+        if y is None or rng.random() < 0.1:
+            y = rng.choice(b.elements)
+        facet_map[x] = y
+    if rng.random() < 0.05:
+        facet_map[rng.choice([BOT, L("zz")])] = b.elements[-1]
+    return a, b, facet_map, atom_map
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_delta_glue_accepted_maps_are_gluing_relations(seed):
+    """delta_glue rejects a map with its own errors or returns a simplicial
+    poset; the relation it builds always passes validate_gluing.
+
+    Glued pairs sit in different copies of the disjoint union, so they are
+    incomparable and share no upper bound.  They have equal rank because
+    the atom map is injective.  Their lower sets match class by class
+    because [0,w] and [0,image(w)] are boolean lattices on corresponding
+    atoms.
+    """
+    a, b, facet_map, atom_map = random_delta_inputs(random.Random(seed))
+    try:
+        g = delta_glue(a, b, facet_map, atom_map)
+    except (InvalidGluingError, ElementNotFoundError):
+        return
+    glued = set().union(*(a.lower_set(x) for x in facet_map)) - {a.bottom()}
+    assert g.is_simplicial()
+    assert len(g) == len(a) + len(b) - 1 - len(glued)
+
+
 def test_gluing_spec_round_trip():
     obj = {
         "facet_map": {"x1*x2*x3": "x1*x2*x3"},

@@ -1,6 +1,7 @@
 """Defining ideals: generators, reduction, Stanley-Reisner comparison,
-polynomial arithmetic."""
+monomials."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from simposets import (
     Monomial,
-    Polynomial,
     PreconditionError,
+    RandomModelParams,
     StructureError,
     boolean_lattice,
     monomial_ideals_equal,
     parse_facet_string,
+    rand_simplicial_poset,
     reduce_face_poset_ideal,
     stanley_poset_ideal,
     stanley_reisner_ideal,
@@ -32,11 +34,8 @@ small_complexes = st.integers(0, 10_000).map(
     lambda s: random_complex(random.Random(s), max_vertices=7, max_facets=5)
 )
 
-monomials = st.dictionaries(st.integers(0, 5), st.integers(1, 3), max_size=4).map(Monomial)
-polynomials = st.dictionaries(monomials, st.integers(-4, 4), max_size=5).map(Polynomial)
 
-
-# ----- monomials and polynomials ---------------------------------------------
+# ----- monomials ----------------------------------------------------------------
 
 
 def test_monomial_basics():
@@ -47,56 +46,14 @@ def test_monomial_basics():
     assert ONE.divides(m) and not m.divides(ONE)
     assert Monomial({0: 1}).divides(m)
     assert not Monomial({1: 1}).divides(m)
+    assert render_monomial(m, ["a", "b", "c"]) == "x[a]^2*x[c]"
+    assert render_monomial(ONE, ["a", "b", "c"]) == "1"
 
 
 def test_monomial_drops_zero_exponents():
     assert Monomial({0: 0, 1: 2}) == Monomial({1: 2})
     with pytest.raises(ValueError):
         Monomial({-1: 1})
-
-
-def test_polynomial_cancellation():
-    x = Polynomial.variable(0)
-    assert (x - x).is_zero()
-    assert (x + x) == x * 2
-    assert (x * x).terms == {Monomial({0: 2}): 1}
-
-
-def test_render_examples():
-    names = ["a", "b"]
-    x, y = Polynomial.variable(0), Polynomial.variable(1)
-    assert (x * y).render(names) == "x[a]*x[b]"
-    assert (x * x).render(names) == "x[a]^2"
-    assert (x * y - x - y).render(names) == "x[a]*x[b] - x[a] - x[b]"
-    assert (-x + 2 * y).render(names) == "-x[a] + 2*x[b]"
-    assert (x - x).render(names) == "0"
-    assert Polynomial({ONE: -3}).render(names) == "-3"
-    assert render_monomial(ONE, names) == "1"
-
-
-def test_render_orders_terms_by_degree_then_lex():
-    names = ["a", "b", "c"]
-    p = Polynomial.variable(2) + Polynomial.variable(0) * Polynomial.variable(1)
-    assert p.render(names) == "x[a]*x[b] + x[c]"
-
-
-@given(polynomials, polynomials)
-def test_polynomial_addition_commutes(p, q):
-    assert p + q == q + p
-
-
-@given(polynomials, polynomials, polynomials)
-def test_polynomial_ring_laws(p, q, r):
-    assert (p + q) + r == p + (q + r)
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-
-
-@given(polynomials)
-def test_polynomial_obj_round_trip(p):
-    names = [f"v{i}" for i in range(6)]
-    assert Polynomial.from_obj(p.to_obj(names), names) == p
 
 
 # ----- stanley poset ideal ----------------------------------------------------
@@ -113,6 +70,12 @@ def test_doubled_edge_generators(two_points_two_edges):
         "x[l1]*x[l2]",
         "x[x]*x[y] - x[l1] - x[l2]",
     ]
+
+
+def test_render_orders_terms_by_degree_then_lex(complex_corpus):
+    for c in complex_corpus:
+        for terms in stanley_poset_ideal(c.face_poset()).generators:
+            assert list(terms) == sorted(terms, key=lambda t: (-len(t[0]), t[0]))
 
 
 def test_single_edge_generator():
@@ -148,9 +111,52 @@ def test_generator_count_is_incomparable_pair_count(c):
 def test_generators_use_declared_variables(c):
     pres = stanley_poset_ideal(c.face_poset())
     nvars = len(pres.variables)
-    for g in pres.generators:
-        for m, _ in g.terms.items():
-            assert all(0 <= i < nvars for i, _ in m.exponents)
+    for terms in pres.generators:
+        for indices, sign in terms:
+            assert sign in (1, -1)
+            assert list(indices) == sorted(set(indices))
+            assert all(0 <= i < nvars for i in indices)
+
+
+# ----- pinned rendering --------------------------------------------------------
+
+# sha256 of the rendered generator lines.  Any change in the rendered text
+# (term order, signs, the leading negative term, the bottom meet read as 1)
+# changes a digest.
+PINNED_SAMPLES = [(6, 0.5, 7), (7, 0.6, 11), (8, 0.5, 3), (8, 0.4, 21)]
+
+
+def render_digest(line_lists):
+    h = hashlib.sha256()
+    for lines in line_lists:
+        h.update("\n".join(lines).encode())
+        h.update(b"\n--\n")
+    return h.hexdigest()
+
+
+def test_rendering_is_pinned_on_complex_corpus(complex_corpus):
+    posets = [c.face_poset() for c in complex_corpus]
+    assert render_digest(stanley_poset_ideal(p).render_lines() for p in posets) == (
+        "83ac8c04fe92aeb3efaca7879a3135b4d7745cd12d31c67764437daa56f0e428"
+    )
+    assert render_digest(reduce_face_poset_ideal(p).render_lines() for p in posets) == (
+        "2ce11d7387bbb7ec769d8a181c27e1db60753b9dce8a967e843dbcbe062bb2ad"
+    )
+
+
+def test_rendering_is_pinned_on_random_samples():
+    samples = [
+        rand_simplicial_poset(RandomModelParams(n=n, p1=p, p2=p, seed=seed))
+        for n, p, seed in PINNED_SAMPLES
+    ]
+    assert render_digest(stanley_poset_ideal(s).render_lines() for s in samples) == (
+        "ee6f479f0fc46c8e31f4c4a65244e5efcf6714791988c220a994fb21712fbc8b"
+    )
+    faces = [s for s in samples if s.is_face_poset()]
+    assert len(faces) == 2
+    assert render_digest(reduce_face_poset_ideal(s).render_lines() for s in faces) == (
+        "2ab8564de46d15b5a3c30ed012fe6e06b7e867c392bff7dece12012fa90ce561"
+    )
 
 
 # ----- stanley-reisner and reduction -------------------------------------------
