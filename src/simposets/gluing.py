@@ -257,7 +257,7 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
     supp_b = {u: b.atom_support(u).atoms for u in b.elements}
     for x, y in sorted(facet_map.items()):
         sx = supp_a[x]
-        missing = [s for s in sx if s not in atom_map]
+        missing = sorted(s for s in sx if s not in atom_map)
         if missing:
             raise InvalidGluingError("atom_map_incomplete", f"atoms below {x} lack images: {missing}")
         if {atom_map[s] for s in sx} != supp_b[y]:

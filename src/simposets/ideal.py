@@ -53,14 +53,6 @@ class Monomial:
         """Variable indices with multiplicity; the lexicographic sort key."""
         return tuple(i for i, e in self.exponents for _ in range(e))
 
-    def __mul__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        acc = dict(self.exponents)
-        for i, e in other.exponents:
-            acc[i] = acc.get(i, 0) + e
-        return Monomial(acc)
-
     def divides(self, other) -> bool:
         theirs = dict(other.exponents)
         return all(theirs.get(i, 0) >= e for i, e in self.exponents)

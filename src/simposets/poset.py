@@ -273,35 +273,32 @@ class Poset:
         )
 
     def is_simplicial(self) -> bool:
-        """True iff there is a unique minimum and every interval [0,v] is a
-        boolean lattice (checked through the atom-support map on each lower
-        set: right size, injective, and an order isomorphism)."""
+        """True iff every lower interval [0,v] is a boolean lattice, checked
+        as (1) a unique minimum, (2) |[0,v]| = 2^|supp v| for every v, where
+        supp v is the set of atoms below v, and (3) no a, b with a common
+        upper bound and supp a within supp b but a not <= b.  Since a <= b
+        gives supp a within supp b, (3) makes supp an order embedding of each
+        [0,v], so injective there, and (2) makes it onto the subsets."""
         if self._simplicial is None:
             self._simplicial = self._compute_simplicial()
         return self._simplicial
 
     def _compute_simplicial(self) -> bool:
-        n = len(self.elements)
-        strict = self._leq & ~np.eye(n, dtype=bool)
-        if np.flatnonzero(~strict.any(axis=0)).size != 1:
+        leq = self._leq
+        size = leq.sum(axis=0)
+        if np.count_nonzero(size == 1) != 1:
             return False
-        masks, _ = self._support_masks()
-        for j in range(n):
-            lower = np.flatnonzero(self._leq[:, j])
-            k = masks[j].bit_count()
-            if lower.size != (1 << k):
-                return False
-            if len({masks[i] for i in lower}) != lower.size:
-                return False
-            for a in lower:
-                ma = masks[a]
-                for b in lower:
-                    if ma & ~masks[b]:
-                        if self._leq[a, b]:
-                            return False
-                    elif not self._leq[a, b]:
-                        return False
-        return True
+        supp = leq[size == 2]  # one row per atom
+        # exp2 is exact in float64, where an int64 shift would wrap past rank 63
+        if (size != np.exp2(supp.sum(axis=0))).any():
+            return False
+        # a common upper bound means a common maximal one
+        f = leq[:, leq.sum(axis=1) == 1].astype(np.float32)
+        bad = ((f @ f.T) > 0) & ~leq  # a not <= b, common upper bound
+        del f
+        s = supp.astype(np.float32)
+        bad &= (s.T @ (1 - s)) == 0  # supp a within supp b
+        return not bad.any()
 
     def is_face_poset(self) -> bool:
         """True iff the atom-support map is injective on the whole poset.

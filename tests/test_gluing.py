@@ -276,6 +276,17 @@ def test_delta_glue_error_codes():
     assert str(e.value) == "Assignment of atoms-atoms or facets-facets invalid."
 
 
+def test_delta_glue_incomplete_atom_map_detail_is_sorted():
+    b = boolean_lattice(4)
+    top = L("x1*x2*x3*x4")
+    with pytest.raises(InvalidGluingError) as e:
+        delta_glue(b, b, {top: top}, {L("x3"): L("x3")})
+    assert e.value.code == "atom_map_incomplete"
+    assert e.value.detail == (
+        "atoms below x1*x2*x3*x4 lack images: [Label('x1'), Label('x2'), Label('x4')]"
+    )
+
+
 def test_delta_glue_ambiguous_image():
     a = parse_facet_string("a*b*c,a*b*d").face_poset()
     b = doubled_pq_poset()

@@ -11,11 +11,13 @@ from simposets import (
     MeetUndefinedError,
     Poset,
     PreconditionError,
+    RandomModelParams,
     SizeLimitError,
     StructureError,
     are_isomorphic,
     boolean_lattice,
     find_isomorphism,
+    rand_simplicial_poset,
 )
 from simposets.labels import Label
 
@@ -34,6 +36,18 @@ def chain_poset(names):
     elems = [BOT] + [L(n) for n in names]
     covers = list(zip(elems, elems[1:]))
     return Poset.from_covers(elems, covers)
+
+
+def poset_over_bottom(lower_covers):
+    """Poset from ``{element: elements it covers}``, as label strings; the
+    bottom is written ``0``."""
+    elems = [BOT] + [L(v) for v in lower_covers]
+    covers = [(L(lo), L(hi)) for hi, los in lower_covers.items() for lo in los]
+    return Poset.from_covers(elems, covers)
+
+
+def intervals_have_boolean_size(p):
+    return all(len(p.lower_set(v)) == 2 ** len(p.atom_support(v)) for v in p.elements)
 
 
 # ----- construction ---------------------------------------------------------
@@ -157,6 +171,7 @@ def test_three_atoms_under_one_top_is_not_simplicial():
     elems = [BOT, L("a"), L("b"), L("c"), top]
     covers = [(BOT, L(v)) for v in "abc"] + [(L(v), top) for v in "abc"]
     p = Poset.from_covers(elems, covers)
+    assert not intervals_have_boolean_size(p)  # |[0,t]| = 5, not 8
     assert not p.is_simplicial()
     assert brute_is_simplicial(p) is False
     with pytest.raises(PreconditionError):
@@ -190,6 +205,81 @@ def test_is_simplicial_matches_oracle_on_mutilated_posets(c, rng):
     p = c.face_poset()
     victim = rng.choice([e for e in p.elements if e != BOT])
     q = p.restrict([e for e in p.elements if e != victim])
+    assert q.is_simplicial() == brute_is_simplicial(q)
+
+
+def test_equal_supports_under_a_common_top_are_not_simplicial():
+    # ab1 and ab2 both sit over a and b; every interval still has 2^rank
+    # elements, so only the support check can reject this poset
+    p = poset_over_bottom({
+        "a": ["0"], "b": ["0"], "c": ["0"],
+        "ab1": ["a", "b"], "ab2": ["a", "b"], "ac": ["a", "c"],
+        "t": ["ab1", "ab2", "ac"],
+    })
+    assert intervals_have_boolean_size(p)
+    assert p.atom_support(L("ab1")).atoms == p.atom_support(L("ab2")).atoms
+    assert not p.is_simplicial()
+    assert brute_is_simplicial(p) is False
+
+
+def test_missing_relation_under_support_inclusion_is_not_simplicial():
+    # wx1 and wx2 both sit over w and x; each rank-3 element takes one of
+    # them, so supp wx1 lies inside supp wxy2 while wx1 is not below wxy2,
+    # and u is a common upper bound
+    p = poset_over_bottom({
+        "w": ["0"], "x": ["0"], "y": ["0"], "z": ["0"],
+        "wx1": ["w", "x"], "wx2": ["w", "x"], "wy": ["w", "y"],
+        "wz": ["w", "z"], "xy": ["x", "y"], "xz": ["x", "z"],
+        "wxy1": ["wx1", "wy", "xy"], "wxy2": ["wx2", "wy", "xy"],
+        "wxz1": ["wx1", "wz", "xz"], "wxz2": ["wx2", "wz", "xz"],
+        "u": ["wxy1", "wxy2", "wxz1", "wxz2"],
+    })
+    assert intervals_have_boolean_size(p)
+    assert p.atom_support(L("wx1")).atoms < p.atom_support(L("wxy2")).atoms
+    assert not p.leq(L("wx1"), L("wxy2"))
+    assert not p.is_simplicial()
+    assert brute_is_simplicial(p) is False
+
+
+@pytest.mark.parametrize("k", [64, 70])
+def test_wide_posets_are_checked(k):
+    atoms = {f"v{i}": ["0"] for i in range(k)}
+    flat = poset_over_bottom(atoms)
+    assert flat.is_simplicial()
+    assert brute_is_simplicial(flat) is True
+    # [0,t] would need 2^k elements; the oracle cannot enumerate them
+    capped = poset_over_bottom({**atoms, "t": list(atoms)})
+    assert not capped.is_simplicial()
+
+
+def test_interval_of_a_wrapped_power_of_two_is_not_simplicial():
+    # t has 71 atoms and 128 elements below it; a 64-bit shift that takes
+    # its count mod 64 would compute 2^71 as 2^7 = 128 and accept t
+    atoms = [f"v{i}" for i in range(71)]
+    edges = {f"e{i}": [atoms[i], atoms[i + 1]] for i in range(55)}
+    p = poset_over_bottom({**{v: ["0"] for v in atoms}, **edges, "t": list(edges) + atoms[56:]})
+    assert len(p.lower_set(L("t"))) == 128
+    assert len(p.atom_support(L("t")).atoms) == 71
+    assert not p.is_simplicial()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_is_simplicial_matches_oracle_on_random_quotients(seed):
+    """Merging a few random pairs of a random-model sample gives simplicial
+    and non-simplicial posets alike (about one in seven of the quotients
+    that stay partial orders is simplicial)."""
+    rng = random.Random(seed)
+    n, p1 = rng.randint(2, 6), rng.choice([0.4, 0.7, 1.0])
+    p = rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=rng.random(), seed=seed))
+    rest = list(p.elements[1:])
+    rng.shuffle(rest)
+    merged = [rest[2 * i : 2 * i + 2] for i in range(rng.randint(1, min(3, len(rest) // 2)))]
+    used = {v for pair in merged for v in pair}
+    try:
+        q = p.quotient(merged + [[v] for v in p.elements if v not in used])
+    except StructureError:
+        return
     assert q.is_simplicial() == brute_is_simplicial(q)
 
 

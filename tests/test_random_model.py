@@ -1,5 +1,6 @@
 """Seeded rng, random graphs, clique complexes, batch sampling."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -174,3 +175,15 @@ def test_run_batch_rejects_bad_count():
 def test_run_batch_is_deterministic():
     params = RandomModelParams(n=5, p1=0.4, p2=0.6, seed=321)
     assert run_batch(params, 8) == run_batch(params, 8)
+
+
+def test_full_simplex_at_n11_is_checked_within_budget():
+    # 2048 elements; the per-interval pair loop that is_simplicial once ran
+    # took about a minute on this sample
+    start = time.perf_counter()
+    p = rand_simplicial_poset(RandomModelParams(n=11, p1=1.0, p2=1.0, seed=0))
+    assert len(p) == 2048
+    assert p.is_face_poset()
+    elapsed = time.perf_counter() - start
+    print(f"n=11 full simplex ({elapsed:.2f}s / 30.0s)")
+    assert elapsed <= 30.0, f"n=11 full simplex exceeded 30.0s: {elapsed:.2f}s"
