@@ -22,11 +22,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
+
+import numpy as np
 
 from .complexes import SimplicialComplex
 from .errors import PreconditionError, InvariantError, StructureError
 from .poset import Poset
+
+_PAIR_BLOCK = 1024
+_DIVIDES_ROWS = 64
+_DIVIDES_CELLS = 1 << 22
 
 
 class Monomial:
@@ -113,27 +119,72 @@ class MonomialIdeal:
 
 
 def stanley_poset_ideal(p: Poset) -> IdealPresentation:
-    """One generator per unordered incomparable pair of non-bottom elements."""
+    """One generator per unordered incomparable pair of non-bottom elements.
+
+    The pairs are processed in blocks of ``_PAIR_BLOCK`` rows of ``leq``:
+    minimal common upper bounds and meets come from array operations on the
+    block, so no per-pair query runs.  The meet of a pair is its common lower
+    bound with the largest lower set, and it is checked to lie above every
+    common lower bound, which is what ``Poset.meet`` asserts.
+    """
     if not p.is_simplicial():
         raise PreconditionError("stanley_poset_ideal requires a simplicial poset")
     bot = p.bottom()
     variables = tuple(e for e in p.elements if e != bot)
-    index = {e: i for i, e in enumerate(variables)}
+    leq = p._leq
+    n = len(p.elements)
+    b = p._require(bot)
+    # variable index of each element, -1 for the bottom
+    var_of = np.arange(n) - (np.arange(n) > b)
+    var_of[b] = -1
+    # the bottom is comparable to everything, so it is in no pair, and the
+    # row-major order of the pairs is the order of combinations(variables, 2)
+    pi, pj = np.nonzero(np.triu(~(leq | leq.T), 1))
+    geq = np.ascontiguousarray(leq.T)
+    strict = (leq & ~np.eye(n, dtype=bool)).astype(np.float32)
+    lower_size = leq.sum(axis=0)
     gens = []
-    for s, t in combinations(variables, 2):
-        if p.leq(s, t) or p.leq(t, s):
-            continue
-        product = ((index[s], index[t]), 1)
-        ubs = p.minimal_upper_bounds(s, t)
-        if not ubs:
-            gens.append((product,))
-            continue
-        m = p.meet(s, t)
-        meet_part = () if m == bot else (index[m],)
-        terms = [product] + [(tuple(sorted((*meet_part, index[z]))), -1) for z in ubs]
-        terms.sort(key=lambda term: (-len(term[0]), term[0]))
-        gens.append(tuple(terms))
+    for start in range(0, pi.size, _PAIR_BLOCK):
+        i, j = pi[start : start + _PAIR_BLOCK], pj[start : start + _PAIR_BLOCK]
+        block = [(((s, t), 1),) for s, t in zip(var_of[i].tolist(), var_of[j].tolist())]
+        upper = leq[i] & leq[j]
+        rows = np.flatnonzero(upper.any(axis=1))  # the pairs with a common upper bound
+        upper, i, j = upper[rows], i[rows], j[rows]
+        minimal = upper & ~((upper.astype(np.float32) @ strict) > 0)
+        lower = geq[i] & geq[j]
+        meet = np.where(lower, lower_size, -1).argmax(axis=1)
+        bad = (lower & ~geq[meet]).any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            _raise_no_meet(p, int(i[k]), int(j[k]), lower[k])
+        which, cols = np.nonzero(minimal)
+        ends = np.cumsum(np.bincount(which, minlength=rows.size)).tolist()
+        ubs = var_of[cols].tolist()
+        at = 0
+        for r, m, end in zip(rows.tolist(), var_of[meet].tolist(), ends):
+            product = block[r][0]
+            if m < 0:  # the bottom meet reads as 1
+                block[r] = (product, *[((z,), -1) for z in ubs[at:end]])
+            else:
+                terms = [((m, z) if m < z else (z, m), -1) for z in ubs[at:end]]
+                terms.append(product)
+                terms.sort()  # all of degree 2, and the index pairs are distinct
+                block[r] = tuple(terms)
+            at = end
+        gens.extend(block)
     return IdealPresentation(poset=p, variables=variables, generators=tuple(gens))
+
+
+def _raise_no_meet(p: Poset, i, j, lower):
+    """The error ``Poset.meet`` raises for elements i and j, whose common
+    lower bounds ``lower`` have no greatest element."""
+    cand = np.flatnonzero(lower)
+    above = p._leq[np.ix_(cand, cand)] & ~np.eye(cand.size, dtype=bool)
+    tops = int(np.count_nonzero(~above.any(axis=1)))
+    raise InvariantError(
+        f"{p.elements[i]} and {p.elements[j]} have {tops} maximal common lower bounds; "
+        "poset is not simplicial"
+    )
 
 
 def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:
@@ -159,22 +210,43 @@ def reduce_face_poset_ideal(p: Poset) -> MonomialIdeal:
     universe = tuple(sorted(str(a) for a in atoms))
     atom_pos = {a: universe.index(str(a)) for a in atoms}
     subs = [[atom_pos[a] for a in p.atom_support(v).atoms] for v in pres.variables]
-    collected = set()
+    collected = set()  # images as expanded monomials: sorted atom positions
     for terms in pres.generators:
         acc = {}
         for indices, sign in terms:
-            image = Monomial(Counter(a for i in indices for a in subs[i]))
+            image = tuple(sorted(a for i in indices for a in subs[i]))
             acc[image] = acc.get(image, 0) + sign
-        acc = {m: c for m, c in acc.items() if c}
-        if len(acc) > 1:
+        images = [e for e, c in acc.items() if c]
+        if len(images) > 1:
             raise InvariantError("substituted generator is neither zero nor a monomial")
-        collected.update(acc)
-    minimal = [
-        m for m in collected
-        if not any(o != m and o.divides(m) for o in collected)
-    ]
-    minimal.sort(key=lambda m: (m.degree, m.expanded()))
-    return MonomialIdeal(variables=universe, generators=tuple(minimal))
+        collected.update(images)
+    minimal = sorted(_minimal_monomials(collected, len(universe)), key=lambda e: (len(e), e))
+    return MonomialIdeal(variables=universe, generators=tuple(Monomial(Counter(e)) for e in minimal))
+
+
+def _minimal_monomials(expanded, nvars):
+    """The monomials of a set, each given expanded, that no other one divides.
+
+    A monomial with another divisor has a minimal one of lower degree, so
+    the set is walked by degree, a block of rows of the exponent matrix at a
+    time, and each row is tested against the minimal rows kept so far and
+    its own block.
+    """
+    expanded = sorted(expanded, key=len)
+    exps = np.zeros((len(expanded), max(1, nvars)), dtype=np.int32)
+    rows = np.repeat(np.arange(len(expanded)), [len(e) for e in expanded])
+    np.add.at(exps, (rows, list(chain.from_iterable(expanded))), 1)
+    kept = np.zeros(0, dtype=np.intp)
+    start = 0
+    while start < len(expanded):
+        width = (kept.size + _DIVIDES_ROWS) * exps.shape[1]
+        step = max(1, min(_DIVIDES_ROWS, _DIVIDES_CELLS // width))
+        block = exps[start : start + step]
+        cand = np.concatenate([exps[kept], block])
+        divisors = (cand[None, :, :] <= block[:, None, :]).all(axis=2).sum(axis=1)
+        kept = np.concatenate([kept, np.flatnonzero(divisors == 1) + start])  # only itself
+        start += step
+    return [expanded[r] for r in kept.tolist()]
 
 
 def monomial_ideals_equal(i1: MonomialIdeal, i2: MonomialIdeal) -> bool:

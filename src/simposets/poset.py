@@ -110,12 +110,13 @@ class Poset:
     # ----- construction -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, elements, leq, covers=None):
+    def _trusted(cls, elements, leq, covers=None, *, antisymmetric=False):
         """Build from a matrix the caller derived combinatorially.
 
-        Elements are re-sorted into canonical label order.  Reflexivity and
-        antisymmetry are always asserted; full closure verification is left
-        to from_covers and to the test suite.
+        Elements are re-sorted into canonical label order.  Reflexivity is
+        always asserted, and antisymmetry unless the caller has checked it
+        (``antisymmetric=True``); full closure verification is left to
+        from_covers and to the test suite.
         """
         elements = list(elements)
         order = sorted(range(len(elements)), key=lambda i: elements[i].key)
@@ -125,7 +126,7 @@ class Poset:
         leq = np.asarray(leq, dtype=bool)[np.ix_(perm, perm)]
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
-        if _has_cycle(leq):
+        if not antisymmetric and _has_cycle(leq):
             raise InvariantError("reachability matrix is not antisymmetric")
         if covers is None:
             red = _reduction(leq)
@@ -162,7 +163,7 @@ class Poset:
         red = _reduction(reach)
         if not (red == adj).all():
             raise StructureError("covers must be transitively reduced cover pairs")
-        return cls._trusted(elements, reach, covers=cover_list)
+        return cls._trusted(elements, reach, covers=cover_list, antisymmetric=True)
 
     @classmethod
     def from_relations(cls, elements, relations):
@@ -178,7 +179,7 @@ class Poset:
         reach = _closure(adj)
         if _has_cycle(reach):
             raise StructureError("relations contain a cycle")
-        return cls._trusted(elements, reach)
+        return cls._trusted(elements, reach, antisymmetric=True)
 
     # ----- basic queries ------------------------------------------------
 
@@ -369,7 +370,7 @@ class Poset:
         rel = _closure(rel)
         if _has_cycle(rel):
             raise StructureError("quotient is not a partial order")
-        return Poset._trusted(labels, rel)
+        return Poset._trusted(labels, rel, antisymmetric=True)
 
     def restrict(self, subset) -> "Poset":
         """Induced subposet on the given elements (covers recomputed)."""
@@ -409,12 +410,22 @@ class Poset:
             raise FormatError("poset JSON needs 'elements' and 'covers'")
         if not isinstance(obj["elements"], list) or not isinstance(obj["covers"], list):
             raise FormatError("poset JSON fields have the wrong shape")
-        elements = [Label.parse(e) for e in obj["elements"]]
+        parsed = {}  # the cover pairs repeat the element strings
+
+        def parse(text):
+            if not isinstance(text, str):
+                return Label.parse(text)  # raises FormatError
+            label = parsed.get(text)
+            if label is None:
+                label = parsed[text] = Label.parse(text)
+            return label
+
+        elements = [parse(e) for e in obj["elements"]]
         covers = []
         for pair in obj["covers"]:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise FormatError(f"cover pair has the wrong shape: {pair!r}")
-            covers.append((Label.parse(pair[0]), Label.parse(pair[1])))
+            covers.append((parse(pair[0]), parse(pair[1])))
         return cls.from_covers(elements, covers)
 
     def to_json(self) -> str:

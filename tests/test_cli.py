@@ -1,10 +1,20 @@
 """Command line behavior: outputs, file round-trips, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
-from simposets import InvalidGluingError, Poset, boolean_lattice, parse_facet_string
+from simposets import (
+    InvalidGluingError,
+    Poset,
+    RandomModelParams,
+    SplitMix64,
+    boolean_lattice,
+    kahle_complex,
+    parse_facet_string,
+    rand_simplicial_poset,
+)
 from simposets.cli import run
 
 
@@ -57,6 +67,13 @@ def test_check_wrong_schema_is_io_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"elements": ["0"]}))
     assert run(["check", "--poset", str(path), "--test", "simplicial"]) == 1
+
+
+def test_label_that_is_not_a_string_is_io_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["0", "a"], "covers": [["0", ["a"]]]}))
+    assert run(["ideal", "--poset", str(path)]) == 1
+    assert capsys.readouterr().err == "error: cannot parse label from ['a']\n"
 
 
 def test_check_faceposet_on_nonsimplicial_is_precondition_error(tmp_path, capsys):
@@ -147,6 +164,31 @@ def test_reduce_prints_monomials(tmp_path, capsys):
     path.write_text(parse_facet_string("a*b*c,b*c*d").face_poset().to_json())
     assert run(["reduce", "--poset", str(path)]) == 0
     assert capsys.readouterr().out == "x[a]*x[d]\n"
+
+
+PINNED_INPUTS = {
+    # n=10, p=0.8 theta sample, 136 elements; not a face poset
+    "theta": lambda: rand_simplicial_poset(RandomModelParams(n=10, p1=0.8, p2=0.8, seed=4)),
+    # face poset of a clique complex of G(10, 0.65), 97 elements
+    "face": lambda: kahle_complex(10, 0.65, SplitMix64(0)).face_poset(),
+}
+
+
+@pytest.mark.parametrize(
+    "name, command, code, lines, digest",
+    [
+        ("theta", "ideal", 0, 7915, "5ca92f43df885fd78cf5f414c0c62eeb383f8ef1a7176a9c81384330068aaa9c"),
+        ("theta", "reduce", 2, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("face", "ideal", 0, 3912, "334a547af1837ac0aac4d749478ef7d7e21f6973e008bb3b0924e77e4fcd5d63"),
+        ("face", "reduce", 0, 16, "0e6a85f1ddc3d996e519743d4fb4c870b36f641541e630b3a7429eba044de954"),
+    ],
+)
+def test_ideal_and_reduce_stdout_is_pinned(poset_file, capsys, name, command, code, lines, digest):
+    path = poset_file(PINNED_INPUTS[name]())
+    assert run([command, "--poset", path]) == code
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_reduce_requires_face_poset(poset_file, capsys, two_points_two_edges):

@@ -3,11 +3,13 @@ monomials."""
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simposets import (
+    InvariantError,
     Monomial,
     PreconditionError,
     RandomModelParams,
@@ -20,7 +22,8 @@ from simposets import (
     stanley_poset_ideal,
     stanley_reisner_ideal,
 )
-from simposets.ideal import ONE, render_monomial
+import simposets.ideal as ideal_module
+from simposets.ideal import ONE, _minimal_monomials, render_monomial
 from simposets.labels import Label
 from simposets.poset import Poset
 
@@ -118,6 +121,114 @@ def test_generators_use_declared_variables(c):
             assert all(0 <= i < nvars for i in indices)
 
 
+# ----- the blockwise kernel against per-pair queries -----------------------------
+
+
+def reference_generators(p):
+    """The generator records built pair by pair from ``minimal_upper_bounds``
+    and ``meet``, the queries the kernel replaces."""
+    bot = p.bottom()
+    index = {e: i for i, e in enumerate(e for e in p.elements if e != bot)}
+    gens = []
+    for s, t in brute_incomparable_pairs(p):
+        product = ((index[s], index[t]), 1)
+        ubs = p.minimal_upper_bounds(s, t)
+        if not ubs:
+            gens.append((product,))
+            continue
+        m = p.meet(s, t)
+        meet_part = () if m == bot else (index[m],)
+        terms = [product] + [(tuple(sorted((*meet_part, index[z]))), -1) for z in ubs]
+        terms.sort(key=lambda term: (-len(term[0]), term[0]))
+        gens.append(tuple(terms))
+    return tuple(gens)
+
+
+def relabeled(p, rng):
+    """The same order under fresh labels in shuffled canonical order, so the
+    bottom is usually not the first element."""
+    names = [f"e{k}" for k in range(len(p))]
+    rng.shuffle(names)
+    new = {e: L(name) for e, name in zip(p.elements, names)}
+    return Poset.from_covers(list(new.values()), [(new[a], new[b]) for a, b in p.covers])
+
+
+KERNEL_GRID = [(n, p, seed) for n in (4, 6, 8, 10) for p in (0.5, 0.8) for seed in (0, 1)]
+
+
+def test_kernel_matches_per_pair_reference():
+    rng = random.Random(5)
+    several_upper_bounds = 0
+    for n, prob, seed in KERNEL_GRID:
+        sample = rand_simplicial_poset(RandomModelParams(n=n, p1=prob, p2=prob, seed=seed))
+        for p in (sample, relabeled(sample, rng)):
+            want = reference_generators(p)
+            assert stanley_poset_ideal(p).generators == want
+        several_upper_bounds += sum(1 for terms in want if len(terms) > 2)
+    assert several_upper_bounds > 100
+
+
+def test_kernel_blocks_do_not_change_the_generators(monkeypatch):
+    p = rand_simplicial_poset(RandomModelParams(n=8, p1=0.8, p2=0.8, seed=1))
+    whole = stanley_poset_ideal(p).generators
+    monkeypatch.setattr(ideal_module, "_PAIR_BLOCK", 7)
+    assert stanley_poset_ideal(p).generators == whole
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [
+        Poset.from_covers([L("a")], []),
+        boolean_lattice(0),
+        boolean_lattice(1),
+    ],
+    ids=["point", "boolean0", "boolean1"],
+)
+def test_posets_without_incomparable_pairs_have_no_generators(poset):
+    pres = stanley_poset_ideal(poset)
+    assert pres.generators == ()
+    assert pres.render_lines() == []
+
+
+def test_kernel_raises_like_meet_on_a_forced_nonsimplicial_poset():
+    # 0 < a, b < x, y < t: x and y have the two maximal common lower bounds
+    # a and b
+    elems = [BOT] + [L(v) for v in "abxyt"]
+    covers = [(BOT, L("a")), (BOT, L("b"))]
+    covers += [(L(lo), L(hi)) for lo in "ab" for hi in "xy"]
+    covers += [(L("x"), L("t")), (L("y"), L("t"))]
+    p = Poset.from_covers(elems, covers)
+    p._simplicial = True
+    with pytest.raises(InvariantError) as from_meet:
+        p.meet(L("x"), L("y"))
+    with pytest.raises(InvariantError) as from_kernel:
+        stanley_poset_ideal(p)
+    assert str(from_kernel.value) == str(from_meet.value)
+    assert str(from_kernel.value) == "x and y have 2 maximal common lower bounds; poset is not simplicial"
+
+
+def brute_minimal(expanded):
+    monomials = [Monomial(Counter(e)) for e in expanded]
+    return sorted(
+        e for e, m in zip(expanded, monomials)
+        if not any(o != m and o.divides(m) for o in monomials)
+    )
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+def test_minimal_monomials_match_pairwise_divisibility(monkeypatch, cells):
+    if cells is not None:  # one row per block
+        monkeypatch.setattr(ideal_module, "_DIVIDES_CELLS", cells)
+    rng = random.Random(17)
+    for _ in range(60):
+        nvars = rng.randint(1, 6)
+        expanded = {
+            tuple(sorted(rng.choices(range(nvars), k=rng.randint(0, 5))))
+            for _ in range(rng.randint(0, 150))
+        }
+        assert sorted(_minimal_monomials(expanded, nvars)) == brute_minimal(list(expanded))
+
+
 # ----- pinned rendering --------------------------------------------------------
 
 # sha256 of the rendered generator lines.  Any change in the rendered text
@@ -156,6 +267,19 @@ def test_rendering_is_pinned_on_random_samples():
     assert len(faces) == 2
     assert render_digest(reduce_face_poset_ideal(s).render_lines() for s in faces) == (
         "2ab8564de46d15b5a3c30ed012fe6e06b7e867c392bff7dece12012fa90ce561"
+    )
+
+
+def test_rendering_is_pinned_on_n10_samples():
+    # two n=10, p=0.8 theta samples of 136 and 162 elements, each over
+    # several pair blocks of the kernel
+    samples = [
+        rand_simplicial_poset(RandomModelParams(n=10, p1=0.8, p2=0.8, seed=seed))
+        for seed in (4, 7)
+    ]
+    assert [len(s) for s in samples] == [136, 162]
+    assert render_digest(stanley_poset_ideal(s).render_lines() for s in samples) == (
+        "40e8e69e27af01f159dfde13181ffe3b86f8d6f3f7a8d3dabad802a978368f2b"
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from simposets import (
     ElementNotFoundError,
+    FormatError,
     MeetUndefinedError,
     Poset,
     PreconditionError,
@@ -63,6 +64,31 @@ def test_from_covers_round_trip():
 def test_from_covers_rejects_cycle():
     with pytest.raises(StructureError, match="cycle"):
         Poset.from_covers([L("a"), L("b")], [(L("a"), L("b")), (L("b"), L("a"))])
+
+
+def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
+    import simposets.poset as poset_module
+
+    calls = []
+    real = poset_module._has_cycle
+    monkeypatch.setattr(poset_module, "_has_cycle", lambda leq: calls.append(1) or real(leq))
+    b = boolean_lattice(2)
+    builds = {
+        "boolean_lattice": lambda: boolean_lattice(2),
+        "from_covers": lambda: Poset.from_covers(b.elements, b.covers),
+        "from_relations": lambda: Poset.from_relations(b.elements, b.covers),
+        "quotient": lambda: b.quotient([[v] for v in b.elements]),
+        "restrict": lambda: b.restrict(b.elements[:3]),
+    }
+    for name, build in builds.items():
+        calls.clear()
+        build()
+        assert len(calls) == 1, name
+
+
+def test_relations_with_a_cycle_are_rejected():
+    with pytest.raises(StructureError, match="relations contain a cycle"):
+        Poset.from_relations([L("a"), L("b")], [(L("a"), L("b")), (L("b"), L("a"))])
 
 
 def test_from_covers_rejects_redundant_pairs():
@@ -283,6 +309,46 @@ def test_is_simplicial_matches_oracle_on_random_quotients(seed):
     assert q.is_simplicial() == brute_is_simplicial(q)
 
 
+def rewire_under_rank3_top(p, rng):
+    """Move one atom cover of a rank-2 element w that lies below a maximal
+    rank-3 element u and below nothing else: supp w becomes the other atom
+    pair of supp u, which another element below u already has.  Every
+    interval keeps 2^rank elements.  None when p has no such (u, w)."""
+    supp = {v: p.atom_support(v).atoms for v in p.elements}
+    pairs = [
+        (u, w)
+        for u in sorted(p.maximal_elements())
+        if len(supp[u]) == 3
+        for w in sorted(p.lower_set(u))
+        if len(supp[w]) == 2 and p.upper_set(w) == {w, u}
+    ]
+    if not pairs:
+        return None
+    u, w = rng.choice(pairs)
+    dropped = rng.choice(sorted(supp[w]))
+    (added,) = supp[u] - supp[w]
+    covers = [c for c in p.covers if c != (dropped, w)] + [(added, w)]
+    return Poset.from_covers(p.elements, covers)
+
+
+def test_rewired_random_samples_are_not_simplicial():
+    """Random-model samples made non-simplicial in a way only check (3) of
+    ``is_simplicial`` sees: two elements below a common top share a support."""
+    qualified = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, p1 = rng.randint(3, 7), rng.choice([0.5, 0.7, 0.9])
+        p = rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=p1, seed=seed))
+        q = rewire_under_rank3_top(p, rng)
+        if q is None:
+            continue
+        qualified += 1
+        assert intervals_have_boolean_size(q)
+        assert not q.is_simplicial()
+        assert brute_is_simplicial(q) is False
+    assert qualified >= 10
+
+
 # ----- meets and bounds -----------------------------------------------------
 
 
@@ -381,6 +447,30 @@ def test_json_round_trip_face_posets(c):
     q = Poset.from_json(p.to_json())
     assert q == p
     assert q.to_json() == p.to_json()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"elements": ["0", ["a"]], "covers": [["0", "a"]]},
+        {"elements": ["0", "a"], "covers": [["0", ["a"]]]},
+        {"elements": ["0", "a"], "covers": [[None, "a"]]},
+        {"elements": ["0", 7], "covers": [["0", 7]]},
+    ],
+    ids=["list-element", "list-in-cover", "null-in-cover", "int-label"],
+)
+def test_from_json_rejects_labels_that_are_not_strings(obj):
+    with pytest.raises(FormatError):
+        Poset.from_json_dict(obj)
+
+
+def test_from_json_reads_each_spelling_of_a_label():
+    # "a*b" and "b*a" spell the same atom-set label
+    p = Poset.from_json_dict({
+        "elements": ["0", "b*a", "a", "b"],
+        "covers": [["0", "a"], ["0", "b"], ["a", "a*b"], ["b", "b*a"]],
+    })
+    assert p == poset_over_bottom({"a": ["0"], "b": ["0"], "a*b": ["a", "b"]})
 
 
 def test_to_dot_mentions_every_element_and_cover():
