@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset, _partition
+from .poset import Poset, _cover_digraph, _partition
 
 
 @dataclass
@@ -111,10 +111,11 @@ class GluingSpec:
 def _disjoint_union(blocks):
     """Disjoint copies of pieces of posets, sharing only the bottom.
 
-    A block is ``(copy index, poset, members)`` where ``members`` lists
-    non-bottom elements whose lower sets, bottom aside, stay inside the
-    list.  Member v of block i becomes the copy label ``i@v``.  Returns the
-    union and the map from each copy label to its original element.
+    A block is ``(copy index, poset, members)`` where ``members`` lists the
+    ascending indices of non-bottom elements whose lower sets, bottom
+    aside, stay inside the list.  Member v of block i becomes the copy
+    label ``i@v``.  Returns the union and the map from each copy label to
+    its original element.
     """
     bottom = Label.bottom()
     labels = [bottom]
@@ -122,18 +123,22 @@ def _disjoint_union(blocks):
     leq = np.eye(1 + sum(len(members) for _, _, members in blocks), dtype=bool)
     leq[0, :] = True
     covers = []
+    children = {}  # id of a poset -> the indices each of its elements covers
     offset = 1
     for ci, p, members in blocks:
-        copy_of = {v: Label.copy(ci, v) for v in members}
-        labels += copy_of.values()
-        origin.update((c, v) for v, c in copy_of.items())
-        idx = [p._require(v) for v in members]
-        m = len(idx)
-        leq[offset : offset + m, offset : offset + m] = p._leq[np.ix_(idx, idx)]
+        if id(p) not in children:
+            children[id(p)] = _cover_digraph(p)[0]
+        below = children[id(p)]
+        copies = [Label.copy(ci, p.elements[i]) for i in members]
+        labels += copies
+        origin.update((c, p.elements[i]) for i, c in zip(members, copies))
+        m = len(members)
+        leq[offset : offset + m, offset : offset + m] = p._leq[np.ix_(members, members)]
         offset += m
         # Members are closed downward, so a cover into a member starts at
         # another member or at the bottom.
-        covers += [(copy_of.get(lo, bottom), copy_of[hi]) for lo, hi in p.covers if hi in copy_of]
+        copy_at = dict(zip(members, copies))
+        covers += [(copy_at.get(lo, bottom), c) for hi, c in zip(members, copies) for lo in below[hi]]
     return Poset._trusted(labels, leq, covers=covers), origin
 
 
@@ -144,8 +149,15 @@ def separation(q: Poset) -> SeparationResult:
     if not q.is_simplicial():
         raise PreconditionError("separation requires a simplicial poset")
     bot_q = q.bottom()
-    maxima = sorted(q.maximal_elements())
-    blocks = [(ci, q, sorted(q.lower_set(x) - {bot_q})) for ci, x in enumerate(maxima, start=1)]
+    # elements are stored in canonical order, so ascending indices are sorted labels
+    leq = q._leq
+    above_bottom = np.ones(len(q.elements), dtype=bool)
+    above_bottom[q._index[bot_q]] = False
+    maxima = np.flatnonzero(leq.sum(axis=1) == 1)
+    blocks = [
+        (ci, q, np.flatnonzero(leq[:, x] & above_bottom).tolist())
+        for ci, x in enumerate(maxima.tolist(), start=1)
+    ]
     sep, origin = _disjoint_union(blocks)
     projection = {Label.bottom(): bot_q, **origin}
     if not sep.is_face_poset():
@@ -162,44 +174,68 @@ def fiber_relation(result: SeparationResult) -> GluingRelation:
     return GluingRelation(base=result.separated, classes=classes)
 
 
+_CONDITION_1 = (
+    "related elements must be incomparable",
+    "related elements must have equal rank",
+    "related elements must not share an upper bound",
+)
+_PAIR_CELLS = 1 << 20  # pairs x elements per block of validate_gluing
+
+
+def _related_pairs(cls, k):
+    """Ordered pairs (a, b) of distinct elements in one class, by class,
+    then a, then b; ``cls`` gives each element's class among ``k``."""
+    order = np.argsort(cls, kind="stable")
+    size = np.bincount(cls, minlength=k)
+    reps = size[cls[order]]  # each element repeated once per member of its class
+    start = np.cumsum(size)[cls[order]] - reps  # where its class begins in order
+    a_pos = np.repeat(np.arange(cls.size), reps)
+    b_pos = np.repeat(start, reps) + np.arange(a_pos.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    a, b = order[a_pos], order[b_pos]
+    keep = a != b
+    return a[keep], b[keep]
+
+
 def validate_gluing(relation: GluingRelation) -> GluingCheck:
-    """Check the two gluing conditions on every pair of related elements."""
+    """Check the two gluing conditions on every pair of related elements.
+
+    Violations come class by class, in relation order.  Within a class,
+    first the condition (1) failures of the unordered pairs in sorted
+    order, then for each ordered pair (a, b) the elements below a whose
+    class meets nothing below b, in canonical order.
+    """
     base = relation.base
     leq = base._leq
-    masks, _ = base._support_masks()
-    idx = base._require
-    cls_of = {}
-    for ci, cls in enumerate(relation.classes):
-        for v in cls:
-            cls_of[v] = ci
+    n, k = len(base.elements), len(relation.classes)
+    rank = leq[base._atom_indices()].sum(axis=0)
+    cls = base._class_array(relation.classes)
+    a, b = _related_pairs(cls, k)
+    if not a.size:
+        return GluingCheck(violations=())
+    # below[j, c]: some member of class c lies below element j
+    lo, hi = np.nonzero(leq)
+    below = np.zeros((n, k), dtype=bool)
+    below[hi, cls[lo]] = True
+    found = []  # (pair, condition, message or element below a) per violation
+    step = max(1, _PAIR_CELLS // n)
+    for start in range(0, a.size, step):
+        i, j = a[start : start + step], b[start : start + step]
+        first = np.column_stack(
+            [leq[i, j] | leq[j, i], rank[i] != rank[j], (leq[i] & leq[j]).any(axis=1)]
+        )
+        first &= (i < j)[:, None]  # unordered pairs, smaller element first
+        pair, what = np.nonzero(first)
+        found.append((pair + start, np.ones_like(pair), what))
+        pair, what = np.nonzero(leq[:, i].T & ~below[j][:, cls])
+        found.append((pair + start, np.full_like(pair, 2), what))
+    pair, condition, what = (np.concatenate(col) for col in zip(*found))
+    sort = np.lexsort((what, pair, condition, cls[a[pair]]))
+    el = base.elements
     violations = []
-    for cls in relation.classes:
-        members = sorted(cls)
-        if len(members) < 2:
-            continue
-        for a, b in combinations(members, 2):
-            ia, ib = idx(a), idx(b)
-            if leq[ia, ib] or leq[ib, ia]:
-                violations.append(GluingViolation(1, (a, b), "related elements must be incomparable"))
-            if masks[ia].bit_count() != masks[ib].bit_count():
-                violations.append(GluingViolation(1, (a, b), "related elements must have equal rank"))
-            if (leq[ia] & leq[ib]).any():
-                violations.append(GluingViolation(1, (a, b), "related elements must not share an upper bound"))
-        for a in members:
-            ca = [cls_of[base.elements[i]] for i in np.flatnonzero(leq[:, idx(a)])]
-            for b in members:
-                if a == b:
-                    continue
-                cb = {cls_of[base.elements[i]] for i in np.flatnonzero(leq[:, idx(b)])}
-                for i, c in zip(np.flatnonzero(leq[:, idx(a)]), ca):
-                    if c not in cb:
-                        violations.append(
-                            GluingViolation(
-                                2,
-                                (a, b),
-                                f"{base.elements[i]} below {a} is related to nothing below {b}",
-                            )
-                        )
+    for p, c, w in zip(pair[sort].tolist(), condition[sort].tolist(), what[sort].tolist()):
+        x, y = el[a[p]], el[b[p]]
+        reason = _CONDITION_1[w] if c == 1 else f"{el[w]} below {x} is related to nothing below {y}"
+        violations.append(GluingViolation(c, (x, y), reason))
     return GluingCheck(violations=tuple(violations))
 
 
@@ -278,7 +314,7 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
 
     ea = [v for v in a.elements if v != bot_a]
     eb = [u for u in b.elements if u != bot_b]
-    union, _ = _disjoint_union([(1, a, ea), (2, b, eb)])
+    union, _ = _disjoint_union([(1, a, [a._index[v] for v in ea]), (2, b, [b._index[u] for u in eb])])
 
     glued_b = set(image.values())
     classes = [frozenset([Label.copy(1, w), Label.copy(2, image[w])]) for w in image]

@@ -38,13 +38,15 @@ def valid_vertex_name(name) -> bool:
 
 @total_ordering
 class Label:
-    __slots__ = ("kind", "value", "key", "_text")
+    __slots__ = ("kind", "value", "key", "_text", "_hash")
 
     def __init__(self, kind, value, key, text):
         self.kind = kind
         self.value = value
         self.key = key
         self._text = text
+        # keys are immutable nested tuples: hash once, not on every lookup
+        self._hash = hash(key)
 
     @classmethod
     def bottom(cls) -> "Label":
@@ -142,7 +144,11 @@ class Label:
         return self.key < other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so unpickling hashes anew
+        return (Label, (self.kind, self.value, self.key, self._text))
 
 
 _BOTTOM_LABEL = Label(BOTTOM, None, (BOTTOM,), "0")

@@ -227,10 +227,15 @@ class Poset:
             self._bottom = self.elements[mins[0]]
         return self._bottom
 
+    def _atom_indices(self) -> np.ndarray:
+        """Ascending indices of the atoms: the elements whose lower set is
+        the unique minimum and themselves."""
+        self.bottom()
+        return np.flatnonzero(self._leq.sum(axis=0) == 2)
+
     def atoms(self) -> frozenset:
         """Elements covering the unique minimum."""
-        bot = self.bottom()
-        return frozenset(hi for lo, hi in self.covers if lo == bot)
+        return frozenset(self.elements[i] for i in self._atom_indices())
 
     def lower_set(self, v) -> frozenset:
         j = self._require(v)
@@ -253,8 +258,7 @@ class Poset:
     def _support_masks(self):
         """Per-element atom-support bitmasks over the canonical atom order."""
         if self._supports is None:
-            bot = self.bottom()
-            atom_idx = sorted(self._require(a) for a in self.atoms())
+            atom_idx = self._atom_indices().tolist()
             masks = [0] * len(self.elements)
             for bit, ai in enumerate(atom_idx):
                 for j in np.flatnonzero(self._leq[ai]):
@@ -361,16 +365,24 @@ class Poset:
         antisymmetric."""
         cls_sets = _partition(classes, self.elements)
         labels = [Label.class_of(c) for c in cls_sets]
-        k, n = len(cls_sets), len(self.elements)
-        member = np.zeros((k, n), dtype=np.float32)
-        for ci, c in enumerate(cls_sets):
-            for v in c:
-                member[ci, self._require(v)] = 1.0
-        rel = (member @ self._leq.astype(np.float32) @ member.T) > 0
+        cls = self._class_array(cls_sets)
+        lo, hi = np.nonzero(self._leq)
+        rel = np.zeros((len(cls_sets), len(cls_sets)), dtype=bool)
+        rel[cls[lo], cls[hi]] = True
         rel = _closure(rel)
         if _has_cycle(rel):
             raise StructureError("quotient is not a partial order")
         return Poset._trusted(labels, rel, antisymmetric=True)
+
+    def _class_array(self, blocks) -> np.ndarray:
+        """Position of each element's block, for blocks that partition the
+        elements (checked by the caller)."""
+        index = self._index
+        cls = np.empty(len(self.elements), dtype=np.intp)
+        cls[[index[v] for c in blocks for v in c]] = np.repeat(
+            np.arange(len(blocks)), [len(c) for c in blocks]
+        )
+        return cls
 
     def restrict(self, subset) -> "Poset":
         """Induced subposet on the given elements (covers recomputed)."""
@@ -488,8 +500,9 @@ def _cover_digraph(p: Poset):
     n = len(p.elements)
     children = [[] for _ in range(n)]  # covered-by lists (towards bottom)
     parents = [[] for _ in range(n)]
+    index = p._index
     for lo, hi in p.covers:
-        i, j = p._require(lo), p._require(hi)
+        i, j = index[lo], index[hi]
         children[j].append(i)
         parents[i].append(j)
     return children, parents

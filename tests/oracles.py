@@ -2,10 +2,13 @@
 
 Everything here is written for clarity over speed and avoids the code
 paths under test: faces by powerset expansion, cliques by subset
-enumeration, simpliciality by explicit powerset comparison.
+enumeration, simpliciality by explicit powerset comparison, quotients by
+an explicit pair loop and Warshall's closure.
 """
 
 from itertools import chain, combinations
+
+from simposets.labels import Label
 
 
 def powerset(items):
@@ -53,12 +56,19 @@ def brute_incomparable_pairs(poset):
     ]
 
 
+def brute_atoms(poset):
+    """The elements v other than the minimum whose lower set is
+    {minimum, v}; the poset must have a unique minimal element."""
+    (bot,) = poset.minimal_elements()
+    return frozenset(v for v in poset.elements if v != bot and poset.lower_set(v) == {bot, v})
+
+
 def brute_is_simplicial(poset):
     """Unique minimum, and each lower set order-isomorphic to a powerset
     via the atoms-below map."""
     if len(poset.minimal_elements()) != 1:
         return False
-    atoms = poset.atoms()
+    atoms = brute_atoms(poset)
     for v in poset.elements:
         lower = sorted(poset.lower_set(v), key=lambda e: e.key)
         support = {u: frozenset(poset.lower_set(u) & atoms) for u in lower}
@@ -78,6 +88,60 @@ def brute_is_face_poset(poset):
     """Simplicial with a globally injective atoms-below map."""
     if not brute_is_simplicial(poset):
         return None
-    atoms = poset.atoms()
+    atoms = brute_atoms(poset)
     supports = [frozenset(poset.lower_set(v) & atoms) for v in poset.elements]
     return len(set(supports)) == len(supports)
+
+
+def brute_quotient(poset, classes):
+    """Quotient by a partition from the definition: class C is below class
+    D when some member of C is below some member of D, closed transitively
+    by Warshall's algorithm.  Returns the sorted class labels and the set
+    of cover pairs, or None when the closure is not antisymmetric."""
+    blocks = [frozenset(c) for c in classes]
+    k = range(len(blocks))
+    rel = [[any(poset.leq(v, w) for v in c for w in d) for d in blocks] for c in blocks]
+    for m in k:
+        for i in k:
+            for j in k:
+                rel[i][j] = rel[i][j] or (rel[i][m] and rel[m][j])
+    if any(rel[i][j] and rel[j][i] for i in k for j in k if i != j):
+        return None
+    labels = [Label.class_of(c) for c in blocks]
+    covers = {
+        (labels[i], labels[j])
+        for i in k
+        for j in k
+        if i != j and rel[i][j] and not any(m not in (i, j) and rel[i][m] and rel[m][j] for m in k)
+    }
+    return sorted(labels), covers
+
+
+def brute_gluing_violations(relation):
+    """The two gluing conditions pair by pair, as (condition, elements,
+    reason) in the documented order: classes in relation order; inside a
+    class the condition (1) failures of the sorted unordered pairs, then
+    the condition (2) failures of each ordered pair, by element below."""
+    base = relation.base
+    atoms = brute_atoms(base)
+    rank = {v: len(atoms & base.lower_set(v)) for v in base.elements}
+    class_of = {v: c for c in relation.classes for v in c}
+    out = []
+    for cls in relation.classes:
+        members = sorted(cls)
+        for a, b in combinations(members, 2):
+            if base.leq(a, b) or base.leq(b, a):
+                out.append((1, (a, b), "related elements must be incomparable"))
+            if rank[a] != rank[b]:
+                out.append((1, (a, b), "related elements must have equal rank"))
+            if base.upper_set(a) & base.upper_set(b):
+                out.append((1, (a, b), "related elements must not share an upper bound"))
+        for a in members:
+            for b in members:
+                if a == b:
+                    continue
+                reached = {class_of[w] for w in base.lower_set(b)}
+                for i in sorted(base.lower_set(a)):
+                    if class_of[i] not in reached:
+                        out.append((2, (a, b), f"{i} below {a} is related to nothing below {b}"))
+    return out

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,11 @@ from simposets import (
     ElementNotFoundError,
     GluingRelation,
     GluingSpec,
+    GluingViolation,
     InvalidGluingError,
     Poset,
     PreconditionError,
+    RandomModelParams,
     StructureError,
     are_isomorphic,
     atom_family,
@@ -23,14 +26,17 @@ from simposets import (
     meet_poset,
     parse_facet_string,
     quotient_by_gluing,
+    rand_simplicial_poset,
     reconstruct_theta_pair,
     separation,
     theta_glue,
     validate_gluing,
 )
+from simposets import gluing
 from simposets.labels import CLASS, Label
 
 from conftest import random_complex
+from oracles import brute_gluing_violations
 
 L = Label.parse
 BOT = Label.bottom()
@@ -105,6 +111,27 @@ def test_separation_projection_preserves_supports(c):
         assert got == p.atom_support(orig).atoms
 
 
+def assert_covers_and_atoms_from_order(p):
+    """Covers are the transitive reduction of leq, and the atoms are the
+    elements covering the bottom."""
+    assert p.covers == Poset._trusted(p.elements, p._leq).covers
+    bot = p.bottom()
+    assert p.atoms() == {hi for lo, hi in p.covers if lo == bot}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes)
+def test_separation_covers_are_the_reduction_of_its_order(c):
+    assert_covers_and_atoms_from_order(separation(c.face_poset()).separated)
+
+
+@pytest.mark.parametrize("p1, seed", [(0.6, 0), (0.8, 1), (0.85, 3)])
+def test_separation_covers_on_large_theta_samples(p1, seed):
+    q = rand_simplicial_poset(RandomModelParams(n=10, p1=p1, p2=p1, seed=seed))
+    assert_covers_and_atoms_from_order(q)
+    assert_covers_and_atoms_from_order(separation(q).separated)
+
+
 # ----- gluing relations -----------------------------------------------------
 
 
@@ -126,39 +153,112 @@ def test_quotient_by_fiber_relation_restores_poset():
     assert are_isomorphic(q, p)
 
 
+def violation_rows(p, groups):
+    """Validate the partition of p into the given groups plus singletons;
+    the violations as (condition, element strings, reason) in order."""
+    used = {e for g in groups for e in g}
+    classes = [frozenset(g) for g in groups] + [frozenset([e]) for e in p.elements if e not in used]
+    check = validate_gluing(GluingRelation(base=p, classes=tuple(classes)))
+    return [(v.condition, tuple(str(e) for e in v.elements), v.reason) for v in check.violations]
+
+
+INCOMPARABLE = "related elements must be incomparable"
+EQUAL_RANK = "related elements must have equal rank"
+UPPER_BOUND = "related elements must not share an upper bound"
+
+
 def test_validate_rejects_comparable_pair():
     p = parse_facet_string("a*b").face_poset()
-    rel = GluingRelation(base=p, classes=(frozenset([BOT]), frozenset([L("b")]), frozenset([L("a"), L("a*b")])))
-    check = validate_gluing(rel)
-    assert not check.ok
-    assert any(v.condition == 1 and "incomparable" in v.reason for v in check.violations)
+    assert violation_rows(p, [[L("a"), L("a*b")]]) == [
+        (1, ("a", "a*b"), INCOMPARABLE),
+        (1, ("a", "a*b"), EQUAL_RANK),
+        (1, ("a", "a*b"), UPPER_BOUND),
+        (2, ("a*b", "a"), "b below a*b is related to nothing below a"),
+    ]
 
 
 def test_validate_rejects_rank_mismatch():
     p = parse_facet_string("a*b,c").face_poset()
-    rel = GluingRelation(
-        base=p,
-        classes=(frozenset([BOT]), frozenset([L("a")]), frozenset([L("b")]), frozenset([L("c"), L("a*b")])),
-    )
-    check = validate_gluing(rel)
-    assert any("equal rank" in v.reason for v in check.violations)
+    assert violation_rows(p, [[L("c"), L("a*b")]]) == [
+        (1, ("a*b", "c"), EQUAL_RANK),
+        (2, ("a*b", "c"), "a below a*b is related to nothing below c"),
+        (2, ("a*b", "c"), "b below a*b is related to nothing below c"),
+    ]
 
 
 def test_validate_rejects_shared_upper_bound():
     p = parse_facet_string("a*b*c").face_poset()
-    classes = [frozenset([L("a"), L("b")])]
-    classes += [frozenset([e]) for e in p.elements if str(e) not in ("a", "b")]
-    check = validate_gluing(GluingRelation(base=p, classes=tuple(classes)))
-    assert any("upper bound" in v.reason for v in check.violations)
+    assert violation_rows(p, [[L("a"), L("b")]]) == [(1, ("a", "b"), UPPER_BOUND)]
 
 
 def test_validate_rejects_lower_set_mismatch():
     p = parse_facet_string("a*b,c*d").face_poset()
-    classes = [frozenset([L("a*b"), L("c*d")])]
-    classes += [frozenset([e]) for e in p.elements if str(e) not in ("a*b", "c*d")]
-    check = validate_gluing(GluingRelation(base=p, classes=tuple(classes)))
-    assert not check.ok
-    assert all(v.condition == 2 for v in check.violations)
+    assert violation_rows(p, [[L("a*b"), L("c*d")]]) == [
+        (2, ("a*b", "c*d"), "a below a*b is related to nothing below c*d"),
+        (2, ("a*b", "c*d"), "b below a*b is related to nothing below c*d"),
+        (2, ("c*d", "a*b"), "c below c*d is related to nothing below a*b"),
+        (2, ("c*d", "a*b"), "d below c*d is related to nothing below a*b"),
+    ]
+
+
+def test_validate_lists_violations_class_by_class():
+    """Classes in relation order; inside a class the condition (1) messages
+    of the sorted unordered pairs, then condition (2) by ordered pair and by
+    the element below."""
+    p = parse_facet_string("a*b*c,d*e").face_poset()
+    groups = [[L("e"), L("b*c")], [L("d*e"), L("c"), L("a*b")]]
+    assert violation_rows(p, groups) == [
+        (1, ("a*b", "c"), EQUAL_RANK),
+        (1, ("a*b", "c"), UPPER_BOUND),
+        (1, ("c", "d*e"), EQUAL_RANK),
+        (2, ("a*b", "c"), "a below a*b is related to nothing below c"),
+        (2, ("a*b", "c"), "b below a*b is related to nothing below c"),
+        (2, ("a*b", "d*e"), "a below a*b is related to nothing below d*e"),
+        (2, ("a*b", "d*e"), "b below a*b is related to nothing below d*e"),
+        (2, ("d*e", "a*b"), "d below d*e is related to nothing below a*b"),
+        (2, ("d*e", "a*b"), "e below d*e is related to nothing below a*b"),
+        (2, ("d*e", "c"), "d below d*e is related to nothing below c"),
+        (2, ("d*e", "c"), "e below d*e is related to nothing below c"),
+        (1, ("b*c", "e"), EQUAL_RANK),
+        (2, ("b*c", "e"), "b below b*c is related to nothing below e"),
+        (2, ("b*c", "e"), "c below b*c is related to nothing below e"),
+    ]
+
+
+def random_relation(seed):
+    """A partition of the separation of a random-model sample: its fiber
+    relation with a few classes merged, or classes of about four random
+    elements."""
+    rng = random.Random(seed)
+    n, p1 = rng.randint(2, 6), rng.choice([0.4, 0.7, 1.0])
+    sep = separation(rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=rng.random(), seed=seed)))
+    if rng.random() < 0.5:
+        groups = [set(c) for c in fiber_relation(sep).classes]
+        for _ in range(rng.randint(1, 3)):
+            if len(groups) > 1:
+                one, other = rng.sample(range(len(groups)), 2)
+                groups[one] |= groups[other]
+                groups[other] = set()
+    else:
+        elems = list(sep.separated.elements)
+        k = rng.randint(max(1, len(elems) // 4), len(elems))
+        groups = [set() for _ in range(k)]
+        for v in elems:
+            groups[rng.randrange(k)].add(v)
+    return GluingRelation(base=sep.separated, classes=tuple(frozenset(g) for g in groups if g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_validate_matches_oracle_on_random_relations(seed):
+    """The same violations in the same order as the pair-by-pair oracle,
+    also when the kernel walks its pairs one at a time."""
+    rel = random_relation(seed)
+    expected = brute_gluing_violations(rel)
+    got = [(v.condition, v.elements, v.reason) for v in validate_gluing(rel).violations]
+    assert got == expected
+    with mock.patch.object(gluing, "_PAIR_CELLS", 1):
+        assert validate_gluing(rel).violations == tuple(GluingViolation(*v) for v in expected)
 
 
 def test_quotient_of_two_edges_gives_one_edge():

@@ -1,9 +1,14 @@
 """Label grammar: construction, parsing, canonical order."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from simposets import FormatError
+from simposets import FormatError, parse_facet_string
 from simposets.labels import Label, valid_vertex_name
 
 names = st.text(alphabet="abcdefgh123", min_size=1, max_size=3).filter(
@@ -102,3 +107,42 @@ def test_order_consistent_with_equality(a, b):
 def test_sorting_is_deterministic(pool):
     once = sorted(pool)
     assert sorted(reversed(pool)) == once
+
+
+@given(labels)
+def test_parsed_label_hashes_equal(lab):
+    assert hash(Label.parse(str(lab))) == hash(lab)
+
+
+def test_every_kind_hashes_equal_across_constructors():
+    a, b = Label.atom_set(["a"]), Label.atom_set(["b", "c"])
+    cases = [
+        (Label.bottom(), Label.parse("0")),
+        (Label.atom_set(["c", "b"]), Label.parse("b*c")),
+        (Label.copy(3, b), Label.parse("3@b*c")),
+        (Label.copy(1, Label.copy(2, Label.bottom())), Label.parse("1@2@0")),
+        (Label.class_of([b, a]), Label.class_of(iter([a, b]))),
+        (
+            Label.class_of([Label.class_of([a, Label.copy(0, b)]), Label.bottom()]),
+            Label.parse("{0,{a,0@b*c}}"),
+        ),
+    ]
+    for one, other in cases:
+        assert one == other
+        assert hash(one) == hash(other)
+
+
+def test_unpickled_labels_hash_in_another_process():
+    """A label's hash is kept with it, and string hashes differ between
+    processes, so a poset sent to another process must still find its
+    elements there."""
+    blob = pickle.dumps(parse_facet_string("a*b,b*c").face_poset())
+    code = (
+        "import pickle, sys\n"
+        "from simposets.labels import Label\n"
+        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(p.leq(Label.parse('a'), Label.parse('a*b')), Label.parse('b*c') in p)\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "7", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], input=blob, capture_output=True, env=env, timeout=60)
+    assert out.stdout.split() == [b"True", b"True"], out.stderr

@@ -23,7 +23,7 @@ from simposets import (
 from simposets.labels import Label
 
 from conftest import random_complex
-from oracles import brute_is_face_poset, brute_is_simplicial, powerset
+from oracles import brute_is_face_poset, brute_is_simplicial, brute_quotient, powerset
 
 L = Label.parse
 BOT = Label.bottom()
@@ -289,12 +289,9 @@ def test_interval_of_a_wrapped_power_of_two_is_not_simplicial():
     assert not p.is_simplicial()
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10_000))
-def test_is_simplicial_matches_oracle_on_random_quotients(seed):
-    """Merging a few random pairs of a random-model sample gives simplicial
-    and non-simplicial posets alike (about one in seven of the quotients
-    that stay partial orders is simplicial)."""
+def random_pair_merge(seed):
+    """A random-model sample and a partition of it that merges a few
+    random pairs of non-bottom elements."""
     rng = random.Random(seed)
     n, p1 = rng.randint(2, 6), rng.choice([0.4, 0.7, 1.0])
     p = rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=rng.random(), seed=seed))
@@ -302,11 +299,37 @@ def test_is_simplicial_matches_oracle_on_random_quotients(seed):
     rng.shuffle(rest)
     merged = [rest[2 * i : 2 * i + 2] for i in range(rng.randint(1, min(3, len(rest) // 2)))]
     used = {v for pair in merged for v in pair}
+    return p, merged + [[v] for v in p.elements if v not in used]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_is_simplicial_matches_oracle_on_random_quotients(seed):
+    """Merging a few random pairs of a random-model sample gives simplicial
+    and non-simplicial posets alike (about one in seven of the quotients
+    that stay partial orders is simplicial)."""
+    p, classes = random_pair_merge(seed)
     try:
-        q = p.quotient(merged + [[v] for v in p.elements if v not in used])
+        q = p.quotient(classes)
     except StructureError:
         return
     assert q.is_simplicial() == brute_is_simplicial(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_quotient_matches_oracle_on_random_partitions(seed):
+    """Elements, covers, and the rejection of a relation whose closure is
+    not antisymmetric, against the pair-loop quotient."""
+    p, classes = random_pair_merge(seed)
+    expected = brute_quotient(p, classes)
+    try:
+        q = p.quotient(classes)
+    except StructureError as err:
+        assert str(err) == "quotient is not a partial order"
+        assert expected is None
+        return
+    assert expected == (list(q.elements), set(q.covers))
 
 
 def rewire_under_rank3_top(p, rng):

@@ -1,5 +1,6 @@
 """Seeded rng, random graphs, clique complexes, batch sampling."""
 
+import hashlib
 import time
 from itertools import combinations
 
@@ -132,6 +133,22 @@ def test_rand_simplicial_poset_uses_one_stream():
 def test_rand_simplicial_poset_is_deterministic():
     params = RandomModelParams(n=6, p1=0.5, p2=0.5, seed=7)
     assert rand_simplicial_poset(params).to_json() == rand_simplicial_poset(params).to_json()
+
+
+# sha256 over the concatenated to_json() of the grid in
+# test_theta_output_is_pinned, in loop order
+THETA_GRID_SHA256 = "ddd36682fa5a3fad95928d716ed07978f4966e8756a16a3fc0d06eb869373e48"
+
+
+def test_theta_output_is_pinned():
+    """Elements and covers of seeded theta gluings, 3 to 688 elements."""
+    digest = hashlib.sha256()
+    for n in range(2, 11):
+        for p in (0.5, 0.9):
+            for seed in (0, 1):
+                params = RandomModelParams(n=n, p1=p, p2=p, seed=seed)
+                digest.update(rand_simplicial_poset(params).to_json().encode())
+    assert digest.hexdigest() == THETA_GRID_SHA256
 
 
 def test_rand_simplicial_poset_extremes():
