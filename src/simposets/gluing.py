@@ -335,7 +335,8 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
     sep = separation(p1)
     d2_vertices = list(d2.vertices) + [v for v in d1.vertices if v not in set(d2.vertices)]
     ambient = make_complex(d2_vertices, d2.facets)
-    common = {frozenset(f) for f in d1.faces()} & {frozenset(f) for f in ambient.faces()}
+    # every separated element is a copy of a face of d1
+    shared = {frozenset(f) for f in ambient.faces()}
     groups = {}
     singles = []
     for lab in sep.separated.elements:
@@ -343,7 +344,7 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
             singles.append(lab)
             continue
         base = lab.value[1]
-        if frozenset(base.names) in common:
+        if frozenset(base.names) in shared:
             groups.setdefault(base, []).append(lab)
         else:
             singles.append(lab)

@@ -6,6 +6,11 @@ below element ``j``.  Cover pairs are kept alongside and are always the
 transitive reduction of ``leq``, so order queries are O(1) and every listing
 derived from a poset is deterministic.
 
+Every constructor that derives an order from pairs (``from_covers``,
+``quotient``, ``restrict``) goes through one kernel, ``_order``: it squares
+a strict relation until the pairs with an element between them lie inside
+it.  That last product gives the closure, the cycle check and the covers.
+
 The simplicial vocabulary lives here as methods: atoms, atom supports,
 ``is_simplicial`` (every lower interval is a boolean lattice) and
 ``is_face_poset`` (additionally, elements are determined by their atom
@@ -34,16 +39,28 @@ BOOLEAN_LATTICE_MAX = 20
 ISOMORPHISM_MAX = 500
 
 
-def _closure(adj: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure via repeated boolean squaring."""
-    n = adj.shape[0]
-    reach = adj | np.eye(n, dtype=bool)
+def _order(strict: np.ndarray):
+    """Close a strict relation under transitivity by repeated squaring.
+
+    Returns ``(less, through)``, where ``less`` is the transitive closure
+    and ``through`` marks the pairs with an element strictly between them,
+    or None when the relation has a cycle (a diagonal entry of ``less``).
+    The order is then ``less | I`` and its covers are ``less & ~through``.
+    """
+    less = strict
     while True:
-        f = reach.astype(np.float32)
-        nxt = (f @ f) > 0
-        if (nxt == reach).all():
-            return reach
-        reach = nxt
+        f = less.astype(np.float32)
+        through = (f @ f) > 0
+        del f
+        if not (through > less).any():  # through lies inside less
+            return None if less.diagonal().any() else (less, through)
+        less = less | through
+
+
+def _pairs(labels, mask) -> list:
+    """The label pairs at the true entries of an index matrix."""
+    lo, hi = np.nonzero(mask)
+    return [(labels[i], labels[j]) for i, j in zip(lo.tolist(), hi.tolist())]
 
 
 def _has_cycle(leq: np.ndarray) -> bool:
@@ -74,14 +91,6 @@ def _partition(classes, elements) -> list:
     return blocks
 
 
-def _reduction(leq: np.ndarray) -> np.ndarray:
-    """Transitive reduction (cover matrix) of a partial order matrix."""
-    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    f = strict.astype(np.float32)
-    implied = (f @ f) > 0
-    return strict & ~implied
-
-
 @dataclass(frozen=True)
 class AtomSupport:
     """An element together with the set of atoms below it."""
@@ -97,7 +106,7 @@ class Poset:
     __slots__ = ("elements", "covers", "_leq", "_index", "_bottom", "_supports", "_simplicial", "_heights")
 
     def __init__(self, elements, covers, leq, index):
-        # Internal: use from_covers / from_relations / from_json instead.
+        # Internal: use from_covers / from_json instead.
         self.elements = elements
         self.covers = covers
         self._leq = leq
@@ -110,8 +119,9 @@ class Poset:
     # ----- construction -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, elements, leq, covers=None, *, antisymmetric=False):
-        """Build from a matrix the caller derived combinatorially.
+    def _trusted(cls, elements, leq, covers, *, antisymmetric=False):
+        """Build from an order matrix and its cover pairs, both of which the
+        caller derived combinatorially or through ``_order``.
 
         Elements are re-sorted into canonical label order.  Reflexivity is
         always asserted, and antisymmetry unless the caller has checked it
@@ -128,15 +138,8 @@ class Poset:
             raise InvariantError("reachability matrix is not reflexive")
         if not antisymmetric and _has_cycle(leq):
             raise InvariantError("reachability matrix is not antisymmetric")
-        if covers is None:
-            red = _reduction(leq)
-            cover_set = frozenset(
-                (labels[i], labels[j]) for i, j in zip(*np.nonzero(red))
-            )
-        else:
-            cover_set = frozenset(covers)
         leq.setflags(write=False)
-        return cls(labels, cover_set, leq, index)
+        return cls(labels, frozenset(covers), leq, index)
 
     @classmethod
     def from_covers(cls, elements, covers):
@@ -157,29 +160,16 @@ class Poset:
                 raise ElementNotFoundError(f"unknown element in covers: {hi}")
             adj[index[lo], index[hi]] = True
             cover_list.append((lo, hi))
-        reach = _closure(adj)
-        if _has_cycle(reach):
+        self_pair = adj.diagonal().any()
+        np.fill_diagonal(adj, False)
+        order = _order(adj)
+        if order is None:
             raise StructureError("covers contain a cycle")
-        red = _reduction(reach)
-        if not (red == adj).all():
+        less, through = order
+        if self_pair or (adj & through).any():
             raise StructureError("covers must be transitively reduced cover pairs")
-        return cls._trusted(elements, reach, covers=cover_list, antisymmetric=True)
-
-    @classmethod
-    def from_relations(cls, elements, relations):
-        """Build from arbitrary ``lower <= upper`` pairs; closure is taken."""
-        elements = list(elements)
-        index = _label_index(elements)
-        n = len(elements)
-        adj = np.zeros((n, n), dtype=bool)
-        for lo, hi in relations:
-            if lo not in index or hi not in index:
-                raise ElementNotFoundError(f"unknown element in relations: ({lo}, {hi})")
-            adj[index[lo], index[hi]] = True
-        reach = _closure(adj)
-        if _has_cycle(reach):
-            raise StructureError("relations contain a cycle")
-        return cls._trusted(elements, reach, antisymmetric=True)
+        np.fill_diagonal(less, True)
+        return cls._trusted(elements, less, cover_list, antisymmetric=True)
 
     # ----- basic queries ------------------------------------------------
 
@@ -241,17 +231,9 @@ class Poset:
         j = self._require(v)
         return frozenset(self.elements[i] for i in np.flatnonzero(self._leq[:, j]))
 
-    def upper_set(self, v) -> frozenset:
-        i = self._require(v)
-        return frozenset(self.elements[j] for j in np.flatnonzero(self._leq[i]))
-
     def maximal_elements(self) -> frozenset:
         strict = self._leq & ~np.eye(len(self.elements), dtype=bool)
         return frozenset(self.elements[i] for i in np.flatnonzero(~strict.any(axis=1)))
-
-    def minimal_elements(self) -> frozenset:
-        strict = self._leq & ~np.eye(len(self.elements), dtype=bool)
-        return frozenset(self.elements[j] for j in np.flatnonzero(~strict.any(axis=0)))
 
     # ----- atom supports and simpliciality --------------------------------
 
@@ -369,10 +351,14 @@ class Poset:
         lo, hi = np.nonzero(self._leq)
         rel = np.zeros((len(cls_sets), len(cls_sets)), dtype=bool)
         rel[cls[lo], cls[hi]] = True
-        rel = _closure(rel)
-        if _has_cycle(rel):
+        np.fill_diagonal(rel, False)
+        order = _order(rel)
+        if order is None:
             raise StructureError("quotient is not a partial order")
-        return Poset._trusted(labels, rel, antisymmetric=True)
+        less, through = order
+        covers = _pairs(labels, less & ~through)
+        np.fill_diagonal(less, True)
+        return Poset._trusted(labels, less, covers, antisymmetric=True)
 
     def _class_array(self, blocks) -> np.ndarray:
         """Position of each element's block, for blocks that partition the
@@ -388,7 +374,12 @@ class Poset:
         """Induced subposet on the given elements (covers recomputed)."""
         idx = sorted(self._require(v) for v in set(subset))
         sub = self._leq[np.ix_(idx, idx)]
-        return Poset._trusted([self.elements[i] for i in idx], sub)
+        order = _order(sub & ~np.eye(len(idx), dtype=bool))
+        if order is None:
+            raise InvariantError("reachability matrix is not antisymmetric")
+        less, through = order
+        labels = [self.elements[i] for i in idx]
+        return Poset._trusted(labels, sub, _pairs(labels, less & ~through), antisymmetric=True)
 
     # ----- misc helpers -----------------------------------------------------
 

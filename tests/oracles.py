@@ -2,8 +2,9 @@
 
 Everything here is written for clarity over speed and avoids the code
 paths under test: faces by powerset expansion, cliques by subset
-enumeration, simpliciality by explicit powerset comparison, quotients by
-an explicit pair loop and Warshall's closure.
+enumeration, simpliciality by explicit powerset comparison, covers by a
+pair loop over leq, quotients by an explicit pair loop and Warshall's
+closure.
 """
 
 from itertools import chain, combinations
@@ -56,17 +57,63 @@ def brute_incomparable_pairs(poset):
     ]
 
 
+def upper_set(poset, v):
+    """The elements above v, read off leq."""
+    return frozenset(w for w in poset.elements if poset.leq(v, w))
+
+
+def minimal_elements(poset):
+    """The elements whose lower set is themselves alone."""
+    return frozenset(v for v in poset.elements if poset.lower_set(v) == {v})
+
+
+def brute_covers(poset):
+    """The pairs x < y with no z strictly between them: a loop over the
+    related pairs of leq, keeping those whose interval [x, y] is {x, y}."""
+    down = {y: poset.lower_set(y) for y in poset.elements}
+    up = {x: set() for x in poset.elements}
+    for y, lower in down.items():
+        for x in lower:
+            up[x].add(y)
+    return {(x, y) for y in poset.elements for x in down[y] if x != y and len(up[x] & down[y]) == 2}
+
+
+def warshall(n, pairs):
+    """Reflexive-transitive closure of index pairs on range(n), as a list
+    of rows, by Warshall's algorithm."""
+    rel = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        rel[i][j] = True
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                rel[i][j] = rel[i][j] or (rel[i][m] and rel[m][j])
+    return rel
+
+
+def warshall_covers(rel):
+    """Index pairs (i, j) with i strictly below j in an order matrix and
+    no m strictly between them."""
+    k = range(len(rel))
+    return {
+        (i, j)
+        for i in k
+        for j in k
+        if i != j and rel[i][j] and not any(m not in (i, j) and rel[i][m] and rel[m][j] for m in k)
+    }
+
+
 def brute_atoms(poset):
     """The elements v other than the minimum whose lower set is
     {minimum, v}; the poset must have a unique minimal element."""
-    (bot,) = poset.minimal_elements()
+    (bot,) = minimal_elements(poset)
     return frozenset(v for v in poset.elements if v != bot and poset.lower_set(v) == {bot, v})
 
 
 def brute_is_simplicial(poset):
     """Unique minimum, and each lower set order-isomorphic to a powerset
     via the atoms-below map."""
-    if len(poset.minimal_elements()) != 1:
+    if len(minimal_elements(poset)) != 1:
         return False
     atoms = brute_atoms(poset)
     for v in poset.elements:
@@ -100,21 +147,12 @@ def brute_quotient(poset, classes):
     of cover pairs, or None when the closure is not antisymmetric."""
     blocks = [frozenset(c) for c in classes]
     k = range(len(blocks))
-    rel = [[any(poset.leq(v, w) for v in c for w in d) for d in blocks] for c in blocks]
-    for m in k:
-        for i in k:
-            for j in k:
-                rel[i][j] = rel[i][j] or (rel[i][m] and rel[m][j])
+    pairs = [(i, j) for i in k for j in k if any(poset.leq(v, w) for v in blocks[i] for w in blocks[j])]
+    rel = warshall(len(blocks), pairs)
     if any(rel[i][j] and rel[j][i] for i in k for j in k if i != j):
         return None
     labels = [Label.class_of(c) for c in blocks]
-    covers = {
-        (labels[i], labels[j])
-        for i in k
-        for j in k
-        if i != j and rel[i][j] and not any(m not in (i, j) and rel[i][m] and rel[m][j] for m in k)
-    }
-    return sorted(labels), covers
+    return sorted(labels), {(labels[i], labels[j]) for i, j in warshall_covers(rel)}
 
 
 def brute_gluing_violations(relation):
@@ -134,7 +172,7 @@ def brute_gluing_violations(relation):
                 out.append((1, (a, b), "related elements must be incomparable"))
             if rank[a] != rank[b]:
                 out.append((1, (a, b), "related elements must have equal rank"))
-            if base.upper_set(a) & base.upper_set(b):
+            if upper_set(base, a) & upper_set(base, b):
                 out.append((1, (a, b), "related elements must not share an upper bound"))
         for a in members:
             for b in members:

@@ -18,12 +18,24 @@ from simposets import (
     are_isomorphic,
     boolean_lattice,
     find_isomorphism,
+    parse_facet_string,
     rand_simplicial_poset,
+    separation,
 )
 from simposets.labels import Label
 
 from conftest import random_complex
-from oracles import brute_is_face_poset, brute_is_simplicial, brute_quotient, powerset
+from oracles import (
+    brute_covers,
+    brute_is_face_poset,
+    brute_is_simplicial,
+    brute_quotient,
+    minimal_elements,
+    powerset,
+    upper_set,
+    warshall,
+    warshall_covers,
+)
 
 L = Label.parse
 BOT = Label.bottom()
@@ -67,18 +79,23 @@ def test_from_covers_rejects_cycle():
 
 
 def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
+    """Each constructor checks antisymmetry once: on the diagonal of the
+    closure inside ``_order``, or through ``_has_cycle``."""
     import simposets.poset as poset_module
 
     calls = []
-    real = poset_module._has_cycle
-    monkeypatch.setattr(poset_module, "_has_cycle", lambda leq: calls.append(1) or real(leq))
+    for name in ("_has_cycle", "_order"):
+        real = getattr(poset_module, name)
+        monkeypatch.setattr(poset_module, name, lambda m, real=real: calls.append(1) or real(m))
     b = boolean_lattice(2)
     builds = {
         "boolean_lattice": lambda: boolean_lattice(2),
         "from_covers": lambda: Poset.from_covers(b.elements, b.covers),
-        "from_relations": lambda: Poset.from_relations(b.elements, b.covers),
+        "from_json": lambda: Poset.from_json(b.to_json()),
         "quotient": lambda: b.quotient([[v] for v in b.elements]),
         "restrict": lambda: b.restrict(b.elements[:3]),
+        "face_poset": lambda: parse_facet_string("a*b,b*c").face_poset(),
+        "separation": lambda: separation(b),
     }
     for name, build in builds.items():
         calls.clear()
@@ -86,9 +103,73 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
         assert len(calls) == 1, name
 
 
-def test_relations_with_a_cycle_are_rejected():
-    with pytest.raises(StructureError, match="relations contain a cycle"):
-        Poset.from_relations([L("a"), L("b")], [(L("a"), L("b")), (L("b"), L("a"))])
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (["aa"], "covers must be transitively reduced cover pairs"),
+        (["ab", "ba"], "covers contain a cycle"),
+        (["ab", "bc", "ca"], "covers contain a cycle"),
+        (["ab", "bc", "ac"], "covers must be transitively reduced cover pairs"),
+        (["aa", "bc", "cb"], "covers contain a cycle"),
+    ],
+    ids=["self-pair", "2-cycle", "3-cycle", "redundant", "self-pair-and-cycle"],
+)
+def test_from_covers_error_messages_are_pinned(pairs, message):
+    # the CLI prints these messages
+    with pytest.raises(StructureError) as info:
+        Poset.from_covers([L("a"), L("b"), L("c")], [(L(x), L(y)) for x, y in pairs])
+    assert type(info.value) is StructureError
+    assert str(info.value) == message
+
+
+relations = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12),
+        st.booleans(),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations, st.randoms(use_true_random=False))
+def test_from_covers_and_restrict_match_warshall(case, rng):
+    """Random relations, cycles and self-pairs included, against Warshall's
+    closure and the covers by definition: the order, the covers, and the
+    error type and message.  When ``reduced`` is drawn and the relation
+    has no cycle, the input is the covers of its closure, so accepted
+    posets are drawn too.  A random induced subposet of each accepted one
+    checks ``restrict``."""
+    n, pairs, reduced = case
+    labels = [L(f"v{i}") for i in range(n)]
+    closure = warshall(n, pairs)
+    cyclic = any(closure[i][j] and closure[j][i] for i in range(n) for j in range(n) if i != j)
+    expected_covers = warshall_covers(closure)
+    if reduced and not cyclic:
+        pairs = sorted(expected_covers)
+    if cyclic:
+        expected = "covers contain a cycle"
+    elif set(pairs) != expected_covers:
+        expected = "covers must be transitively reduced cover pairs"
+    else:
+        expected = None
+    try:
+        p = Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in pairs])
+    except StructureError as err:
+        assert type(err) is StructureError
+        assert str(err) == expected
+        return
+    assert expected is None
+    assert all(p.leq(labels[i], labels[j]) == closure[i][j] for i in range(n) for j in range(n))
+    assert p.covers == {(labels[i], labels[j]) for i, j in expected_covers} == brute_covers(p)
+
+    idx = [i for i in range(n) if rng.random() < 0.6] or [rng.randrange(n)]
+    r = p.restrict([labels[i] for i in idx])
+    sub = [[closure[i][j] for j in idx] for i in idx]
+    assert r.elements == tuple(sorted(labels[i] for i in idx))
+    assert all(r.leq(labels[i], labels[j]) == closure[i][j] for i in idx for j in idx)
+    assert r.covers == {(labels[idx[a]], labels[idx[b]]) for a, b in warshall_covers(sub)}
+    assert r.covers == brute_covers(r)
 
 
 def test_from_covers_rejects_redundant_pairs():
@@ -105,14 +186,6 @@ def test_from_covers_rejects_unknown_and_duplicate_elements():
         Poset.from_covers([BOT, BOT], [])
     with pytest.raises(StructureError, match="at least one"):
         Poset.from_covers([], [])
-
-
-def test_from_relations_takes_closure():
-    p = Poset.from_relations(
-        [BOT, L("a"), L("b")], [(BOT, L("a")), (L("a"), L("b")), (BOT, L("b"))]
-    )
-    assert p.leq(BOT, L("b"))
-    assert p.covers == frozenset({(BOT, L("a")), (L("a"), L("b"))})
 
 
 def test_elements_are_canonically_sorted():
@@ -156,14 +229,14 @@ def test_boolean_lattice_matches_subset_order():
 def test_lower_and_upper_sets():
     b = boolean_lattice(3)
     assert b.lower_set(L("x1*x2")) == {BOT, L("x1"), L("x2"), L("x1*x2")}
-    assert b.upper_set(L("x1*x2")) == {L("x1*x2"), L("x1*x2*x3")}
+    assert upper_set(b, L("x1*x2")) == {L("x1*x2"), L("x1*x2*x3")}
     assert b.lower_set(L("x1*x2*x3")) == set(b.elements)
 
 
 def test_maximal_and_minimal():
     b = boolean_lattice(2)
     assert b.maximal_elements() == {L("x1*x2")}
-    assert b.minimal_elements() == {BOT}
+    assert minimal_elements(b) == {BOT}
     assert b.bottom() == BOT
 
 
@@ -343,7 +416,7 @@ def rewire_under_rank3_top(p, rng):
         for u in sorted(p.maximal_elements())
         if len(supp[u]) == 3
         for w in sorted(p.lower_set(u))
-        if len(supp[w]) == 2 and p.upper_set(w) == {w, u}
+        if len(supp[w]) == 2 and upper_set(p, w) == {w, u}
     ]
     if not pairs:
         return None
