@@ -46,7 +46,8 @@ class SimplicialComplex:
         vidx = {v: i for i, v in enumerate(self.vertices)}
         labels, masks = [], []
         for f in faces:
-            labels.append(Label.bottom() if not f else Label.atom_set(f))
+            # faces are sorted tuples of the names make_complex validated
+            labels.append(Label.bottom() if not f else Label._atoms(f))
             m = 0
             for v in f:
                 m |= 1 << vidx[v]

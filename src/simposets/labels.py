@@ -62,6 +62,12 @@ class Label:
         for n in names:
             if not valid_vertex_name(n):
                 raise FormatError(f"invalid vertex name: {n!r}")
+        return cls._atoms(names)
+
+    @classmethod
+    def _atoms(cls, names: tuple) -> "Label":
+        """Atom-set label from a nonempty sorted tuple of distinct valid
+        vertex names; the caller vouches for all three."""
         return cls(ATOMS, names, (ATOMS, names), "*".join(names))
 
     @classmethod

@@ -499,94 +499,124 @@ def _cover_digraph(p: Poset):
     return children, parents
 
 
-def _refine_colors(p: Poset, q: Poset):
-    """Joint Weisfeiler-Lehman style refinement on the cover digraphs."""
-    sides = []
-    for poset in (p, q):
-        children, parents = _cover_digraph(poset)
-        heights = poset._height_levels()
-        n = len(poset.elements)
-        depth = [0] * n
-        topo = np.argsort(poset._leq.sum(axis=1), kind="stable")
-        for i in topo:
-            if parents[i]:
-                depth[i] = 1 + max(depth[j] for j in parents[i])
-        sig = [
-            (heights[i], depth[i], len(children[i]), len(parents[i]))
-            for i in range(n)
-        ]
-        sides.append((children, parents, sig))
+def _cover_arrays(p: Poset):
+    """Index arrays ``(lo, hi)`` of the cover pairs, in no fixed order."""
+    index = p._index
+    flat = np.array([index[v] for pair in p.covers for v in pair], dtype=np.intp)
+    return flat[0::2], flat[1::2]
+
+
+def _color_hash(colors: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser of each colour.  A sum of these (wrapping
+    uint64, so independent of summation order) stands for a multiset of
+    colours; two multisets whose sums collide only share a class."""
+    z = colors.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _ranks(keys) -> np.ndarray:
+    """Dense ranks of the positions of equal-length key arrays, compared
+    lexicographically with ``keys[0]`` first."""
+    order = np.lexsort(keys[::-1])
+    step = np.zeros(order.size, dtype=bool)
+    for key in keys:
+        s = key[order]
+        step[1:] |= s[1:] != s[:-1]
+    ranks = np.empty(order.size, dtype=np.intp)
+    ranks[order] = np.cumsum(step)
+    return ranks
+
+
+def _refine(colors: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Colour refinement on a cover digraph given by index arrays: every
+    round recolours each element by its colour and the multisets of its
+    children's and its parents' colours, until no class splits.  ``colors``
+    are dense ranks and so is the result, which depends on the structure
+    alone; old colours rank first, so classes only ever split."""
     while True:
-        table = {s: c for c, s in enumerate(sorted({s for _, _, sig in sides for s in sig}))}
-        colors = [[table[s] for s in sig] for _, _, sig in sides]
-        new_sides = []
-        stable = True
-        for (children, parents, sig), col in zip(sides, colors):
-            nxt = [
-                (col[i], tuple(sorted(col[c] for c in children[i])), tuple(sorted(col[pj] for pj in parents[i])))
-                for i in range(len(col))
-            ]
-            if len(set(nxt)) != len(set(sig)):
-                stable = False
-            new_sides.append((children, parents, nxt))
-        if stable:
-            return colors[0], colors[1], [s[:2] for s in sides]
-        sides = new_sides
+        h = _color_hash(colors)
+        below = np.zeros(colors.size, dtype=np.uint64)
+        np.add.at(below, hi, h[lo])
+        above = np.zeros(colors.size, dtype=np.uint64)
+        np.add.at(above, lo, h[hi])
+        refined = _ranks((colors, below, above))
+        if refined.max() == colors.max():
+            return refined
+        colors = refined
+
+
+def _fits(v, w, adj, placed) -> bool:
+    """Whether mapping v to w keeps the cover relations with the placed
+    elements: each placed child (parent) of v maps to a child (parent) of
+    w, and w has no further placed children (parents)."""
+    (children_p, parents_p), (children_q, parents_q) = adj
+    mate, placed_p, placed_q = placed
+    for near_p, near_q in ((children_p, children_q), (parents_p, parents_q)):
+        images = [mate[u] for u in near_p[v] if placed_p[u]]
+        near = near_q[w]
+        if len(images) != sum(placed_q[x] for x in near):
+            return False
+        if any(x not in near for x in images):
+            return False
+    return True
 
 
 def find_isomorphism(p: Poset, q: Poset):
     """A label map realizing an order isomorphism, or None.
 
-    Backtracking over the cover digraphs with refinement-based pruning.
-    Desk scale only; both posets are guarded at 500 elements.
+    Both posets are coloured jointly by refinement on their cover digraphs,
+    seeded with lower-set and upper-set sizes and cover degrees, so a map
+    must keep colours.  When every colour class is one element of each
+    poset the colours force the map, and one comparison of the ``leq``
+    matrices accepts or refutes it.  Otherwise an explicit-stack search
+    individualises one pair of the smallest class and refines again; a
+    candidate must match its placed cover neighbours and their count, and
+    every map returned passes the same ``leq`` comparison.  Both posets are
+    guarded at ``ISOMORPHISM_MAX`` elements.
     """
     if len(p) > ISOMORPHISM_MAX or len(q) > ISOMORPHISM_MAX:
         raise SizeLimitError(f"isomorphism search is guarded at {ISOMORPHISM_MAX} elements")
     if len(p) != len(q) or len(p.covers) != len(q.covers):
         return None
-    colors_p, colors_q, adj = _refine_colors(p, q)
-    if sorted(colors_p) != sorted(colors_q):
-        return None
-    (children_p, parents_p), (children_q, parents_q) = adj
     n = len(p)
-    buckets = {}
-    for j, c in enumerate(colors_q):
-        buckets.setdefault(c, []).append(j)
-    order = sorted(range(n), key=lambda i: (len(buckets[colors_p[i]]), -len(children_p[i]) - len(parents_p[i]), i))
-    cov_p = {(p._require(lo), p._require(hi)) for lo, hi in p.covers}
-    cov_q = {(q._require(lo), q._require(hi)) for lo, hi in q.covers}
-    mapping = [-1] * n
-    used = [False] * n
-    placed = []
-
-    def consistent(v, w):
-        for u in placed:
-            mu = mapping[u]
-            if ((u, v) in cov_p) != ((mu, w) in cov_q):
-                return False
-            if ((v, u) in cov_p) != ((w, mu) in cov_q):
-                return False
-        return True
-
-    def backtrack(pos):
-        if pos == n:
-            return True
-        v = order[pos]
-        for w in buckets[colors_p[v]]:
-            if not used[w] and consistent(v, w):
-                mapping[v] = w
-                used[w] = True
-                placed.append(v)
-                if backtrack(pos + 1):
-                    return True
-                placed.pop()
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    if not backtrack(0):
-        return None
-    return {p.elements[v]: q.elements[mapping[v]] for v in range(n)}
+    (lo_p, hi_p), (lo_q, hi_q) = _cover_arrays(p), _cover_arrays(q)
+    lo, hi = np.concatenate([lo_p, lo_q + n]), np.concatenate([hi_p, hi_q + n])
+    seed = (
+        np.concatenate([p._leq.sum(axis=0), q._leq.sum(axis=0)]),
+        np.concatenate([p._leq.sum(axis=1), q._leq.sum(axis=1)]),
+        np.bincount(hi, minlength=2 * n),
+        np.bincount(lo, minlength=2 * n),
+    )
+    adj = None
+    stack = [(_refine(_ranks(seed), lo, hi), -1, -1)]
+    while stack:
+        colors, v, w = stack.pop()
+        if v >= 0:
+            colors = colors.copy()
+            colors[v] = colors[n + w] = colors.max() + 1
+            colors = _refine(colors, lo, hi)
+        k = int(colors.max()) + 1
+        sizes = np.bincount(colors[:n], minlength=k)
+        if not np.array_equal(sizes, np.bincount(colors[n:], minlength=k)):
+            continue
+        q_of = np.empty(k, dtype=np.intp)
+        q_of[colors[n:]] = np.arange(n)
+        mate = q_of[colors[:n]]  # the map, on the elements of singleton classes
+        if k == n:
+            if np.array_equal(q._leq[np.ix_(mate, mate)], p._leq):
+                return {p.elements[i]: q.elements[j] for i, j in enumerate(mate.tolist())}
+            continue
+        if adj is None:
+            adj = (_cover_digraph(p), _cover_digraph(q))
+        single = (sizes[colors] == 1).tolist()
+        placed = (mate.tolist(), single[:n], single[n:])
+        cell = int(np.flatnonzero(sizes == sizes[sizes > 1].min())[0])
+        v = int(np.flatnonzero(colors[:n] == cell)[0])
+        bucket = np.flatnonzero(colors[n:] == cell).tolist()
+        stack.extend((colors, v, w) for w in reversed(bucket) if _fits(v, w, adj, placed))
+    return None
 
 
 def are_isomorphic(p: Poset, q: Poset) -> bool:

@@ -183,3 +183,14 @@ def brute_gluing_violations(relation):
                     if class_of[i] not in reached:
                         out.append((2, (a, b), f"{i} below {a} is related to nothing below {b}"))
     return out
+
+
+def is_order_isomorphism(p, q, mapping):
+    """A bijection of the elements under which a <= b in p iff
+    mapping[a] <= mapping[b] in q: each lower set of p maps onto the lower
+    set of the image."""
+    if set(mapping) != set(p.elements) or set(mapping.values()) != set(q.elements):
+        return False
+    if len(set(mapping.values())) != len(mapping):
+        return False
+    return all({mapping[u] for u in p.lower_set(v)} == q.lower_set(mapping[v]) for v in p.elements)

@@ -2,10 +2,13 @@
 quotients, serialization, isomorphism."""
 
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import simposets.poset as poset_module
 from simposets import (
     ElementNotFoundError,
     FormatError,
@@ -17,10 +20,15 @@ from simposets import (
     StructureError,
     are_isomorphic,
     boolean_lattice,
+    fiber_relation,
     find_isomorphism,
+    make_complex,
     parse_facet_string,
+    quotient_by_gluing,
     rand_simplicial_poset,
+    reconstruct_theta_pair,
     separation,
+    theta_glue,
 )
 from simposets.labels import Label
 
@@ -30,6 +38,7 @@ from oracles import (
     brute_is_face_poset,
     brute_is_simplicial,
     brute_quotient,
+    is_order_isomorphism,
     minimal_elements,
     powerset,
     upper_set,
@@ -652,6 +661,180 @@ def test_isomorphism_maps_covers_to_covers(c):
     assert mapping is not None
     for lo, hi in p.covers:
         assert (mapping[lo], mapping[hi]) in p.covers
+
+
+def shuffled_copy(p, rng):
+    """p with its elements renamed u0, u1, ... in random order, so that the
+    canonical element order of the copy is a random permutation of p's."""
+    names = [L(f"u{i}") for i in range(len(p))]
+    rng.shuffle(names)
+    rename = dict(zip(p.elements, names))
+    return Poset.from_covers(names, [(rename[a], rename[b]) for a, b in p.covers])
+
+
+def cycle_complex(k, first=0):
+    """The k-cycle graph as a 1-dimensional complex on the vertices
+    v{first}, ..., v{first + k - 1}."""
+    vs = [f"v{i}" for i in range(first, first + k)]
+    return make_complex(vs, [(vs[i], vs[(i + 1) % k]) for i in range(k)])
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Counts the colour refinements for the rest of the test.  A search
+    refines once for its first colouring and once per individualised pair."""
+    calls = [0]
+    refine = poset_module._refine
+
+    def counted(*args):
+        calls[0] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(poset_module, "_refine", counted)
+    return calls
+
+
+def test_isomorphism_search_needs_no_recursion(monkeypatch):
+    # a search that recursed once per element overflowed Python's default
+    # recursion limit on this 1034-element sample
+    monkeypatch.setattr(poset_module, "ISOMORPHISM_MAX", 2000)
+    p = rand_simplicial_poset(RandomModelParams(n=11, p1=0.9, p2=0.9, seed=2))
+    assert len(p) == 1034
+    back = quotient_by_gluing(fiber_relation(separation(p)))
+    mapping = find_isomorphism(back, p)
+    assert mapping is not None
+    assert is_order_isomorphism(back, p, mapping)
+
+
+def two_cycles(k):
+    """Face poset of two disjoint k-cycles: the same element and cover
+    counts, and the same colour refinement, as one 2k-cycle."""
+    vs = [f"v{i}" for i in range(2 * k)]
+    return make_complex(vs, cycle_complex(k).facets + cycle_complex(k, k).facets).face_poset()
+
+
+def seed_twins():
+    """Two 7-element orders that are not isomorphic although every element
+    has its own (lower-set size, upper-set size, cover degrees), and the
+    two orders have the same multiset of these."""
+    e = [L(f"e{i}") for i in range(7)]
+    return (
+        Poset.from_covers(e, [(e[i], e[j]) for i, j in ((0, 5), (1, 2), (1, 6), (3, 4), (3, 6), (4, 5))]),
+        Poset.from_covers(e, [(e[i], e[j]) for i, j in ((0, 3), (0, 6), (1, 6), (2, 4), (2, 5), (3, 5))]),
+    )
+
+
+def oracle_pairs():
+    """Isomorphic and non-isomorphic pairs: theta samples against their
+    separation quotients, reconstructions and shuffled copies, samples made
+    non-simplicial by one rewired cover, even cycles against two cycles,
+    and the seed twins."""
+    rng = random.Random(7)
+    pairs = []
+    for seed in range(24):
+        n, p1 = rng.randint(3, 7), rng.choice([0.5, 0.7, 0.9])
+        p = rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=p1, seed=seed))
+        pairs.append((quotient_by_gluing(fiber_relation(separation(p))), p))
+        pairs.append((theta_glue(*reconstruct_theta_pair(p)), p))
+        pairs.append((shuffled_copy(p, rng), p))
+        rewired = rewire_under_rank3_top(p, rng)
+        if rewired is not None:
+            pairs.append((rewired, p))
+    pairs += [(cycle_complex(2 * k).face_poset(), two_cycles(k)) for k in (3, 4, 5)]
+    pairs.append(seed_twins())
+    return pairs
+
+
+def test_isomorphism_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def cover_digraph(p):
+        g = nx.DiGraph()
+        g.add_nodes_from(p.elements)
+        g.add_edges_from(p.covers)
+        return g
+
+    rejected_at_equal_counts = 0
+    for a, b in oracle_pairs():
+        expected = nx.is_isomorphic(cover_digraph(a), cover_digraph(b))
+        mapping = find_isomorphism(a, b)
+        assert (mapping is not None) == expected
+        if expected:
+            assert is_order_isomorphism(a, b, mapping)
+        elif len(a) == len(b) and len(a.covers) == len(b.covers):
+            rejected_at_equal_counts += 1
+    assert rejected_at_equal_counts >= 10
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_boolean_lattice_matches_a_shuffled_copy(n, refinements):
+    b = boolean_lattice(n)
+    q = shuffled_copy(b, random.Random(n))
+    mapping = find_isomorphism(b, q)
+    assert mapping is not None
+    assert is_order_isomorphism(b, q, mapping)
+    if n >= 2:
+        assert refinements[0] > 1  # atoms share a colour: the search ran
+
+
+@pytest.mark.parametrize(
+    "complex_",
+    [cycle_complex(4), cycle_complex(7), parse_facet_string("a*b*c,a*b*d,a*c*d,b*c*d"),
+     parse_facet_string("a*c*e,a*c*f,a*d*e,a*d*f,b*c*e,b*c*f,b*d*e,b*d*f")],
+    ids=["4-cycle", "7-cycle", "tetrahedron-boundary", "octahedron-boundary"],
+)
+def test_theta_self_glue_matches_a_shuffled_face_poset(complex_, refinements):
+    g = theta_glue(complex_, complex_)
+    q = shuffled_copy(complex_.face_poset(), random.Random(1))
+    mapping = find_isomorphism(g, q)
+    assert mapping is not None
+    assert is_order_isomorphism(g, q, mapping)
+    assert refinements[0] > 1  # vertices share a colour: the search ran
+
+
+def test_colour_collisions_only_merge_classes(monkeypatch):
+    """With a colour hash that sends every colour to 0, refinement splits
+    nothing beyond the seed statistics, yet every answer stays the same: the
+    forced map of the seed twins is refuted, and the search decides the
+    rest on its own.  (Without refinement the search is exponential, so the
+    inputs stay small.)"""
+    pairs = [seed_twins(), (cycle_complex(6).face_poset(), two_cycles(3))]
+    pairs += [(shuffled_copy(p, random.Random(3)), p) for p in (boolean_lattice(3), cycle_complex(5).face_poset())]
+    expected = [False, False, True, True]
+    assert [are_isomorphic(a, b) for a, b in pairs] == expected
+    monkeypatch.setattr(poset_module, "_color_hash", lambda colors: np.zeros(colors.size, dtype=np.uint64))
+    for (a, b), iso in zip(pairs, expected):
+        mapping = find_isomorphism(a, b)
+        assert (mapping is not None) == iso
+        assert mapping is None or is_order_isomorphism(a, b, mapping)
+
+
+def test_neighbour_count_prunes_before_refining(monkeypatch, refinements):
+    """Without refinement (every colour hashes to 0) the search here meets
+    a candidate that matches v's placed cover neighbours but has one placed
+    neighbour more than v; the count check rejects it before it is
+    individualised.  One refinement for the seed colouring and one per
+    individualised pair: three, with no dead end."""
+    monkeypatch.setattr(poset_module, "_color_hash", lambda colors: np.zeros(colors.size, dtype=np.uint64))
+    e = [L(f"e{i}") for i in range(7)]
+    p = Poset.from_covers(e, [(e[i], e[j]) for i, j in ((0, 2), (0, 5), (1, 6), (2, 4), (3, 4))])
+    q = Poset.from_covers(e, [(e[i], e[j]) for i, j in ((2, 1), (2, 5), (6, 0), (1, 3), (4, 3))])
+    mapping = find_isomorphism(p, q)
+    assert mapping is not None
+    assert is_order_isomorphism(p, q, mapping)
+    assert refinements[0] == 3
+
+
+def test_roundtrip_sized_isomorphisms_are_fast():
+    # 290, 355 and 356 elements, like the benchmark's roundtrip inputs.  The
+    # three checks took 0.015 s on a 2-core x86-64 host (0.13 s with the
+    # recursive backtrack this search replaced); the budget rules out a
+    # search that blows up, not a slow machine.
+    samples = [rand_simplicial_poset(RandomModelParams(n=10, p1=0.85, p2=0.85, seed=s)) for s in (9, 13, 22)]
+    backs = [quotient_by_gluing(fiber_relation(separation(p))) for p in samples]
+    start = time.perf_counter()
+    assert all(are_isomorphic(back, p) for back, p in zip(backs, samples))
+    assert time.perf_counter() - start < 1.0
 
 
 # ----- support masks vs. brute force -----------------------------------------
