@@ -155,15 +155,6 @@ class Graph:
     vertices: tuple
     edges: frozenset  # frozenset of sorted 2-tuples
 
-    def neighbors(self, v):
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
 
 def make_graph(vertices, edges) -> Graph:
     verts = tuple(vertices)
@@ -181,21 +172,53 @@ def make_graph(vertices, edges) -> Graph:
     return Graph(vertices=verts, edges=frozenset(norm))
 
 
-def _bron_kerbosch(r, p, x, neighbors, out):
-    # Pivot variant; reports maximal cliques including isolated vertices.
-    if not p and not x:
-        out.append(frozenset(r))
-        return
-    pivot = max(p | x, key=lambda u: len(neighbors[u] & p))
-    for v in sorted(p - neighbors[pivot]):
-        _bron_kerbosch(r | {v}, p & neighbors[v], x & neighbors[v], neighbors, out)
-        p = p - {v}
-        x = x | {v}
+def _adjacency(n: int, pairs) -> list:
+    """Neighbour bitmasks of the graph on vertices 0..n-1 with the given
+    index pairs as edges."""
+    adj = [0] * n
+    for i, j in pairs:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def _maximal_cliques(adj) -> list:
+    """Maximal cliques, as vertex bitmasks, of the graph with neighbour
+    bitmasks ``adj``.
+
+    Bron-Kerbosch with a pivot of most candidate neighbours; an isolated
+    vertex is reported as a clique of its own.
+    """
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(r)
+            return
+        pivot, best, rest = 0, -1, p | x
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            k = (adj[u] & p).bit_count()
+            if k > best:
+                pivot, best = u, k
+        todo = p & ~adj[pivot]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            nv = adj[bit.bit_length() - 1]
+            expand(r | bit, p & nv, x & nv)
+            p ^= bit
+            x |= bit
+
+    expand(0, (1 << len(adj)) - 1, 0)
+    return out
 
 
 def clique_complex(graph: Graph) -> SimplicialComplex:
     """The complex whose faces are the cliques of the graph."""
-    neighbors = {v: graph.neighbors(v) for v in graph.vertices}
-    cliques = []
-    _bron_kerbosch(set(), set(graph.vertices), set(), neighbors, cliques)
-    return make_complex(graph.vertices, cliques)
+    verts = graph.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    adj = _adjacency(len(verts), ((index[a], index[b]) for a, b in graph.edges))
+    cliques = [[v for i, v in enumerate(verts) if m >> i & 1] for m in _maximal_cliques(adj)]
+    return make_complex(verts, cliques)

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 single pass/fail line with its elapsed time and enforcing its budget."""
 
+import hashlib
 import json
 import math
 import time
@@ -188,3 +189,21 @@ def test_criterion_9_batch_determinism(capsys):
         second = capsys.readouterr().out
         assert first == second
         assert json.loads(first)["samples"] == 50
+
+
+# sha256 of the stdout of `simposets random` for each argument list
+BATCH_SHA256 = {
+    ("--n", "6", "--p1", "0.5", "--p2", "0.5", "--seed", "7", "--count", "1000"):
+        "a499b8e101189c4b7354a50861ac40a27006740327abee4c2f8fa8aa046b2dce",
+    ("--n", "10", "--p1", "0.8", "--p2", "0.4", "--seed", "3", "--count", "50"):
+        "ace9673cbe49bcb9b43d3eb186dd9531221f823480e12843db3d37664f677260",
+    ("--n", "12", "--p1", "0.7", "--p2", "0.7", "--seed", "1", "--count", "5"):
+        "2988510bf493c402b56ab9f2651afab352cf74303b74cc0516ed8ed3cc32dda2",
+}
+
+
+def test_batch_output_is_pinned(capsys):
+    for args, digest in BATCH_SHA256.items():
+        assert run(["random", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -100,11 +100,12 @@ def test_erdos_renyi_edges_follow_draw_order():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 1.0))
 def test_kahle_facets_are_maximal_cliques(seed, p):
-    g = erdos_renyi_graph(6, p, SplitMix64(seed))
-    c = clique_complex(g)
-    assert {frozenset(f) for f in c.facets} == brute_maximal_cliques(g.vertices, g.edges)
-    again = kahle_complex(6, p, SplitMix64(seed))
-    assert again == c
+    for n in (1, 2, 6, 9, 12):
+        g = erdos_renyi_graph(n, p, SplitMix64(seed))
+        c = clique_complex(g)
+        assert {frozenset(f) for f in c.facets} == brute_maximal_cliques(g.vertices, g.edges), n
+        again = kahle_complex(n, p, SplitMix64(seed))
+        assert again == c
 
 
 def test_kahle_extremes():
@@ -192,6 +193,54 @@ def test_run_batch_rejects_bad_count():
 def test_run_batch_is_deterministic():
     params = RandomModelParams(n=5, p1=0.4, p2=0.6, seed=321)
     assert run_batch(params, 8) == run_batch(params, 8)
+
+
+def full_record(n, p1, p2, seed):
+    """The per-sample record of ``run_batch``, read off the constructed poset."""
+    sample = rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=p2, seed=seed))
+    return {
+        "seed": seed,
+        "is_face_poset": sample.is_face_poset(),
+        "atoms": len(sample.atoms()),
+        "elements": len(sample),
+    }
+
+
+# (n, p1, p2, samples on seeds 0, 1, ...) compared in
+# test_run_batch_matches_full_construction
+TALLY_GRID = [
+    (n, p1, p2, 3)
+    for n in range(1, 11)
+    for p1, p2 in (
+        (0.0, 0.0),
+        (0.3, 0.3),
+        (0.5, 0.5),
+        (0.8, 0.8),
+        (1.0, 1.0),
+        (0.8, 0.2),
+        (0.2, 0.8),
+        (1.0, 0.0),
+    )
+] + [(n, p1, p2, 2) for n in (11, 12) for p1, p2 in ((0.5, 0.5), (0.8, 0.8), (0.8, 0.3))]
+
+
+def test_run_batch_matches_full_construction():
+    for n, p1, p2, count in TALLY_GRID:
+        batch = run_batch(RandomModelParams(n=n, p1=p1, p2=p2, seed=0), count)
+        expected = [full_record(n, p1, p2, seed) for seed in range(count)]
+        assert batch["per_sample"] == expected, (n, p1, p2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(6, 8),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, (1 << 64) - 1),
+)
+def test_run_batch_matches_full_construction_on_random_seeds(n, p1, p2, seed):
+    batch = run_batch(RandomModelParams(n=n, p1=p1, p2=p2, seed=seed), 1)
+    assert batch["per_sample"] == [full_record(n, p1, p2, seed)]
 
 
 def test_full_simplex_at_n11_is_checked_within_budget():
