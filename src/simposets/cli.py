@@ -33,7 +33,10 @@ from .random_model import RandomModelParams, run_batch
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise FormatError(f"{path}: JSON is nested too deeply") from None
 
 
 def _load_poset(path) -> Poset:

@@ -54,12 +54,10 @@ class SimplicialComplex:
             masks.append(m)
         arr = np.asarray(masks, dtype=np.int64)
         leq = (arr[:, None] & ~arr[None, :]) == 0
-        by_mask = {m: lab for m, lab in zip(masks, labels)}
-        covers = []
-        for f, lab, fm in zip(faces, labels, masks):
-            for v in f:
-                covers.append((by_mask[fm ^ (1 << vidx[v])], lab))
-        return Poset._trusted(labels, leq, covers=covers)
+        size = np.array([len(f) for f in faces])
+        # a face covers the faces below it with one vertex fewer
+        lo, hi = np.nonzero(leq & (size[:, None] + 1 == size))
+        return Poset._trusted(labels, leq, lo, hi)
 
     def minimal_nonfaces(self):
         """Inclusion-minimal vertex subsets that are not faces.

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset, _cover_digraph, _partition
+from .poset import Poset
 
 
 @dataclass
@@ -71,11 +71,15 @@ class GluingRelation:
 
     base: Poset
     classes: tuple
+    _block_of: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        norm = _partition(self.classes, self.base.elements)
-        norm.sort(key=lambda c: min(m.key for m in c))
-        object.__setattr__(self, "classes", tuple(norm))
+        blocks = [frozenset(c) for c in self.classes]
+        cls = self.base._class_array(blocks)  # checks the partition
+        # elements are in canonical order: sort blocks by their first element
+        order = np.argsort(np.unique(cls, return_index=True)[1])
+        object.__setattr__(self, "classes", tuple(blocks[i] for i in order))
+        object.__setattr__(self, "_block_of", np.argsort(order)[cls])
 
 
 @dataclass(frozen=True)
@@ -117,29 +121,27 @@ def _disjoint_union(blocks):
     label ``i@v``.  Returns the union and the map from each copy label to
     its original element.
     """
-    bottom = Label.bottom()
-    labels = [bottom]
+    labels = [Label.bottom()]
     origin = {}
     leq = np.eye(1 + sum(len(members) for _, _, members in blocks), dtype=bool)
     leq[0, :] = True
-    covers = []
-    children = {}  # id of a poset -> the indices each of its elements covers
+    lo, hi = [], []
     offset = 1
     for ci, p, members in blocks:
-        if id(p) not in children:
-            children[id(p)] = _cover_digraph(p)[0]
-        below = children[id(p)]
         copies = [Label.copy(ci, p.elements[i]) for i in members]
         labels += copies
         origin.update((c, p.elements[i]) for i, c in zip(members, copies))
         m = len(members)
         leq[offset : offset + m, offset : offset + m] = p._leq[np.ix_(members, members)]
-        offset += m
         # Members are closed downward, so a cover into a member starts at
-        # another member or at the bottom.
-        copy_at = dict(zip(members, copies))
-        covers += [(copy_at.get(lo, bottom), c) for hi, c in zip(members, copies) for lo in below[hi]]
-    return Poset._trusted(labels, leq, covers=covers), origin
+        # another member or at the bottom, which stays at 0.
+        at = np.zeros(len(p.elements), dtype=np.intp)
+        at[members] = np.arange(offset, offset + m)
+        into = at[p._hi] > 0
+        lo.append(at[p._lo[into]])
+        hi.append(at[p._hi[into]])
+        offset += m
+    return Poset._trusted(labels, leq, np.concatenate(lo), np.concatenate(hi)), origin
 
 
 def separation(q: Poset) -> SeparationResult:
@@ -208,7 +210,7 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     leq = base._leq
     n, k = len(base.elements), len(relation.classes)
     rank = leq[base._atom_indices()].sum(axis=0)
-    cls = base._class_array(relation.classes)
+    cls = relation._block_of
     a, b = _related_pairs(cls, k)
     if not a.size:
         return GluingCheck(violations=())
@@ -289,8 +291,8 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
     if len(set(atom_map.values())) != len(atom_map):
         raise InvalidGluingError("atom_map_not_injective")
 
-    supp_a = {v: a.atom_support(v).atoms for v in a.elements}
-    supp_b = {u: b.atom_support(u).atoms for u in b.elements}
+    supp_a = {v: a.atom_support(v) for v in a.elements}
+    supp_b = {u: b.atom_support(u) for u in b.elements}
     for x, y in sorted(facet_map.items()):
         sx = supp_a[x]
         missing = sorted(s for s in sx if s not in atom_map)
@@ -314,12 +316,13 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
 
     ea = [v for v in a.elements if v != bot_a]
     eb = [u for u in b.elements if u != bot_b]
-    union, _ = _disjoint_union([(1, a, [a._index[v] for v in ea]), (2, b, [b._index[u] for u in eb])])
+    union, origin = _disjoint_union([(1, a, [a._index[v] for v in ea]), (2, b, [b._index[u] for u in eb])])
 
+    copy = {(c.value[0], v): c for c, v in origin.items()}  # (side, element) -> copy label
     glued_b = set(image.values())
-    classes = [frozenset([Label.copy(1, w), Label.copy(2, image[w])]) for w in image]
-    classes += [frozenset([Label.copy(1, v)]) for v in ea if v not in image]
-    classes += [frozenset([Label.copy(2, u)]) for u in eb if u not in glued_b]
+    classes = [frozenset([copy[1, w], copy[2, image[w]]]) for w in image]
+    classes += [frozenset([copy[1, v]]) for v in ea if v not in image]
+    classes += [frozenset([copy[2, u]]) for u in eb if u not in glued_b]
     classes.append(frozenset([Label.bottom()]))
     return quotient_by_gluing(GluingRelation(base=union, classes=tuple(classes)))
 
@@ -358,7 +361,7 @@ def atom_family(p: Poset):
     supports stay duplicated."""
     if not p.is_simplicial():
         raise PreconditionError("atom_family requires a simplicial poset")
-    return [p.atom_support(x).atoms for x in sorted(p.maximal_elements())]
+    return [p.atom_support(x) for x in sorted(p.maximal_elements())]
 
 
 def is_antichain_list(sets) -> bool:
@@ -408,7 +411,7 @@ def reconstruct_theta_pair(p: Poset):
         names = [f"p{i + 1}" for i in range(len(atoms))]
     name_of = dict(zip(atoms, names))
     d1 = make_complex(names, [[name_of[a] for a in s] for s in fam])
-    supports = {v: p.atom_support(v).atoms for v in m.elements}
+    supports = {v: p.atom_support(v) for v in m.elements}
     facets = [
         [name_of[a] for a in supports[x]]
         for x in sorted(m.maximal_elements())

@@ -209,7 +209,7 @@ def reduce_face_poset_ideal(p: Poset) -> MonomialIdeal:
     atoms = sorted(p.atoms())
     universe = tuple(sorted(str(a) for a in atoms))
     atom_pos = {a: universe.index(str(a)) for a in atoms}
-    subs = [[atom_pos[a] for a in p.atom_support(v).atoms] for v in pres.variables]
+    subs = [[atom_pos[a] for a in p.atom_support(v)] for v in pres.variables]
     collected = set()  # images as expanded monomials: sorted atom positions
     for terms in pres.generators:
         acc = {}

@@ -93,6 +93,13 @@ class Label:
 
     @classmethod
     def parse(cls, text: str) -> "Label":
+        try:
+            return cls._parse(text)
+        except RecursionError:
+            raise FormatError("label is nested too deeply") from None
+
+    @classmethod
+    def _parse(cls, text: str) -> "Label":
         if not isinstance(text, str) or not text:
             raise FormatError(f"cannot parse label from {text!r}")
         if text == "0":
@@ -115,10 +122,10 @@ class Label:
             if depth != 0:
                 raise FormatError(f"unbalanced braces in label: {text!r}")
             parts.append(inner[start:])
-            return cls.class_of(cls.parse(p) for p in parts)
+            return cls.class_of(cls._parse(p) for p in parts)
         m = _COPY_RE.fullmatch(text)
         if m:
-            return cls.copy(int(m.group(1)), cls.parse(m.group(2)))
+            return cls.copy(int(m.group(1)), cls._parse(m.group(2)))
         return cls.atom_set(text.split("*"))
 
     # Conveniences used by the gluing and reconstruction code.

@@ -2,9 +2,11 @@
 
 A :class:`Poset` stores its elements in canonical label order together with
 a read-only boolean matrix ``leq`` where ``leq[i, j]`` means element ``i`` is
-below element ``j``.  Cover pairs are kept alongside and are always the
-transitive reduction of ``leq``, so order queries are O(1) and every listing
-derived from a poset is deterministic.
+below element ``j``.  The covers, always the transitive reduction of
+``leq``, are kept alongside as two index arrays ``(lo, hi)`` sorted in that
+same order, so order queries are O(1) and every listing derived from a
+poset is deterministic.  Labels are looked up only on input and built only
+for output: the ``covers`` pair set, JSON and DOT.
 
 Every constructor that derives an order from pairs (``from_covers``,
 ``quotient``, ``restrict``) goes through one kernel, ``_order``: it squares
@@ -20,7 +22,6 @@ support).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +58,6 @@ def _order(strict: np.ndarray):
         less = less | through
 
 
-def _pairs(labels, mask) -> list:
-    """The label pairs at the true entries of an index matrix."""
-    lo, hi = np.nonzero(mask)
-    return [(labels[i], labels[j]) for i, j in zip(lo.tolist(), hi.tolist())]
-
-
 def _has_cycle(leq: np.ndarray) -> bool:
     """True when two distinct elements are each below the other, i.e. the
     relation is not antisymmetric."""
@@ -79,36 +74,14 @@ def _label_index(elements) -> dict:
     return index
 
 
-def _partition(classes, elements) -> list:
-    """The classes as frozensets; StructureError unless they are nonempty
-    and partition ``elements``."""
-    blocks = [frozenset(c) for c in classes]
-    if not all(blocks):
-        raise StructureError("classes must be nonempty")
-    covered = set().union(*blocks)
-    if sum(len(c) for c in blocks) != len(elements) or covered != set(elements):
-        raise StructureError("classes must partition the elements")
-    return blocks
-
-
-@dataclass(frozen=True)
-class AtomSupport:
-    """An element together with the set of atoms below it."""
-
-    element: Label
-    atoms: frozenset
-
-    def __len__(self):
-        return len(self.atoms)
-
-
 class Poset:
-    __slots__ = ("elements", "covers", "_leq", "_index", "_bottom", "_supports", "_simplicial", "_heights")
+    __slots__ = ("elements", "_lo", "_hi", "_leq", "_index", "_bottom", "_supports", "_simplicial", "_heights")
 
-    def __init__(self, elements, covers, leq, index):
+    def __init__(self, elements, lo, hi, leq, index):
         # Internal: use from_covers / from_json instead.
         self.elements = elements
-        self.covers = covers
+        self._lo = lo
+        self._hi = hi
         self._leq = leq
         self._index = index
         self._bottom = None
@@ -119,12 +92,14 @@ class Poset:
     # ----- construction -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, elements, leq, covers, *, antisymmetric=False):
-        """Build from an order matrix and its cover pairs, both of which the
-        caller derived combinatorially or through ``_order``.
+    def _trusted(cls, elements, leq, lo, hi, *, antisymmetric=False):
+        """Build from an order matrix and the index arrays ``(lo, hi)`` of
+        its cover pairs, all of which the caller derived combinatorially or
+        through ``_order``.
 
-        Elements are re-sorted into canonical label order.  Reflexivity is
-        always asserted, and antisymmetry unless the caller has checked it
+        Elements are re-sorted into canonical label order and the covers
+        into the order of ``(lo, hi)`` in it.  Reflexivity is always
+        asserted, and antisymmetry unless the caller has checked it
         (``antisymmetric=True``); full closure verification is left to
         from_covers and to the test suite.
         """
@@ -138,8 +113,13 @@ class Poset:
             raise InvariantError("reachability matrix is not reflexive")
         if not antisymmetric and _has_cycle(leq):
             raise InvariantError("reachability matrix is not antisymmetric")
-        leq.setflags(write=False)
-        return cls(labels, frozenset(covers), leq, index)
+        position = np.argsort(perm)
+        lo, hi = position[lo], position[hi]
+        sort = np.lexsort((hi, lo))
+        lo, hi = lo[sort], hi[sort]
+        for a in (leq, lo, hi):
+            a.setflags(write=False)
+        return cls(labels, lo, hi, leq, index)
 
     @classmethod
     def from_covers(cls, elements, covers):
@@ -152,14 +132,12 @@ class Poset:
         index = _label_index(elements)
         n = len(elements)
         adj = np.zeros((n, n), dtype=bool)
-        cover_list = []
         for lo, hi in covers:
             if lo not in index:
                 raise ElementNotFoundError(f"unknown element in covers: {lo}")
             if hi not in index:
                 raise ElementNotFoundError(f"unknown element in covers: {hi}")
             adj[index[lo], index[hi]] = True
-            cover_list.append((lo, hi))
         self_pair = adj.diagonal().any()
         np.fill_diagonal(adj, False)
         order = _order(adj)
@@ -168,8 +146,9 @@ class Poset:
         less, through = order
         if self_pair or (adj & through).any():
             raise StructureError("covers must be transitively reduced cover pairs")
+        lo, hi = np.nonzero(adj)  # before the diagonal: less may be adj itself
         np.fill_diagonal(less, True)
-        return cls._trusted(elements, less, cover_list, antisymmetric=True)
+        return cls._trusted(elements, less, lo, hi, antisymmetric=True)
 
     # ----- basic queries ------------------------------------------------
 
@@ -182,18 +161,25 @@ class Poset:
     def __contains__(self, label):
         return label in self._index
 
+    @property
+    def covers(self) -> frozenset:
+        """The cover pairs ``(lower, upper)`` as labels."""
+        el = self.elements
+        return frozenset((el[i], el[j]) for i, j in zip(self._lo.tolist(), self._hi.tolist()))
+
     def __eq__(self, other):
         return (
             isinstance(other, Poset)
             and self.elements == other.elements
-            and self.covers == other.covers
+            and np.array_equal(self._lo, other._lo)
+            and np.array_equal(self._hi, other._hi)
         )
 
     def __hash__(self):
-        return hash((self.elements, self.covers))
+        return hash((self.elements, self._lo.tobytes(), self._hi.tobytes()))
 
     def __repr__(self):
-        return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
+        return f"Poset({len(self.elements)} elements, {self._lo.size} covers)"
 
     def _require(self, label) -> int:
         try:
@@ -203,9 +189,6 @@ class Poset:
 
     def leq(self, a, b) -> bool:
         return bool(self._leq[self._require(a), self._require(b)])
-
-    def lt(self, a, b) -> bool:
-        return a != b and self.leq(a, b)
 
     def bottom(self) -> Label:
         """The unique minimum element; StructureError if there is none."""
@@ -248,16 +231,12 @@ class Poset:
             self._supports = (tuple(masks), tuple(atom_idx))
         return self._supports
 
-    def atom_support(self, v) -> AtomSupport:
+    def atom_support(self, v) -> frozenset:
+        """The atoms below v."""
         j = self._require(v)
         masks, atom_idx = self._support_masks()
         m = masks[j]
-        return AtomSupport(
-            element=v,
-            atoms=frozenset(
-                self.elements[ai] for bit, ai in enumerate(atom_idx) if m >> bit & 1
-            ),
-        )
+        return frozenset(self.elements[ai] for bit, ai in enumerate(atom_idx) if m >> bit & 1)
 
     def is_simplicial(self) -> bool:
         """True iff every lower interval [0,v] is a boolean lattice, checked
@@ -343,31 +322,40 @@ class Poset:
     def quotient(self, classes) -> "Poset":
         """Quotient by a partition; class C1 <= C2 iff some v in C1 is below
         some w in C2, closed transitively.  Elements of the result carry
-        class labels.  Raises StructureError when the closure is not
-        antisymmetric."""
-        cls_sets = _partition(classes, self.elements)
-        labels = [Label.class_of(c) for c in cls_sets]
-        cls = self._class_array(cls_sets)
+        class labels.  Raises StructureError when the classes do not
+        partition the elements or the closure is not antisymmetric."""
+        blocks = [frozenset(c) for c in classes]
+        cls = self._class_array(blocks)
+        labels = [Label.class_of(c) for c in blocks]
         lo, hi = np.nonzero(self._leq)
-        rel = np.zeros((len(cls_sets), len(cls_sets)), dtype=bool)
+        rel = np.zeros((len(blocks), len(blocks)), dtype=bool)
         rel[cls[lo], cls[hi]] = True
         np.fill_diagonal(rel, False)
         order = _order(rel)
         if order is None:
             raise StructureError("quotient is not a partial order")
         less, through = order
-        covers = _pairs(labels, less & ~through)
+        lo, hi = np.nonzero(less & ~through)
         np.fill_diagonal(less, True)
-        return Poset._trusted(labels, less, covers, antisymmetric=True)
+        return Poset._trusted(labels, less, lo, hi, antisymmetric=True)
 
     def _class_array(self, blocks) -> np.ndarray:
-        """Position of each element's block, for blocks that partition the
-        elements (checked by the caller)."""
+        """Position of each element's block; StructureError unless the
+        blocks (collections of labels) are nonempty and partition the
+        elements."""
+        sizes = [len(c) for c in blocks]
+        if not all(sizes):
+            raise StructureError("classes must be nonempty")
         index = self._index
-        cls = np.empty(len(self.elements), dtype=np.intp)
-        cls[[index[v] for c in blocks for v in c]] = np.repeat(
-            np.arange(len(blocks)), [len(c) for c in blocks]
-        )
+        try:
+            at = [index[v] for c in blocks for v in c]
+        except KeyError:
+            at = []
+        cls = np.full(len(self.elements), -1, dtype=np.intp)
+        if len(at) == cls.size:
+            cls[at] = np.repeat(np.arange(len(blocks)), sizes)
+        if (cls < 0).any():  # as many members as elements, so none repeats
+            raise StructureError("classes must partition the elements")
         return cls
 
     def restrict(self, subset) -> "Poset":
@@ -378,33 +366,31 @@ class Poset:
         if order is None:
             raise InvariantError("reachability matrix is not antisymmetric")
         less, through = order
-        labels = [self.elements[i] for i in idx]
-        return Poset._trusted(labels, sub, _pairs(labels, less & ~through), antisymmetric=True)
+        lo, hi = np.nonzero(less & ~through)
+        return Poset._trusted([self.elements[i] for i in idx], sub, lo, hi, antisymmetric=True)
 
     # ----- misc helpers -----------------------------------------------------
 
     def _height_levels(self):
         """Length of the longest chain below each element (0 for minimal)."""
         if self._heights is None:
-            n = len(self.elements)
-            children = [[] for _ in range(n)]
-            for lo, hi in self.covers:
-                children[self._require(hi)].append(self._require(lo))
-            topo = np.argsort(self._leq.sum(axis=0), kind="stable")
-            h = [0] * n
-            for j in topo:
-                if children[j]:
-                    h[j] = 1 + max(h[i] for i in children[j])
-            self._heights = tuple(h)
+            h = np.zeros(len(self.elements), dtype=np.intp)
+            while True:  # a round per element of the longest chain
+                up = np.zeros_like(h)
+                np.maximum.at(up, self._hi, h[self._lo] + 1)
+                if np.array_equal(up, h):
+                    break
+                h = up
+            self._heights = tuple(h.tolist())
         return self._heights
 
     # ----- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        covers = sorted(self.covers, key=lambda p: (p[0].key, p[1].key))
+        text = [str(e) for e in self.elements]
         return {
-            "elements": [str(e) for e in self.elements],
-            "covers": [[str(lo), str(hi)] for lo, hi in covers],
+            "elements": text,
+            "covers": [[text[i], text[j]] for i, j in zip(self._lo.tolist(), self._hi.tolist())],
         }
 
     @classmethod
@@ -450,8 +436,9 @@ class Poset:
         for level in sorted(by_level):
             row = " ".join(f'"{e}";' for e in by_level[level])
             lines.append("  { rank=same; " + row + " }")
-        for lo, hi in sorted(self.covers, key=lambda p: (p[0].key, p[1].key)):
-            lines.append(f'  "{lo}" -> "{hi}";')
+        el = self.elements
+        for i, j in zip(self._lo.tolist(), self._hi.tolist()):
+            lines.append(f'  "{el[i]}" -> "{el[j]}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -476,12 +463,10 @@ def boolean_lattice(n: int) -> Poset:
     for start in range(0, size, step):
         block = masks[start : start + step]
         leq[start : start + step] = (block[:, None] & ~masks[None, :]) == 0
-    covers = []
-    for mask in range(1, size):
-        for b in range(n):
-            if mask >> b & 1:
-                covers.append((labels[mask ^ (1 << b)], labels[mask]))
-    return Poset._trusted(labels, leq, covers=covers)
+    # label i is the subset with bitmask i; it covers i minus each of its bits
+    bits = 1 << np.arange(n, dtype=np.int64)
+    hi, b = np.nonzero(masks[:, None] & bits)
+    return Poset._trusted(labels, leq, hi ^ bits[b], hi)
 
 
 # ----- isomorphism ------------------------------------------------------------
@@ -491,19 +476,10 @@ def _cover_digraph(p: Poset):
     n = len(p.elements)
     children = [[] for _ in range(n)]  # covered-by lists (towards bottom)
     parents = [[] for _ in range(n)]
-    index = p._index
-    for lo, hi in p.covers:
-        i, j = index[lo], index[hi]
+    for i, j in zip(p._lo.tolist(), p._hi.tolist()):
         children[j].append(i)
         parents[i].append(j)
     return children, parents
-
-
-def _cover_arrays(p: Poset):
-    """Index arrays ``(lo, hi)`` of the cover pairs, in no fixed order."""
-    index = p._index
-    flat = np.array([index[v] for pair in p.covers for v in pair], dtype=np.intp)
-    return flat[0::2], flat[1::2]
 
 
 def _color_hash(colors: np.ndarray) -> np.ndarray:
@@ -578,11 +554,10 @@ def find_isomorphism(p: Poset, q: Poset):
     """
     if len(p) > ISOMORPHISM_MAX or len(q) > ISOMORPHISM_MAX:
         raise SizeLimitError(f"isomorphism search is guarded at {ISOMORPHISM_MAX} elements")
-    if len(p) != len(q) or len(p.covers) != len(q.covers):
+    if len(p) != len(q) or p._lo.size != q._lo.size:
         return None
     n = len(p)
-    (lo_p, hi_p), (lo_q, hi_q) = _cover_arrays(p), _cover_arrays(q)
-    lo, hi = np.concatenate([lo_p, lo_q + n]), np.concatenate([hi_p, hi_q + n])
+    lo, hi = np.concatenate([p._lo, q._lo + n]), np.concatenate([p._hi, q._hi + n])
     seed = (
         np.concatenate([p._leq.sum(axis=0), q._leq.sum(axis=0)]),
         np.concatenate([p._leq.sum(axis=1), q._leq.sum(axis=1)]),

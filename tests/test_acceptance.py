@@ -145,7 +145,7 @@ def test_criterion_6_theta_worked_example():
         assert not p.is_face_poset()
         supports = {}
         for v in p.elements:
-            supports.setdefault(frozenset(p.atom_support(v).atoms), []).append(v)
+            supports.setdefault(p.atom_support(v), []).append(v)
         doubled = {s: vs for s, vs in supports.items() if len(vs) > 1}
         assert len(doubled) == 1
         (s, vs), = doubled.items()

@@ -76,6 +76,36 @@ def test_label_that_is_not_a_string_is_io_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cannot parse label from ['a']\n"
 
 
+def test_deeply_nested_json_is_io_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["check", "--poset", str(path), "--test", "simplicial"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: JSON is nested too deeply\n"
+
+
+DEEP_LABELS = {"braces": "{" * 400 + "a" + "}" * 400, "copies": "1@" * 3000 + "a"}
+
+
+@pytest.mark.parametrize("label", DEEP_LABELS.values(), ids=DEEP_LABELS)
+def test_deeply_nested_poset_label_is_io_error(tmp_path, capsys, label):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"elements": ["0", label], "covers": [["0", label]]}))
+    assert run(["check", "--poset", str(path), "--test", "simplicial"]) == 1
+    assert capsys.readouterr().err == "error: label is nested too deeply\n"
+
+
+@pytest.mark.parametrize("label", DEEP_LABELS.values(), ids=DEEP_LABELS)
+def test_deeply_nested_spec_label_is_io_error(tmp_path, capsys, label):
+    a = tmp_path / "a.json"
+    a.write_text(boolean_lattice(2).to_json())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"facet_map": {label: "x1"}, "atom_map": {}}))
+    out = tmp_path / "out.json"
+    assert run(["glue-delta", "--a", str(a), "--b", str(a), "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: label is nested too deeply\n"
+    assert not out.exists()
+
+
 def test_check_faceposet_on_nonsimplicial_is_precondition_error(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(

@@ -107,8 +107,8 @@ def test_separation_projection_preserves_supports(c):
     sep = separation(p)
     for lab in sep.separated.elements:
         orig = sep.projection[lab]
-        got = {sep.projection[a] for a in sep.separated.atom_support(lab).atoms}
-        assert got == p.atom_support(orig).atoms
+        got = {sep.projection[a] for a in sep.separated.atom_support(lab)}
+        assert got == p.atom_support(orig)
 
 
 def assert_covers_and_atoms_from_order(p):
@@ -413,7 +413,7 @@ def test_delta_glue_shares_glued_faces():
     # exactly the supports containing both x1 and x4 stay doubled
     x1 = next(str(a) for a in g.atoms() if "x1" in str(a))
     x4 = next(str(a) for a in g.atoms() if "x4" in str(a))
-    supports = [frozenset(str(a) for a in g.atom_support(v).atoms) for v in g.elements]
+    supports = [frozenset(str(a) for a in g.atom_support(v)) for v in g.elements]
     counts = Counter(supports)
     for s, k in counts.items():
         assert k == (2 if {x1, x4} <= s else 1), s
@@ -429,11 +429,11 @@ def random_delta_inputs(rng):
     atoms_a, atoms_b = sorted(a.atoms()), sorted(b.atoms())
     rng.shuffle(atoms_b)
     atom_map = dict(zip(rng.sample(atoms_a, rng.randint(0, len(atoms_a))), atoms_b))
-    by_support = {b.atom_support(u).atoms: u for u in b.elements}
+    by_support = {b.atom_support(u): u for u in b.elements}
     faces_a = a.elements[1:]  # the bottom sorts first
     facet_map = {}
     for x in rng.sample(faces_a, rng.randint(0, min(3, len(faces_a)))):
-        y = by_support.get(frozenset(atom_map.get(s) for s in a.atom_support(x).atoms))
+        y = by_support.get(frozenset(atom_map.get(s) for s in a.atom_support(x)))
         if y is None or rng.random() < 0.1:
             y = rng.choice(b.elements)
         facet_map[x] = y
@@ -484,7 +484,7 @@ def test_theta_glue_matches_worked_example():
     assert p.is_simplicial()
     assert not p.is_face_poset()
     # the triangle abc is not shared, so its two copies survive
-    supports = Counter(frozenset(p.atom_support(v).atoms) for v in p.elements)
+    supports = Counter(p.atom_support(v) for v in p.elements)
     repeated = [s for s, k in supports.items() if k > 1]
     assert len(repeated) == 1
     assert supports[repeated[0]] == 2 and len(repeated[0]) == 3

@@ -81,6 +81,13 @@ def test_parse_rejects_malformed():
             Label.parse(bad)
 
 
+def test_parse_rejects_deep_nesting_as_format_error():
+    for deep in ["{" * 400 + "a" + "}" * 400, "1@" * 3000 + "a"]:
+        with pytest.raises(FormatError, match="nested too deeply"):
+            Label.parse(deep)
+    assert str(Label.parse("1@" * 100 + "a")) == "1@" * 100 + "a"
+
+
 def test_bottom_sorts_first():
     pool = [Label.atom_set(["a"]), Label.copy(0, Label.bottom()), Label.bottom()]
     assert sorted(pool)[0] is Label.bottom()

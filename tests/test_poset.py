@@ -20,6 +20,7 @@ from simposets import (
     StructureError,
     are_isomorphic,
     boolean_lattice,
+    delta_glue,
     fiber_relation,
     find_isomorphism,
     make_complex,
@@ -80,6 +81,11 @@ def test_from_covers_round_trip():
     assert len(p) == 3
     assert p.leq(BOT, L("a")) and not p.leq(L("a"), L("b"))
     assert (BOT, L("a")) in p.covers
+    # same elements; the covers differ in a lower end, then only in upper ends
+    assert p != Poset.from_covers([BOT, L("a"), L("b")], [(BOT, L("a")), (L("a"), L("b"))])
+    a, b, c = L("a"), L("b"), L("c")
+    q = Poset.from_covers([BOT, a, b, c], [(BOT, a), (a, b), (BOT, c)])
+    assert q != Poset.from_covers([BOT, a, b, c], [(BOT, a), (BOT, b), (a, c)])
 
 
 def test_from_covers_rejects_cycle():
@@ -87,29 +93,53 @@ def test_from_covers_rejects_cycle():
         Poset.from_covers([L("a"), L("b")], [(L("a"), L("b")), (L("b"), L("a"))])
 
 
-def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
-    """Each constructor checks antisymmetry once: on the diagonal of the
-    closure inside ``_order``, or through ``_has_cycle``."""
-    import simposets.poset as poset_module
+B3 = boolean_lattice(3)
+# One build per way of making a Poset; the gluings chain several of them.
+BUILDS = {
+    "boolean_lattice": lambda: boolean_lattice(3),
+    "from_covers": lambda: Poset.from_covers(B3.elements, B3.covers),
+    "from_json": lambda: Poset.from_json(B3.to_json()),
+    "quotient": lambda: B3.quotient(
+        [[L("x1*x2"), L("x1*x3")]] + [[v] for v in B3.elements if v not in (L("x1*x2"), L("x1*x3"))]
+    ),
+    "restrict": lambda: B3.restrict(B3.elements[:6]),
+    "face_poset": lambda: parse_facet_string("a*b*c,b*c*d,d*e").face_poset(),
+    "separation": lambda: separation(B3).separated,
+    "delta_glue": lambda: delta_glue(
+        B3, B3, {L("x1*x2"): L("x2*x3")}, {L("x1"): L("x2"), L("x2"): L("x3")}
+    ),
+    "theta_glue": lambda: theta_glue(
+        parse_facet_string("a*b*c*x,a*b*c*y"), parse_facet_string("a*b,b*c,a*c")
+    ),
+}
 
-    calls = []
+
+def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
+    """Each order matrix a constructor builds is checked for antisymmetry
+    once: on the diagonal of the closure inside ``_order``, or through
+    ``_has_cycle``."""
+    calls, built = [], []
     for name in ("_has_cycle", "_order"):
         real = getattr(poset_module, name)
         monkeypatch.setattr(poset_module, name, lambda m, real=real: calls.append(1) or real(m))
-    b = boolean_lattice(2)
-    builds = {
-        "boolean_lattice": lambda: boolean_lattice(2),
-        "from_covers": lambda: Poset.from_covers(b.elements, b.covers),
-        "from_json": lambda: Poset.from_json(b.to_json()),
-        "quotient": lambda: b.quotient([[v] for v in b.elements]),
-        "restrict": lambda: b.restrict(b.elements[:3]),
-        "face_poset": lambda: parse_facet_string("a*b,b*c").face_poset(),
-        "separation": lambda: separation(b),
-    }
-    for name, build in builds.items():
+    trusted = Poset._trusted
+    monkeypatch.setattr(Poset, "_trusted", classmethod(lambda cls, *a, **k: built.append(1) or trusted(*a, **k)))
+    for name, build in BUILDS.items():
         calls.clear()
+        built.clear()
         build()
-        assert len(calls) == 1, name
+        assert len(calls) == len(built) >= 1, name
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_covers_are_the_reduction_in_key_order(name):
+    p = BUILDS[name]()
+    covers = brute_covers(p)
+    assert p.covers == covers
+    by_key = sorted(covers, key=lambda c: (c[0].key, c[1].key))
+    assert p.to_json_dict()["covers"] == [[str(lo), str(hi)] for lo, hi in by_key]
+    q = Poset.from_json(p.to_json())
+    assert p == q and hash(p) == hash(q)
 
 
 @pytest.mark.parametrize(
@@ -265,10 +295,8 @@ def test_missing_element_lookups():
 
 def test_atom_support():
     b = boolean_lattice(3)
-    sup = b.atom_support(L("x1*x3"))
-    assert sup.atoms == {L("x1"), L("x3")}
-    assert len(sup) == 2
-    assert len(b.atom_support(BOT)) == 0
+    assert b.atom_support(L("x1*x3")) == {L("x1"), L("x3")}
+    assert b.atom_support(BOT) == frozenset()
 
 
 # ----- simpliciality --------------------------------------------------------
@@ -325,7 +353,7 @@ def test_equal_supports_under_a_common_top_are_not_simplicial():
         "t": ["ab1", "ab2", "ac"],
     })
     assert intervals_have_boolean_size(p)
-    assert p.atom_support(L("ab1")).atoms == p.atom_support(L("ab2")).atoms
+    assert p.atom_support(L("ab1")) == p.atom_support(L("ab2"))
     assert not p.is_simplicial()
     assert brute_is_simplicial(p) is False
 
@@ -343,7 +371,7 @@ def test_missing_relation_under_support_inclusion_is_not_simplicial():
         "u": ["wxy1", "wxy2", "wxz1", "wxz2"],
     })
     assert intervals_have_boolean_size(p)
-    assert p.atom_support(L("wx1")).atoms < p.atom_support(L("wxy2")).atoms
+    assert p.atom_support(L("wx1")) < p.atom_support(L("wxy2"))
     assert not p.leq(L("wx1"), L("wxy2"))
     assert not p.is_simplicial()
     assert brute_is_simplicial(p) is False
@@ -367,7 +395,7 @@ def test_interval_of_a_wrapped_power_of_two_is_not_simplicial():
     edges = {f"e{i}": [atoms[i], atoms[i + 1]] for i in range(55)}
     p = poset_over_bottom({**{v: ["0"] for v in atoms}, **edges, "t": list(edges) + atoms[56:]})
     assert len(p.lower_set(L("t"))) == 128
-    assert len(p.atom_support(L("t")).atoms) == 71
+    assert len(p.atom_support(L("t"))) == 71
     assert not p.is_simplicial()
 
 
@@ -419,7 +447,7 @@ def rewire_under_rank3_top(p, rng):
     rank-3 element u and below nothing else: supp w becomes the other atom
     pair of supp u, which another element below u already has.  Every
     interval keeps 2^rank elements.  None when p has no such (u, w)."""
-    supp = {v: p.atom_support(v).atoms for v in p.elements}
+    supp = {v: p.atom_support(v) for v in p.elements}
     pairs = [
         (u, w)
         for u in sorted(p.maximal_elements())
@@ -498,8 +526,8 @@ def test_meet_on_face_posets_is_support_intersection(c):
             if not common:
                 continue
             m = p.meet(s, t)
-            expected = p.atom_support(s).atoms & p.atom_support(t).atoms
-            assert p.atom_support(m).atoms == expected
+            expected = p.atom_support(s) & p.atom_support(t)
+            assert p.atom_support(m) == expected
 
 
 # ----- quotients and restriction --------------------------------------------
@@ -846,7 +874,7 @@ def test_atom_support_matches_lower_set(c):
     p = c.face_poset()
     atoms = p.atoms()
     for v in p.elements:
-        assert p.atom_support(v).atoms == (p.lower_set(v) & atoms)
+        assert p.atom_support(v) == (p.lower_set(v) & atoms)
 
 
 def test_powerset_oracle_sanity():
