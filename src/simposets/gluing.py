@@ -71,15 +71,12 @@ class GluingRelation:
 
     base: Poset
     classes: tuple
-    _block_of: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         blocks = [frozenset(c) for c in self.classes]
-        cls = self.base._class_array(blocks)  # checks the partition
-        # elements are in canonical order: sort blocks by their first element
-        order = np.argsort(np.unique(cls, return_index=True)[1])
-        object.__setattr__(self, "classes", tuple(blocks[i] for i in order))
-        object.__setattr__(self, "_block_of", np.argsort(order)[cls])
+        self.base._class_array(blocks)  # checks the partition
+        blocks.sort(key=lambda c: min(m.key for m in c))
+        object.__setattr__(self, "classes", tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     leq = base._leq
     n, k = len(base.elements), len(relation.classes)
     rank = leq[base._atom_indices()].sum(axis=0)
-    cls = relation._block_of
+    cls = base._class_array(relation.classes)
     a, b = _related_pairs(cls, k)
     if not a.size:
         return GluingCheck(violations=())
@@ -316,13 +313,12 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
 
     ea = [v for v in a.elements if v != bot_a]
     eb = [u for u in b.elements if u != bot_b]
-    union, origin = _disjoint_union([(1, a, [a._index[v] for v in ea]), (2, b, [b._index[u] for u in eb])])
+    union, _ = _disjoint_union([(1, a, [a._index[v] for v in ea]), (2, b, [b._index[u] for u in eb])])
 
-    copy = {(c.value[0], v): c for c, v in origin.items()}  # (side, element) -> copy label
     glued_b = set(image.values())
-    classes = [frozenset([copy[1, w], copy[2, image[w]]]) for w in image]
-    classes += [frozenset([copy[1, v]]) for v in ea if v not in image]
-    classes += [frozenset([copy[2, u]]) for u in eb if u not in glued_b]
+    classes = [frozenset([Label.copy(1, w), Label.copy(2, image[w])]) for w in image]
+    classes += [frozenset([Label.copy(1, v)]) for v in ea if v not in image]
+    classes += [frozenset([Label.copy(2, u)]) for u in eb if u not in glued_b]
     classes.append(frozenset([Label.bottom()]))
     return quotient_by_gluing(GluingRelation(base=union, classes=tuple(classes)))
 

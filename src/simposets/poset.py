@@ -374,14 +374,13 @@ class Poset:
     def _height_levels(self):
         """Length of the longest chain below each element (0 for minimal)."""
         if self._heights is None:
-            h = np.zeros(len(self.elements), dtype=np.intp)
-            while True:  # a round per element of the longest chain
-                up = np.zeros_like(h)
-                np.maximum.at(up, self._hi, h[self._lo] + 1)
-                if np.array_equal(up, h):
-                    break
-                h = up
-            self._heights = tuple(h.tolist())
+            children = _cover_digraph(self)[0]
+            topo = np.argsort(self._leq.sum(axis=0), kind="stable")
+            h = [0] * len(self.elements)
+            for j in topo.tolist():
+                if children[j]:
+                    h[j] = 1 + max(h[i] for i in children[j])
+            self._heights = tuple(h)
         return self._heights
 
     # ----- serialization ------------------------------------------------------
