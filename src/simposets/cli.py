@@ -91,17 +91,19 @@ def _cmd_glue_theta(args) -> int:
     return 0
 
 
+def _write_lines(lines):
+    """Each line and a newline, in one write; nothing for no lines."""
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
+
+
 def _cmd_ideal(args) -> int:
-    pres = stanley_poset_ideal(_load_poset(args.poset))
-    for line in pres.render_lines():
-        print(line)
+    _write_lines(stanley_poset_ideal(_load_poset(args.poset)).render_lines())
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    ideal = reduce_face_poset_ideal(_load_poset(args.poset))
-    for line in ideal.render_lines():
-        print(line)
+    _write_lines(reduce_face_poset_ideal(_load_poset(args.poset)).render_lines())
     return 0
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError, StructureError
 from .labels import Label, valid_vertex_name
-from .poset import Poset
+from .poset import Poset, _loads
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, text: str) -> "SimplicialComplex":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_loads(text))
 
 
 def make_complex(vertices, facet_candidates) -> SimplicialComplex:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import PreconditionError, InvariantError, StructureError
 from .poset import Poset
 
 _PAIR_BLOCK = 1024
-_DIVIDES_ROWS = 64
 _DIVIDES_CELLS = 1 << 22
 
 
@@ -98,9 +97,14 @@ class IdealPresentation:
         names = [f"x[{v}]" for v in self.variables]
         lines = []
         for terms in self.generators:
+            if len(terms) == 1:
+                indices, sign = terms[0]
+                if sign > 0 and len(indices) == 2:  # a plain product
+                    lines.append(names[indices[0]] + "*" + names[indices[1]])
+                    continue
             pieces = []
             for indices, sign in terms:
-                body = "*".join(names[i] for i in indices)
+                body = "*".join([names[i] for i in indices])
                 if not pieces:
                     pieces.append(body if sign > 0 else "-" + body)
                 else:
@@ -118,67 +122,106 @@ class MonomialIdeal:
         return [render_monomial(m, self.variables) for m in self.generators]
 
 
+def _pair_blocks(p: Poset):
+    """The incomparable pairs of a simplicial poset and, a block at a time,
+    the meets and minimal common upper bounds of those with an upper bound.
+
+    Returns ``(pi, pj, blocks)``.  ``pi``, ``pj`` are the pairs in row-major
+    order, which is the order of ``combinations(variables, 2)``: the bottom
+    is comparable to everything, so it is in no pair.  ``blocks`` yields
+    ``(rows, i, j, meet, owner, ub)`` for up to ``_PAIR_BLOCK`` pairs with a
+    common upper bound: their positions in ``pi``, their two elements and
+    their meets, and one ``(owner, ub)`` entry per minimal common upper
+    bound ``ub`` of pair ``owner`` of the block, in row-major order.
+
+    Two elements have a common upper bound iff they have a common maximal
+    one.  The meet is the common lower bound with the largest lower set, and
+    it is checked to lie above every common lower bound, which is what
+    ``Poset.meet`` asserts.  Inside each boolean interval [0,z] above both
+    elements their join has rank |supp i| + |supp j| - |supp meet|, so the
+    minimal common upper bounds are the common upper bounds of that rank.
+    """
+    leq = p._leq
+    n = len(p.elements)
+    pi, pj = np.nonzero(np.triu(~(leq | leq.T), 1))
+    f = leq[:, leq.sum(axis=1) == 1].astype(np.float32)
+    with_upper = np.flatnonzero(((f @ f.T) > 0)[pi, pj])
+    del f
+    geq = np.ascontiguousarray(leq.T)
+    lower_size = leq.sum(axis=0)
+    rank = np.count_nonzero(leq[lower_size == 2], axis=0)  # atoms below
+
+    def blocks():
+        for start in range(0, with_upper.size, _PAIR_BLOCK):
+            rows = with_upper[start : start + _PAIR_BLOCK]
+            i, j = pi[rows], pj[rows]
+            # common lower bounds, row by row; the bottom is one of each row
+            r, c = np.divmod(np.flatnonzero(geq[i] & geq[j]), n)
+            first = np.searchsorted(r, np.arange(rows.size))
+            # the largest lower set; a tie means no meet, which the check finds
+            meet = np.maximum.reduceat(lower_size[c] * n + c, first) % n
+            bad = ~leq[c, meet[r]]
+            if bad.any():
+                k = r[np.argmax(bad)]
+                _raise_no_meet(p, int(i[k]), int(j[k]))
+            owner, ub = np.divmod(np.flatnonzero(leq[i] & leq[j]), n)
+            minimal = rank[ub] == (rank[i] + rank[j] - rank[meet])[owner]
+            yield rows, i, j, meet, owner[minimal], ub[minimal]
+
+    return pi, pj, blocks()
+
+
 def stanley_poset_ideal(p: Poset) -> IdealPresentation:
     """One generator per unordered incomparable pair of non-bottom elements.
 
-    The pairs are processed in blocks of ``_PAIR_BLOCK`` rows of ``leq``:
-    minimal common upper bounds and meets come from array operations on the
-    block, so no per-pair query runs.  The meet of a pair is its common lower
-    bound with the largest lower set, and it is checked to lie above every
-    common lower bound, which is what ``Poset.meet`` asserts.
+    The pairs, meets and minimal common upper bounds come from
+    ``_pair_blocks``, so no per-pair query runs.  Every pair starts as its
+    plain product; the records of the pairs with a common upper bound are
+    then rebuilt a block at a time, in an order from one ``np.lexsort``.
     """
     if not p.is_simplicial():
         raise PreconditionError("stanley_poset_ideal requires a simplicial poset")
     bot = p.bottom()
     variables = tuple(e for e in p.elements if e != bot)
-    leq = p._leq
     n = len(p.elements)
     b = p._require(bot)
     # variable index of each element, -1 for the bottom
     var_of = np.arange(n) - (np.arange(n) > b)
     var_of[b] = -1
-    # the bottom is comparable to everything, so it is in no pair, and the
-    # row-major order of the pairs is the order of combinations(variables, 2)
-    pi, pj = np.nonzero(np.triu(~(leq | leq.T), 1))
-    geq = np.ascontiguousarray(leq.T)
-    strict = (leq & ~np.eye(n, dtype=bool)).astype(np.float32)
-    lower_size = leq.sum(axis=0)
-    gens = []
-    for start in range(0, pi.size, _PAIR_BLOCK):
-        i, j = pi[start : start + _PAIR_BLOCK], pj[start : start + _PAIR_BLOCK]
-        block = [(((s, t), 1),) for s, t in zip(var_of[i].tolist(), var_of[j].tolist())]
-        upper = leq[i] & leq[j]
-        rows = np.flatnonzero(upper.any(axis=1))  # the pairs with a common upper bound
-        upper, i, j = upper[rows], i[rows], j[rows]
-        minimal = upper & ~((upper.astype(np.float32) @ strict) > 0)
-        lower = geq[i] & geq[j]
-        meet = np.where(lower, lower_size, -1).argmax(axis=1)
-        bad = (lower & ~geq[meet]).any(axis=1)
-        if bad.any():
-            k = int(np.argmax(bad))
-            _raise_no_meet(p, int(i[k]), int(j[k]), lower[k])
-        which, cols = np.nonzero(minimal)
-        ends = np.cumsum(np.bincount(which, minlength=rows.size)).tolist()
-        ubs = var_of[cols].tolist()
+    pi, pj, blocks = _pair_blocks(p)
+    gens = list(zip(zip(zip(var_of[pi].tolist(), var_of[pj].tolist()), repeat(1))))
+    for rows, i, j, meet, owner, ub in blocks:
+        ubs, meets = var_of[ub], var_of[meet]
+        counts = np.bincount(owner, minlength=rows.size)
+        # a bottom meet reads as 1: the product, then -z for each bound z
+        at_bot = meets < 0
+        on_bot = at_bot[owner]
+        singles = list(zip(zip(ubs[on_bot].tolist()), repeat(-1)))
         at = 0
-        for r, m, end in zip(rows.tolist(), var_of[meet].tolist(), ends):
-            product = block[r][0]
-            if m < 0:  # the bottom meet reads as 1
-                block[r] = (product, *[((z,), -1) for z in ubs[at:end]])
-            else:
-                terms = [((m, z) if m < z else (z, m), -1) for z in ubs[at:end]]
-                terms.append(product)
-                terms.sort()  # all of degree 2, and the index pairs are distinct
-                block[r] = tuple(terms)
+        for r, end in zip(rows[at_bot].tolist(), np.cumsum(counts[at_bot]).tolist()):
+            gens[r] = (gens[r][0], *singles[at:end])
             at = end
-        gens.extend(block)
+        # otherwise the product and each -meet*z: all of degree 2, with
+        # distinct index pairs, so in lexicographic order
+        own = np.flatnonzero(~at_bot)
+        m, z = meets[owner[~on_bot]], ubs[~on_bot]
+        key = np.concatenate([owner[~on_bot], own])
+        lo = np.concatenate([np.minimum(m, z), var_of[i[own]]])
+        hi = np.concatenate([np.maximum(m, z), var_of[j[own]]])
+        sign = np.repeat([-1, 1], [m.size, own.size])
+        order = np.lexsort((hi, lo, key))
+        terms = list(zip(zip(lo[order].tolist(), hi[order].tolist()), sign[order].tolist()))
+        at = 0
+        for r, end in zip(rows[own].tolist(), np.cumsum(counts[own] + 1).tolist()):
+            gens[r] = tuple(terms[at:end])
+            at = end
     return IdealPresentation(poset=p, variables=variables, generators=tuple(gens))
 
 
-def _raise_no_meet(p: Poset, i, j, lower):
+def _raise_no_meet(p: Poset, i, j):
     """The error ``Poset.meet`` raises for elements i and j, whose common
-    lower bounds ``lower`` have no greatest element."""
-    cand = np.flatnonzero(lower)
+    lower bounds have no greatest element."""
+    cand = np.flatnonzero(p._leq[:, i] & p._leq[:, j])
     above = p._leq[np.ix_(cand, cand)] & ~np.eye(cand.size, dtype=bool)
     tops = int(np.count_nonzero(~above.any(axis=1)))
     raise InvariantError(
@@ -201,52 +244,72 @@ def reduce_face_poset_ideal(p: Poset) -> MonomialIdeal:
 
     Works on face posets only.  Every generator must collapse to zero or a
     single monomial under the substitution; anything else signals a bug in
-    the face-poset check.
+    the face-poset check.  The generators are not built: the image of each
+    term is an exponent row, the sum of the atom-support rows of its
+    variables, computed on the arrays of ``_pair_blocks``.
     """
     if not p.is_face_poset():
         raise PreconditionError("reduce_face_poset_ideal requires a face poset")
-    pres = stanley_poset_ideal(p)
-    atoms = sorted(p.atoms())
-    universe = tuple(sorted(str(a) for a in atoms))
-    atom_pos = {a: universe.index(str(a)) for a in atoms}
-    subs = [[atom_pos[a] for a in p.atom_support(v)] for v in pres.variables]
-    collected = set()  # images as expanded monomials: sorted atom positions
-    for terms in pres.generators:
-        acc = {}
-        for indices, sign in terms:
-            image = tuple(sorted(a for i in indices for a in subs[i]))
-            acc[image] = acc.get(image, 0) + sign
-        images = [e for e, c in acc.items() if c]
-        if len(images) > 1:
+    atoms = p._atom_indices()
+    names = [str(p.elements[a]) for a in atoms]
+    universe = tuple(sorted(names))
+    # the atom support of each element as an exponent row over the universe
+    supp = np.zeros((len(p.elements), len(universe)), dtype=np.int8)
+    supp[:, [universe.index(name) for name in names]] = p._leq[atoms].T
+    pi, pj, blocks = _pair_blocks(p)
+    plain = np.ones(pi.size, dtype=bool)
+    images = []
+    for rows, i, j, meet, owner, ub in blocks:
+        plain[rows] = False
+        # the product with sign +1 and each meet*z with sign -1, summed over
+        # equal images within each generator
+        gen = np.concatenate([np.arange(rows.size), owner])
+        image = np.concatenate([supp[i] + supp[j], supp[meet[owner]] + supp[ub]])
+        sign = np.repeat([1, -1], [rows.size, owner.size])
+        order, start = _runs(gen, image)
+        live = order[start[np.add.reduceat(sign[order], start) != 0]]
+        if (np.bincount(gen[live]) > 1).any():
             raise InvariantError("substituted generator is neither zero nor a monomial")
-        collected.update(images)
-    minimal = sorted(_minimal_monomials(collected, len(universe)), key=lambda e: (len(e), e))
+        images.append(image[live])
+    images.append(supp[pi[plain]] + supp[pj[plain]])  # a plain product is a monomial
+    exps = np.concatenate(images)
+    order, start = _runs(exps.sum(axis=1), exps)
+    exps = exps[order[start]]  # distinct, by degree
+    positions = np.arange(len(universe))
+    minimal = [tuple(np.repeat(positions, row).tolist()) for row in exps[_minimal_rows(exps)]]
+    minimal.sort(key=lambda e: (len(e), e))
     return MonomialIdeal(variables=universe, generators=tuple(Monomial(Counter(e)) for e in minimal))
 
 
-def _minimal_monomials(expanded, nvars):
-    """The monomials of a set, each given expanded, that no other one divides.
+def _runs(first, rows):
+    """The order that sorts by ``first`` and then by the rows of a matrix,
+    and the positions in that order where a run of equal pairs starts."""
+    order = np.lexsort((*rows.T, first))
+    first, rows = first[order], rows[order]
+    step = (first[1:] != first[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+    return order, np.flatnonzero(np.concatenate([[first.size > 0], step]))
 
-    A monomial with another divisor has a minimal one of lower degree, so
-    the set is walked by degree, a block of rows of the exponent matrix at a
-    time, and each row is tested against the minimal rows kept so far and
-    its own block.
+
+def _minimal_rows(exps):
+    """Indices of the distinct rows of an exponent matrix, sorted by degree,
+    that no other row divides.
+
+    A monomial with another divisor has a minimal one of lower degree, and
+    distinct monomials of one degree do not divide each other.  So the rows
+    of each degree, a block at a time, are tested only against the minimal
+    rows kept so far, not against each other.
     """
-    expanded = sorted(expanded, key=len)
-    exps = np.zeros((len(expanded), max(1, nvars)), dtype=np.int32)
-    rows = np.repeat(np.arange(len(expanded)), [len(e) for e in expanded])
-    np.add.at(exps, (rows, list(chain.from_iterable(expanded))), 1)
+    degree = exps.sum(axis=1)
     kept = np.zeros(0, dtype=np.intp)
     start = 0
-    while start < len(expanded):
-        width = (kept.size + _DIVIDES_ROWS) * exps.shape[1]
-        step = max(1, min(_DIVIDES_ROWS, _DIVIDES_CELLS // width))
-        block = exps[start : start + step]
-        cand = np.concatenate([exps[kept], block])
-        divisors = (cand[None, :, :] <= block[:, None, :]).all(axis=2).sum(axis=1)
-        kept = np.concatenate([kept, np.flatnonzero(divisors == 1) + start])  # only itself
-        start += step
-    return [expanded[r] for r in kept.tolist()]
+    while start < len(exps):
+        step = max(1, _DIVIDES_CELLS // max(1, kept.size * exps.shape[1]))
+        stop = min(start + step, int(np.searchsorted(degree, degree[start], side="right")))
+        block = exps[start:stop]
+        divided = (exps[kept][None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
+        kept = np.concatenate([kept, np.flatnonzero(~divided) + start])
+        start = stop
+    return kept
 
 
 def monomial_ideals_equal(i1: MonomialIdeal, i2: MonomialIdeal) -> bool:

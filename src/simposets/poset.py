@@ -58,6 +58,15 @@ def _order(strict: np.ndarray):
         less = less | through
 
 
+def _loads(text: str):
+    """``json.loads``, with text nested past the recursion limit reported
+    as a FormatError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise FormatError("JSON is nested too deeply") from None
+
+
 def _has_cycle(leq: np.ndarray) -> bool:
     """True when two distinct elements are each below the other, i.e. the
     relation is not antisymmetric."""
@@ -421,7 +430,7 @@ class Poset:
 
     @classmethod
     def from_json(cls, text: str) -> "Poset":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_loads(text))
 
     def to_dot(self) -> str:
         """Graphviz rendering: one node per element, one edge per cover,

@@ -14,7 +14,10 @@ from simposets import (
     kahle_complex,
     parse_facet_string,
     rand_simplicial_poset,
+    reduce_face_poset_ideal,
+    stanley_poset_ideal,
 )
+import simposets.ideal as ideal_module
 from simposets.cli import run
 
 
@@ -219,6 +222,25 @@ def test_ideal_and_reduce_stdout_is_pinned(poset_file, capsys, name, command, co
     out = capsys.readouterr().out
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, build", [("ideal", stanley_poset_ideal), ("reduce", reduce_face_poset_ideal)])
+def test_ideal_and_reduce_write_the_rendered_lines(poset_file, capsys, monkeypatch, command, build):
+    monkeypatch.setattr(ideal_module, "_PAIR_BLOCK", 64)
+    p = PINNED_INPUTS["face"]()
+    assert sum(1 for _ in ideal_module._pair_blocks(p)[2]) > 1  # several pair blocks
+    path = poset_file(p)
+    assert run([command, "--poset", path]) == 0
+    lines = build(p).render_lines()
+    assert len(lines) > 1
+    assert capsys.readouterr().out.encode() == b"".join(line.encode() + b"\n" for line in lines)
+
+
+@pytest.mark.parametrize("command, k", [("ideal", 1), ("reduce", 1), ("reduce", 3)])
+def test_empty_ideal_prints_nothing(poset_file, capsys, command, k):
+    path = poset_file(boolean_lattice(k))
+    assert run([command, "--poset", path]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_reduce_requires_face_poset(poset_file, capsys, two_points_two_edges):

@@ -157,6 +157,11 @@ def test_complex_json_rejects_bad_shapes():
         SimplicialComplex.from_json_dict({"vertices": "a", "facets": []})
 
 
+def test_complex_from_json_deeply_nested_is_format_error():
+    with pytest.raises(FormatError, match="JSON is nested too deeply"):
+        SimplicialComplex.from_json("[" * 100_000 + "]" * 100_000)
+
+
 def test_facets_are_listed_deterministically():
     c1 = make_complex(["a", "b", "c"], [("c", "b"), ("a", "b")])
     c2 = make_complex(["a", "b", "c"], [("a", "b"), ("b", "c")])

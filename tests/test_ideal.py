@@ -5,16 +5,20 @@ import hashlib
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simposets import (
+    ElementNotFoundError,
+    InvalidGluingError,
     InvariantError,
     Monomial,
     PreconditionError,
     RandomModelParams,
     StructureError,
     boolean_lattice,
+    delta_glue,
     monomial_ideals_equal,
     parse_facet_string,
     rand_simplicial_poset,
@@ -23,12 +27,14 @@ from simposets import (
     stanley_reisner_ideal,
 )
 import simposets.ideal as ideal_module
-from simposets.ideal import ONE, _minimal_monomials, render_monomial
+from simposets.ideal import ONE, _minimal_rows, render_monomial
 from simposets.labels import Label
 from simposets.poset import Poset
 
 from conftest import random_complex
 from oracles import brute_incomparable_pairs, brute_minimal_nonfaces
+from test_gluing import glue_two_b4, random_delta_inputs
+from test_poset import random_pair_merge
 
 L = Label.parse
 BOT = Label.bottom()
@@ -168,6 +174,49 @@ def test_kernel_matches_per_pair_reference():
     assert several_upper_bounds > 100
 
 
+def kernel_corpus():
+    """Simplicial posets that are not theta samples: relabeled boolean
+    lattices, accepted delta_glue outputs (two copies of B4 glued along two
+    triangles among them), and the quotients of random pair merges that
+    stay simplicial."""
+    rng = random.Random(11)
+    for k in range(2, 6):
+        yield relabeled(boolean_lattice(k), rng)
+    yield glue_two_b4()
+    yield relabeled(glue_two_b4(), rng)
+    for seed in range(400):
+        a, b, facet_map, atom_map = random_delta_inputs(random.Random(seed))
+        try:
+            yield delta_glue(a, b, facet_map, atom_map)
+        except (InvalidGluingError, ElementNotFoundError):
+            pass
+    for seed in range(600):
+        p, classes = random_pair_merge(seed)
+        try:
+            q = p.quotient(classes)
+        except StructureError:
+            continue
+        if q.is_simplicial():
+            yield q
+
+
+def test_kernel_matches_per_pair_reference_beyond_theta_samples():
+    kinds = Counter()
+    for p in kernel_corpus():
+        want = reference_generators(p)
+        assert stanley_poset_ideal(p).generators == want
+        kinds["posets"] += 1
+        for terms in want:
+            if len(terms) > 1:
+                meet = "bottom meet" if len(terms[-1][0]) == 1 else "meet above the bottom"
+                bounds = "one bound" if len(terms) == 2 else "several bounds"
+                kinds[meet, bounds] += 1
+    assert kinds["posets"] > 250
+    assert kinds["meet above the bottom", "one bound"] > 1000
+    assert kinds["meet above the bottom", "several bounds"] >= 10
+    assert kinds["bottom meet", "several bounds"] >= 10
+
+
 def test_kernel_blocks_do_not_change_the_generators(monkeypatch):
     p = rand_simplicial_poset(RandomModelParams(n=8, p1=0.8, p2=0.8, seed=1))
     whole = stanley_poset_ideal(p).generators
@@ -222,11 +271,16 @@ def test_minimal_monomials_match_pairwise_divisibility(monkeypatch, cells):
     rng = random.Random(17)
     for _ in range(60):
         nvars = rng.randint(1, 6)
-        expanded = {
-            tuple(sorted(rng.choices(range(nvars), k=rng.randint(0, 5))))
-            for _ in range(rng.randint(0, 150))
-        }
-        assert sorted(_minimal_monomials(expanded, nvars)) == brute_minimal(list(expanded))
+        expanded = sorted(
+            {
+                tuple(sorted(rng.choices(range(nvars), k=rng.randint(0, 5))))
+                for _ in range(rng.randint(0, 150))
+            },
+            key=len,
+        )
+        exps = np.array([[e.count(v) for v in range(nvars)] for e in expanded]).reshape(-1, nvars)
+        kept = _minimal_rows(exps)
+        assert sorted(expanded[r] for r in kept) == brute_minimal(expanded)
 
 
 # ----- pinned rendering --------------------------------------------------------
@@ -306,6 +360,22 @@ def test_reduce_boolean_lattice_is_empty():
 def test_reduce_hollow_triangle():
     p = parse_facet_string("a*b,b*c,a*c").face_poset()
     assert reduce_face_poset_ideal(p).render_lines() == ["x[a]*x[b]*x[c]"]
+
+
+def test_reduce_rejects_a_generator_that_does_not_collapse(monkeypatch):
+    # a kernel that gives the top as the minimal upper bound of every pair:
+    # x[a]*x[b] - x[a*b*c] substitutes to two distinct monomials
+    p = parse_facet_string("a*b*c").face_poset()
+    top = p.elements.index(L("a*b*c"))
+    kernel = ideal_module._pair_blocks
+
+    def top_as_bound(q):
+        pi, pj, blocks = kernel(q)
+        return pi, pj, ((*block[:-1], np.full_like(block[-1], top)) for block in blocks)
+
+    monkeypatch.setattr(ideal_module, "_pair_blocks", top_as_bound)
+    with pytest.raises(InvariantError, match="neither zero nor a monomial"):
+        reduce_face_poset_ideal(p)
 
 
 def test_reduce_requires_face_poset(two_points_two_edges):

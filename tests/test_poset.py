@@ -600,6 +600,11 @@ def test_from_json_rejects_labels_that_are_not_strings(obj):
         Poset.from_json_dict(obj)
 
 
+def test_from_json_deeply_nested_is_format_error():
+    with pytest.raises(FormatError, match="JSON is nested too deeply"):
+        Poset.from_json("[" * 100_000 + "]" * 100_000)
+
+
 def test_from_json_reads_each_spelling_of_a_label():
     # "a*b" and "b*a" spell the same atom-set label
     p = Poset.from_json_dict({
