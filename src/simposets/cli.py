@@ -5,7 +5,7 @@ export-dot.  Posets and complexes travel as JSON files; anywhere a complex
 file is expected, an inline facet string like "a*b*c,b*c*d" also works.
 
 Exit codes: 0 success, 1 unreadable or malformed input, 2 violated
-precondition or size guard, 3 invalid gluing spec.
+precondition, size guard or memory limit, 3 invalid gluing spec.
 """
 
 from __future__ import annotations
@@ -186,6 +186,9 @@ def run(argv) -> int:
         return 1
     except (PreconditionError, SizeLimitError, MeetUndefinedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. the n x n order matrix of a huge --poset file
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,6 @@ is an antichain and the meet poset is a face poset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -147,18 +146,16 @@ def separation(q: Poset) -> SeparationResult:
     element (canonical order, indices from 1)."""
     if not q.is_simplicial():
         raise PreconditionError("separation requires a simplicial poset")
-    bot_q = q.bottom()
+    prof = q._profile()
     # elements are stored in canonical order, so ascending indices are sorted labels
-    leq = q._leq
-    above_bottom = np.ones(len(q.elements), dtype=bool)
-    above_bottom[q._index[bot_q]] = False
-    maxima = np.flatnonzero(leq.sum(axis=1) == 1)
+    above_bottom = prof.lower > 1
+    maxima = np.flatnonzero(prof.upper == 1)
     blocks = [
-        (ci, q, np.flatnonzero(leq[:, x] & above_bottom).tolist())
+        (ci, q, np.flatnonzero(q._leq[:, x] & above_bottom).tolist())
         for ci, x in enumerate(maxima.tolist(), start=1)
     ]
     sep, origin = _disjoint_union(blocks)
-    projection = {Label.bottom(): bot_q, **origin}
+    projection = {Label.bottom(): q.elements[prof.bottom], **origin}
     if not sep.is_face_poset():
         raise InvariantError("separation produced a non face poset")
     return SeparationResult(separated=sep, projection=projection)
@@ -206,7 +203,8 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     base = relation.base
     leq = base._leq
     n, k = len(base.elements), len(relation.classes)
-    rank = leq[base._atom_indices()].sum(axis=0)
+    base.bottom()  # the rank counts atoms, so needs a unique minimum
+    rank = base._profile().rank
     cls = base._class_array(relation.classes)
     a, b = _related_pairs(cls, k)
     if not a.size:
@@ -377,13 +375,11 @@ def meet_poset(p: Poset) -> Poset:
     the bottom."""
     if not p.is_simplicial():
         raise PreconditionError("meet_poset requires a simplicial poset")
-    maxima = sorted(p.maximal_elements())
-    if len(maxima) <= 1:
+    maxima = np.flatnonzero(p._profile().upper == 1)
+    if maxima.size <= 1:
         return p.restrict([p.bottom()])
-    keep = set()
-    for x, y in combinations(maxima, 2):
-        keep |= p.lower_set(x) & p.lower_set(y)
-    return p.restrict(keep)
+    below_two = np.count_nonzero(p._leq[:, maxima], axis=1) >= 2
+    return p.restrict([p.elements[i] for i in np.flatnonzero(below_two).tolist()])
 
 
 def reconstruct_theta_pair(p: Poset):

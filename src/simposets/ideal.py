@@ -141,15 +141,14 @@ def _pair_blocks(p: Poset):
     elements their join has rank |supp i| + |supp j| - |supp meet|, so the
     minimal common upper bounds are the common upper bounds of that rank.
     """
-    leq = p._leq
+    leq, prof = p._leq, p._profile()
     n = len(p.elements)
     pi, pj = np.nonzero(np.triu(~(leq | leq.T), 1))
-    f = leq[:, leq.sum(axis=1) == 1].astype(np.float32)
+    f = leq[:, prof.upper == 1].astype(np.float32)
     with_upper = np.flatnonzero(((f @ f.T) > 0)[pi, pj])
     del f
     geq = np.ascontiguousarray(leq.T)
-    lower_size = leq.sum(axis=0)
-    rank = np.count_nonzero(leq[lower_size == 2], axis=0)  # atoms below
+    rank = prof.rank  # atoms below
 
     def blocks():
         for start in range(0, with_upper.size, _PAIR_BLOCK):
@@ -159,7 +158,7 @@ def _pair_blocks(p: Poset):
             r, c = np.divmod(np.flatnonzero(geq[i] & geq[j]), n)
             first = np.searchsorted(r, np.arange(rows.size))
             # the largest lower set; a tie means no meet, which the check finds
-            meet = np.maximum.reduceat(lower_size[c] * n + c, first) % n
+            meet = np.maximum.reduceat(prof.lower[c] * n + c, first) % n
             bad = ~leq[c, meet[r]]
             if bad.any():
                 k = r[np.argmax(bad)]
@@ -250,12 +249,12 @@ def reduce_face_poset_ideal(p: Poset) -> MonomialIdeal:
     """
     if not p.is_face_poset():
         raise PreconditionError("reduce_face_poset_ideal requires a face poset")
-    atoms = p._atom_indices()
-    names = [str(p.elements[a]) for a in atoms]
+    prof = p._profile()
+    names = [str(p.elements[a]) for a in prof.atoms.tolist()]
     universe = tuple(sorted(names))
     # the atom support of each element as an exponent row over the universe
     supp = np.zeros((len(p.elements), len(universe)), dtype=np.int8)
-    supp[:, [universe.index(name) for name in names]] = p._leq[atoms].T
+    supp[:, [universe.index(name) for name in names]] = prof.supp.T
     pi, pj, blocks = _pair_blocks(p)
     plain = np.ones(pi.size, dtype=bool)
     images = []

@@ -13,6 +13,14 @@ Every constructor that derives an order from pairs (``from_covers``,
 a strict relation until the pairs with an element between them lie inside
 it.  That last product gives the closure, the cycle check and the covers.
 
+The facts the checks share are read off ``leq`` once per poset, on first
+use, into a private profile (``Poset._profile``): ``lower`` and ``upper``,
+the lower-set and upper-set sizes; ``bottom``, the index of the unique
+minimum or -1; ``atoms``, the elements with a lower set of size 2; ``supp``,
+their rows ``leq[atoms]``, whose columns are the atom supports; and
+``rank``, the atoms below each element.  Building it never raises; readers
+that need the unique minimum check it through ``bottom()``.
+
 The simplicial vocabulary lives here as methods: atoms, atom supports,
 ``is_simplicial`` (every lower interval is a boolean lattice) and
 ``is_face_poset`` (additionally, elements are determined by their atom
@@ -22,6 +30,7 @@ support).
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 
 import numpy as np
 
@@ -83,8 +92,11 @@ def _label_index(elements) -> dict:
     return index
 
 
+_Profile = namedtuple("_Profile", "lower upper bottom atoms supp rank")
+
+
 class Poset:
-    __slots__ = ("elements", "_lo", "_hi", "_leq", "_index", "_bottom", "_supports", "_simplicial", "_heights")
+    __slots__ = ("elements", "_lo", "_hi", "_leq", "_index", "_profile_cache", "_simplicial")
 
     def __init__(self, elements, lo, hi, leq, index):
         # Internal: use from_covers / from_json instead.
@@ -93,10 +105,8 @@ class Poset:
         self._hi = hi
         self._leq = leq
         self._index = index
-        self._bottom = None
-        self._supports = None
+        self._profile_cache = None
         self._simplicial = None
-        self._heights = None
 
     # ----- construction -------------------------------------------------
 
@@ -199,53 +209,49 @@ class Poset:
     def leq(self, a, b) -> bool:
         return bool(self._leq[self._require(a), self._require(b)])
 
+    def _profile(self) -> _Profile:
+        """The order facts read off ``leq``, computed on first use."""
+        if self._profile_cache is None:
+            leq = self._leq
+            lower, upper = leq.sum(axis=0), leq.sum(axis=1)
+            mins = np.flatnonzero(lower == 1)
+            bottom = int(mins[0]) if mins.size == 1 else -1
+            # with a unique minimum, a lower set of size 2 is it and an atom
+            atoms = np.flatnonzero(lower == 2)
+            supp = leq[atoms]
+            rank = np.count_nonzero(supp, axis=0)
+            for a in (lower, upper, atoms, supp, rank):
+                a.setflags(write=False)
+            self._profile_cache = _Profile(lower, upper, bottom, atoms, supp, rank)
+        return self._profile_cache
+
     def bottom(self) -> Label:
         """The unique minimum element; StructureError if there is none."""
-        if self._bottom is None:
-            strict = self._leq & ~np.eye(len(self.elements), dtype=bool)
-            mins = np.flatnonzero(~strict.any(axis=0))
-            if mins.size != 1:
-                raise StructureError("poset has no unique minimal element")
-            self._bottom = self.elements[mins[0]]
-        return self._bottom
-
-    def _atom_indices(self) -> np.ndarray:
-        """Ascending indices of the atoms: the elements whose lower set is
-        the unique minimum and themselves."""
-        self.bottom()
-        return np.flatnonzero(self._leq.sum(axis=0) == 2)
+        b = self._profile().bottom
+        if b < 0:
+            raise StructureError("poset has no unique minimal element")
+        return self.elements[b]
 
     def atoms(self) -> frozenset:
         """Elements covering the unique minimum."""
-        return frozenset(self.elements[i] for i in self._atom_indices())
+        self.bottom()
+        return frozenset(self.elements[i] for i in self._profile().atoms.tolist())
 
     def lower_set(self, v) -> frozenset:
         j = self._require(v)
         return frozenset(self.elements[i] for i in np.flatnonzero(self._leq[:, j]))
 
     def maximal_elements(self) -> frozenset:
-        strict = self._leq & ~np.eye(len(self.elements), dtype=bool)
-        return frozenset(self.elements[i] for i in np.flatnonzero(~strict.any(axis=1)))
+        return frozenset(self.elements[i] for i in np.flatnonzero(self._profile().upper == 1).tolist())
 
     # ----- atom supports and simpliciality --------------------------------
-
-    def _support_masks(self):
-        """Per-element atom-support bitmasks over the canonical atom order."""
-        if self._supports is None:
-            atom_idx = self._atom_indices().tolist()
-            masks = [0] * len(self.elements)
-            for bit, ai in enumerate(atom_idx):
-                for j in np.flatnonzero(self._leq[ai]):
-                    masks[j] |= 1 << bit
-            self._supports = (tuple(masks), tuple(atom_idx))
-        return self._supports
 
     def atom_support(self, v) -> frozenset:
         """The atoms below v."""
         j = self._require(v)
-        masks, atom_idx = self._support_masks()
-        m = masks[j]
-        return frozenset(self.elements[ai] for bit, ai in enumerate(atom_idx) if m >> bit & 1)
+        self.bottom()
+        prof = self._profile()
+        return frozenset(self.elements[a] for a in prof.atoms[prof.supp[:, j]].tolist())
 
     def is_simplicial(self) -> bool:
         """True iff every lower interval [0,v] is a boolean lattice, checked
@@ -259,19 +265,17 @@ class Poset:
         return self._simplicial
 
     def _compute_simplicial(self) -> bool:
-        leq = self._leq
-        size = leq.sum(axis=0)
-        if np.count_nonzero(size == 1) != 1:
+        leq, prof = self._leq, self._profile()
+        if prof.bottom < 0:
             return False
-        supp = leq[size == 2]  # one row per atom
         # exp2 is exact in float64, where an int64 shift would wrap past rank 63
-        if (size != np.exp2(supp.sum(axis=0))).any():
+        if (prof.lower != np.exp2(prof.rank)).any():
             return False
         # a common upper bound means a common maximal one
-        f = leq[:, leq.sum(axis=1) == 1].astype(np.float32)
+        f = leq[:, prof.upper == 1].astype(np.float32)
         bad = ((f @ f.T) > 0) & ~leq  # a not <= b, common upper bound
         del f
-        s = supp.astype(np.float32)
+        s = prof.supp.astype(np.float32)
         bad &= (s.T @ (1 - s)) == 0  # supp a within supp b
         return not bad.any()
 
@@ -282,8 +286,8 @@ class Poset:
         """
         if not self.is_simplicial():
             raise PreconditionError("is_face_poset requires a simplicial poset")
-        masks, _ = self._support_masks()
-        return len(set(masks)) == len(masks)
+        # distinct support columns; np.unique would load numpy.ma, about 1 MB
+        return len({c.tobytes() for c in self._profile().supp.T}) == len(self.elements)
 
     # ----- bounds and meets ----------------------------------------------
 
@@ -380,17 +384,14 @@ class Poset:
 
     # ----- misc helpers -----------------------------------------------------
 
-    def _height_levels(self):
+    def _height_levels(self) -> list:
         """Length of the longest chain below each element (0 for minimal)."""
-        if self._heights is None:
-            children = _cover_digraph(self)[0]
-            topo = np.argsort(self._leq.sum(axis=0), kind="stable")
-            h = [0] * len(self.elements)
-            for j in topo.tolist():
-                if children[j]:
-                    h[j] = 1 + max(h[i] for i in children[j])
-            self._heights = tuple(h)
-        return self._heights
+        children = _cover_digraph(self)[0]
+        h = [0] * len(self.elements)
+        for j in np.argsort(self._profile().lower, kind="stable").tolist():
+            if children[j]:
+                h[j] = 1 + max(h[i] for i in children[j])
+        return h
 
     # ----- serialization ------------------------------------------------------
 
@@ -567,8 +568,8 @@ def find_isomorphism(p: Poset, q: Poset):
     n = len(p)
     lo, hi = np.concatenate([p._lo, q._lo + n]), np.concatenate([p._hi, q._hi + n])
     seed = (
-        np.concatenate([p._leq.sum(axis=0), q._leq.sum(axis=0)]),
-        np.concatenate([p._leq.sum(axis=1), q._leq.sum(axis=1)]),
+        np.concatenate([p._profile().lower, q._profile().lower]),
+        np.concatenate([p._profile().upper, q._profile().upper]),
         np.bincount(hi, minlength=2 * n),
         np.bincount(lo, minlength=2 * n),
     )

@@ -248,6 +248,18 @@ def test_reduce_requires_face_poset(poset_file, capsys, two_points_two_edges):
     assert run(["reduce", "--poset", path]) == 2
 
 
+def test_input_too_large_for_memory_exits_2(poset_file, capsys, monkeypatch):
+    # A --poset file of 300 000 elements fails this way: from_covers asks
+    # numpy for its 300 000 x 300 000 order matrix.
+    def exhausted(obj):
+        raise MemoryError("Unable to allocate 83.8 GiB for an array")
+
+    monkeypatch.setattr(Poset, "from_json_dict", exhausted)
+    path = poset_file(boolean_lattice(1))
+    assert run(["check", "--poset", path, "--test", "simplicial"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 83.8 GiB for an array\n"
+
+
 def test_random_stdout_json(capsys):
     assert run(["random", "--n", "4", "--p1", "0.5", "--p2", "0.5", "--seed", "3", "--count", "5"]) == 0
     batch = json.loads(capsys.readouterr().out)

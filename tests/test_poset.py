@@ -12,6 +12,7 @@ import simposets.poset as poset_module
 from simposets import (
     ElementNotFoundError,
     FormatError,
+    GluingRelation,
     MeetUndefinedError,
     Poset,
     PreconditionError,
@@ -30,11 +31,13 @@ from simposets import (
     reconstruct_theta_pair,
     separation,
     theta_glue,
+    validate_gluing,
 )
 from simposets.labels import Label
 
 from conftest import random_complex
 from oracles import (
+    brute_atoms,
     brute_covers,
     brute_is_face_poset,
     brute_is_simplicial,
@@ -282,10 +285,23 @@ def test_maximal_and_minimal():
     assert b.bottom() == BOT
 
 
-def test_bottom_requires_unique_minimum():
-    p = Poset.from_covers([L("a"), L("b"), L("c")], [(L("a"), L("c")), (L("b"), L("c"))])
+# Readers that need the unique minimum.  On the poset below, c has a
+# two-element lower set, so a reader that skipped the check would take it
+# for an atom and answer without complaint.
+NEEDS_BOTTOM = {
+    "bottom": lambda p: p.bottom(),
+    "atoms": lambda p: p.atoms(),
+    "atom_support": lambda p: p.atom_support(L("c")),
+    "validate_gluing": lambda p: validate_gluing(GluingRelation(base=p, classes=[[v] for v in p.elements])),
+}
+
+
+@pytest.mark.parametrize("reader", NEEDS_BOTTOM)
+def test_bottom_requires_unique_minimum(reader):
+    a, b, c, d = L("a"), L("b"), L("c"), L("d")
+    p = Poset.from_covers([a, b, c, d], [(a, c), (a, d), (b, d)])
     with pytest.raises(StructureError, match="unique minimal"):
-        p.bottom()
+        NEEDS_BOTTOM[reader](p)
 
 
 def test_missing_element_lookups():
@@ -873,7 +889,7 @@ def test_roundtrip_sized_isomorphisms_are_fast():
     assert time.perf_counter() - start < 1.0
 
 
-# ----- support masks vs. brute force -----------------------------------------
+# ----- order profile readers vs. brute force ----------------------------------
 
 
 @settings(max_examples=40, deadline=None)
@@ -883,6 +899,31 @@ def test_atom_support_matches_lower_set(c):
     atoms = p.atoms()
     for v in p.elements:
         assert p.atom_support(v) == (p.lower_set(v) & atoms)
+
+
+def test_readers_match_oracles_on_random_quotients():
+    """Atoms, maxima, atom supports and the face-poset test on random-model
+    samples and on their pair-merging quotients that stay partial orders.
+    Unlike face posets of complexes, these repeat atom supports, in
+    simplicial and non-simplicial posets alike."""
+    seen = set()
+    for seed in range(120):
+        p, classes = random_pair_merge(seed)
+        try:
+            posets = [p, p.quotient(classes)]
+        except StructureError:
+            posets = [p]
+        for q in posets:
+            assert q.maximal_elements() == {v for v in q.elements if upper_set(q, v) == {v}}
+            atoms = brute_atoms(q)
+            assert q.atoms() == atoms
+            supports = [q.atom_support(v) for v in q.elements]
+            assert supports == [q.lower_set(v) & atoms for v in q.elements]
+            simplicial = q.is_simplicial()
+            if simplicial:
+                assert q.is_face_poset() == brute_is_face_poset(q)
+            seen.add((simplicial, len(set(supports)) < len(supports)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_powerset_oracle_sanity():
