@@ -13,14 +13,20 @@ minimal monomial generating set.  For the complex itself,
 ``stanley_reisner_ideal`` lists the minimal non-faces directly, which gives
 an independent route to the same ideal.
 
-Every generator is squarefree with coefficients +1 and -1, so it is kept
-as a record of ``(sorted variable indices, sign)`` terms in graded order
-(degree descending, then lexicographic) and rendered straight from it.
+Every generator is squarefree with coefficients +1 and -1, with its terms
+in graded order (degree descending, then lexicographic).  The generators
+are stored as index arrays: the two variables of every pair's product, and
+the further terms of the pairs with a common upper bound as one
+compressed-row table.  Lines are rendered straight from those arrays; a
+record of ``(sorted variable indices, sign)`` terms is built only when a
+generator is read.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -44,11 +50,19 @@ class Monomial:
             items = exponents.items()
         else:
             items = exponents
-        norm = tuple(sorted((int(i), int(e)) for i, e in items if e))
-        for i, e in norm:
+        pairs = []
+        for i, e in items:
+            try:
+                pairs.append((operator.index(i), operator.index(e)))
+            except TypeError:
+                raise ValueError(f"non-integral exponent entry: ({i!r}, {e!r})") from None
+        pairs.sort()
+        for k, (i, e) in enumerate(pairs):
             if i < 0 or e < 0:
                 raise ValueError(f"bad exponent entry: ({i}, {e})")
-        self.exponents = norm
+            if k and pairs[k - 1][0] == i:
+                raise ValueError(f"variable {i} repeated")
+        self.exponents = tuple((i, e) for i, e in pairs if e)
 
     @property
     def degree(self) -> int:
@@ -85,31 +99,86 @@ def render_monomial(m: Monomial, variable_names) -> str:
     return "*".join(parts)
 
 
+class _Generators(Sequence):
+    """The generators of a Stanley presentation, as read-only index arrays.
+
+    Generator ``k`` starts with the product of variables ``a[k] < b[k]``.
+    Only the generators at positions ``rows`` (ascending) have more terms:
+    the ``r``-th of them is terms ``offsets[r]:offsets[r + 1]`` of ``lo``,
+    ``hi`` and ``sign``, product included, in graded order, with ``hi`` -1
+    for a term of degree 1.  Reading a generator builds its record
+    ``((variable indices, +1 or -1), ...)``; the sequence compares equal to,
+    and hashes like, the tuple of its records.
+    """
+
+    __slots__ = ("a", "b", "rows", "offsets", "lo", "hi", "sign")
+
+    def __init__(self, a, b, rows, offsets, lo, hi, sign):
+        for name, arr in zip(self.__slots__, (a, b, rows, offsets, lo, hi, sign)):
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+
+    def __len__(self):
+        return self.a.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        k = range(len(self))[k]
+        return self._records(k, k + 1)[0]
+
+    def __iter__(self):
+        return iter(self._records(0, len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Generators)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def _records(self, start, stop):
+        """The records of generators ``start`` to ``stop - 1``, as a list."""
+        gens = list(zip(zip(zip(self.a[start:stop].tolist(), self.b[start:stop].tolist()), repeat(1))))
+        first, last = np.searchsorted(self.rows, [start, stop]).tolist()
+        bounds = self.offsets[first : last + 1].tolist()
+        at, end = bounds[0], bounds[-1]
+        terms = [
+            ((lo, hi) if hi >= 0 else (lo,), sign)
+            for lo, hi, sign in zip(self.lo[at:end].tolist(), self.hi[at:end].tolist(), self.sign[at:end].tolist())
+        ]
+        for r, s, e in zip(self.rows[first:last].tolist(), bounds, bounds[1:]):
+            gens[r - start] = tuple(terms[s - at : e - at])
+        return gens
+
+
 @dataclass(frozen=True)
 class IdealPresentation:
     """Generators of the defining ideal, over one variable per element."""
 
     poset: Poset
     variables: tuple  # non-bottom element labels, canonical order
-    generators: tuple  # per generator: ((variable indices, +1 or -1), ...)
+    generators: _Generators  # per generator: ((variable indices, +1 or -1), ...)
 
     def render_lines(self):
+        g = self.generators
         names = [f"x[{v}]" for v in self.variables]
-        lines = []
-        for terms in self.generators:
-            if len(terms) == 1:
-                indices, sign = terms[0]
-                if sign > 0 and len(indices) == 2:  # a plain product
-                    lines.append(names[indices[0]] + "*" + names[indices[1]])
-                    continue
-            pieces = []
-            for indices, sign in terms:
-                body = "*".join([names[i] for i in indices])
-                if not pieces:
-                    pieces.append(body if sign > 0 else "-" + body)
-                else:
-                    pieces.append((" + " if sign > 0 else " - ") + body)
-            lines.append("".join(pieces))
+        heads = [f"{name}*" for name in names]
+        lines = [heads[x] + names[y] for x, y in zip(g.a.tolist(), g.b.tolist())]
+        # a term is its sign, then its variables: the sign is "-" or nothing
+        # on the first term of a line, " - " or " + " after it
+        signed = [[sign + name for name in names] for sign in (" + ", " - ", "", "-")]
+        tails = [f"*{name}" for name in names] + [""]  # hi = -1 picks ""
+        kind = (g.sign < 0).astype(np.intp)
+        kind[g.offsets[:-1]] += 2
+        pieces = [signed[k][lo] + tails[hi] for k, lo, hi in zip(kind.tolist(), g.lo.tolist(), g.hi.tolist())]
+        bounds = g.offsets.tolist()
+        for r, s, e in zip(g.rows.tolist(), bounds, bounds[1:]):
+            lines[r] = "".join(pieces[s:e])
         return lines
 
 
@@ -174,9 +243,12 @@ def stanley_poset_ideal(p: Poset) -> IdealPresentation:
     """One generator per unordered incomparable pair of non-bottom elements.
 
     The pairs, meets and minimal common upper bounds come from
-    ``_pair_blocks``, so no per-pair query runs.  Every pair starts as its
-    plain product; the records of the pairs with a common upper bound are
-    then rebuilt a block at a time, in an order from one ``np.lexsort``.
+    ``_pair_blocks``, so no per-pair query runs, and every block is
+    consumed here, so a failed meet check raises from this call.  Every
+    pair starts as its plain product; the terms of the pairs with a common
+    upper bound are laid out a block at a time, in an order from one
+    ``np.lexsort``, as the compressed rows of the returned generators.  No
+    generator record is built.
     """
     if not p.is_simplicial():
         raise PreconditionError("stanley_poset_ideal requires a simplicial poset")
@@ -188,33 +260,25 @@ def stanley_poset_ideal(p: Poset) -> IdealPresentation:
     var_of = np.arange(n) - (np.arange(n) > b)
     var_of[b] = -1
     pi, pj, blocks = _pair_blocks(p)
-    gens = list(zip(zip(zip(var_of[pi].tolist(), var_of[pj].tolist()), repeat(1))))
-    for rows, i, j, meet, owner, ub in blocks:
-        ubs, meets = var_of[ub], var_of[meet]
-        counts = np.bincount(owner, minlength=rows.size)
-        # a bottom meet reads as 1: the product, then -z for each bound z
-        at_bot = meets < 0
-        on_bot = at_bot[owner]
-        singles = list(zip(zip(ubs[on_bot].tolist()), repeat(-1)))
-        at = 0
-        for r, end in zip(rows[at_bot].tolist(), np.cumsum(counts[at_bot]).tolist()):
-            gens[r] = (gens[r][0], *singles[at:end])
-            at = end
-        # otherwise the product and each -meet*z: all of degree 2, with
-        # distinct index pairs, so in lexicographic order
-        own = np.flatnonzero(~at_bot)
-        m, z = meets[owner[~on_bot]], ubs[~on_bot]
-        key = np.concatenate([owner[~on_bot], own])
-        lo = np.concatenate([np.minimum(m, z), var_of[i[own]]])
-        hi = np.concatenate([np.maximum(m, z), var_of[j[own]]])
-        sign = np.repeat([-1, 1], [m.size, own.size])
-        order = np.lexsort((hi, lo, key))
-        terms = list(zip(zip(lo[order].tolist(), hi[order].tolist()), sign[order].tolist()))
-        at = 0
-        for r, end in zip(rows[own].tolist(), np.cumsum(counts[own] + 1).tolist()):
-            gens[r] = tuple(terms[at:end])
-            at = end
-    return IdealPresentation(poset=p, variables=variables, generators=tuple(gens))
+    empty = np.zeros(0, dtype=var_of.dtype)
+    parts = [(empty,) * 5]
+    for block, i, j, meet, owner, ub in blocks:
+        # the product, then -meet*z for each bound z, or -z when the meet is
+        # the bottom, which reads as 1
+        m, z = var_of[meet][owner], var_of[ub]
+        at_bot = m < 0
+        key = np.concatenate([np.arange(block.size), owner])
+        lo = np.concatenate([var_of[i], np.where(at_bot, z, np.minimum(m, z))])
+        hi = np.concatenate([var_of[j], np.where(at_bot, -1, np.maximum(m, z))])
+        sign = np.repeat([1, -1], [block.size, owner.size])
+        # graded order: degree descending, then lexicographic
+        order = np.lexsort((hi, lo, hi < 0, key))
+        counts = np.bincount(owner, minlength=block.size) + 1
+        parts.append((block, counts, lo[order], hi[order], sign[order]))
+    rows, counts, lo, hi, sign = (np.concatenate(column) for column in zip(*parts))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    generators = _Generators(var_of[pi], var_of[pj], rows, offsets, lo, hi, sign)
+    return IdealPresentation(poset=p, variables=variables, generators=generators)
 
 
 def _raise_no_meet(p: Poset, i, j):

@@ -4,7 +4,7 @@ Everything here is written for clarity over speed and avoids the code
 paths under test: faces by powerset expansion, cliques by subset
 enumeration, simpliciality by explicit powerset comparison, covers by a
 pair loop over leq, quotients by an explicit pair loop and Warshall's
-closure.
+closure, Stanley generators from the lower and upper sets of each pair.
 """
 
 from itertools import chain, combinations
@@ -60,6 +60,36 @@ def brute_incomparable_pairs(poset):
 def upper_set(poset, v):
     """The elements above v, read off leq."""
     return frozenset(w for w in poset.elements if poset.leq(v, w))
+
+
+def brute_generators(poset):
+    """The Stanley generator records of a simplicial poset, pair by pair.
+
+    A record is ``((variable indices, sign), ...)`` in graded order, over
+    the non-bottom elements in canonical order.  The meet of a pair is the
+    common lower bound whose lower set is all the common lower bounds, and
+    its minimal upper bounds are the common upper bounds with no other
+    common upper bound below them, both read off the lower and upper sets.
+    """
+    bot = poset.bottom()
+    index = {e: i for i, e in enumerate(e for e in poset.elements if e != bot)}
+    lower = {v: poset.lower_set(v) for v in poset.elements}
+    upper = {v: upper_set(poset, v) for v in poset.elements}
+    gens = []
+    for s, t in brute_incomparable_pairs(poset):
+        product = ((index[s], index[t]), 1)
+        common_upper = upper[s] & upper[t]
+        ubs = [z for z in common_upper if lower[z] & common_upper == {z}]
+        if not ubs:
+            gens.append((product,))
+            continue
+        common_lower = lower[s] & lower[t]
+        (m,) = [m for m in common_lower if lower[m] == common_lower]
+        meet_part = () if m == bot else (index[m],)
+        terms = [product] + [(tuple(sorted((*meet_part, index[z]))), -1) for z in ubs]
+        terms.sort(key=lambda term: (-len(term[0]), term[0]))
+        gens.append(tuple(terms))
+    return tuple(gens)
 
 
 def minimal_elements(poset):

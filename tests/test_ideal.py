@@ -32,7 +32,7 @@ from simposets.labels import Label
 from simposets.poset import Poset
 
 from conftest import random_complex
-from oracles import brute_incomparable_pairs, brute_minimal_nonfaces
+from oracles import brute_generators, brute_incomparable_pairs, brute_minimal_nonfaces
 from test_gluing import glue_two_b4, random_delta_inputs
 from test_poset import random_pair_merge
 
@@ -63,6 +63,25 @@ def test_monomial_drops_zero_exponents():
     assert Monomial({0: 0, 1: 2}) == Monomial({1: 2})
     with pytest.raises(ValueError):
         Monomial({-1: 1})
+
+
+def test_monomial_rejects_a_repeated_variable():
+    with pytest.raises(ValueError, match="repeated"):
+        Monomial([(0, 1), (0, 1)])
+    with pytest.raises(ValueError, match="repeated"):
+        Monomial([(1, 2), (0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize("exponents", [{0: 1.5}, {0: 2.0}, {1.0: 1}, [("0", 1)]])
+def test_monomial_rejects_non_integral_entries(exponents):
+    with pytest.raises(ValueError, match="non-integral"):
+        Monomial(exponents)
+
+
+def test_monomial_accepts_numpy_integers():
+    m = Monomial({np.int64(2): np.int8(1), np.intp(0): np.int32(2)})
+    assert m == Monomial({0: 2, 2: 1})
+    assert all(type(i) is int and type(e) is int for i, e in m.exponents)
 
 
 # ----- stanley poset ideal ----------------------------------------------------
@@ -130,26 +149,6 @@ def test_generators_use_declared_variables(c):
 # ----- the blockwise kernel against per-pair queries -----------------------------
 
 
-def reference_generators(p):
-    """The generator records built pair by pair from ``minimal_upper_bounds``
-    and ``meet``, the queries the kernel replaces."""
-    bot = p.bottom()
-    index = {e: i for i, e in enumerate(e for e in p.elements if e != bot)}
-    gens = []
-    for s, t in brute_incomparable_pairs(p):
-        product = ((index[s], index[t]), 1)
-        ubs = p.minimal_upper_bounds(s, t)
-        if not ubs:
-            gens.append((product,))
-            continue
-        m = p.meet(s, t)
-        meet_part = () if m == bot else (index[m],)
-        terms = [product] + [(tuple(sorted((*meet_part, index[z]))), -1) for z in ubs]
-        terms.sort(key=lambda term: (-len(term[0]), term[0]))
-        gens.append(tuple(terms))
-    return tuple(gens)
-
-
 def relabeled(p, rng):
     """The same order under fresh labels in shuffled canonical order, so the
     bottom is usually not the first element."""
@@ -168,7 +167,7 @@ def test_kernel_matches_per_pair_reference():
     for n, prob, seed in KERNEL_GRID:
         sample = rand_simplicial_poset(RandomModelParams(n=n, p1=prob, p2=prob, seed=seed))
         for p in (sample, relabeled(sample, rng)):
-            want = reference_generators(p)
+            want = brute_generators(p)
             assert stanley_poset_ideal(p).generators == want
         several_upper_bounds += sum(1 for terms in want if len(terms) > 2)
     assert several_upper_bounds > 100
@@ -203,7 +202,7 @@ def kernel_corpus():
 def test_kernel_matches_per_pair_reference_beyond_theta_samples():
     kinds = Counter()
     for p in kernel_corpus():
-        want = reference_generators(p)
+        want = brute_generators(p)
         assert stanley_poset_ideal(p).generators == want
         kinds["posets"] += 1
         for terms in want:
@@ -215,6 +214,55 @@ def test_kernel_matches_per_pair_reference_beyond_theta_samples():
     assert kinds["meet above the bottom", "one bound"] > 1000
     assert kinds["meet above the bottom", "several bounds"] >= 10
     assert kinds["bottom meet", "several bounds"] >= 10
+
+
+def test_generators_read_like_the_tuple_of_records():
+    p = rand_simplicial_poset(RandomModelParams(n=8, p1=0.8, p2=0.8, seed=1))
+    pres = stanley_poset_ideal(p)
+    gens, want = pres.generators, brute_generators(p)
+    assert any(len(terms) > 2 for terms in want) and any(len(terms[-1][0]) == 1 for terms in want)
+    n = len(want)
+    assert len(gens) == n
+    assert [gens[k] for k in range(n)] == list(want)
+    assert [gens[k - n] for k in range(n)] == list(want)
+    assert gens[np.intp(3)] == want[3]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            gens[bad]
+    for cut in (slice(None), slice(5, 40), slice(-30, None, 3), slice(None, None, -2), slice(9, 2)):
+        assert gens[cut] == want[cut]
+    assert tuple(gens) == want and list(iter(gens)) == list(want)
+    assert gens == want and want == gens
+    assert gens != want[:-1] and want[:-1] != gens
+    assert hash(gens) == hash(want)
+    again = stanley_poset_ideal(p)
+    assert again == pres and again.generators == gens and hash(again) == hash(pres)
+    assert repr(gens) == repr(want)
+
+
+def test_generator_count_builds_no_record(monkeypatch):
+    p = rand_simplicial_poset(RandomModelParams(n=8, p1=0.8, p2=0.8, seed=1))
+
+    def fail(*args):
+        raise AssertionError("a generator record was built")
+
+    monkeypatch.setattr(ideal_module._Generators, "_records", fail)
+    pres = stanley_poset_ideal(p)
+    assert len(pres.generators) == len(brute_incomparable_pairs(p))
+    assert len(pres.render_lines()) == len(pres.generators)
+    with pytest.raises(AssertionError, match="record was built"):
+        pres.generators[0]
+
+
+def test_generators_are_read_only():
+    pres = stanley_poset_ideal(boolean_lattice(3))
+    gens = pres.generators
+    with pytest.raises(ValueError):
+        gens.lo[0] = 1
+    with pytest.raises(TypeError):
+        gens[0] = ()
+    with pytest.raises(AttributeError):
+        gens.extra = 1
 
 
 def test_kernel_blocks_do_not_change_the_generators(monkeypatch):
@@ -254,6 +302,24 @@ def test_kernel_raises_like_meet_on_a_forced_nonsimplicial_poset():
         stanley_poset_ideal(p)
     assert str(from_kernel.value) == str(from_meet.value)
     assert str(from_kernel.value) == "x and y have 2 maximal common lower bounds; poset is not simplicial"
+
+
+def test_kernel_raises_from_the_call_in_a_later_block(monkeypatch):
+    # the poset above with four more atoms below t: x and y are the last of
+    # 24 pairs with a common upper bound, so with blocks of 7 the failed
+    # meet check is in the fourth block
+    elems = [BOT] + [L(v) for v in "abxyt"] + [L(f"c{k}") for k in range(4)]
+    covers = [(BOT, L("a")), (BOT, L("b"))]
+    covers += [(L(lo), L(hi)) for lo in "ab" for hi in "xy"]
+    covers += [(L("x"), L("t")), (L("y"), L("t"))]
+    covers += [(BOT, L(f"c{k}")) for k in range(4)] + [(L(f"c{k}"), L("t")) for k in range(4)]
+    p = Poset.from_covers(elems, covers)
+    p._simplicial = True
+    monkeypatch.setattr(ideal_module, "_PAIR_BLOCK", 7)
+    pi, pj, blocks = ideal_module._pair_blocks(p)
+    assert pi.size == 24 and (p.elements[pi[-1]], p.elements[pj[-1]]) == (L("x"), L("y"))
+    with pytest.raises(InvariantError, match="x and y have 2 maximal common lower bounds"):
+        stanley_poset_ideal(p)
 
 
 def brute_minimal(expanded):
