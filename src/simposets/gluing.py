@@ -128,7 +128,7 @@ def _disjoint_union(blocks):
         labels += copies
         origin.update((c, p.elements[i]) for i, c in zip(members, copies))
         m = len(members)
-        leq[offset : offset + m, offset : offset + m] = p._leq[np.ix_(members, members)]
+        leq[offset : offset + m, offset : offset + m] = p._leq.take(members, 0).take(members, 1)
         # Members are closed downward, so a cover into a member starts at
         # another member or at the bottom, which stays at 0.
         at = np.zeros(len(p.elements), dtype=np.intp)

@@ -88,6 +88,12 @@ class Label:
         for m in members:
             if not isinstance(m, Label):
                 raise FormatError("class label members must be Labels")
+        return cls._class(members)
+
+    @classmethod
+    def _class(cls, members: tuple) -> "Label":
+        """Class label from a nonempty sorted tuple of distinct Labels; the
+        caller vouches for all three."""
         key = (CLASS, tuple(m.key for m in members))
         return cls(CLASS, members, key, "{" + ",".join(str(m) for m in members) + "}")
 

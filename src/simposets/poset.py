@@ -8,10 +8,14 @@ same order, so order queries are O(1) and every listing derived from a
 poset is deterministic.  Labels are looked up only on input and built only
 for output: the ``covers`` pair set, JSON and DOT.
 
-Every constructor that derives an order from pairs (``from_covers``,
-``quotient``, ``restrict``) goes through one kernel, ``_order``: it squares
-a strict relation until the pairs with an element between them lie inside
-it.  That last product gives the closure, the cycle check and the covers.
+``from_covers`` and ``quotient`` derive their order from generating pairs
+through one kernel, ``_dag``: Kahn levels from the top, then one pass over
+packed ``uint64`` rows, level by level, gives every element's upper set and
+the elements strictly above its upper covers (Simon 1988; Aho, Garey &
+Ullman 1972).  An element Kahn never reaches means a cycle, and a pair is
+redundant when its upper end lies strictly above another upper end of its
+lower end.  ``restrict`` starts from a closed matrix, so one product gives
+its covers.
 
 The facts the checks share are read off ``leq`` once per poset, on first
 use, into a private profile (``Poset._profile``): ``lower`` and ``upper``,
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import islice
 
 import numpy as np
 
@@ -49,22 +54,62 @@ BOOLEAN_LATTICE_MAX = 20
 ISOMORPHISM_MAX = 500
 
 
-def _order(strict: np.ndarray):
-    """Close a strict relation under transitivity by repeated squaring.
+def _ranges(start, stop) -> np.ndarray:
+    """The ranges ``[start[i], stop[i])``, at least one, laid end to end."""
+    size = stop - start
+    end = np.cumsum(size)
+    return np.arange(end[-1]) + np.repeat(start - end + size, size)
 
-    Returns ``(less, through)``, where ``less`` is the transitive closure
-    and ``through`` marks the pairs with an element strictly between them,
-    or None when the relation has a cycle (a diagonal entry of ``less``).
-    The order is then ``less | I`` and its covers are ``less & ~through``.
+
+def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
+    """The order on ``range(n)`` generated by the index pairs
+    ``lo[k] < hi[k]``, which must contain no self-pair.
+
+    Returns None when the pairs have a cycle.  Otherwise returns
+    ``(leq, lo, hi, redundant)``: the reflexive order matrix, the distinct
+    pairs sorted by ``(lo, hi)``, and a mask of those pairs with an element
+    strictly between their ends; the others are the covers.
+
+    Kahn's algorithm peels levels off the top: first the elements with no
+    pair above them, then those all of whose pairs lead into earlier
+    levels.  Level by level, with ``up[a]`` the bit row of the upper set of
+    ``a``, ``up[a] = {a} | OR up[b]`` and ``above[a] = OR (up[b] - {b})``
+    over the pairs ``(a, b)``, one ``bitwise_or.reduceat`` each; the pair
+    is redundant iff ``b`` is in ``above[a]``.
     """
-    less = strict
-    while True:
-        f = less.astype(np.float32)
-        through = (f @ f) > 0
-        del f
-        if not (through > less).any():  # through lies inside less
-            return None if less.diagonal().any() else (less, through)
-        less = less | through
+    key = np.sort(lo * n + hi)  # a sort and a neighbour test: np.unique loads numpy.ma
+    distinct = np.ones(key.size, dtype=bool)
+    distinct[1:] = key[1:] != key[:-1]
+    lo, hi = np.divmod(key[distinct], n)
+    at = np.arange(n + 1)
+    out = np.searchsorted(lo, at)  # pairs (a, .) are out[a]:out[a + 1]
+    by_hi = np.argsort(hi, kind="stable")
+    into = np.searchsorted(hi[by_hi], at)  # pairs (., b) are by_hi[into[b]:into[b + 1]]
+    waiting = np.diff(out)
+    element = at[:-1]
+    bit = np.left_shift(np.uint64(1), (element & 63).astype(np.uint64))
+    up = np.zeros((n, (n + 63) >> 6), dtype=np.uint64)
+    up[element, element >> 6] = bit
+    above = np.zeros_like(up)
+    level = np.flatnonzero(waiting == 0)
+    while level.size:
+        size = out[level + 1] - out[level]
+        if size.all():  # every level but the first
+            b = hi[_ranges(out[level], out[level + 1])]
+            start = np.cumsum(size) - size
+            rows = up[b]
+            up[level] |= np.bitwise_or.reduceat(rows, start, axis=0)
+            rows[np.arange(b.size), b >> 6] &= ~bit[b]
+            above[level] = np.bitwise_or.reduceat(rows, start, axis=0)
+        waiting[level] = -1  # done, so never a level again
+        waiting -= np.bincount(lo[by_hi[_ranges(into[level], into[level + 1])]], minlength=n)
+        level = np.flatnonzero(waiting == 0)
+    if (waiting >= 0).any():  # never reached: on or below a cycle
+        return None
+    redundant = (above[lo, hi >> 6] & bit[hi]) != 0
+    # little-endian words, so bit j of a row is byte j // 8, bit j % 8
+    leq = np.unpackbits(up.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
+    return leq.view(bool), lo, hi, redundant
 
 
 def _loads(text: str):
@@ -78,8 +123,9 @@ def _loads(text: str):
 
 def _has_cycle(leq: np.ndarray) -> bool:
     """True when two distinct elements are each below the other, i.e. the
-    relation is not antisymmetric."""
-    return bool((leq & leq.T & ~np.eye(leq.shape[0], dtype=bool)).any())
+    reflexive relation ``leq`` is not antisymmetric: then ``leq & leq.T``
+    holds more than the diagonal."""
+    return np.count_nonzero(leq & leq.T) != leq.shape[0]
 
 
 def _label_index(elements) -> dict:
@@ -113,21 +159,24 @@ class Poset:
     @classmethod
     def _trusted(cls, elements, leq, lo, hi, *, antisymmetric=False):
         """Build from an order matrix and the index arrays ``(lo, hi)`` of
-        its cover pairs, all of which the caller derived combinatorially or
-        through ``_order``.
+        its cover pairs, all of which the caller derived combinatorially,
+        through ``_dag``, or from a closed matrix.
 
-        Elements are re-sorted into canonical label order and the covers
-        into the order of ``(lo, hi)`` in it.  Reflexivity is always
-        asserted, and antisymmetry unless the caller has checked it
-        (``antisymmetric=True``); full closure verification is left to
-        from_covers and to the test suite.
+        Elements are re-sorted into canonical label order, one gather of
+        rows and one of columns, and the covers into the order of
+        ``(lo, hi)`` in it.  Reflexivity is always asserted, and
+        antisymmetry unless the caller has it from the cycle check of
+        ``_dag`` (``antisymmetric=True``): given reflexivity, ``leq`` is
+        antisymmetric iff ``leq & leq.T`` holds the diagonal alone.
+        Closure is not verified here; the test suite checks it against
+        Warshall's algorithm.
         """
         elements = list(elements)
         order = sorted(range(len(elements)), key=lambda i: elements[i].key)
         labels = tuple(elements[i] for i in order)
         index = _label_index(labels)
-        perm = np.asarray(order)
-        leq = np.asarray(leq, dtype=bool)[np.ix_(perm, perm)]
+        perm = np.asarray(order, dtype=np.intp)
+        leq = np.asarray(leq, dtype=bool).take(perm, 0).take(perm, 1)
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
         if not antisymmetric and _has_cycle(leq):
@@ -149,25 +198,22 @@ class Poset:
         """
         elements = list(elements)
         index = _label_index(elements)
-        n = len(elements)
-        adj = np.zeros((n, n), dtype=bool)
+        pairs = []
         for lo, hi in covers:
             if lo not in index:
                 raise ElementNotFoundError(f"unknown element in covers: {lo}")
             if hi not in index:
                 raise ElementNotFoundError(f"unknown element in covers: {hi}")
-            adj[index[lo], index[hi]] = True
-        self_pair = adj.diagonal().any()
-        np.fill_diagonal(adj, False)
-        order = _order(adj)
+            pairs += (index[lo], index[hi])
+        lo, hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        self_pair = lo == hi
+        order = _dag(len(elements), lo[~self_pair], hi[~self_pair])
         if order is None:
             raise StructureError("covers contain a cycle")
-        less, through = order
-        if self_pair or (adj & through).any():
+        leq, lo, hi, redundant = order
+        if self_pair.any() or redundant.any():
             raise StructureError("covers must be transitively reduced cover pairs")
-        lo, hi = np.nonzero(adj)  # before the diagonal: less may be adj itself
-        np.fill_diagonal(less, True)
-        return cls._trusted(elements, less, lo, hi, antisymmetric=True)
+        return cls._trusted(elements, leq, lo, hi, antisymmetric=True)
 
     # ----- basic queries ------------------------------------------------
 
@@ -339,18 +385,16 @@ class Poset:
         partition the elements or the closure is not antisymmetric."""
         blocks = [frozenset(c) for c in classes]
         cls = self._class_array(blocks)
-        labels = [Label.class_of(c) for c in blocks]
-        lo, hi = np.nonzero(self._leq)
-        rel = np.zeros((len(blocks), len(blocks)), dtype=bool)
-        rel[cls[lo], cls[hi]] = True
-        np.fill_diagonal(rel, False)
-        order = _order(rel)
+        # members in index order, which is canonical label order
+        members = iter([self.elements[i] for i in np.argsort(cls, kind="stable").tolist()])
+        labels = [Label._class(tuple(islice(members, len(c)))) for c in blocks]
+        lo, hi = cls[self._lo], cls[self._hi]
+        apart = lo != hi
+        order = _dag(len(blocks), lo[apart], hi[apart])
         if order is None:
             raise StructureError("quotient is not a partial order")
-        less, through = order
-        lo, hi = np.nonzero(less & ~through)
-        np.fill_diagonal(less, True)
-        return Poset._trusted(labels, less, lo, hi, antisymmetric=True)
+        leq, lo, hi, redundant = order
+        return Poset._trusted(labels, leq, lo[~redundant], hi[~redundant], antisymmetric=True)
 
     def _class_array(self, blocks) -> np.ndarray:
         """Position of each element's block; StructureError unless the
@@ -374,13 +418,12 @@ class Poset:
     def restrict(self, subset) -> "Poset":
         """Induced subposet on the given elements (covers recomputed)."""
         idx = sorted(self._require(v) for v in set(subset))
-        sub = self._leq[np.ix_(idx, idx)]
-        order = _order(sub & ~np.eye(len(idx), dtype=bool))
-        if order is None:
-            raise InvariantError("reachability matrix is not antisymmetric")
-        less, through = order
-        lo, hi = np.nonzero(less & ~through)
-        return Poset._trusted([self.elements[i] for i in idx], sub, lo, hi, antisymmetric=True)
+        sub = self._leq.take(idx, 0).take(idx, 1)
+        strict = sub.astype(np.float32)
+        np.fill_diagonal(strict, 0)
+        # sub is closed, so a pair with an element between is one product away
+        lo, hi = np.nonzero((strict > 0) & ((strict @ strict) == 0))
+        return Poset._trusted([self.elements[i] for i in idx], sub, lo, hi)
 
     # ----- misc helpers -----------------------------------------------------
 
@@ -589,7 +632,7 @@ def find_isomorphism(p: Poset, q: Poset):
         q_of[colors[n:]] = np.arange(n)
         mate = q_of[colors[:n]]  # the map, on the elements of singleton classes
         if k == n:
-            if np.array_equal(q._leq[np.ix_(mate, mate)], p._leq):
+            if np.array_equal(q._leq.take(mate, 0).take(mate, 1), p._leq):
                 return {p.elements[i]: q.elements[j] for i, j in enumerate(mate.tolist())}
             continue
         if adj is None:

@@ -121,12 +121,12 @@ BUILDS = {
 
 def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
     """Each order matrix a constructor builds is checked for antisymmetry
-    once: on the diagonal of the closure inside ``_order``, or through
-    ``_has_cycle``."""
+    once: by the Kahn levels of ``_dag``, which reach every element only
+    when the pairs have no cycle, or through ``_has_cycle``."""
     calls, built = [], []
-    for name in ("_has_cycle", "_order"):
+    for name in ("_has_cycle", "_dag"):
         real = getattr(poset_module, name)
-        monkeypatch.setattr(poset_module, name, lambda m, real=real: calls.append(1) or real(m))
+        monkeypatch.setattr(poset_module, name, lambda *a, real=real: calls.append(1) or real(*a))
     trusted = Poset._trusted
     monkeypatch.setattr(Poset, "_trusted", classmethod(lambda cls, *a, **k: built.append(1) or trusted(*a, **k)))
     for name, (expected, build) in BUILDS.items():
@@ -215,6 +215,67 @@ def test_from_covers_and_restrict_match_warshall(case, rng):
     assert all(r.leq(labels[i], labels[j]) == closure[i][j] for i in idx for j in idx)
     assert r.covers == {(labels[idx[a]], labels[idx[b]]) for a, b in warshall_covers(sub)}
     assert r.covers == brute_covers(r)
+
+
+def wide_relation(n, rng):
+    """Labels in a random canonical order, and acyclic pairs on range(n)
+    that cross 64-bit words: a chain through a third of the elements,
+    random pairs forward in a hidden topological order, and five elements
+    left isolated.  Returns (labels, pairs, chain)."""
+    labels = [L(f"v{k}") for k in rng.sample(range(n), n)]
+    order = rng.sample(range(n), n)
+    live = order[5:]
+    chain = live[: n // 3]
+    pairs = list(zip(chain, chain[1:]))
+    for _ in range(2 * n):
+        i, j = sorted(rng.sample(range(len(live)), 2))
+        pairs.append((live[i], live[j]))
+    return labels, pairs, chain
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_from_covers_matches_warshall_past_one_word(n):
+    """Orders wider than one 64-bit word against Warshall's closure: the
+    covers with repeated pairs are accepted, with the closure and covers of
+    Warshall's algorithm; the generating pairs, redundant, are rejected; and
+    one pair back along the middle of the chain makes a cycle, with acyclic
+    elements above and below it."""
+    rng = random.Random(n)
+    labels, pairs, chain = wide_relation(n, rng)
+    closure = warshall(n, pairs)
+    covers = sorted(warshall_covers(closure))
+    given = covers + rng.sample(covers, 10)
+    rng.shuffle(given)
+    p = Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in given])
+    assert all(p.leq(labels[i], labels[j]) == closure[i][j] for i in range(n) for j in range(n))
+    assert p.covers == {(labels[i], labels[j]) for i, j in covers}
+    assert sum(sum(closure[i]) == 1 == sum(row[i] for row in closure) for i in range(n)) >= 5  # isolated
+    assert set(pairs) != set(covers)
+    with pytest.raises(StructureError, match="^covers must be transitively reduced cover pairs$"):
+        Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in pairs])
+    mid = len(chain) // 2
+    back = covers + [(chain[mid + 2], chain[mid])]
+    cyclic = warshall(n, back)
+    assert cyclic[chain[mid]][chain[mid + 2]] and cyclic[chain[mid + 2]][chain[mid]]
+    with pytest.raises(StructureError, match="^covers contain a cycle$"):
+        Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in back])
+
+
+def test_from_covers_closes_a_300_element_chain():
+    """300 levels, one element each, in a random canonical order, with
+    every cover given twice: i <= j exactly when i comes first in the
+    chain."""
+    rng = random.Random(300)
+    labels = [L(f"v{k}") for k in rng.sample(range(300), 300)]
+    covers = [(labels[i], labels[i + 1]) for i in range(299)]
+    p = Poset.from_covers(labels, covers + covers[::-1])
+    position = np.array([labels.index(e) for e in p.elements])
+    assert np.array_equal(p._leq, position[:, None] <= position[None, :])
+    assert p.covers == set(covers)
+    with pytest.raises(StructureError, match="^covers must be transitively reduced cover pairs$"):
+        Poset.from_covers(labels, covers + [(labels[0], labels[299])])
+    with pytest.raises(StructureError, match="^covers contain a cycle$"):
+        Poset.from_covers(labels, covers + [(labels[299], labels[0])])
 
 
 def test_from_covers_rejects_redundant_pairs():
@@ -576,6 +637,29 @@ def test_quotient_rejects_order_collapse():
         p.quotient([[BOT, L("b")], [L("a")]])
 
 
+def test_quotient_matches_oracle_past_one_word():
+    """More than 64 classes: merging pairs of equal-rank elements of the
+    boolean lattice on 7 atoms keeps a partial order on 124 classes, and
+    merging an atom with a rank-3 element above it pinches a cycle."""
+    b = boolean_lattice(7)
+    rng = random.Random(7)
+    merged = [rng.sample([e for e in b.elements if len(b.atom_support(e)) == r], 2) for r in (2, 3, 4, 5)]
+    pinched = [[L("x1"), L("x1*x2*x3")], [L("x2"), L("x4")]]
+    for pairs in (merged, pinched):
+        used = {v for pair in pairs for v in pair}
+        classes = pairs + [[v] for v in b.elements if v not in used]
+        assert len(classes) > 64
+        expected = brute_quotient(b, classes)
+        try:
+            q = b.quotient(classes)
+        except StructureError as err:
+            assert str(err) == "quotient is not a partial order"
+            assert expected is None and pairs is pinched
+            continue
+        assert pairs is merged
+        assert expected == (list(q.elements), set(q.covers))
+
+
 def test_restrict_keeps_induced_order():
     b = boolean_lattice(3)
     r = b.restrict([BOT, L("x1"), L("x1*x2*x3")])
@@ -746,16 +830,28 @@ def refinements(monkeypatch):
     return calls
 
 
-def test_isomorphism_search_needs_no_recursion(monkeypatch):
+@pytest.fixture(scope="module")
+def n11_sample():
+    p = rand_simplicial_poset(RandomModelParams(n=11, p1=0.9, p2=0.9, seed=2))
+    assert len(p) == 1034
+    return p
+
+
+def test_isomorphism_search_needs_no_recursion(monkeypatch, n11_sample):
     # a search that recursed once per element overflowed Python's default
     # recursion limit on this 1034-element sample
     monkeypatch.setattr(poset_module, "ISOMORPHISM_MAX", 2000)
-    p = rand_simplicial_poset(RandomModelParams(n=11, p1=0.9, p2=0.9, seed=2))
-    assert len(p) == 1034
+    p = n11_sample
     back = quotient_by_gluing(fiber_relation(separation(p)))
     mapping = find_isomorphism(back, p)
     assert mapping is not None
     assert is_order_isomorphism(back, p, mapping)
+
+
+def test_json_round_trip_at_scale(n11_sample):
+    q = Poset.from_json(n11_sample.to_json())
+    assert q == n11_sample
+    assert np.array_equal(q._leq, n11_sample._leq)
 
 
 def two_cycles(k):
