@@ -14,9 +14,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FormatError, StructureError
+from .errors import FormatError, SizeLimitError, StructureError
 from .labels import Label, valid_vertex_name
 from .poset import Poset, _loads
+
+BOOLEAN_LATTICE_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -24,12 +26,9 @@ class SimplicialComplex:
     vertices: tuple
     facets: tuple  # tuples of vertex names, each sorted; canonical row order
 
-    def facet_sets(self):
-        return [frozenset(f) for f in self.facets]
-
     def is_face(self, face) -> bool:
         fs = frozenset(face)
-        return any(fs <= g for g in self.facet_sets())
+        return any(fs <= frozenset(g) for g in self.facets)
 
     def faces(self):
         """All faces, the empty face included, in canonical order."""
@@ -67,12 +66,13 @@ class SimplicialComplex:
         """
         found = []
         verts = sorted(self.vertices)
+        facets = [frozenset(f) for f in self.facets]
         for k in range(2, len(verts) + 1):
             for cand in combinations(verts, k):
                 cs = frozenset(cand)
                 if any(m <= cs for m in found):
                     continue
-                if not self.is_face(cs):
+                if not any(cs <= g for g in facets):
                     found.append(cs)
         return sorted((tuple(sorted(m)) for m in found), key=lambda t: (len(t), t))
 
@@ -129,6 +129,20 @@ def make_complex(vertices, facet_candidates) -> SimplicialComplex:
     maximal = [f for f in set(sets) if not any(f < g for g in sets)]
     facets = tuple(sorted((tuple(sorted(f)) for f in maximal), key=lambda t: (len(t), t)))
     return SimplicialComplex(vertices=tuple(verts), facets=facets)
+
+
+def boolean_lattice(n: int) -> Poset:
+    """The lattice of subsets of {x1..xn}, the face poset of the simplex on
+    those vertices; 2^n elements.
+
+    Guarded at n <= 20, though practical sizes sit far below the guard.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"boolean_lattice needs a nonnegative integer, got {n!r}")
+    if n > BOOLEAN_LATTICE_MAX:
+        raise SizeLimitError(f"boolean_lattice(n) is guarded at n <= {BOOLEAN_LATTICE_MAX}")
+    names = [f"x{i + 1}" for i in range(n)]
+    return make_complex(names, [names]).face_poset()
 
 
 def parse_facet_string(text: str) -> SimplicialComplex:

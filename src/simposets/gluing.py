@@ -27,6 +27,7 @@ import numpy as np
 from .complexes import SimplicialComplex, make_complex
 from .errors import (
     ElementNotFoundError,
+    FormatError,
     InvalidGluingError,
     InvariantError,
     PreconditionError,
@@ -87,8 +88,6 @@ class GluingSpec:
 
     @classmethod
     def from_json_dict(cls, obj) -> "GluingSpec":
-        from .errors import FormatError
-
         if not isinstance(obj, dict) or "facet_map" not in obj or "atom_map" not in obj:
             raise FormatError("gluing spec JSON needs 'facet_map' and 'atom_map'")
         if not isinstance(obj["facet_map"], dict) or not isinstance(obj["atom_map"], dict):

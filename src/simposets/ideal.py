@@ -11,13 +11,16 @@ On a face poset every variable can be replaced by the product of its atoms;
 generator collapses to zero or to a single monomial, and returns the
 minimal monomial generating set.  For the complex itself,
 ``stanley_reisner_ideal`` lists the minimal non-faces directly, which gives
-an independent route to the same ideal.
+an independent route to the same ideal.  Both return a ``MonomialIdeal``,
+whose generators are exponent rows, one entry per variable, in graded
+order (degree ascending, then lexicographic); one divisibility test on
+those rows finds the minimal generators and compares two ideals.
 
-Every generator is squarefree with coefficients +1 and -1, with its terms
-in graded order (degree descending, then lexicographic).  The generators
-are stored as index arrays: the two variables of every pair's product, and
-the further terms of the pairs with a common upper bound as one
-compressed-row table.  Lines are rendered straight from those arrays; a
+Every poset generator is squarefree with coefficients +1 and -1, with its
+terms in graded order (degree descending, then lexicographic).  These
+generators are stored as index arrays: the two variables of every pair's
+product, and the further terms of the pairs with a common upper bound as
+one compressed-row table.  Lines are rendered straight from those arrays; a
 record of ``(sorted variable indices, sign)`` terms is built only when a
 generator is read.
 """
@@ -25,7 +28,6 @@ generator is read.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -38,65 +40,6 @@ from .poset import Poset
 
 _PAIR_BLOCK = 1024
 _DIVIDES_CELLS = 1 << 22
-
-
-class Monomial:
-    """Exponent map over variable indices; immutable and hashable."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents=()):
-        if isinstance(exponents, dict):
-            items = exponents.items()
-        else:
-            items = exponents
-        pairs = []
-        for i, e in items:
-            try:
-                pairs.append((operator.index(i), operator.index(e)))
-            except TypeError:
-                raise ValueError(f"non-integral exponent entry: ({i!r}, {e!r})") from None
-        pairs.sort()
-        for k, (i, e) in enumerate(pairs):
-            if i < 0 or e < 0:
-                raise ValueError(f"bad exponent entry: ({i}, {e})")
-            if k and pairs[k - 1][0] == i:
-                raise ValueError(f"variable {i} repeated")
-        self.exponents = tuple((i, e) for i, e in pairs if e)
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exponents)
-
-    def expanded(self):
-        """Variable indices with multiplicity; the lexicographic sort key."""
-        return tuple(i for i, e in self.exponents for _ in range(e))
-
-    def divides(self, other) -> bool:
-        theirs = dict(other.exponents)
-        return all(theirs.get(i, 0) >= e for i, e in self.exponents)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __repr__(self):
-        return f"Monomial({dict(self.exponents)!r})"
-
-
-ONE = Monomial()
-
-
-def render_monomial(m: Monomial, variable_names) -> str:
-    if not m.exponents:
-        return "1"
-    parts = []
-    for i, e in m.exponents:
-        base = f"x[{variable_names[i]}]"
-        parts.append(base if e == 1 else f"{base}^{e}")
-    return "*".join(parts)
 
 
 class _Generators(Sequence):
@@ -184,11 +127,27 @@ class IdealPresentation:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
+    """Monomial generators as exponent rows, one entry per variable."""
+
     variables: tuple  # variable names, sorted
-    generators: tuple
+    generators: tuple  # exponent rows; in graded order when built here
+
+    def __post_init__(self):
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in self.generators)
+        except TypeError:
+            raise ValueError(f"non-integral exponent in {self.generators!r}") from None
+        for row in rows:
+            if len(row) != len(self.variables) or min(row, default=0) < 0:
+                raise ValueError(f"exponent row {row!r} needs {len(self.variables)} nonnegative entries")
+        object.__setattr__(self, "generators", rows)
 
     def render_lines(self):
-        return [render_monomial(m, self.variables) for m in self.generators]
+        names = [f"x[{v}]" for v in self.variables]
+        return [
+            "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(row) if e) or "1"
+            for row in self.generators
+        ]
 
 
 def _pair_blocks(p: Poset):
@@ -213,9 +172,7 @@ def _pair_blocks(p: Poset):
     leq, prof = p._leq, p._profile()
     n = len(p.elements)
     pi, pj = np.nonzero(np.triu(~(leq | leq.T), 1))
-    f = leq[:, prof.upper == 1].astype(np.float32)
-    with_upper = np.flatnonzero(((f @ f.T) > 0)[pi, pj])
-    del f
+    with_upper = np.flatnonzero(p._common_upper()[pi, pj])
     geq = np.ascontiguousarray(leq.T)
     rank = prof.rank  # atoms below
 
@@ -296,10 +253,9 @@ def _raise_no_meet(p: Poset, i, j):
 def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:
     """Squarefree monomials of the minimal non-faces, one variable per vertex."""
     variables = tuple(sorted(c.vertices))
-    index = {v: i for i, v in enumerate(variables)}
-    gens = [Monomial({index[v]: 1 for v in nf}) for nf in c.minimal_nonfaces()]
-    gens.sort(key=lambda m: (m.degree, m.expanded()))
-    return MonomialIdeal(variables=variables, generators=tuple(gens))
+    nonfaces = [set(nf) for nf in c.minimal_nonfaces()]
+    exps = np.array([[v in nf for v in variables] for nf in nonfaces], dtype=np.int8)
+    return _graded_ideal(variables, exps.reshape(len(nonfaces), len(variables)))
 
 
 def reduce_face_poset_ideal(p: Poset) -> MonomialIdeal:
@@ -338,10 +294,16 @@ def reduce_face_poset_ideal(p: Poset) -> MonomialIdeal:
     exps = np.concatenate(images)
     order, start = _runs(exps.sum(axis=1), exps)
     exps = exps[order[start]]  # distinct, by degree
-    positions = np.arange(len(universe))
-    minimal = [tuple(np.repeat(positions, row).tolist()) for row in exps[_minimal_rows(exps)]]
-    minimal.sort(key=lambda e: (len(e), e))
-    return MonomialIdeal(variables=universe, generators=tuple(Monomial(Counter(e)) for e in minimal))
+    return _graded_ideal(universe, exps[_minimal_rows(exps)])
+
+
+def _graded_ideal(variables, exps) -> MonomialIdeal:
+    """The ideal over ``variables`` with the rows of ``exps`` as generators,
+    in graded order: degree ascending, then the rows in descending
+    lexicographic order, which is the ascending order of the variable
+    indices repeated by their exponents."""
+    order = np.lexsort((*(-exps.T[::-1]), exps.sum(axis=1)))
+    return MonomialIdeal(variables=variables, generators=tuple(map(tuple, exps[order].tolist())))
 
 
 def _runs(first, rows):
@@ -359,26 +321,35 @@ def _minimal_rows(exps):
 
     A monomial with another divisor has a minimal one of lower degree, and
     distinct monomials of one degree do not divide each other.  So the rows
-    of each degree, a block at a time, are tested only against the minimal
-    rows kept so far, not against each other.
+    of each degree are tested only against the minimal rows kept so far,
+    not against each other.
     """
-    degree = exps.sum(axis=1)
+    # the bounds of the runs of equal degree
+    cuts = [0, *(np.flatnonzero(np.diff(exps.sum(axis=1))) + 1).tolist(), len(exps)]
     kept = np.zeros(0, dtype=np.intp)
-    start = 0
-    while start < len(exps):
-        step = max(1, _DIVIDES_CELLS // max(1, kept.size * exps.shape[1]))
-        stop = min(start + step, int(np.searchsorted(degree, degree[start], side="right")))
-        block = exps[start:stop]
-        divided = (exps[kept][None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
+    for start, stop in zip(cuts, cuts[1:]):
+        divided = _divided(exps[start:stop], exps[kept])
         kept = np.concatenate([kept, np.flatnonzero(~divided) + start])
-        start = stop
     return kept
+
+
+def _divided(rows, by):
+    """For each row of ``rows``, whether some row of ``by`` divides it.
+
+    The rows are tested a block at a time, so each broadcast temporary
+    holds at most ``_DIVIDES_CELLS`` cells.
+    """
+    out = np.zeros(len(rows), dtype=bool)
+    step = max(1, _DIVIDES_CELLS // max(1, by.size))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        out[start : start + step] = (by[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
+    return out
 
 
 def monomial_ideals_equal(i1: MonomialIdeal, i2: MonomialIdeal) -> bool:
     """Mutual divisibility of generating sets over the same variables."""
     if tuple(i1.variables) != tuple(i2.variables):
         raise StructureError("monomial ideals live over different variables")
-    return all(any(h.divides(g) for h in i2.generators) for g in i1.generators) and all(
-        any(h.divides(g) for h in i1.generators) for g in i2.generators
-    )
+    a, b = (np.array(i.generators, dtype=np.int64).reshape(len(i.generators), len(i.variables)) for i in (i1, i2))
+    return bool(_divided(a, b).all() and _divided(b, a).all())

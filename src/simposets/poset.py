@@ -50,7 +50,6 @@ from .errors import (
 )
 from .labels import Label
 
-BOOLEAN_LATTICE_MAX = 20
 ISOMORPHISM_MAX = 500
 
 
@@ -317,13 +316,17 @@ class Poset:
         # exp2 is exact in float64, where an int64 shift would wrap past rank 63
         if (prof.lower != np.exp2(prof.rank)).any():
             return False
-        # a common upper bound means a common maximal one
-        f = leq[:, prof.upper == 1].astype(np.float32)
-        bad = ((f @ f.T) > 0) & ~leq  # a not <= b, common upper bound
-        del f
+        bad = self._common_upper() & ~leq  # a not <= b, common upper bound
         s = prof.supp.astype(np.float32)
         bad &= (s.T @ (1 - s)) == 0  # supp a within supp b
         return not bad.any()
+
+    def _common_upper(self) -> np.ndarray:
+        """The n x n bool matrix of pairs with a common upper bound, which
+        is a common maximal element: one float32 product over the ``leq``
+        columns of the maximal elements."""
+        f = self._leq[:, self._profile().upper == 1].astype(np.float32)
+        return (f @ f.T) > 0
 
     def is_face_poset(self) -> bool:
         """True iff the atom-support map is injective on the whole poset.
@@ -493,32 +496,6 @@ class Poset:
             lines.append(f'  "{el[i]}" -> "{el[j]}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def boolean_lattice(n: int) -> Poset:
-    """The lattice of subsets of {x1..xn}; 2^n elements.
-
-    Guarded at n <= 20, though practical sizes sit far below the guard.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"boolean_lattice needs a nonnegative integer, got {n!r}")
-    if n > BOOLEAN_LATTICE_MAX:
-        raise SizeLimitError(f"boolean_lattice(n) is guarded at n <= {BOOLEAN_LATTICE_MAX}")
-    names = [f"x{i + 1}" for i in range(n)]
-    size = 1 << n
-    labels = [Label.bottom()]
-    for mask in range(1, size):
-        labels.append(Label.atom_set(names[b] for b in range(n) if mask >> b & 1))
-    masks = np.arange(size, dtype=np.int64)
-    leq = np.zeros((size, size), dtype=bool)
-    step = 4096
-    for start in range(0, size, step):
-        block = masks[start : start + step]
-        leq[start : start + step] = (block[:, None] & ~masks[None, :]) == 0
-    # label i is the subset with bitmask i; it covers i minus each of its bits
-    bits = 1 << np.arange(n, dtype=np.int64)
-    hi, b = np.nonzero(masks[:, None] & bits)
-    return Poset._trusted(labels, leq, hi ^ bits[b], hi)
 
 
 # ----- isomorphism ------------------------------------------------------------

@@ -97,8 +97,8 @@ def test_criterion_2_ideal_equality(complex_corpus):
             assert monomial_ideals_equal(reduce_face_poset_ideal(c.face_poset()), direct)
             oracle = brute_minimal_nonfaces(c.vertices, c.facets)
             got = [
-                frozenset(direct.variables[i] for i, _ in m.exponents)
-                for m in direct.generators
+                frozenset(direct.variables[i] for i, e in enumerate(row) if e)
+                for row in direct.generators
             ]
             assert sorted(got, key=sorted) == sorted(oracle, key=sorted)
             checked += 1

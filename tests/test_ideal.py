@@ -1,5 +1,5 @@
 """Defining ideals: generators, reduction, Stanley-Reisner comparison,
-monomials."""
+monomial ideals."""
 
 import hashlib
 import random
@@ -13,7 +13,7 @@ from simposets import (
     ElementNotFoundError,
     InvalidGluingError,
     InvariantError,
-    Monomial,
+    MonomialIdeal,
     PreconditionError,
     RandomModelParams,
     StructureError,
@@ -27,7 +27,7 @@ from simposets import (
     stanley_reisner_ideal,
 )
 import simposets.ideal as ideal_module
-from simposets.ideal import ONE, _minimal_rows, render_monomial
+from simposets.ideal import _minimal_rows
 from simposets.labels import Label
 from simposets.poset import Poset
 
@@ -44,44 +44,49 @@ small_complexes = st.integers(0, 10_000).map(
 )
 
 
-# ----- monomials ----------------------------------------------------------------
+# ----- monomial ideals ----------------------------------------------------------
 
 
-def test_monomial_basics():
-    m = Monomial({2: 1, 0: 2})
-    assert m.degree == 3
-    assert m.expanded() == (0, 0, 2)
-    assert m == Monomial({0: 2, 2: 1}) and m != Monomial({0: 3, 2: 1})
-    assert ONE.divides(m) and not m.divides(ONE)
-    assert Monomial({0: 1}).divides(m)
-    assert not Monomial({1: 1}).divides(m)
-    assert render_monomial(m, ["a", "b", "c"]) == "x[a]^2*x[c]"
-    assert render_monomial(ONE, ["a", "b", "c"]) == "1"
+def test_monomial_rows_render():
+    ideal = MonomialIdeal(variables=("a", "b", "c"), generators=((2, 0, 1), (0, 0, 0), (0, 1, 0)))
+    assert ideal.render_lines() == ["x[a]^2*x[c]", "1", "x[b]"]
 
 
-def test_monomial_drops_zero_exponents():
-    assert Monomial({0: 0, 1: 2}) == Monomial({1: 2})
-    with pytest.raises(ValueError):
-        Monomial({-1: 1})
+def test_monomial_rejects_a_row_of_the_wrong_length():
+    for row in [(1,), (1, 0, 0, 0), ()]:
+        with pytest.raises(ValueError, match="needs 3 nonnegative entries"):
+            MonomialIdeal(variables=("a", "b", "c"), generators=(row,))
 
 
-def test_monomial_rejects_a_repeated_variable():
-    with pytest.raises(ValueError, match="repeated"):
-        Monomial([(0, 1), (0, 1)])
-    with pytest.raises(ValueError, match="repeated"):
-        Monomial([(1, 2), (0, 1), (1, 0)])
-
-
-@pytest.mark.parametrize("exponents", [{0: 1.5}, {0: 2.0}, {1.0: 1}, [("0", 1)]])
+@pytest.mark.parametrize("exponents", [(1.5, 0), (2.0, 0), (0, "1"), (0, None)])
 def test_monomial_rejects_non_integral_entries(exponents):
     with pytest.raises(ValueError, match="non-integral"):
-        Monomial(exponents)
+        MonomialIdeal(variables=("a", "b"), generators=(exponents,))
 
 
-def test_monomial_accepts_numpy_integers():
-    m = Monomial({np.int64(2): np.int8(1), np.intp(0): np.int32(2)})
-    assert m == Monomial({0: 2, 2: 1})
-    assert all(type(i) is int and type(e) is int for i, e in m.exponents)
+def test_monomial_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="needs 2 nonnegative entries"):
+        MonomialIdeal(variables=("a", "b"), generators=((1, 0), (0, -1)))
+
+
+def test_monomial_rows_accept_numpy_integers():
+    ideal = MonomialIdeal(variables=("a", "b", "c"), generators=(np.array([2, 0, 1], dtype=np.int8),))
+    assert ideal.generators == ((2, 0, 1),)
+    assert all(type(e) is int for e in ideal.generators[0])
+
+
+def test_graded_order_matches_the_expanded_key():
+    # exponents up to 3, so rows of equal degree tie in many ways; the key
+    # is the degree, then the variable indices repeated by their exponents
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        nvars = int(rng.integers(0, 6))
+        exps = rng.integers(0, 4, size=(int(rng.integers(0, 30)), nvars))
+        variables = tuple(f"v{k}" for k in range(nvars))
+        got = ideal_module._graded_ideal(variables, exps).generators
+        expanded = [tuple(np.repeat(np.arange(nvars), row).tolist()) for row in exps]
+        want = [tuple(exps[k].tolist()) for k in sorted(range(len(exps)), key=lambda k: (len(expanded[k]), expanded[k]))]
+        assert list(got) == want
 
 
 # ----- stanley poset ideal ----------------------------------------------------
@@ -323,10 +328,10 @@ def test_kernel_raises_from_the_call_in_a_later_block(monkeypatch):
 
 
 def brute_minimal(expanded):
-    monomials = [Monomial(Counter(e)) for e in expanded]
+    monomials = [Counter(e) for e in expanded]
     return sorted(
         e for e, m in zip(expanded, monomials)
-        if not any(o != m and o.divides(m) for o in monomials)
+        if not any(o != m and all(m[v] >= k for v, k in o.items()) for o in monomials)
     )
 
 
@@ -457,7 +462,7 @@ def test_reduction_matches_stanley_reisner(c):
     assert monomial_ideals_equal(reduced, direct)
     oracle = brute_minimal_nonfaces(c.vertices, c.facets)
     names = direct.variables
-    got = [frozenset(names[i] for i, _ in m.exponents) for m in direct.generators]
+    got = [frozenset(names[i] for i, e in enumerate(row) if e) for row in direct.generators]
     assert sorted(got, key=sorted) == sorted(map(frozenset, oracle), key=sorted)
 
 
@@ -465,11 +470,9 @@ def test_reduction_matches_stanley_reisner(c):
 
 
 def mono_ideal(variables, *exponent_maps):
-    from simposets import MonomialIdeal
-
     return MonomialIdeal(
         variables=tuple(variables),
-        generators=tuple(Monomial(m) for m in exponent_maps),
+        generators=tuple(tuple(m.get(i, 0) for i in range(len(variables))) for m in exponent_maps),
     )
 
 

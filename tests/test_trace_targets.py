@@ -1,6 +1,7 @@
-"""The benchmark's tracer wraps library callables by name; every name it
-lists must resolve, or its trace mode fails on a rename the rest of the
-suite does not see."""
+"""Names that callers look up must resolve.  The benchmark's tracer wraps
+library callables by name; every name it lists must resolve, or its trace
+mode fails on a rename the rest of the suite does not see.  The same holds
+for the package's ``__all__``."""
 
 import importlib
 import importlib.util
@@ -31,3 +32,10 @@ def test_traced_target_resolves(target):
         assert meth in vars(getattr(module, cls_name)), target
     else:
         assert callable(getattr(module, attr, None)), target
+
+
+def test_public_names_resolve():
+    simposets = importlib.import_module("simposets")
+    missing = [name for name in simposets.__all__ if not hasattr(simposets, name)]
+    assert missing == []
+    assert len(set(simposets.__all__)) == len(simposets.__all__)
