@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FormatError, SizeLimitError, StructureError
+from .errors import FormatError, InvariantError, SizeLimitError, StructureError
 from .labels import Label, valid_vertex_name
 from .poset import Poset, _loads
 
@@ -26,10 +26,6 @@ class SimplicialComplex:
     vertices: tuple
     facets: tuple  # tuples of vertex names, each sorted; canonical row order
 
-    def is_face(self, face) -> bool:
-        fs = frozenset(face)
-        return any(fs <= frozenset(g) for g in self.facets)
-
     def faces(self):
         """All faces, the empty face included, in canonical order."""
         seen = {frozenset()}
@@ -40,7 +36,10 @@ class SimplicialComplex:
         return sorted((tuple(sorted(f)) for f in seen), key=lambda t: (len(t), t))
 
     def face_poset(self) -> Poset:
-        """Faces ordered by inclusion, with the empty face as bottom."""
+        """Faces ordered by inclusion, with the empty face as bottom.
+
+        The order is antisymmetric iff the faces' vertex masks are
+        distinct, an O(n) check made here instead of one on the matrix."""
         faces = self.faces()
         vidx = {v: i for i, v in enumerate(self.vertices)}
         labels, masks = [], []
@@ -51,12 +50,14 @@ class SimplicialComplex:
             for v in f:
                 m |= 1 << vidx[v]
             masks.append(m)
+        if not _distinct(masks):
+            raise InvariantError("reachability matrix is not antisymmetric")
         arr = np.asarray(masks, dtype=np.int64)
         leq = (arr[:, None] & ~arr[None, :]) == 0
         size = np.array([len(f) for f in faces])
         # a face covers the faces below it with one vertex fewer
         lo, hi = np.nonzero(leq & (size[:, None] + 1 == size))
-        return Poset._trusted(labels, leq, lo, hi)
+        return Poset._trusted(labels, leq, lo, hi, antisymmetric=True)
 
     def minimal_nonfaces(self):
         """Inclusion-minimal vertex subsets that are not faces.
@@ -99,6 +100,13 @@ class SimplicialComplex:
     @classmethod
     def from_json(cls, text: str) -> "SimplicialComplex":
         return cls.from_json_dict(_loads(text))
+
+
+def _distinct(masks) -> bool:
+    """Whether the vertex masks are pairwise distinct, which is when the
+    subset order on them is antisymmetric: two masks each within the other
+    are equal."""
+    return len(set(masks)) == len(masks)
 
 
 def make_complex(vertices, facet_candidates) -> SimplicialComplex:

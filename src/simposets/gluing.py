@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset
+from .poset import Poset, _ranges
 
 
 @dataclass
@@ -191,6 +191,47 @@ def _related_pairs(cls, k):
     return a[keep], b[keep]
 
 
+def _classes_below(base, cls, k):
+    """Bit rows: bit c of row u is set when some member of class c lies
+    below u.  Row u is its own class bit OR the rows of its lower covers,
+    filled level by level of lower-set size (elements of equal size are
+    incomparable), each block gathering at most ``_PAIR_CELLS`` bytes."""
+    n = cls.size
+    words = (k + 63) >> 6
+    below = np.zeros((n, words), dtype=np.uint64)
+    below[np.arange(n), cls >> 6] = np.left_shift(np.uint64(1), (cls & 63).astype(np.uint64))
+    by_hi = np.argsort(base._hi, kind="stable")
+    lo = base._lo[by_hi]
+    into = np.searchsorted(base._hi[by_hi], np.arange(n + 1))  # covers into u: into[u]:into[u + 1]
+    lower = base._profile().lower
+    order = np.argsort(lower, kind="stable")
+    # the first level is the bottom, which covers nothing
+    for level in np.split(order, np.flatnonzero(np.diff(lower[order])) + 1)[1:]:
+        degree = into[level + 1] - into[level]
+        step = max(1, _PAIR_CELLS // (8 * words * int(degree.max())))
+        for start in range(0, level.size, step):
+            u, size = level[start : start + step], degree[start : start + step]
+            rows = below[lo[_ranges(into[u], into[u + 1])]]
+            below[u] |= np.bitwise_or.reduceat(rows, np.cumsum(size) - size, axis=0)
+    return below
+
+
+def _failing_classes(base, cls, k):
+    """A mask of the classes with a gluing violation: their ranks differ,
+    some maximal element lies above two members (as it does above two
+    comparable ones), or their rows of ``_classes_below`` differ, which is
+    condition (2) for all ordered pairs at once."""
+    rank = base._profile().rank
+    size = np.bincount(cls, minlength=k)
+    first = np.argsort(cls, kind="stable")[np.cumsum(size) - size]  # each class's first member
+    fail = np.zeros(k, dtype=bool)
+    fail[cls[rank != rank[first[cls]]]] = True
+    fail[base._shared_below_maxima(cls, k)] = True
+    below = _classes_below(base, cls, k)
+    fail[cls[(below != below[first[cls]]).any(axis=1)]] = True
+    return fail
+
+
 def validate_gluing(relation: GluingRelation) -> GluingCheck:
     """Check the two gluing conditions on every pair of related elements.
 
@@ -198,6 +239,11 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     first the condition (1) failures of the unordered pairs in sorted
     order, then for each ordered pair (a, b) the elements below a whose
     class meets nothing below b, in canonical order.
+
+    A class-first pass (``_failing_classes``) finds the classes with a
+    violation; only their pairs are then enumerated, so a valid relation
+    never reaches the pair loop.  Beside n x k bits of classes below, every
+    temporary is O(n) or a block of at most 2^20 cells.
     """
     base = relation.base
     leq = base._leq
@@ -205,13 +251,10 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     base.bottom()  # the rank counts atoms, so needs a unique minimum
     rank = base._profile().rank
     cls = base._class_array(relation.classes)
-    a, b = _related_pairs(cls, k)
+    members = np.flatnonzero(_failing_classes(base, cls, k)[cls])
+    a, b = (members[x] for x in _related_pairs(cls[members], k))
     if not a.size:
         return GluingCheck(violations=())
-    # below[j, c]: some member of class c lies below element j
-    lo, hi = np.nonzero(leq)
-    below = np.zeros((n, k), dtype=bool)
-    below[hi, cls[lo]] = True
     found = []  # (pair, condition, message or element below a) per violation
     step = max(1, _PAIR_CELLS // n)
     for start in range(0, a.size, step):
@@ -222,7 +265,11 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
         first &= (i < j)[:, None]  # unordered pairs, smaller element first
         pair, what = np.nonzero(first)
         found.append((pair + start, np.ones_like(pair), what))
-        pair, what = np.nonzero(leq[:, i].T & ~below[j][:, cls])
+        # reached[p, c]: some member of class c lies below j[p]
+        reached = np.zeros((j.size, k), dtype=bool)
+        p, w = np.nonzero(leq[:, j].T)
+        reached[p, cls[w]] = True
+        pair, what = np.nonzero(leq[:, i].T & ~reached[:, cls])
         found.append((pair + start, np.full_like(pair, 2), what))
     pair, condition, what = (np.concatenate(col) for col in zip(*found))
     sort = np.lexsort((what, pair, condition, cls[a[pair]]))

@@ -40,6 +40,7 @@ from .poset import Poset
 
 _PAIR_BLOCK = 1024
 _DIVIDES_CELLS = 1 << 22
+_EXPONENT_MAX = int(np.iinfo(np.int64).max)
 
 
 class _Generators(Sequence):
@@ -127,7 +128,8 @@ class IdealPresentation:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial generators as exponent rows, one entry per variable."""
+    """Monomial generators as exponent rows, one entry per variable, each
+    a nonnegative integer within the int64 range."""
 
     variables: tuple  # variable names, sorted
     generators: tuple  # exponent rows; in graded order when built here
@@ -140,6 +142,8 @@ class MonomialIdeal:
         for row in rows:
             if len(row) != len(self.variables) or min(row, default=0) < 0:
                 raise ValueError(f"exponent row {row!r} needs {len(self.variables)} nonnegative entries")
+            if max(row, default=0) > _EXPONENT_MAX:  # the rows are compared as int64
+                raise ValueError(f"exponent row {row!r} has an entry above {_EXPONENT_MAX}")
         object.__setattr__(self, "generators", rows)
 
     def render_lines(self):
@@ -172,7 +176,9 @@ def _pair_blocks(p: Poset):
     leq, prof = p._leq, p._profile()
     n = len(p.elements)
     pi, pj = np.nonzero(np.triu(~(leq | leq.T), 1))
-    with_upper = np.flatnonzero(p._common_upper()[pi, pj])
+    # a common maximal element, from one float32 product over the maxima
+    f = leq[:, prof.upper == 1].astype(np.float32)
+    with_upper = np.flatnonzero(((f @ f.T) > 0)[pi, pj])
     geq = np.ascontiguousarray(leq.T)
     rank = prof.rank  # atoms below
 

@@ -21,14 +21,22 @@ The facts the checks share are read off ``leq`` once per poset, on first
 use, into a private profile (``Poset._profile``): ``lower`` and ``upper``,
 the lower-set and upper-set sizes; ``bottom``, the index of the unique
 minimum or -1; ``atoms``, the elements with a lower set of size 2; ``supp``,
-their rows ``leq[atoms]``, whose columns are the atom supports; and
-``rank``, the atoms below each element.  Building it never raises; readers
-that need the unique minimum check it through ``bottom()``.
+their rows ``leq[atoms]``, whose columns are the atom supports; ``rank``,
+the atoms below each element; and ``ids``, one dense id per distinct
+support, ranked from the packed ``supp`` columns by ``_ranks``.  Building
+it never raises; readers that need the unique minimum check it through
+``bottom()``.
 
 The simplicial vocabulary lives here as methods: atoms, atom supports,
 ``is_simplicial`` (every lower interval is a boolean lattice) and
 ``is_face_poset`` (additionally, elements are determined by their atom
-support).
+support).  Condition (3) of ``is_simplicial`` is that no two elements
+below one maximal element have the same support.  With a unique minimum
+and |[0,v]| = 2^|supp v|, it makes supp a bijection from each [0,b] onto
+the subsets of supp b, so an a below the same maximal element with supp a
+within supp b is the element of [0,b] with that support, and a <= b.  It
+is tested by sorting one key per pair (v <= x, x maximal), so no n x n
+array is built.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from .errors import (
 from .labels import Label
 
 ISOMORPHISM_MAX = 500
+_CHECK_CELLS = 1 << 20  # elements x maximal elements per block of _shared_below_maxima
 
 
 def _ranges(start, stop) -> np.ndarray:
@@ -137,7 +146,7 @@ def _label_index(elements) -> dict:
     return index
 
 
-_Profile = namedtuple("_Profile", "lower upper bottom atoms supp rank")
+_Profile = namedtuple("_Profile", "lower upper bottom atoms supp rank ids")
 
 
 class Poset:
@@ -162,26 +171,30 @@ class Poset:
         through ``_dag``, or from a closed matrix.
 
         Elements are re-sorted into canonical label order, one gather of
-        rows and one of columns, and the covers into the order of
-        ``(lo, hi)`` in it.  Reflexivity is always asserted, and
-        antisymmetry unless the caller has it from the cycle check of
-        ``_dag`` (``antisymmetric=True``): given reflexivity, ``leq`` is
+        rows and one of columns unless they already are in it, and the
+        covers into the order of ``(lo, hi)`` in it.  Reflexivity is always
+        asserted, and antisymmetry unless the caller has it from the cycle
+        check of ``_dag`` or from distinct face masks
+        (``antisymmetric=True``): given reflexivity, ``leq`` is
         antisymmetric iff ``leq & leq.T`` holds the diagonal alone.
         Closure is not verified here; the test suite checks it against
         Warshall's algorithm.
         """
-        elements = list(elements)
-        order = sorted(range(len(elements)), key=lambda i: elements[i].key)
-        labels = tuple(elements[i] for i in order)
+        labels = tuple(elements)
+        keys = [e.key for e in labels]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        leq = np.asarray(leq, dtype=bool)
+        if order != list(range(len(order))):  # gluing callers hand over canonical order
+            labels = tuple(labels[i] for i in order)
+            perm = np.asarray(order, dtype=np.intp)
+            leq = leq.take(perm, 0).take(perm, 1)
+            position = np.argsort(perm)
+            lo, hi = position[lo], position[hi]
         index = _label_index(labels)
-        perm = np.asarray(order, dtype=np.intp)
-        leq = np.asarray(leq, dtype=bool).take(perm, 0).take(perm, 1)
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
         if not antisymmetric and _has_cycle(leq):
             raise InvariantError("reachability matrix is not antisymmetric")
-        position = np.argsort(perm)
-        lo, hi = position[lo], position[hi]
         sort = np.lexsort((hi, lo))
         lo, hi = lo[sort], hi[sort]
         for a in (leq, lo, hi):
@@ -265,9 +278,13 @@ class Poset:
             atoms = np.flatnonzero(lower == 2)
             supp = leq[atoms]
             rank = np.count_nonzero(supp, axis=0)
-            for a in (lower, upper, atoms, supp, rank):
+            # np.unique would load numpy.ma
+            packed = np.zeros((max(1, -(-atoms.size // 64)) * 8, leq.shape[0]), dtype=np.uint8)
+            packed[: -(-atoms.size // 8)] = np.packbits(supp, axis=0)
+            ids = _ranks(list(np.ascontiguousarray(packed.T).view(np.uint64).T))
+            for a in (lower, upper, atoms, supp, rank, ids):
                 a.setflags(write=False)
-            self._profile_cache = _Profile(lower, upper, bottom, atoms, supp, rank)
+            self._profile_cache = _Profile(lower, upper, bottom, atoms, supp, rank, ids)
         return self._profile_cache
 
     def bottom(self) -> Label:
@@ -301,42 +318,49 @@ class Poset:
     def is_simplicial(self) -> bool:
         """True iff every lower interval [0,v] is a boolean lattice, checked
         as (1) a unique minimum, (2) |[0,v]| = 2^|supp v| for every v, where
-        supp v is the set of atoms below v, and (3) no a, b with a common
-        upper bound and supp a within supp b but a not <= b.  Since a <= b
-        gives supp a within supp b, (3) makes supp an order embedding of each
-        [0,v], so injective there, and (2) makes it onto the subsets."""
+        supp v is the set of atoms below v, and (3) no two elements below
+        one maximal element have the same support.  Given (1) and (2), (3)
+        makes each [0,b] boolean: [0,b] lies below a maximal x, so supp is
+        injective on [0,b], and by (2) onto the subsets of supp b; an a
+        below x with supp a within supp b is then the element of [0,b] with
+        that support, so a <= b."""
         if self._simplicial is None:
             self._simplicial = self._compute_simplicial()
         return self._simplicial
 
     def _compute_simplicial(self) -> bool:
-        leq, prof = self._leq, self._profile()
+        prof = self._profile()
         if prof.bottom < 0:
             return False
         # exp2 is exact in float64, where an int64 shift would wrap past rank 63
         if (prof.lower != np.exp2(prof.rank)).any():
             return False
-        bad = self._common_upper() & ~leq  # a not <= b, common upper bound
-        s = prof.supp.astype(np.float32)
-        bad &= (s.T @ (1 - s)) == 0  # supp a within supp b
-        return not bad.any()
+        return not self._shared_below_maxima(prof.ids, prof.ids.size).size
 
-    def _common_upper(self) -> np.ndarray:
-        """The n x n bool matrix of pairs with a common upper bound, which
-        is a common maximal element: one float32 product over the ``leq``
-        columns of the maximal elements."""
-        f = self._leq[:, self._profile().upper == 1].astype(np.float32)
-        return (f @ f.T) > 0
+    def _shared_below_maxima(self, ids, k) -> np.ndarray:
+        """The values of ``ids`` (each in ``range(k)``) that two distinct
+        elements below one maximal element share, once per extra such
+        element: the pairs (v <= x, x maximal), keyed ``x * k + ids[v]``,
+        sorted and tested for neighbours a block of maximal elements at a
+        time, so each block holds at most ``_CHECK_CELLS`` cells."""
+        maxima = np.flatnonzero(self._profile().upper == 1)
+        step = max(1, _CHECK_CELLS // len(ids))
+        found = []
+        for start in range(0, maxima.size, step):
+            x, v = np.nonzero(self._leq[:, maxima[start : start + step]].T)
+            key = np.sort(x * k + ids[v])
+            found.append(key[1:][key[1:] == key[:-1]] % k)
+        return np.concatenate(found)
 
     def is_face_poset(self) -> bool:
-        """True iff the atom-support map is injective on the whole poset.
+        """True iff the atom-support map is injective on the whole poset:
+        there are as many support ids as elements.
 
         Requires a simplicial poset; raises PreconditionError otherwise.
         """
         if not self.is_simplicial():
             raise PreconditionError("is_face_poset requires a simplicial poset")
-        # distinct support columns; np.unique would load numpy.ma, about 1 MB
-        return len({c.tobytes() for c in self._profile().supp.T}) == len(self.elements)
+        return int(self._profile().ids.max()) + 1 == len(self.elements)
 
     # ----- bounds and meets ----------------------------------------------
 

@@ -26,6 +26,11 @@ def brute_faces(facets):
     return faces
 
 
+def facet_subset(facets, face):
+    """Whether the vertex set ``face`` lies inside some facet."""
+    return any(frozenset(face) <= frozenset(f) for f in facets)
+
+
 def brute_minimal_nonfaces(vertices, facets):
     """Inclusion-minimal subsets of the vertex set that are not faces."""
     faces = brute_faces(facets)

@@ -1,6 +1,7 @@
 """Separation, gluing relations, delta and theta gluing, reconstruction."""
 
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -259,6 +260,82 @@ def test_validate_matches_oracle_on_random_relations(seed):
     assert got == expected
     with mock.patch.object(gluing, "_PAIR_CELLS", 1):
         assert validate_gluing(rel).violations == tuple(GluingViolation(*v) for v in expected)
+
+
+def test_validate_matches_oracle_when_some_classes_fail():
+    """A fiber relation with one element moved into another class: the
+    class-first pass marks exactly the classes the oracle finds violations
+    in, the valid classes stay unmarked, and the violation lists agree."""
+    partial = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, p1 = rng.randint(3, 6), rng.choice([0.5, 0.7, 1.0])
+        sep = separation(rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=rng.random(), seed=seed)))
+        groups = [set(c) for c in fiber_relation(sep).classes]
+        one, other = rng.sample(range(1, len(groups)), 2)  # never the bottom's class
+        v = rng.choice(sorted(groups[one]))
+        groups[one].discard(v)
+        groups[other].add(v)
+        rel = GluingRelation(base=sep.separated, classes=tuple(frozenset(g) for g in groups if g))
+        expected = brute_gluing_violations(rel)
+        got = [(x.condition, x.elements, x.reason) for x in validate_gluing(rel).violations]
+        assert got == expected, seed
+        with mock.patch.object(gluing, "_PAIR_CELLS", 1), mock.patch("simposets.poset._CHECK_CELLS", 1):
+            assert [(x.condition, x.elements, x.reason) for x in validate_gluing(rel).violations] == expected
+        class_of = {e: i for i, c in enumerate(rel.classes) for e in c}
+        cls = rel.base._class_array(rel.classes)
+        marked = gluing._failing_classes(rel.base, cls, len(rel.classes))
+        assert set(marked.nonzero()[0].tolist()) == {class_of[x[1][0]] for x in expected}, seed
+        partial += 0 < marked.sum() < len(rel.classes)
+    assert partial >= 30
+
+
+def test_validate_finds_a_rank_mismatch_that_no_other_test_shows():
+    """Triangle a over x, y, w and edge b over z, t, with every atom and
+    edge in one class: a and b then have the same classes below and no
+    common upper bound, so only their ranks tell their class apart."""
+    a, b = L("a"), L("b")
+    atoms = [L(v) for v in "xywzt"]
+    edges = [L("xy"), L("xw"), L("yw")]
+    covers = [(BOT, v) for v in atoms] + [(e, a) for e in edges] + [(L("z"), b), (L("t"), b)]
+    covers += [(L(v), e) for e in edges for v in str(e)]
+    p = Poset.from_covers([BOT, *atoms, *edges, a, b], covers)
+    rel = GluingRelation(base=p, classes=(frozenset([BOT]), frozenset(atoms + edges), frozenset([a, b])))
+    expected = brute_gluing_violations(rel)
+    assert [x for x in expected if a in x[1]] == [(1, (a, b), EQUAL_RANK)]
+    assert [(x.condition, x.elements, x.reason) for x in validate_gluing(rel).violations] == expected
+
+
+@pytest.mark.parametrize("members", [256, 300])
+def test_validate_rejects_a_large_class_under_one_top(members):
+    """All members below one top: every unordered pair shares it.  A count
+    of members per upper bound kept in a byte would wrap at 256."""
+    atoms = [L(f"v{i}") for i in range(members)]
+    top = L("t")
+    p = Poset.from_covers([BOT, *atoms, top], [(BOT, a) for a in atoms] + [(a, top) for a in atoms])
+    rel = GluingRelation(base=p, classes=(frozenset([BOT]), frozenset(atoms), frozenset([top])))
+    check = validate_gluing(rel)
+    assert not check.ok
+    assert len(check.violations) == members * (members - 1) // 2
+    assert {(v.condition, v.reason) for v in check.violations} == {(1, UPPER_BOUND)}
+    assert check.violations[0].elements == tuple(sorted(atoms)[:2])
+
+
+def test_validate_on_a_2000_element_separation_stays_within_its_blocks():
+    """The fiber relation of the n=12, p=0.9 sample's separation (2025
+    elements): the check keeps one block of at most ``_PAIR_CELLS`` cells
+    and O(n) arrays, where an n x k class matrix would take 2 MB."""
+    sep = separation(rand_simplicial_poset(RandomModelParams(n=12, p1=0.9, p2=0.9, seed=0)))
+    rel = fiber_relation(sep)
+    assert len(rel.base) == 2025
+    rel.base._profile()
+    tracemalloc.start()
+    try:
+        assert validate_gluing(rel).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * gluing._PAIR_CELLS
 
 
 def test_quotient_of_two_edges_gives_one_edge():

@@ -69,6 +69,13 @@ def test_monomial_rejects_a_negative_exponent():
         MonomialIdeal(variables=("a", "b"), generators=((1, 0), (0, -1)))
 
 
+def test_monomial_rejects_an_exponent_outside_int64():
+    with pytest.raises(ValueError, match="above 9223372036854775807"):
+        MonomialIdeal(variables=("a",), generators=((2**63,),))
+    top = MonomialIdeal(variables=("a",), generators=((2**63 - 1,),))
+    assert monomial_ideals_equal(top, top)
+
+
 def test_monomial_rows_accept_numpy_integers():
     ideal = MonomialIdeal(variables=("a", "b", "c"), generators=(np.array([2, 0, 1], dtype=np.int8),))
     assert ideal.generators == ((2, 0, 1),)

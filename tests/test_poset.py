@@ -3,11 +3,14 @@ quotients, serialization, isomorphism."""
 
 import random
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import simposets.complexes as complexes_module
 import simposets.poset as poset_module
 from simposets import (
     ElementNotFoundError,
@@ -122,11 +125,12 @@ BUILDS = {
 def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
     """Each order matrix a constructor builds is checked for antisymmetry
     once: by the Kahn levels of ``_dag``, which reach every element only
-    when the pairs have no cycle, or through ``_has_cycle``."""
+    when the pairs have no cycle, by the distinct vertex masks of a face
+    poset, or through ``_has_cycle``."""
     calls, built = [], []
-    for name in ("_has_cycle", "_dag"):
-        real = getattr(poset_module, name)
-        monkeypatch.setattr(poset_module, name, lambda *a, real=real: calls.append(1) or real(*a))
+    for module, name in ((poset_module, "_has_cycle"), (poset_module, "_dag"), (complexes_module, "_distinct")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(1) or real(*a))
     trusted = Poset._trusted
     monkeypatch.setattr(Poset, "_trusted", classmethod(lambda cls, *a, **k: built.append(1) or trusted(*a, **k)))
     for name, (expected, build) in BUILDS.items():
@@ -455,6 +459,67 @@ def test_missing_relation_under_support_inclusion_is_not_simplicial():
     assert not p.leq(L("wx1"), L("wxy2"))
     assert not p.is_simplicial()
     assert brute_is_simplicial(p) is False
+
+
+def random_order_over_bottom(rng, n):
+    """A random order on a bottom and n - 1 further elements: pairs drawn
+    at random, closed by Warshall's algorithm."""
+    pairs = [(0, j) for j in range(1, n)]
+    pairs += [(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < 0.4]
+    elems = [BOT] + [L(f"v{i}") for i in range(1, n)]
+    return Poset.from_covers(elems, [(elems[i], elems[j]) for i, j in warshall_covers(warshall(n, pairs))])
+
+
+def test_simplicial_and_face_checks_match_oracle_on_random_orders():
+    """Random small orders over a bottom, about half of them simplicial;
+    ``_compute_simplicial`` runs without the cached answer."""
+    rng = random.Random(15)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        p = random_order_over_bottom(rng, rng.randint(1, 7))
+        simplicial = brute_is_simplicial(p)
+        assert p._compute_simplicial() == simplicial
+        with mock.patch.object(poset_module, "_CHECK_CELLS", 1):  # one maximal element per block
+            assert p._compute_simplicial() == simplicial
+        if simplicial:
+            assert p.is_face_poset() == brute_is_face_poset(p)
+        seen[simplicial] += 1
+    assert min(seen.values()) > 100
+
+
+def test_equal_supports_count_only_under_one_maximal_element():
+    """ab1 and ab2 have the same support and every interval has 2^rank
+    elements.  Under one top t the poset is not simplicial; split between
+    two tops, each over one of them, it is, but it is not a face poset."""
+    edges = {
+        "a": ["0"], "b": ["0"], "c": ["0"],
+        "ab1": ["a", "b"], "ab2": ["a", "b"], "ac": ["a", "c"], "bc": ["b", "c"],
+    }
+    one_top = poset_over_bottom({**edges, "t": ["ab1", "ab2", "ac"]})
+    two_tops = poset_over_bottom({**edges, "t1": ["ab1", "ac", "bc"], "t2": ["ab2", "ac", "bc"]})
+    for p in (one_top, two_tops):
+        assert intervals_have_boolean_size(p)
+        assert p.atom_support(L("ab1")) == p.atom_support(L("ab2"))
+    assert not one_top._compute_simplicial()
+    assert brute_is_simplicial(one_top) is False
+    assert two_tops._compute_simplicial() and brute_is_simplicial(two_tops)
+    assert not two_tops.is_face_poset()
+    assert brute_is_face_poset(two_tops) is False
+
+
+def test_simplicial_checks_on_a_4096_element_lattice_stay_small():
+    """No n x n temporary: with the profile built, both checks on the
+    boolean lattice of rank 12 trace well under the 16 MB of one bool
+    n x n matrix."""
+    p = boolean_lattice(12)
+    p._profile()
+    tracemalloc.start()
+    try:
+        assert p.is_simplicial() and p.is_face_poset()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("k", [64, 70])
