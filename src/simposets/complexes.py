@@ -38,26 +38,33 @@ class SimplicialComplex:
     def face_poset(self) -> Poset:
         """Faces ordered by inclusion, with the empty face as bottom.
 
-        The order is antisymmetric iff the faces' vertex masks are
-        distinct, an O(n) check made here instead of one on the matrix."""
-        faces = self.faces()
-        vidx = {v: i for i, v in enumerate(self.vertices)}
-        labels, masks = [], []
-        for f in faces:
-            # faces are sorted tuples of the names make_complex validated
-            labels.append(Label.bottom() if not f else Label._atoms(f))
-            m = 0
-            for v in f:
-                m |= 1 << vidx[v]
-            masks.append(m)
-        if not _distinct(masks):
+        A face lies below another when none of its vertices lies outside
+        it: one float32 product of the face-vertex incidence rows with
+        their complement, a block of rows at a time, so no block outgrows
+        ``leq``.  The order is antisymmetric iff the faces are distinct, an
+        O(n) check made here instead of one on the matrix."""
+        faces = sorted(self.faces())  # by names, which is canonical label order
+        if not _distinct(faces):
             raise InvariantError("reachability matrix is not antisymmetric")
-        arr = np.asarray(masks, dtype=np.int64)
-        leq = (arr[:, None] & ~arr[None, :]) == 0
+        # faces are sorted tuples of the names make_complex validated
+        labels = [Label.bottom() if not f else Label._atoms(f) for f in faces]
+        vidx = {v: i for i, v in enumerate(self.vertices)}
+        n = len(faces)
+        inc = np.zeros((n, len(vidx)), dtype=np.float32)
+        inc[[k for k, f in enumerate(faces) for _ in f], [vidx[v] for f in faces for v in f]] = 1
+        outside = 1 - inc.T
         size = np.array([len(f) for f in faces])
-        # a face covers the faces below it with one vertex fewer
-        lo, hi = np.nonzero(leq & (size[:, None] + 1 == size))
-        return Poset._trusted(labels, leq, lo, hi, antisymmetric=True)
+        leq = np.empty((n, n), dtype=bool)
+        lo, hi = [], []
+        step = max(1, n // 4)  # a float32 block of step rows fills at most the bytes of leq
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            leq[rows] = inc[rows] @ outside == 0
+            # a face covers the faces below it with one vertex fewer
+            r, c = np.nonzero(leq[rows] & (size[rows, None] + 1 == size))
+            lo.append(r + start)
+            hi.append(c)
+        return Poset._trusted(labels, leq, np.concatenate(lo), np.concatenate(hi), antisymmetric=True)
 
     def minimal_nonfaces(self):
         """Inclusion-minimal vertex subsets that are not faces.
@@ -102,11 +109,11 @@ class SimplicialComplex:
         return cls.from_json_dict(_loads(text))
 
 
-def _distinct(masks) -> bool:
-    """Whether the vertex masks are pairwise distinct, which is when the
-    subset order on them is antisymmetric: two masks each within the other
-    are equal."""
-    return len(set(masks)) == len(masks)
+def _distinct(faces) -> bool:
+    """Whether the faces (sorted vertex tuples) are pairwise distinct, which
+    is when the subset order on them is antisymmetric: two vertex sets each
+    within the other are equal."""
+    return len(set(faces)) == len(faces)
 
 
 def make_complex(vertices, facet_candidates) -> SimplicialComplex:

@@ -16,11 +16,17 @@ union with the same code as ``separation``, and both constructors end in
 ``quotient_by_gluing``.
 ``reconstruct_theta_pair`` inverts that construction when the atom family
 is an antichain and the meet poset is a face poset.
+
+The whole path runs on index arrays: a disjoint union keeps its copy labels
+as a recipe of copy indices and member arrays, a relation is one class
+array, and the quotient keeps its class labels as a recipe over that array,
+so no label is built until the output is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +39,25 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset, _ranges
+from .poset import Poset, _class_members, _Lazy, _ranges
 
 
 @dataclass
 class SeparationResult:
+    """The separation of a poset q.  ``origin[i]`` is the index in q of the
+    element that element i of ``separated`` copies (the bottom copies q's
+    bottom), and ``source`` is q's label recipe.  ``projection``, the same
+    map on labels, is a dict built on first read."""
+
     separated: Poset
-    projection: dict = field(compare=False)  # separated label -> original label
+    origin: np.ndarray = field(compare=False, repr=False)
+    source: _Lazy = field(compare=False, repr=False)
+
+    @cached_property
+    def projection(self) -> dict:
+        """Separated label -> original label."""
+        el, orig = self.separated.elements, self.source.get()
+        return {el[i]: orig[j] for i, j in enumerate(self.origin.tolist())}
 
 
 @dataclass(frozen=True)
@@ -65,18 +83,28 @@ class GluingCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
 class GluingRelation:
-    """A partition of a poset's elements, candidate for a gluing relation."""
+    """A partition of a poset's elements, candidate for a gluing relation.
 
-    base: Poset
-    classes: tuple
+    ``classes`` are collections of labels, checked to partition the
+    elements of ``base``, or an integer array holding each element's class,
+    as the gluing constructors build it.  Either way the relation holds one
+    class array, ``class_index``, its classes numbered by least member
+    index, which is the order of their least members.  ``classes`` lists
+    them as frozensets of labels in that order; its length is known at
+    once, and the sets are built on first read of one.
+    """
 
-    def __post_init__(self):
-        blocks = [frozenset(c) for c in self.classes]
-        self.base._class_array(blocks)  # checks the partition
-        blocks.sort(key=lambda c: min(m.key for m in c))
-        object.__setattr__(self, "classes", tuple(blocks))
+    __slots__ = ("base", "class_index", "classes")
+
+    def __init__(self, base: Poset, classes):
+        self.base = base
+        self.class_index, k = base._partition(classes)
+        self.classes = _Lazy(k, _class_sets, base._labels, self.class_index)
+
+
+def _class_sets(labels: _Lazy, cls: np.ndarray) -> tuple:
+    return tuple(frozenset(m) for m in _class_members(labels, cls))
 
 
 @dataclass(frozen=True)
@@ -107,36 +135,57 @@ class GluingSpec:
         }
 
 
-def _disjoint_union(blocks):
+def _ascending(blocks) -> bool:
+    """Whether the copy indices of the blocks, and the member indices of
+    each block, are strictly ascending.  Then the union of ``_disjoint_union``
+    is antisymmetric: each block is a principal submatrix, on distinct
+    indices, of an antisymmetric matrix, and blocks share only the bottom.
+    Its elements then also stand in canonical label order: the bottom, then
+    copy index, then base index, which is base label order."""
+    copies = [ci for ci, _, _ in blocks]
+    return all(a < b for a, b in zip(copies, copies[1:])) and all(
+        (np.diff(members) > 0).all() for _, _, members in blocks
+    )
+
+
+def _copy_labels(blocks) -> tuple:
+    """The labels of a disjoint union: the bottom, then ``i@v`` for member
+    v of each block ``(i, base labels, members)``."""
+    labels = [Label.bottom()]
+    for ci, source, members in blocks:
+        el = source.get()
+        labels += [Label.copy(ci, el[v]) for v in members.tolist()]
+    return tuple(labels)
+
+
+def _disjoint_union(blocks) -> Poset:
     """Disjoint copies of pieces of posets, sharing only the bottom.
 
-    A block is ``(copy index, poset, members)`` where ``members`` lists the
-    ascending indices of non-bottom elements whose lower sets, bottom
-    aside, stay inside the list.  Member v of block i becomes the copy
-    label ``i@v``.  Returns the union and the map from each copy label to
-    its original element.
+    A block is ``(copy index, poset, members)`` where ``members`` is an
+    index array listing the ascending indices of non-bottom elements whose
+    lower sets, bottom aside, stay inside the list; blocks come by
+    ascending copy index.  Member v of block i becomes the copy labelled
+    ``i@v``, built on first read.
     """
-    labels = [Label.bottom()]
-    origin = {}
-    leq = np.eye(1 + sum(len(members) for _, _, members in blocks), dtype=bool)
+    if not _ascending(blocks):
+        raise InvariantError("disjoint union blocks must ascend")
+    leq = np.eye(1 + sum(members.size for _, _, members in blocks), dtype=bool)
     leq[0, :] = True
     lo, hi = [], []
     offset = 1
-    for ci, p, members in blocks:
-        copies = [Label.copy(ci, p.elements[i]) for i in members]
-        labels += copies
-        origin.update((c, p.elements[i]) for i, c in zip(members, copies))
-        m = len(members)
+    for _, p, members in blocks:
+        m = members.size
         leq[offset : offset + m, offset : offset + m] = p._leq.take(members, 0).take(members, 1)
         # Members are closed downward, so a cover into a member starts at
         # another member or at the bottom, which stays at 0.
-        at = np.zeros(len(p.elements), dtype=np.intp)
+        at = np.zeros(len(p), dtype=np.intp)
         at[members] = np.arange(offset, offset + m)
         into = at[p._hi] > 0
         lo.append(at[p._lo[into]])
         hi.append(at[p._hi[into]])
         offset += m
-    return Poset._trusted(labels, leq, np.concatenate(lo), np.concatenate(hi)), origin
+    labels = _Lazy(leq.shape[0], _copy_labels, [(ci, p._labels, members) for ci, p, members in blocks])
+    return Poset._indexed(labels, leq, np.concatenate(lo), np.concatenate(hi))
 
 
 def separation(q: Poset) -> SeparationResult:
@@ -150,23 +199,19 @@ def separation(q: Poset) -> SeparationResult:
     above_bottom = prof.lower > 1
     maxima = np.flatnonzero(prof.upper == 1)
     blocks = [
-        (ci, q, np.flatnonzero(q._leq[:, x] & above_bottom).tolist())
+        (ci, q, np.flatnonzero(q._leq[:, x] & above_bottom))
         for ci, x in enumerate(maxima.tolist(), start=1)
     ]
-    sep, origin = _disjoint_union(blocks)
-    projection = {Label.bottom(): q.elements[prof.bottom], **origin}
+    sep = _disjoint_union(blocks)
+    origin = np.concatenate([[prof.bottom], *(members for _, _, members in blocks)])
     if not sep.is_face_poset():
         raise InvariantError("separation produced a non face poset")
-    return SeparationResult(separated=sep, projection=projection)
+    return SeparationResult(separated=sep, origin=origin, source=q._labels)
 
 
 def fiber_relation(result: SeparationResult) -> GluingRelation:
     """The relation identifying all copies of the same original element."""
-    fibers = {}
-    for ce, orig in result.projection.items():
-        fibers.setdefault(orig, []).append(ce)
-    classes = tuple(frozenset(v) for _, v in sorted(fibers.items(), key=lambda kv: kv[0].key))
-    return GluingRelation(base=result.separated, classes=classes)
+    return GluingRelation(result.separated, result.origin)
 
 
 _CONDITION_1 = (
@@ -247,10 +292,10 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     """
     base = relation.base
     leq = base._leq
-    n, k = len(base.elements), len(relation.classes)
-    base.bottom()  # the rank counts atoms, so needs a unique minimum
+    n, k = len(base), len(relation.classes)
+    base._bottom_index()  # the rank counts atoms, so needs a unique minimum
     rank = base._profile().rank
-    cls = base._class_array(relation.classes)
+    cls = relation.class_index
     members = np.flatnonzero(_failing_classes(base, cls, k)[cls])
     a, b = (members[x] for x in _related_pairs(cls[members], k))
     if not a.size:
@@ -287,7 +332,7 @@ def quotient_by_gluing(relation: GluingRelation) -> Poset:
     if not check.ok:
         shown = "; ".join(str(v) for v in check.violations[:5])
         raise PreconditionError(f"not a gluing relation: {shown}")
-    out = relation.base.quotient(relation.classes)
+    out = relation.base.quotient(relation.class_index)
     if not out.is_simplicial():
         raise InvariantError("gluing quotient is not simplicial")
     return out
@@ -355,16 +400,18 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
     if len(set(image.values())) != len(image):
         raise InvalidGluingError("image_not_injective")
 
-    ea = [v for v in a.elements if v != bot_a]
-    eb = [u for u in b.elements if u != bot_b]
-    union, _ = _disjoint_union([(1, a, [a._index[v] for v in ea]), (2, b, [b._index[u] for u in eb])])
-
-    glued_b = set(image.values())
-    classes = [frozenset([Label.copy(1, w), Label.copy(2, image[w])]) for w in image]
-    classes += [frozenset([Label.copy(1, v)]) for v in ea if v not in image]
-    classes += [frozenset([Label.copy(2, u)]) for u in eb if u not in glued_b]
-    classes.append(frozenset([Label.bottom()]))
-    return quotient_by_gluing(GluingRelation(base=union, classes=tuple(classes)))
+    # copies of every element but the bottom; a's at 1.., then b's
+    ia = np.flatnonzero(np.arange(len(a)) != a._bottom_index())
+    ib = np.flatnonzero(np.arange(len(b)) != b._bottom_index())
+    union = _disjoint_union([(1, a, ia), (2, b, ib)])
+    at_a = np.zeros(len(a), dtype=np.intp)
+    at_a[ia] = np.arange(1, 1 + ia.size)
+    at_b = np.zeros(len(b), dtype=np.intp)
+    at_b[ib] = np.arange(1 + ia.size, len(union))
+    # each copy is its own class, but the copy of an image joins its preimage's
+    cls = np.arange(len(union))
+    cls[at_b[[b._index[t] for t in image.values()]]] = at_a[[a._index[w] for w in image]]
+    return quotient_by_gluing(GluingRelation(union, cls))
 
 
 def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
@@ -372,28 +419,24 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
 
     d2 is first extended with every vertex of d1, so atoms are always
     shared and never duplicated.  Copies of a face are identified exactly
-    when the face lies in both complexes.
+    when the face lies in both complexes: when it is a vertex, or when its
+    atom support in d1's face poset lies inside the vertex set of a facet
+    of d2.  The relation is a class array over the separation, whose
+    labels, like the result's, are built only when read.
     """
     p1 = d1.face_poset()
     sep = separation(p1)
-    d2_vertices = list(d2.vertices) + [v for v in d1.vertices if v not in set(d2.vertices)]
-    ambient = make_complex(d2_vertices, d2.facets)
-    # every separated element is a copy of a face of d1
-    shared = {frozenset(f) for f in ambient.faces()}
-    groups = {}
-    singles = []
-    for lab in sep.separated.elements:
-        if lab == Label.bottom():
-            singles.append(lab)
-            continue
-        base = lab.value[1]
-        if frozenset(base.names) in shared:
-            groups.setdefault(base, []).append(lab)
-        else:
-            singles.append(lab)
-    classes = [frozenset(v) for v in groups.values()]
-    classes += [frozenset([s]) for s in singles]
-    return quotient_by_gluing(GluingRelation(base=sep.separated, classes=tuple(classes)))
+    prof = p1._profile()
+    # the atoms of a face poset are its vertices, in canonical order
+    names = [p1.elements[a].single_vertex_name() for a in prof.atoms.tolist()]
+    outside = np.array([[v not in f for v in names] for f in map(frozenset, d2.facets)], dtype=np.float32)
+    # a face lies in a facet of d2 when none of its atoms lies outside it
+    inside = (outside.reshape(len(d2.facets), len(names)) @ prof.supp.astype(np.float32) == 0).any(axis=0)
+    shared = inside | (prof.rank == 1)
+    # each copy of a shared face joins the class of that face, others stand alone
+    origin = sep.origin
+    cls = np.where(shared[origin], origin, len(p1) + np.arange(origin.size))
+    return quotient_by_gluing(GluingRelation(sep.separated, cls))
 
 
 def atom_family(p: Poset):

@@ -10,6 +10,8 @@ Four kinds cover everything the library constructs:
 
 Canonical strings round-trip through :meth:`Label.parse` and labels sort by
 a structural key, so every listing in the package is deterministic.
+Parsing finds the braces and commas in one scan of the text and accepts at
+most ``LABEL_DEPTH_MAX`` nested braces and copy prefixes.
 """
 
 from __future__ import annotations
@@ -23,17 +25,16 @@ BOTTOM, ATOMS, COPY, CLASS = 0, 1, 2, 3
 
 # Characters with a job in the grammar; vertex names may not contain them.
 RESERVED = set('*@{},"')
+LABEL_DEPTH_MAX = 200  # nested braces and copy prefixes that parse accepts
 
-_COPY_RE = re.compile(r"(\d+)@(.+)", re.DOTALL)
+# re's \s matches exactly the characters for which str.isspace holds
+_NAME_RE = re.compile("[^" + re.escape("".join(sorted(RESERVED))) + r"\s]+")
+_DIGITS_RE = re.compile(r"\d+")  # str.isdecimal, as int() reads it
+_BRACES_RE = re.compile("[{},]")
 
 
 def valid_vertex_name(name) -> bool:
-    return (
-        isinstance(name, str)
-        and bool(name)
-        and name != "0"
-        and not any(c in RESERVED or c.isspace() for c in name)
-    )
+    return isinstance(name, str) and name != "0" and _NAME_RE.fullmatch(name) is not None
 
 
 @total_ordering
@@ -99,40 +100,12 @@ class Label:
 
     @classmethod
     def parse(cls, text: str) -> "Label":
-        try:
-            return cls._parse(text)
-        except RecursionError:
-            raise FormatError("label is nested too deeply") from None
-
-    @classmethod
-    def _parse(cls, text: str) -> "Label":
         if not isinstance(text, str) or not text:
             raise FormatError(f"cannot parse label from {text!r}")
-        if text == "0":
-            return cls.bottom()
-        if text.startswith("{"):
-            if not text.endswith("}") or len(text) < 3:
-                raise FormatError(f"malformed class label: {text!r}")
-            inner = text[1:-1]
-            parts, depth, start = [], 0, 0
-            for i, ch in enumerate(inner):
-                if ch == "{":
-                    depth += 1
-                elif ch == "}":
-                    depth -= 1
-                    if depth < 0:
-                        raise FormatError(f"unbalanced braces in label: {text!r}")
-                elif ch == "," and depth == 0:
-                    parts.append(inner[start:i])
-                    start = i + 1
-            if depth != 0:
-                raise FormatError(f"unbalanced braces in label: {text!r}")
-            parts.append(inner[start:])
-            return cls.class_of(cls._parse(p) for p in parts)
-        m = _COPY_RE.fullmatch(text)
-        if m:
-            return cls.copy(int(m.group(1)), cls._parse(m.group(2)))
-        return cls.atom_set(text.split("*"))
+        try:
+            return _parse(text)
+        except RecursionError:  # a caller already near the recursion limit
+            raise FormatError("label is nested too deeply") from None
 
     # Conveniences used by the gluing and reconstruction code.
 
@@ -171,3 +144,52 @@ class Label:
 
 
 _BOTTOM_LABEL = Label(BOTTOM, None, (BOTTOM,), "0")
+
+
+def _parse(text: str) -> Label:
+    """The label written ``text``.
+
+    One scan over the braces and commas gives each ``{`` its matching
+    ``}`` and the commas directly inside it.  A class ``{...}`` is
+    balanced iff its ``}`` is the match of its ``{``, and its members are
+    then split at those commas, so no part of the text is scanned twice.
+    Each part is read as ``0``, a class, a copy ``<digits>@<label>`` or an
+    atom set, in that order, and errors come in the order of a left-to-right
+    descent that checks a class's braces before its members."""
+    close, commas, open_ = {}, {}, []
+    for m in _BRACES_RE.finditer(text):
+        ch, at = m.group(), m.start()
+        if ch == "{":
+            open_.append(at)
+            commas[at] = []
+        elif ch == "}":
+            if open_:
+                close[open_.pop()] = at
+        elif open_:
+            commas[open_[-1]].append(at)
+
+    def node(i, j, depth):
+        if depth > LABEL_DEPTH_MAX:
+            raise FormatError("label is nested too deeply")
+        if i == j:
+            raise FormatError("cannot parse label from ''")
+        if j - i == 1 and text[i] == "0":
+            return Label.bottom()
+        if text[i] == "{":
+            if text[j - 1] != "}" or j - i < 3:
+                raise FormatError(f"malformed class label: {text[i:j]!r}")
+            if close.get(i) != j - 1:
+                raise FormatError(f"unbalanced braces in label: {text[i:j]!r}")
+            bounds = [i, *commas[i], j - 1]
+            members = []
+            for a, b in zip(bounds, bounds[1:]):  # a loop, not a comprehension: one frame per level
+                members.append(node(a + 1, b, depth + 1))
+            if all(a.key < b.key for a, b in zip(members, members[1:])):
+                return Label._class(tuple(members))
+            return Label.class_of(members)
+        digits = _DIGITS_RE.match(text, i, j)
+        if digits and digits.end() < j - 1 and text[digits.end()] == "@":
+            return Label.copy(int(digits.group()), node(digits.end() + 1, j, depth + 1))
+        return Label.atom_set(text[i:j].split("*"))
+
+    return node(0, len(text), 0)

@@ -5,8 +5,21 @@ a read-only boolean matrix ``leq`` where ``leq[i, j]`` means element ``i`` is
 below element ``j``.  The covers, always the transitive reduction of
 ``leq``, are kept alongside as two index arrays ``(lo, hi)`` sorted in that
 same order, so order queries are O(1) and every listing derived from a
-poset is deterministic.  Labels are looked up only on input and built only
-for output: the ``covers`` pair set, JSON and DOT.
+poset is deterministic.
+
+Labels are looked up only on input and built only for output.  A poset
+keeps its element labels as a recipe (``_Lazy``) and builds the label tuple
+on first read of ``elements``: through a label lookup, ``bottom()`` and the
+other label queries, the ``covers`` pair set, JSON, DOT, ``==``, hashing or
+pickling.  A recipe holds labels, other recipes and index arrays, never a
+poset or its ``leq``, so intermediate posets are freed once their output
+exists.  Only ``face_poset`` and ``from_json`` build labels up front: they
+are the constructors that sort by label key (``_trusted``).  The others
+know the canonical order from indices alone (``_indexed``): a quotient
+numbers its classes by least member index, which is the order of their
+class labels, because two disjoint classes differ in their first member;
+a disjoint union of copies lists the bottom, then the copies by copy index
+and base index.
 
 ``from_covers`` and ``quotient`` derive their order from generating pairs
 through one kernel, ``_dag``: Kahn levels from the top, then one pass over
@@ -25,7 +38,7 @@ their rows ``leq[atoms]``, whose columns are the atom supports; ``rank``,
 the atoms below each element; and ``ids``, one dense id per distinct
 support, ranked from the packed ``supp`` columns by ``_ranks``.  Building
 it never raises; readers that need the unique minimum check it through
-``bottom()``.
+``_bottom_index()``.
 
 The simplicial vocabulary lives here as methods: atoms, atom supports,
 ``is_simplicial`` (every lower interval is a boolean lattice) and
@@ -43,6 +56,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from itertools import islice
 
 import numpy as np
@@ -136,6 +150,58 @@ def _has_cycle(leq: np.ndarray) -> bool:
     return np.count_nonzero(leq & leq.T) != leq.shape[0]
 
 
+class _Lazy(Sequence):
+    """A tuple of known length, built by ``build(*args)`` on first read of
+    an item.  The arguments hold labels, other ``_Lazy`` tuples or index
+    arrays, never a ``Poset`` or its ``leq``, and are dropped once the
+    tuple is built.  Pickling builds it, so a pickle holds no recipe."""
+
+    __slots__ = ("_size", "_value", "_recipe")
+
+    def __init__(self, size: int, build, *args):
+        self._size = size
+        self._value = None
+        self._recipe = (build, args)
+
+    @classmethod
+    def of(cls, value: tuple) -> "_Lazy":
+        """An already built tuple."""
+        lazy = cls(len(value), None)
+        lazy._value, lazy._recipe = value, None
+        return lazy
+
+    def get(self) -> tuple:
+        if self._recipe is not None:
+            build, args = self._recipe
+            self._value = build(*args)
+            self._recipe = None
+        return self._value
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i):
+        return self.get()[i]
+
+    def __iter__(self):
+        return iter(self.get())
+
+    def __reduce__(self):
+        return (_Lazy.of, (self.get(),))
+
+
+def _class_members(labels: _Lazy, cls: np.ndarray) -> list:
+    """The member labels of each class of ``cls`` (numbered from 0), as
+    tuples in index order, which is canonical label order."""
+    el = labels.get()
+    members = iter([el[i] for i in np.argsort(cls, kind="stable").tolist()])
+    return [tuple(islice(members, size)) for size in np.bincount(cls).tolist()]
+
+
+def _class_labels(labels: _Lazy, cls: np.ndarray) -> tuple:
+    return tuple(Label._class(m) for m in _class_members(labels, cls))
+
+
 def _label_index(elements) -> dict:
     """Position of each label; rejects an empty or repeated label list."""
     index = {e: i for i, e in enumerate(elements)}
@@ -150,15 +216,15 @@ _Profile = namedtuple("_Profile", "lower upper bottom atoms supp rank ids")
 
 
 class Poset:
-    __slots__ = ("elements", "_lo", "_hi", "_leq", "_index", "_profile_cache", "_simplicial")
+    __slots__ = ("_labels", "_index_cache", "_lo", "_hi", "_leq", "_profile_cache", "_simplicial")
 
-    def __init__(self, elements, lo, hi, leq, index):
+    def __init__(self, labels: _Lazy, lo, hi, leq):
         # Internal: use from_covers / from_json instead.
-        self.elements = elements
+        self._labels = labels
+        self._index_cache = None
         self._lo = lo
         self._hi = hi
         self._leq = leq
-        self._index = index
         self._profile_cache = None
         self._simplicial = None
 
@@ -166,40 +232,56 @@ class Poset:
 
     @classmethod
     def _trusted(cls, elements, leq, lo, hi, *, antisymmetric=False):
-        """Build from an order matrix and the index arrays ``(lo, hi)`` of
-        its cover pairs, all of which the caller derived combinatorially,
-        through ``_dag``, or from a closed matrix.
+        """Build from labels, an order matrix and the index arrays
+        ``(lo, hi)`` of its cover pairs, all of which the caller derived
+        combinatorially, through ``_dag``, or from a closed matrix.
 
-        Elements are re-sorted into canonical label order, one gather of
-        rows and one of columns unless they already are in it, and the
-        covers into the order of ``(lo, hi)`` in it.  Reflexivity is always
-        asserted, and antisymmetry unless the caller has it from the cycle
+        Elements are re-sorted into canonical label order by key, one
+        gather of rows and one of columns unless they already are in it,
+        and the labels are checked to be nonempty and distinct.
+        Antisymmetry is asserted unless the caller has it from the cycle
         check of ``_dag`` or from distinct face masks
         (``antisymmetric=True``): given reflexivity, ``leq`` is
-        antisymmetric iff ``leq & leq.T`` holds the diagonal alone.
-        Closure is not verified here; the test suite checks it against
-        Warshall's algorithm.
+        antisymmetric iff ``leq & leq.T`` holds the diagonal alone.  The
+        rest is ``_indexed``.
         """
         labels = tuple(elements)
         keys = [e.key for e in labels]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         leq = np.asarray(leq, dtype=bool)
-        if order != list(range(len(order))):  # gluing callers hand over canonical order
+        if order != list(range(len(order))):
             labels = tuple(labels[i] for i in order)
             perm = np.asarray(order, dtype=np.intp)
             leq = leq.take(perm, 0).take(perm, 1)
             position = np.argsort(perm)
             lo, hi = position[lo], position[hi]
         index = _label_index(labels)
-        if not leq.diagonal().all():
-            raise InvariantError("reachability matrix is not reflexive")
+        p = cls._indexed(_Lazy.of(labels), leq, lo, hi)
         if not antisymmetric and _has_cycle(leq):
             raise InvariantError("reachability matrix is not antisymmetric")
+        p._index_cache = index
+        return p
+
+    @classmethod
+    def _indexed(cls, labels: _Lazy, leq, lo, hi):
+        """Build from an order matrix whose elements already stand in
+        canonical label order, the index arrays ``(lo, hi)`` of its cover
+        pairs, and the labels as a ``_Lazy`` recipe, which is not read.
+
+        Reflexivity is asserted and the covers are sorted into the order of
+        ``(lo, hi)``.  The caller vouches for the canonical order and for
+        antisymmetry, each checked once per matrix: by ``_trusted``, by the
+        cycle check of ``_dag``, or by the ascending members of a disjoint
+        union.  Closure is not verified here; the test suite checks it
+        against Warshall's algorithm.
+        """
+        if not leq.diagonal().all():
+            raise InvariantError("reachability matrix is not reflexive")
         sort = np.lexsort((hi, lo))
         lo, hi = lo[sort], hi[sort]
         for a in (leq, lo, hi):
             a.setflags(write=False)
-        return cls(labels, lo, hi, leq, index)
+        return cls(labels, lo, hi, leq)
 
     @classmethod
     def from_covers(cls, elements, covers):
@@ -229,8 +311,20 @@ class Poset:
 
     # ----- basic queries ------------------------------------------------
 
+    @property
+    def elements(self) -> tuple:
+        """The element labels in canonical order, built on first read."""
+        return self._labels.get()
+
+    @property
+    def _index(self) -> dict:
+        """The position of each label, built on first read."""
+        if self._index_cache is None:
+            self._index_cache = {e: i for i, e in enumerate(self.elements)}
+        return self._index_cache
+
     def __len__(self):
-        return len(self.elements)
+        return self._leq.shape[0]
 
     def __iter__(self):
         return iter(self.elements)
@@ -256,7 +350,7 @@ class Poset:
         return hash((self.elements, self._lo.tobytes(), self._hi.tobytes()))
 
     def __repr__(self):
-        return f"Poset({len(self.elements)} elements, {self._lo.size} covers)"
+        return f"Poset({len(self)} elements, {self._lo.size} covers)"
 
     def _require(self, label) -> int:
         try:
@@ -287,16 +381,20 @@ class Poset:
             self._profile_cache = _Profile(lower, upper, bottom, atoms, supp, rank, ids)
         return self._profile_cache
 
-    def bottom(self) -> Label:
-        """The unique minimum element; StructureError if there is none."""
+    def _bottom_index(self) -> int:
+        """The index of the unique minimum; StructureError if there is none."""
         b = self._profile().bottom
         if b < 0:
             raise StructureError("poset has no unique minimal element")
-        return self.elements[b]
+        return b
+
+    def bottom(self) -> Label:
+        """The unique minimum element; StructureError if there is none."""
+        return self.elements[self._bottom_index()]
 
     def atoms(self) -> frozenset:
         """Elements covering the unique minimum."""
-        self.bottom()
+        self._bottom_index()
         return frozenset(self.elements[i] for i in self._profile().atoms.tolist())
 
     def lower_set(self, v) -> frozenset:
@@ -311,7 +409,7 @@ class Poset:
     def atom_support(self, v) -> frozenset:
         """The atoms below v."""
         j = self._require(v)
-        self.bottom()
+        self._bottom_index()
         prof = self._profile()
         return frozenset(self.elements[a] for a in prof.atoms[prof.supp[:, j]].tolist())
 
@@ -360,7 +458,7 @@ class Poset:
         """
         if not self.is_simplicial():
             raise PreconditionError("is_face_poset requires a simplicial poset")
-        return int(self._profile().ids.max()) + 1 == len(self.elements)
+        return int(self._profile().ids.max()) + 1 == len(self)
 
     # ----- bounds and meets ----------------------------------------------
 
@@ -406,22 +504,42 @@ class Poset:
     # ----- quotients and restrictions --------------------------------------
 
     def quotient(self, classes) -> "Poset":
-        """Quotient by a partition; class C1 <= C2 iff some v in C1 is below
-        some w in C2, closed transitively.  Elements of the result carry
-        class labels.  Raises StructureError when the classes do not
-        partition the elements or the closure is not antisymmetric."""
-        blocks = [frozenset(c) for c in classes]
-        cls = self._class_array(blocks)
-        # members in index order, which is canonical label order
-        members = iter([self.elements[i] for i in np.argsort(cls, kind="stable").tolist()])
-        labels = [Label._class(tuple(islice(members, len(c)))) for c in blocks]
+        """Quotient by a partition, given as collections of labels or as an
+        integer array holding each element's class; class C1 <= C2 iff some
+        v in C1 is below some w in C2, closed transitively.  Elements of the
+        result carry class labels, built on first read, and stand in the
+        order of their least members.  Raises StructureError when the
+        classes do not partition the elements or the closure is not
+        antisymmetric."""
+        cls, k = self._partition(classes)
         lo, hi = cls[self._lo], cls[self._hi]
         apart = lo != hi
-        order = _dag(len(blocks), lo[apart], hi[apart])
+        order = _dag(k, lo[apart], hi[apart])
         if order is None:
             raise StructureError("quotient is not a partial order")
         leq, lo, hi, redundant = order
-        return Poset._trusted(labels, leq, lo[~redundant], hi[~redundant], antisymmetric=True)
+        labels = _Lazy(k, _class_labels, self._labels, cls)
+        return Poset._indexed(labels, leq, lo[~redundant], hi[~redundant])
+
+    def _partition(self, classes):
+        """The class array of a partition, given as in ``quotient``, with
+        the classes renumbered densely by least member index, and the class
+        count.  Elements stand in canonical label order, so this is also the
+        order of the classes' least member labels, and of their class
+        labels: disjoint classes differ in their first member."""
+        if not isinstance(classes, np.ndarray):
+            classes = self._class_array([frozenset(c) for c in classes])
+        elif classes.shape != (len(self),):
+            raise StructureError("classes must partition the elements")
+        order = np.argsort(classes, kind="stable")
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = classes[order[1:]] != classes[order[:-1]]
+        first = order[new]  # least member of each class, classes by value
+        rank = np.empty(first.size, dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(first.size)
+        cls = np.empty(order.size, dtype=np.intp)
+        cls[order] = rank[np.cumsum(new) - 1]
+        return cls, first.size
 
     def _class_array(self, blocks) -> np.ndarray:
         """Position of each element's block; StructureError unless the
@@ -435,7 +553,7 @@ class Poset:
             at = [index[v] for c in blocks for v in c]
         except KeyError:
             at = []
-        cls = np.full(len(self.elements), -1, dtype=np.intp)
+        cls = np.full(len(self), -1, dtype=np.intp)
         if len(at) == cls.size:
             cls[at] = np.repeat(np.arange(len(blocks)), sizes)
         if (cls < 0).any():  # as many members as elements, so none repeats
@@ -457,7 +575,7 @@ class Poset:
     def _height_levels(self) -> list:
         """Length of the longest chain below each element (0 for minimal)."""
         children = _cover_digraph(self)[0]
-        h = [0] * len(self.elements)
+        h = [0] * len(self)
         for j in np.argsort(self._profile().lower, kind="stable").tolist():
             if children[j]:
                 h[j] = 1 + max(h[i] for i in children[j])
@@ -526,7 +644,7 @@ class Poset:
 
 
 def _cover_digraph(p: Poset):
-    n = len(p.elements)
+    n = len(p)
     children = [[] for _ in range(n)]  # covered-by lists (towards bottom)
     parents = [[] for _ in range(n)]
     for i, j in zip(p._lo.tolist(), p._hi.tolist()):
@@ -592,8 +710,35 @@ def _fits(v, w, adj, placed) -> bool:
     return True
 
 
+class _LabelMap(Mapping):
+    """The label map of an index map ``mate`` between two posets, given by
+    their label recipes; the labels are read on first lookup."""
+
+    __slots__ = ("_source", "_target", "_mate", "_map")
+
+    def __init__(self, source: _Lazy, target: _Lazy, mate: np.ndarray):
+        self._source, self._target, self._mate, self._map = source, target, mate, None
+
+    def _dict(self) -> dict:
+        if self._map is None:
+            el, to = self._source.get(), self._target.get()
+            self._map = {el[i]: to[j] for i, j in enumerate(self._mate.tolist())}
+        return self._map
+
+    def __getitem__(self, label):
+        return self._dict()[label]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self):
+        return self._mate.size
+
+
 def find_isomorphism(p: Poset, q: Poset):
-    """A label map realizing an order isomorphism, or None.
+    """A label map realizing an order isomorphism, or None.  The map is a
+    read-only mapping that reads the labels of either poset on first
+    lookup, so ``are_isomorphic`` builds none.
 
     Both posets are coloured jointly by refinement on their cover digraphs,
     seeded with lower-set and upper-set sizes and cover degrees, so a map
@@ -634,7 +779,7 @@ def find_isomorphism(p: Poset, q: Poset):
         mate = q_of[colors[:n]]  # the map, on the elements of singleton classes
         if k == n:
             if np.array_equal(q._leq.take(mate, 0).take(mate, 1), p._leq):
-                return {p.elements[i]: q.elements[j] for i, j in enumerate(mate.tolist())}
+                return _LabelMap(p._labels, q._labels, mate)
             continue
         if adj is None:
             adj = (_cover_digraph(p), _cover_digraph(q))

@@ -5,10 +5,16 @@ paths under test: faces by powerset expansion, cliques by subset
 enumeration, simpliciality by explicit powerset comparison, covers by a
 pair loop over leq, quotients by an explicit pair loop and Warshall's
 closure, Stanley generators from the lower and upper sets of each pair.
+``oracle_parse`` reads labels part by part, re-scanning each class, and
+``oracle_theta_glue`` glues by labels and face sets: they are the
+references for the one-scan parser and the index-array gluing.
 """
 
+import re
 from itertools import chain, combinations
 
+from simposets import GluingRelation, make_complex, quotient_by_gluing, separation
+from simposets.errors import FormatError
 from simposets.labels import Label
 
 
@@ -229,3 +235,82 @@ def is_order_isomorphism(p, q, mapping):
     if len(set(mapping.values())) != len(mapping):
         return False
     return all({mapping[u] for u in p.lower_set(v)} == q.lower_set(mapping[v]) for v in p.elements)
+
+
+def oracle_parse(text):
+    """A label from its text by the grammar read top down: ``0``, then a
+    class ``{...}`` split at its top-level commas, then a copy
+    ``<digits>@<label>``, then an atom set, each part re-parsed on its
+    own, with Python's recursion limit as the nesting limit."""
+    try:
+        return _oracle_parse(text)
+    except RecursionError:
+        raise FormatError("label is nested too deeply") from None
+
+
+def _oracle_parse(text):
+    if not isinstance(text, str) or not text:
+        raise FormatError(f"cannot parse label from {text!r}")
+    if text == "0":
+        return Label.bottom()
+    if text.startswith("{"):
+        if not text.endswith("}") or len(text) < 3:
+            raise FormatError(f"malformed class label: {text!r}")
+        inner = text[1:-1]
+        parts, depth, start = [], 0, 0
+        for i, ch in enumerate(inner):
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth < 0:
+                    raise FormatError(f"unbalanced braces in label: {text!r}")
+            elif ch == "," and depth == 0:
+                parts.append(inner[start:i])
+                start = i + 1
+        if depth != 0:
+            raise FormatError(f"unbalanced braces in label: {text!r}")
+        parts.append(inner[start:])
+        return Label.class_of(_oracle_parse(p) for p in parts)
+    m = re.fullmatch(r"(\d+)@(.+)", text, re.DOTALL)
+    if m:
+        return Label.copy(int(m.group(1)), _oracle_parse(m.group(2)))
+    names = tuple(sorted(text.split("*")))
+    if len(set(names)) != len(names):
+        raise FormatError(f"repeated vertex name in atom-set label: {names}")
+    for name in names:
+        if not oracle_vertex_name(name):
+            raise FormatError(f"invalid vertex name: {name!r}")
+    return Label._atoms(names)
+
+
+def oracle_vertex_name(name):
+    """A nonempty string other than ``0`` with no reserved character and
+    no whitespace, tested character by character."""
+    return (
+        isinstance(name, str)
+        and bool(name)
+        and name != "0"
+        and not any(c in '*@{},"' or c.isspace() for c in name)
+    )
+
+
+def oracle_theta_glue(d1, d2):
+    """theta_glue by labels: the copies of a face of d1 in its separation
+    form one class when the face is a face of d2 extended with d1's
+    vertices, listed by ``faces()``; the rest stand alone."""
+    sep = separation(d1.face_poset())
+    d2_vertices = list(d2.vertices) + [v for v in d1.vertices if v not in set(d2.vertices)]
+    shared = {frozenset(f) for f in make_complex(d2_vertices, d2.facets).faces()}
+    groups, singles = {}, []
+    for lab in sep.separated.elements:
+        if lab == Label.bottom():
+            singles.append(lab)
+            continue
+        base = lab.value[1]
+        if frozenset(base.names) in shared:
+            groups.setdefault(base, []).append(lab)
+        else:
+            singles.append(lab)
+    classes = [frozenset(v) for v in groups.values()] + [frozenset([s]) for s in singles]
+    return quotient_by_gluing(GluingRelation(sep.separated, classes))

@@ -1,6 +1,7 @@
 """Simplicial complexes, facet parsing, clique complexes."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from simposets import (
 from simposets.labels import Label
 
 from conftest import random_complex
-from oracles import brute_faces, brute_maximal_cliques, brute_minimal_nonfaces, facet_subset
+from oracles import brute_covers, brute_faces, brute_maximal_cliques, brute_minimal_nonfaces, facet_subset
 
 small_complexes = st.integers(0, 10_000).map(
     lambda s: random_complex(random.Random(s), max_vertices=7, max_facets=5)
@@ -111,6 +112,34 @@ def test_face_poset_order_is_containment():
     assert p.leq(L("a"), L("a*b"))
     assert p.leq(Label.bottom(), L("a*b*c"))
     assert not p.leq(L("a*b"), L("b*c"))
+
+
+def test_face_poset_takes_more_vertices_than_a_machine_word():
+    names = [f"v{i}" for i in range(70)]
+    p = make_complex(names, [["v1", "v2", "v69"], ["v0", "v68"]]).face_poset()
+    assert len(p) == 1 + 70 + 4 + 1
+    assert p.is_face_poset()
+    assert p.covers == brute_covers(p)
+    L = Label.parse
+    assert p.leq(L("v69"), L("v1*v2*v69")) and not p.leq(L("v68"), L("v1*v2*v69"))
+
+
+def test_face_poset_of_the_12_simplex_stays_within_three_leq_sizes():
+    """The subset order is built a block of rows at a time, so the traced
+    peak stays within three times the bytes of ``leq``; one n x n int64
+    temporary alone is eight times them."""
+    names = [f"x{i}" for i in range(12)]
+    simplex = make_complex(names, [names])
+    tracemalloc.start()
+    try:
+        p = simplex.face_poset()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(p)
+    assert n == 4096
+    assert peak < 3 * n * n
+    assert p._leq.sum() == 3**12  # pairs of nested subsets
 
 
 def test_graph_validation():

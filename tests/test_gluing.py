@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +25,7 @@ from simposets import (
     delta_glue,
     fiber_relation,
     is_antichain_list,
+    make_complex,
     meet_poset,
     parse_facet_string,
     quotient_by_gluing,
@@ -34,10 +36,11 @@ from simposets import (
     validate_gluing,
 )
 from simposets import gluing
-from simposets.labels import CLASS, Label
+from simposets.labels import ATOMS, CLASS, COPY, Label
+from simposets.poset import _Lazy
 
 from conftest import random_complex
-from oracles import brute_covers, brute_gluing_violations
+from oracles import brute_covers, brute_gluing_violations, oracle_theta_glue
 
 L = Label.parse
 BOT = Label.bottom()
@@ -607,6 +610,74 @@ def test_theta_satisfies_reconstruction_conditions(d1, d2):
     p = theta_glue(d1, d2)
     assert is_antichain_list(atom_family(p))
     assert meet_poset(p).is_face_poset()
+
+
+def theta_inputs(rng):
+    """Two random complexes: d1 with an isolated vertex and a candidate
+    face nested in another, d2 with vertices d1 lacks."""
+    d1 = random_complex(rng, max_vertices=7, max_facets=5)
+    nested = rng.sample(d1.vertices, min(3, len(d1.vertices)))
+    d1 = make_complex([*d1.vertices, "iso"], [*d1.facets, nested, nested[:2]])
+    d2 = random_complex(rng, max_vertices=9, max_facets=6)
+    return d1, d2
+
+
+def test_theta_glue_matches_the_label_oracle():
+    rng = random.Random(31)
+    empty, point = make_complex([], []), make_complex(["v1"], [])
+    pairs = [(empty, point), (point, empty), (empty, empty)] + [theta_inputs(rng) for _ in range(60)]
+    for d1, d2 in pairs:
+        p, q = theta_glue(d1, d2), oracle_theta_glue(d1, d2)
+        assert p == q
+        assert p.to_json() == q.to_json()
+
+
+def test_a_sample_builds_no_copy_or_class_label(monkeypatch):
+    """Sampling and the face-poset test read no label of the separation,
+    the relation or the quotient; only d1's face labels are built."""
+    kinds = Counter()
+    init = Label.__init__
+
+    def counted(self, kind, *args):
+        kinds[kind] += 1
+        init(self, kind, *args)
+
+    monkeypatch.setattr(Label, "__init__", counted)
+    for seed in range(3):
+        p = rand_simplicial_poset(RandomModelParams(n=9, p1=0.8, p2=0.8, seed=seed))
+        p.is_face_poset()
+    assert kinds[ATOMS] > 0
+    assert kinds[COPY] == kinds[CLASS] == 0
+    assert p.elements[-1].kind == CLASS  # reading them builds them
+    assert kinds[COPY] > 0
+
+
+def recipe_parts(lazy):
+    """Everything a label recipe holds, recipes within it included."""
+    if lazy._recipe is None:
+        return
+    for arg in lazy._recipe[1]:
+        for part in arg if isinstance(arg, list) else [arg]:
+            for item in part if isinstance(part, tuple) else [part]:
+                yield item
+                if isinstance(item, _Lazy):
+                    yield from recipe_parts(item)
+
+
+def test_recipes_hold_no_poset_or_order_matrix():
+    d1 = make_complex([f"v{i}" for i in range(6)], [["v0", "v1", "v2"], ["v1", "v2", "v3"], ["v4"]])
+    d2 = make_complex(["v1", "v2", "v7"], [["v1", "v2"]])
+    outputs = [
+        theta_glue(d1, d2),
+        quotient_by_gluing(fiber_relation(separation(d1.face_poset()))),
+        delta_glue(boolean_lattice(2), boolean_lattice(2), {L("x1"): L("x2")}, {L("x1"): L("x2")}),
+    ]
+    for p in outputs:
+        parts = list(recipe_parts(p._labels))
+        assert parts
+        for item in parts:
+            assert not isinstance(item, Poset)
+            assert not (isinstance(item, np.ndarray) and item.ndim > 1)
 
 
 # ----- atom family, antichains, meet posets ----------------------------------

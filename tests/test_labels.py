@@ -2,14 +2,18 @@
 
 import os
 import pickle
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from simposets import FormatError, parse_facet_string
-from simposets.labels import Label, valid_vertex_name
+from simposets import FormatError, RandomModelParams, parse_facet_string, rand_simplicial_poset
+from simposets.labels import LABEL_DEPTH_MAX, Label, valid_vertex_name
+
+from oracles import oracle_parse, oracle_vertex_name
 
 names = st.text(alphabet="abcdefgh123", min_size=1, max_size=3).filter(
     lambda s: s != "0"
@@ -88,6 +92,67 @@ def test_parse_rejects_deep_nesting_as_format_error():
     assert str(Label.parse("1@" * 100 + "a")) == "1@" * 100 + "a"
 
 
+def test_nesting_cap_is_explicit():
+    """The cap is LABEL_DEPTH_MAX braces or copy prefixes, wherever the
+    caller stands in the stack."""
+
+    def nest(levels, wraps):
+        text = "a"
+        for level in range(levels):
+            text = wraps[level % len(wraps)].format(text)
+        return text
+
+    def nested(frames, text):
+        return Label.parse(text) if frames == 0 else nested(frames - 1, text)
+
+    for wraps in (["{{{}}}"], ["1@{}"], ["2@{}", "{{0,{}}}"]):
+        ok = nest(LABEL_DEPTH_MAX, wraps)
+        assert str(nested(500, ok)) == ok
+        with pytest.raises(FormatError, match="label is nested too deeply"):
+            Label.parse(nest(LABEL_DEPTH_MAX + 1, wraps))
+
+
+def test_whitespace_rule_matches_isspace_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    names = ["a", "0", "", "00", "a b", "x\u2028", "\x1c", "\u00a0", "\u200b", 7, None]
+    names += [f"a{c}" for c in '*@{},"']
+    assert [valid_vertex_name(n) for n in names] == [oracle_vertex_name(n) for n in names]
+
+
+def _outcome(parse, text):
+    try:
+        label = parse(text)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "label", str(label), label.key
+
+
+def test_parse_matches_the_oracle_on_mutated_strings():
+    """Accept/reject and the message of every FormatError agree with the
+    reference parser on random edits of real labels."""
+    q = rand_simplicial_poset(RandomModelParams(n=7, p1=0.7, p2=0.5, seed=3))
+    corpus = [str(e) for e in q.elements]
+    corpus += ["{0,a,{b,c}}", "1@2@x", "{1@{a,b},2@0}", "a*b*c", "12@{x}", "{a,b}", "{b,a}"]
+    alphabet = "{},@*0123ab \u0663\t\""
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(6000):
+        text = rng.choice(corpus)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(text))
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:at] + rng.choice(alphabet) + text[at:]
+            elif edit == 1 and text:
+                text = text[:at] + text[at + 1 :]
+            elif text:
+                text = text[:at] + rng.choice(alphabet) + text[at + 1 :]
+        assert _outcome(Label.parse, text) == _outcome(oracle_parse, text), text
+        checked += _outcome(Label.parse, text)[0] == "label"
+    assert checked > 500  # both branches are exercised
+
+
 def test_bottom_sorts_first():
     pool = [Label.atom_set(["a"]), Label.copy(0, Label.bottom()), Label.bottom()]
     assert sorted(pool)[0] is Label.bottom()
@@ -142,14 +207,21 @@ def test_every_kind_hashes_equal_across_constructors():
 def test_unpickled_labels_hash_in_another_process():
     """A label's hash is kept with it, and string hashes differ between
     processes, so a poset sent to another process must still find its
-    elements there."""
-    blob = pickle.dumps(parse_facet_string("a*b,b*c").face_poset())
+    elements there.  A gluing pickled before its labels were read carries
+    them built, with no recipe, and equals the same gluing built there."""
+    theta = rand_simplicial_poset(RandomModelParams(n=7, p1=0.7, p2=0.5, seed=3))
+    assert theta._labels._recipe is not None
+    blob = pickle.dumps((parse_facet_string("a*b,b*c").face_poset(), theta))
     code = (
         "import pickle, sys\n"
+        "from simposets import RandomModelParams, rand_simplicial_poset\n"
         "from simposets.labels import Label\n"
-        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        "p, theta = pickle.loads(sys.stdin.buffer.read())\n"
         "print(p.leq(Label.parse('a'), Label.parse('a*b')), Label.parse('b*c') in p)\n"
+        "again = rand_simplicial_poset(RandomModelParams(n=7, p1=0.7, p2=0.5, seed=3))\n"
+        "print(theta._labels._recipe is None, theta == again, hash(theta) == hash(again))\n"
+        "print(all(e in theta for e in again.elements))\n"
     )
     env = {**os.environ, "PYTHONHASHSEED": "7", "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], input=blob, capture_output=True, env=env, timeout=60)
-    assert out.stdout.split() == [b"True", b"True"], out.stderr
+    assert out.stdout.split() == [b"True"] * 6, out.stderr

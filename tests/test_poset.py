@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import simposets.complexes as complexes_module
+import simposets.gluing as gluing_module
 import simposets.poset as poset_module
 from simposets import (
     ElementNotFoundError,
@@ -110,6 +111,7 @@ BUILDS = {
     "quotient": (1, lambda: B3.quotient(
         [[L("x1*x2"), L("x1*x3")]] + [[v] for v in B3.elements if v not in (L("x1*x2"), L("x1*x3"))]
     )),
+    "quotient_by_array": (1, lambda: B3.quotient(np.array([9, 4, 7, 1, 3, 4, 8, 2]))),
     "restrict": (1, lambda: B3.restrict(B3.elements[:6])),
     "face_poset": (1, lambda: parse_facet_string("a*b*c,b*c*d,d*e").face_poset()),
     "separation": (1, lambda: separation(B3).separated),
@@ -119,6 +121,7 @@ BUILDS = {
     "theta_glue": (3, lambda: theta_glue(
         parse_facet_string("a*b*c*x,a*b*c*y"), parse_facet_string("a*b,b*c,a*c")
     )),
+    "fiber_quotient": (2, lambda: quotient_by_gluing(fiber_relation(separation(B3)))),
 }
 
 
@@ -126,13 +129,21 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
     """Each order matrix a constructor builds is checked for antisymmetry
     once: by the Kahn levels of ``_dag``, which reach every element only
     when the pairs have no cycle, by the distinct vertex masks of a face
-    poset, or through ``_has_cycle``."""
+    poset, by the ascending members of a disjoint union, or through
+    ``_has_cycle``.  Every Poset is built through ``Poset._indexed``, which
+    ``_trusted`` calls after its key sort."""
     calls, built = [], []
-    for module, name in ((poset_module, "_has_cycle"), (poset_module, "_dag"), (complexes_module, "_distinct")):
+    checks = (
+        (poset_module, "_has_cycle"),
+        (poset_module, "_dag"),
+        (complexes_module, "_distinct"),
+        (gluing_module, "_ascending"),
+    )
+    for module, name in checks:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(1) or real(*a))
-    trusted = Poset._trusted
-    monkeypatch.setattr(Poset, "_trusted", classmethod(lambda cls, *a, **k: built.append(1) or trusted(*a, **k)))
+    indexed = Poset._indexed
+    monkeypatch.setattr(Poset, "_indexed", classmethod(lambda cls, *a, **k: built.append(1) or indexed(*a, **k)))
     for name, (expected, build) in BUILDS.items():
         calls.clear()
         built.clear()
@@ -150,6 +161,32 @@ def test_covers_are_the_reduction_in_key_order(name):
     assert p.to_json_dict()["covers"] == [[str(lo), str(hi)] for lo, hi in by_key]
     q = Poset.from_json(p.to_json())
     assert p == q and hash(p) == hash(q)
+
+
+def key_sorted(p, rng):
+    """p rebuilt by ``Poset._trusted`` from its labels, order matrix and
+    covers listed in a random order, so that the key sort alone decides
+    the element order."""
+    perm = list(range(len(p)))
+    rng.shuffle(perm)
+    position = np.argsort(perm)
+    leq = p._leq[np.ix_(perm, perm)]
+    return Poset._trusted([p.elements[i] for i in perm], leq, position[p._lo], position[p._hi])
+
+
+def test_index_built_posets_equal_a_key_sort_of_their_labels():
+    """The constructors that skip the key sort (separations, quotients,
+    gluings) place every element where the key sort of its label would."""
+    rng = random.Random(7)
+    posets = [build() for _, build in BUILDS.values()]
+    for n, p1, seed in ((10, 0.85, 3), (9, 1.0, 0), (8, 0.6, 5)):
+        q = rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=p1 * 0.9, seed=seed))
+        sep = separation(q).separated
+        posets += [q, sep, quotient_by_gluing(fiber_relation(separation(q))), delta_glue(q, q, {}, {})]
+    for p in posets:
+        again = key_sorted(p, rng)
+        assert again == p
+        assert np.array_equal(again._leq, p._leq)
 
 
 @pytest.mark.parametrize(
