@@ -4,6 +4,10 @@ A complex is stored by its vertex list and its facets (inclusion-maximal
 faces).  Construction normalizes arbitrary face families: faces contained in
 another are absorbed, and vertices not covered by any given face become
 singleton facets, so every vertex of the complex is a face.
+
+``_simplex_order(k)`` is the face order of a simplex on k sorted vertices,
+the same for every simplex of that size: ``boolean_lattice`` is one, and
+``theta_glue`` takes one copy per facet.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantError, SizeLimitError, StructureError
 from .labels import Label, valid_vertex_name
-from .poset import Poset, _loads
+from .poset import Poset, _Lazy, _loads
 
 BOOLEAN_LATTICE_MAX = 20
 
@@ -110,9 +114,9 @@ class SimplicialComplex:
 
 
 def _distinct(faces) -> bool:
-    """Whether the faces (sorted vertex tuples) are pairwise distinct, which
-    is when the subset order on them is antisymmetric: two vertex sets each
-    within the other are equal."""
+    """Whether the faces (sorted vertex tuples or position masks) are
+    pairwise distinct, which is when the subset order on them is
+    antisymmetric: two vertex sets each within the other are equal."""
     return len(set(faces)) == len(faces)
 
 
@@ -146,9 +150,56 @@ def make_complex(vertices, facet_candidates) -> SimplicialComplex:
     return SimplicialComplex(vertices=tuple(verts), facets=facets)
 
 
+def _simplex_order(k: int):
+    """The faces of the simplex on positions 0..k-1, ordered by inclusion:
+    ``(sub, leq, lo, hi)``.  ``sub`` holds each face's position mask, in
+    lex order of its position tuple, so the empty face comes first; ``leq``
+    is the order matrix and ``lo``, ``hi`` are the sorted cover pairs, all
+    read-only.  On sorted vertex names this is canonical label order.
+
+    In lex order the faces of {j..k-1} are the empty face, then each face
+    of {j+1..k-1} with j added, then the nonempty faces of {j+1..k-1}.  So
+    each step doubles the order block by block, with no product: a face
+    with j lies below no face without j, and a face without j lies below
+    F or F + {j} exactly when it lies below F.
+    """
+    sub = np.zeros(1, dtype=np.int64)
+    leq = np.ones((1, 1), dtype=bool)
+    lo = hi = np.zeros(0, dtype=np.intp)
+    for j in range(k - 1, -1, -1):
+        h = sub.size
+        at = np.arange(h) + h  # the old faces without j, the empty face staying at 0
+        at[0] = 0
+        grown = np.zeros((2 * h, 2 * h), dtype=bool)
+        grown[0] = True
+        grown[1 : h + 1, 1 : h + 1] = leq
+        grown[h + 1 :, 1 : h + 1] = leq[1:]
+        grown[h + 1 :, h + 1 :] = leq[1:, 1:]
+        # covers among faces with j, among faces without it, and F below F + {j}
+        lo = np.concatenate([lo + 1, at[lo], at])
+        hi = np.concatenate([hi + 1, at[hi], np.arange(1, h + 1)])
+        sub = np.concatenate([sub[:1], sub | 1 << j, sub[1:]])
+        leq = grown
+    sort = np.lexsort((hi, lo))
+    out = (sub, leq, lo[sort], hi[sort])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _face_labels(names: tuple) -> tuple:
+    """The labels of the faces of the simplex on the sorted ``names``, in
+    the lex order of ``_simplex_order``, built the same way: the bottom
+    first."""
+    faces = [()]
+    for v in reversed(names):
+        faces = [(), *((v, *t) for t in faces), *faces[1:]]
+    return (Label.bottom(), *map(Label._atoms, faces[1:]))
+
+
 def boolean_lattice(n: int) -> Poset:
     """The lattice of subsets of {x1..xn}, the face poset of the simplex on
-    those vertices; 2^n elements.
+    those vertices; 2^n elements, labels built on first read.
 
     Guarded at n <= 20, though practical sizes sit far below the guard.
     """
@@ -156,8 +207,11 @@ def boolean_lattice(n: int) -> Poset:
         raise ValueError(f"boolean_lattice needs a nonnegative integer, got {n!r}")
     if n > BOOLEAN_LATTICE_MAX:
         raise SizeLimitError(f"boolean_lattice(n) is guarded at n <= {BOOLEAN_LATTICE_MAX}")
-    names = [f"x{i + 1}" for i in range(n)]
-    return make_complex(names, [names]).face_poset()
+    sub, leq, lo, hi = _simplex_order(n)
+    if not _distinct(sub.tolist()):
+        raise InvariantError("reachability matrix is not antisymmetric")
+    names = tuple(sorted(f"x{i + 1}" for i in range(n)))
+    return Poset._indexed(_Lazy(sub.size, _face_labels, names), leq, lo, hi)
 
 
 def parse_facet_string(text: str) -> SimplicialComplex:

@@ -11,9 +11,10 @@ asserts the result is simplicial again.
 ``delta_glue`` identifies an order ideal of one poset with an isomorphic
 ideal of another, the isomorphism induced by a facet map plus an atom map.
 ``theta_glue`` glues the separation of a complex's face poset along the
-faces it shares with a second complex.  ``delta_glue`` builds its disjoint
-union with the same code as ``separation``, and both constructors end in
-``quotient_by_gluing``.
+faces it shares with a second complex; it builds that separation straight
+from the complex's facets, one copy of a simplex per facet, with no face
+poset.  Both constructors build their disjoint union with the same code as
+``separation``, and both end in ``quotient_by_gluing``.
 ``reconstruct_theta_pair`` inverts that construction when the atom family
 is an antichain and the meet poset is a face poset.
 
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import SimplicialComplex, make_complex
+from .complexes import SimplicialComplex, _face_labels, _simplex_order, make_complex
 from .errors import (
     ElementNotFoundError,
     FormatError,
@@ -39,7 +40,7 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset, _class_members, _Lazy, _ranges
+from .poset import Poset, _class_members, _Lazy, _ranges, _ranks
 
 
 @dataclass
@@ -139,7 +140,8 @@ def _ascending(blocks) -> bool:
     """Whether the copy indices of the blocks, and the member indices of
     each block, are strictly ascending.  Then the union of ``_disjoint_union``
     is antisymmetric: each block is a principal submatrix, on distinct
-    indices, of an antisymmetric matrix, and blocks share only the bottom.
+    indices, of an antisymmetric matrix (a poset's, or the subset order of
+    a simplex on distinct masks), and blocks share only the bottom.
     Its elements then also stand in canonical label order: the bottom, then
     copy index, then base index, which is base label order."""
     copies = [ci for ci, _, _ in blocks]
@@ -171,11 +173,15 @@ def _disjoint_union(blocks) -> Poset:
         raise InvariantError("disjoint union blocks must ascend")
     leq = np.eye(1 + sum(members.size for _, _, members in blocks), dtype=bool)
     leq[0, :] = True
-    lo, hi = [], []
+    lo, hi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     offset = 1
     for _, p, members in blocks:
         m = members.size
-        leq[offset : offset + m, offset : offset + m] = p._leq.take(members, 0).take(members, 1)
+        if m and members[-1] - members[0] == m - 1:  # a range: a view, not a gather
+            piece = p._leq[members[0] : members[0] + m, members[0] : members[0] + m]
+        else:
+            piece = p._leq.take(members, 0).take(members, 1)
+        leq[offset : offset + m, offset : offset + m] = piece
         # Members are closed downward, so a cover into a member starts at
         # another member or at the bottom, which stays at 0.
         at = np.zeros(len(p), dtype=np.intp)
@@ -414,29 +420,69 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
     return quotient_by_gluing(GluingRelation(union, cls))
 
 
+def _facet_separation(facets, index):
+    """The separation of the face poset of the complex with the given
+    facets, in sorted order, built from the facets, with the position mask
+    of each element in its facet and the element's packed vertex row: bit
+    j % 64 of word j // 64 when it has the vertex ``index`` numbers j.
+
+    Copy i holds the nonempty faces of the i-th facet, a copy of the
+    ``_simplex_order`` of the facet's size, computed once per size, under
+    the facet's own face labels, which are built only when read.
+    """
+    orders, blocks = {}, []
+    for ci, f in enumerate(facets, start=1):
+        if len(f) not in orders:
+            orders[len(f)] = _simplex_order(len(f))
+        sub, leq, lo, hi = orders[len(f)]
+        simplex = Poset(_Lazy(sub.size, _face_labels, f), lo, hi, leq)
+        blocks.append((ci, simplex, np.arange(1, sub.size)))
+    sep = _disjoint_union(blocks)
+    mask = np.concatenate([[0], *(orders[len(f)][0][1:] for f in facets)])
+    owner = np.repeat(np.arange(-1, len(facets)), [1] + [(1 << len(f)) - 1 for f in facets])
+    width = max(map(len, facets), default=0)
+    vertex = np.array([[index[v] for v in f] + [0] * (width - len(f)) for f in facets], dtype=np.intp)
+    rows = np.zeros((mask.size, -(-len(index) // 64) or 1), dtype=np.uint64)
+    for i in range(width):
+        at = np.flatnonzero((mask >> i) & 1)  # never the bottom, whose owner is -1
+        j = vertex[owner[at], i]
+        rows[at, j >> 6] |= np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
+    return sep, mask, rows
+
+
 def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
     """Glue the separation of d1's face poset along faces shared with d2.
 
     d2 is first extended with every vertex of d1, so atoms are always
     shared and never duplicated.  Copies of a face are identified exactly
     when the face lies in both complexes: when it is a vertex, or when its
-    atom support in d1's face poset lies inside the vertex set of a facet
-    of d2.  The relation is a class array over the separation, whose
-    labels, like the result's, are built only when read.
+    vertex set lies inside a facet of d2.
+
+    No face poset of d1 is built: the separation comes from d1's facets in
+    canonical label order, ``sorted(d1.facets)``, one copy of the simplex
+    order of each (``_facet_separation``), and copies of a face are found
+    by their packed vertex rows, so d1 may have any number of vertices.
+    The relation is a class array over the separation, whose labels, like
+    the result's, are built only when read.
     """
-    p1 = d1.face_poset()
-    sep = separation(p1)
-    prof = p1._profile()
-    # the atoms of a face poset are its vertices, in canonical order
-    names = [p1.elements[a].single_vertex_name() for a in prof.atoms.tolist()]
-    outside = np.array([[v not in f for v in names] for f in map(frozenset, d2.facets)], dtype=np.float32)
-    # a face lies in a facet of d2 when none of its atoms lies outside it
-    inside = (outside.reshape(len(d2.facets), len(names)) @ prof.supp.astype(np.float32) == 0).any(axis=0)
-    shared = inside | (prof.rank == 1)
-    # each copy of a shared face joins the class of that face, others stand alone
-    origin = sep.origin
-    cls = np.where(shared[origin], origin, len(p1) + np.arange(origin.size))
-    return quotient_by_gluing(GluingRelation(sep.separated, cls))
+    index = {v: j for j, v in enumerate(d1.vertices)}
+    sep, mask, rows = _facet_separation(sorted(d1.facets), index)
+    if not sep.is_face_poset():  # as separation checks its output
+        raise InvariantError("separation produced a non face poset")
+    pairs = [(g, index[v]) for g, f in enumerate(d2.facets) for v in f if v in index]
+    g, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    d2_rows = np.zeros((len(d2.facets), rows.shape[1]), dtype=np.uint64)
+    np.bitwise_or.at(d2_rows, (g, j >> 6), np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)))
+    # a face lies in a facet of d2 when none of its vertices lies outside
+    # it, tested a block of facets at a time of at most the bytes of leq
+    shared = (mask & (mask - 1)) == 0  # the vertices, and the bottom
+    step = max(1, mask.size // (8 * rows.shape[1]))
+    for start in range(0, len(d2_rows), step):
+        outside = rows[:, None] & ~d2_rows[None, start : start + step]
+        shared |= (outside == 0).all(axis=2).any(axis=1)
+    # copies of a shared face join the class of its vertex set, others stand alone
+    cls = np.where(shared, _ranks(list(rows.T)), mask.size + np.arange(mask.size))
+    return quotient_by_gluing(GluingRelation(sep, cls))
 
 
 def atom_family(p: Poset):

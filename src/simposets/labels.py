@@ -189,7 +189,11 @@ def _parse(text: str) -> Label:
             return Label.class_of(members)
         digits = _DIGITS_RE.match(text, i, j)
         if digits and digits.end() < j - 1 and text[digits.end()] == "@":
-            return Label.copy(int(digits.group()), node(digits.end() + 1, j, depth + 1))
+            try:
+                index = int(digits.group())
+            except ValueError:  # past Python's limit on digits in an int string
+                raise FormatError(f"copy index has too many digits: {digits.end() - i}") from None
+            return Label.copy(index, node(digits.end() + 1, j, depth + 1))
         return Label.atom_set(text[i:j].split("*"))
 
     return node(0, len(text), 0)

@@ -72,6 +72,16 @@ def test_check_wrong_schema_is_io_error(tmp_path, capsys):
     assert run(["check", "--poset", str(path), "--test", "simplicial"]) == 1
 
 
+def test_copy_index_past_the_int_digit_limit_is_io_error(tmp_path, capsys):
+    """A copy index too long for ``int()`` is an unreadable label (exit 1),
+    not a ValueError from Python's digit limit (exit 2)."""
+    label = "1" * 5000 + "@a"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["0", label], "covers": [["0", label]]}))
+    assert run(["check", "--poset", str(path), "--test", "simplicial"]) == 1
+    assert capsys.readouterr().err == "error: copy index has too many digits: 5000\n"
+
+
 def test_label_that_is_not_a_string_is_io_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"elements": ["0", "a"], "covers": [["0", ["a"]]]}))

@@ -18,6 +18,7 @@ from simposets import (
     Poset,
     PreconditionError,
     RandomModelParams,
+    SimplicialComplex,
     StructureError,
     are_isomorphic,
     atom_family,
@@ -622,19 +623,113 @@ def theta_inputs(rng):
     return d1, d2
 
 
-def test_theta_glue_matches_the_label_oracle():
+def theta_cases():
+    """Pairs (d1, d2) for the references: the corner cases, then random
+    pairs from ``theta_inputs``."""
     rng = random.Random(31)
     empty, point = make_complex([], []), make_complex(["v1"], [])
-    pairs = [(empty, point), (point, empty), (empty, empty)] + [theta_inputs(rng) for _ in range(60)]
-    for d1, d2 in pairs:
+    isolated = make_complex(list("abcdef"), [["a", "b", "c"], ["c", "d"]])  # e and f alone
+    nested = make_complex(list("abcde"), [list("abcd"), list("abc"), list("bd"), ["a"], list("cde")])
+    lacking = make_complex(list("abcxyz"), [list("abx"), list("cyz"), ["b", "c"]])
+    names = [f"x{i}" for i in range(1, 10)]
+    simplex = make_complex(names, [names])
+    wide = make_complex(
+        [f"v{i}" for i in range(70)],
+        [["v1", "v2", "v69"], ["v2", "v69"], ["v63", "v64", "v65"], ["v64", "v65", "v66"], ["v0", "v65"], ["v66", "v67"]],
+    )
+    wide_d2 = make_complex(
+        ["v2", "v63", "v64", "v65", "v66", "v69", "w"], [["v2", "v69", "w"], ["v63", "v64"], ["v65", "v66"]]
+    )
+    corners = [
+        (empty, point),
+        (point, empty),
+        (empty, empty),
+        (point, point),
+        (isolated, make_complex(list("bcef"), [["b", "c"], ["e", "f"]])),
+        (nested, make_complex(list("abcd"), [list("abc"), ["c", "d"]])),
+        (nested, nested),
+        (isolated, lacking),
+        (lacking, isolated),
+        (simplex, make_complex(names[:6], [names[:4], names[3:6]])),
+        (simplex, empty),
+        (wide, wide_d2),
+        (wide, wide),
+    ]
+    return corners + [theta_inputs(rng) for _ in range(60)]
+
+
+def row_vertices(row, vertices):
+    """The vertices whose bits are set in a packed vertex row."""
+    return {v for j, v in enumerate(vertices) if int(row[j >> 6]) >> (j & 63) & 1}
+
+
+def test_facet_separation_matches_the_separation_of_the_face_poset():
+    """The separation built from the facets equals the separation of the
+    face poset, order matrix included, and each element's vertex row is
+    the vertex set of the face it copies, so the copies of one face, and
+    only they, share a row."""
+    for d1, _ in theta_cases():
+        ref = separation(d1.face_poset())
+        index = {v: j for j, v in enumerate(d1.vertices)}
+        sep, mask, rows = gluing._facet_separation(sorted(d1.facets), index)
+        assert sep == ref.separated
+        assert np.array_equal(sep._leq, ref.separated._leq)
+        faces = ref.source.get()
+        for i, origin in enumerate(ref.origin.tolist()):
+            face = faces[origin]
+            assert row_vertices(rows[i], d1.vertices) == set(face.names if i else ())
+            assert bin(int(mask[i])).count("1") == len(face.names if i else ())
+        keys = [r.tobytes() for r in rows]
+        assert len(set(zip(keys, ref.origin.tolist()))) == len(set(keys)) == len(set(ref.origin.tolist()))
+
+
+def test_theta_glue_matches_the_label_oracle():
+    for d1, d2 in theta_cases():
         p, q = theta_glue(d1, d2), oracle_theta_glue(d1, d2)
         assert p == q
         assert p.to_json() == q.to_json()
 
 
+def test_theta_glue_builds_no_face_poset_or_separation(monkeypatch):
+    """theta_glue, and a random sample through it, never build d1's face
+    poset or call ``separation``, and still return through
+    ``quotient_by_gluing``."""
+    d1, d2 = parse_facet_string("a*b*c*x,a*b*c*y"), parse_facet_string("a*b,b*c,a*c")
+    expected = oracle_theta_glue(d1, d2)
+
+    def refuse(*args):
+        raise AssertionError("theta_glue built a face poset or a separation")
+
+    monkeypatch.setattr(SimplicialComplex, "face_poset", refuse)
+    monkeypatch.setattr(gluing, "separation", refuse)
+    quotients = []
+    real = gluing.quotient_by_gluing
+    monkeypatch.setattr(gluing, "quotient_by_gluing", lambda rel: quotients.append(rel) or real(rel))
+    assert theta_glue(d1, d2) == expected
+    rand_simplicial_poset(RandomModelParams(n=9, p1=0.8, p2=0.7, seed=4))
+    assert len(quotients) == 2
+
+
+def test_a_dense_sample_stays_within_its_memory_budget():
+    """The n=12, p=1.0 sample glues the 12-simplex: 4096 elements, so 16 MB
+    for one order matrix.  Built from the facets, with its face-poset
+    check, it peaks at 38.2 MB traced; building d1's face poset and then
+    its separation took 65.7 MB."""
+    tracemalloc.start()
+    try:
+        p = rand_simplicial_poset(RandomModelParams(n=12, p1=1.0, p2=1.0, seed=0))
+        assert p.is_face_poset()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(p) == 4096
+    assert peak < 40 << 20
+
+
 def test_a_sample_builds_no_copy_or_class_label(monkeypatch):
-    """Sampling and the face-poset test read no label of the separation,
-    the relation or the quotient; only d1's face labels are built."""
+    """Sampling and the face-poset test build no label of any kind: the
+    separation comes from d1's facets, not its face poset, and no label of
+    the separation, the relation or the quotient is read."""
     kinds = Counter()
     init = Label.__init__
 
@@ -646,10 +741,9 @@ def test_a_sample_builds_no_copy_or_class_label(monkeypatch):
     for seed in range(3):
         p = rand_simplicial_poset(RandomModelParams(n=9, p1=0.8, p2=0.8, seed=seed))
         p.is_face_poset()
-    assert kinds[ATOMS] > 0
-    assert kinds[COPY] == kinds[CLASS] == 0
+    assert not kinds
     assert p.elements[-1].kind == CLASS  # reading them builds them
-    assert kinds[COPY] > 0
+    assert kinds[ATOMS] > 0 and kinds[COPY] > 0 and kinds[CLASS] > 0
 
 
 def recipe_parts(lazy):

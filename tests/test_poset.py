@@ -102,8 +102,8 @@ def test_from_covers_rejects_cycle():
 
 B3 = boolean_lattice(3)
 # One build per way of making a Poset, with the number of Posets it makes:
-# a gluing chains a disjoint union (after a face poset for theta) and a
-# quotient.
+# a gluing chains a disjoint union and a quotient (theta takes its union
+# from the facets, with no face poset).
 BUILDS = {
     "boolean_lattice": (1, lambda: boolean_lattice(3)),
     "from_covers": (1, lambda: Poset.from_covers(B3.elements, B3.covers)),
@@ -118,7 +118,7 @@ BUILDS = {
     "delta_glue": (2, lambda: delta_glue(
         B3, B3, {L("x1*x2"): L("x2*x3")}, {L("x1"): L("x2"), L("x2"): L("x3")}
     )),
-    "theta_glue": (3, lambda: theta_glue(
+    "theta_glue": (2, lambda: theta_glue(
         parse_facet_string("a*b*c*x,a*b*c*y"), parse_facet_string("a*b,b*c,a*c")
     )),
     "fiber_quotient": (2, lambda: quotient_by_gluing(fiber_relation(separation(B3)))),
@@ -129,7 +129,8 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
     """Each order matrix a constructor builds is checked for antisymmetry
     once: by the Kahn levels of ``_dag``, which reach every element only
     when the pairs have no cycle, by the distinct vertex masks of a face
-    poset, by the ascending members of a disjoint union, or through
+    poset or boolean lattice, by the ascending members of a disjoint union
+    (a theta gluing's separation included), or through
     ``_has_cycle``.  Every Poset is built through ``Poset._indexed``, which
     ``_trusted`` calls after its key sort."""
     calls, built = [], []
@@ -362,6 +363,17 @@ def test_boolean_lattice_guards():
         boolean_lattice(-1)
     with pytest.raises(SizeLimitError):
         boolean_lattice(21)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_boolean_lattice_is_the_face_poset_of_the_simplex(k):
+    """The lattice built from the per-size simplex order equals the face
+    poset of the simplex on x1..xk, labels (x10 sorts before x2), covers
+    and order matrix."""
+    names = [f"x{i}" for i in range(1, k + 1)]
+    b, ref = boolean_lattice(k), make_complex(names, [names]).face_poset()
+    assert b == ref
+    assert np.array_equal(b._leq, ref._leq)
 
 
 def test_boolean_lattice_matches_subset_order():
