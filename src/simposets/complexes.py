@@ -12,7 +12,6 @@ the same for every simplex of that size: ``boolean_lattice`` is one, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantError, SizeLimitError, StructureError
 from .labels import Label, valid_vertex_name
-from .poset import Poset, _Lazy, _loads
+from .poset import Poset, _dumps, _Lazy, _loads
 
 BOOLEAN_LATTICE_MAX = 20
 
@@ -95,7 +94,7 @@ class SimplicialComplex:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return _dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, obj) -> "SimplicialComplex":

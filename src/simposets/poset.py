@@ -13,22 +13,24 @@ on first read of ``elements``: through a label lookup, ``bottom()`` and the
 other label queries, the ``covers`` pair set, JSON, DOT, ``==``, hashing or
 pickling.  A recipe holds labels, other recipes and index arrays, never a
 poset or its ``leq``, so intermediate posets are freed once their output
-exists.  Only ``face_poset`` and ``from_json`` build labels up front: they
-are the constructors that sort by label key (``_trusted``).  The others
-know the canonical order from indices alone (``_indexed``): a quotient
-numbers its classes by least member index, which is the order of their
-class labels, because two disjoint classes differ in their first member;
-a disjoint union of copies lists the bottom, then the copies by copy index
-and base index.
+exists.  Only ``face_poset`` and ``from_json`` build labels up front.  They,
+``restrict`` and ``from_covers`` are the constructors that sort by label
+key: through ``_trusted``, or ``_from_ends`` for cover pairs.  ``from_json``
+parses each distinct label text of its document once and finds cover ends
+by their text.  The others know the canonical order from indices alone
+(``_indexed``): a quotient numbers its classes by least member index, which
+is the order of their class labels, because two disjoint classes differ in
+their first member; a disjoint union of copies lists the bottom, then the
+copies by copy index and base index.
 
-``from_covers`` and ``quotient`` derive their order from generating pairs
-through one kernel, ``_dag``: Kahn levels from the top, then one pass over
-packed ``uint64`` rows, level by level, gives every element's upper set and
-the elements strictly above its upper covers (Simon 1988; Aho, Garey &
-Ullman 1972).  An element Kahn never reaches means a cycle, and a pair is
-redundant when its upper end lies strictly above another upper end of its
-lower end.  ``restrict`` starts from a closed matrix, so one product gives
-its covers.
+``from_covers``, ``from_json`` and ``quotient`` derive their order from
+generating pairs through one kernel, ``_dag``: Kahn levels from the top,
+then one pass over packed ``uint64`` rows, level by level, gives every
+element's upper set and the elements strictly above its upper covers (Simon
+1988; Aho, Garey & Ullman 1972).  An element Kahn never reaches means a
+cycle, and a pair is redundant when its upper end lies strictly above
+another upper end of its lower end.  ``restrict`` starts from a closed
+matrix, so one product gives its covers.
 
 The facts the checks share are read off ``leq`` once per poset, on first
 use, into a private profile (``Poset._profile``): ``lower`` and ``upper``,
@@ -58,6 +60,8 @@ import json
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from itertools import islice
+from json.encoder import encode_basestring_ascii as encode
+from operator import lt
 
 import numpy as np
 
@@ -70,7 +74,7 @@ from .errors import (
     SizeLimitError,
     StructureError,
 )
-from .labels import Label
+from .labels import Label, reader
 
 ISOMORPHISM_MAX = 500
 _CHECK_CELLS = 1 << 20  # elements x maximal elements per block of _shared_below_maxima
@@ -132,6 +136,20 @@ def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
     # little-endian words, so bit j of a row is byte j // 8, bit j % 8
     leq = np.unpackbits(up.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
     return leq.view(bool), lo, hi, redundant
+
+
+def _dumps(obj: dict) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"`` for a dict of lists, each
+    of strings or of lists of strings, with each string put through the C
+    encoder that ``json.dumps`` uses for it."""
+    fields = []
+    for key, value in obj.items():
+        if value and not isinstance(value[0], str):
+            value = ["[\n      " + ",\n      ".join(map(encode, row)) + "\n    ]" if row else "[]" for row in value]
+        else:
+            value = list(map(encode, value))
+        fields.append(encode(key) + (": [\n    " + ",\n    ".join(value) + "\n  ]" if value else ": []"))
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def _loads(text: str):
@@ -202,14 +220,19 @@ def _class_labels(labels: _Lazy, cls: np.ndarray) -> tuple:
     return tuple(Label._class(m) for m in _class_members(labels, cls))
 
 
-def _label_index(elements) -> dict:
-    """Position of each label; rejects an empty or repeated label list."""
-    index = {e: i for i, e in enumerate(elements)}
-    if not index:
+def _key_order(labels) -> list:
+    """The positions of the labels in canonical order; rejects an empty
+    label list, or one where two labels have the same key."""
+    keys = [e.key for e in labels]
+    if not keys:
         raise StructureError("a poset needs at least one element")
-    if len(index) != len(elements):
+    if all(map(lt, keys, keys[1:])):  # already canonical, as written by to_json
+        return list(range(len(keys)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[i] for i in order]
+    if not all(map(lt, keys, keys[1:])):
         raise StructureError("element labels must be unique")
-    return index
+    return order
 
 
 _Profile = namedtuple("_Profile", "lower upper bottom atoms supp rank ids")
@@ -234,32 +257,27 @@ class Poset:
     def _trusted(cls, elements, leq, lo, hi, *, antisymmetric=False):
         """Build from labels, an order matrix and the index arrays
         ``(lo, hi)`` of its cover pairs, all of which the caller derived
-        combinatorially, through ``_dag``, or from a closed matrix.
+        combinatorially or from a closed matrix.
 
-        Elements are re-sorted into canonical label order by key, one
-        gather of rows and one of columns unless they already are in it,
-        and the labels are checked to be nonempty and distinct.
-        Antisymmetry is asserted unless the caller has it from the cycle
-        check of ``_dag`` or from distinct face masks
+        The labels are checked to be nonempty and distinct, and elements
+        are re-sorted into canonical label order by key, one gather of rows
+        and one of columns unless they already are in it.  Antisymmetry is
+        asserted unless the caller has it from distinct face masks
         (``antisymmetric=True``): given reflexivity, ``leq`` is
         antisymmetric iff ``leq & leq.T`` holds the diagonal alone.  The
         rest is ``_indexed``.
         """
-        labels = tuple(elements)
-        keys = [e.key for e in labels]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
+        elements = list(elements)
+        order = _key_order(elements)
         leq = np.asarray(leq, dtype=bool)
         if order != list(range(len(order))):
-            labels = tuple(labels[i] for i in order)
             perm = np.asarray(order, dtype=np.intp)
             leq = leq.take(perm, 0).take(perm, 1)
             position = np.argsort(perm)
             lo, hi = position[lo], position[hi]
-        index = _label_index(labels)
-        p = cls._indexed(_Lazy.of(labels), leq, lo, hi)
+        p = cls._indexed(_Lazy.of(tuple(map(elements.__getitem__, order))), leq, lo, hi)
         if not antisymmetric and _has_cycle(leq):
             raise InvariantError("reachability matrix is not antisymmetric")
-        p._index_cache = index
         return p
 
     @classmethod
@@ -271,9 +289,9 @@ class Poset:
         Reflexivity is asserted and the covers are sorted into the order of
         ``(lo, hi)``.  The caller vouches for the canonical order and for
         antisymmetry, each checked once per matrix: by ``_trusted``, by the
-        cycle check of ``_dag``, or by the ascending members of a disjoint
-        union.  Closure is not verified here; the test suite checks it
-        against Warshall's algorithm.
+        cycle check of ``_dag`` (``_from_ends``), or by the ascending
+        members of a disjoint union.  Closure is not verified here; the
+        test suite checks it against Warshall's algorithm.
         """
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
@@ -291,23 +309,35 @@ class Poset:
         generate; redundant or cyclic input is rejected.
         """
         elements = list(elements)
-        index = _label_index(elements)
-        pairs = []
+        order = _key_order(elements)
+        index = {e: i for i, e in enumerate(elements)}
+        ends = []
         for lo, hi in covers:
-            if lo not in index:
-                raise ElementNotFoundError(f"unknown element in covers: {lo}")
-            if hi not in index:
-                raise ElementNotFoundError(f"unknown element in covers: {hi}")
-            pairs += (index[lo], index[hi])
-        lo, hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+            for end in (lo, hi):
+                if end not in index:
+                    raise ElementNotFoundError(f"unknown element in covers: {end}")
+            ends += index[lo], index[hi]
+        return cls._from_ends(elements, order, ends)
+
+    @classmethod
+    def _from_ends(cls, elements: list, order: list, ends: list):
+        """Build from labels, their canonical order (``_key_order``) and the
+        positions in ``elements`` of the cover pairs' ends, laid end to end.
+
+        The pairs are renumbered into canonical order before ``_dag`` closes
+        them, so the order matrix needs no gather, and they must be exactly
+        the transitive reduction of the order they generate."""
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        lo, hi = rank[np.array(ends, dtype=np.intp).reshape(-1, 2).T]
         self_pair = lo == hi
-        order = _dag(len(elements), lo[~self_pair], hi[~self_pair])
-        if order is None:
+        dag = _dag(len(order), lo[~self_pair], hi[~self_pair])
+        if dag is None:
             raise StructureError("covers contain a cycle")
-        leq, lo, hi, redundant = order
+        leq, lo, hi, redundant = dag
         if self_pair.any() or redundant.any():
             raise StructureError("covers must be transitively reduced cover pairs")
-        return cls._trusted(elements, leq, lo, hi, antisymmetric=True)
+        return cls._indexed(_Lazy.of(tuple(map(elements.__getitem__, order))), leq, lo, hi)
 
     # ----- basic queries ------------------------------------------------
 
@@ -592,30 +622,45 @@ class Poset:
 
     @classmethod
     def from_json_dict(cls, obj) -> "Poset":
+        """Build from ``{"elements": [...], "covers": [[lower, upper], ...]}``.
+
+        One reader parses the element strings, each distinct sub-label
+        once, and then every cover end that is not an element string, in
+        document order, so each FormatError comes before any structural
+        error.  Cover ends are found by their text; a respelling such as
+        ``b*a`` for ``a*b`` is found by its label."""
         if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
             raise FormatError("poset JSON needs 'elements' and 'covers'")
-        if not isinstance(obj["elements"], list) or not isinstance(obj["covers"], list):
+        texts, pairs = obj["elements"], obj["covers"]
+        if not isinstance(texts, list) or not isinstance(pairs, list):
             raise FormatError("poset JSON fields have the wrong shape")
-        parsed = {}  # the cover pairs repeat the element strings
-
-        def parse(text):
-            if not isinstance(text, str):
-                return Label.parse(text)  # raises FormatError
-            label = parsed.get(text)
-            if label is None:
-                label = parsed[text] = Label.parse(text)
-            return label
-
-        elements = [parse(e) for e in obj["elements"]]
-        covers = []
-        for pair in obj["covers"]:
+        read = reader()
+        elements = list(map(read, texts))
+        position = dict(zip(texts, range(len(texts))))
+        ends = []
+        for pair in pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise FormatError(f"cover pair has the wrong shape: {pair!r}")
-            covers.append((parse(pair[0]), parse(pair[1])))
-        return cls.from_covers(elements, covers)
+                break
+            ends += pair
+        # the ends before the first misshapen pair that are no element string
+        strays = [end for end in ends if not isinstance(end, str) or end not in position]
+        strays = {end: read(end) for end in strays}  # any FormatError, in document order
+        if len(ends) < 2 * len(pairs):
+            raise FormatError(f"cover pair has the wrong shape: {pairs[len(ends) // 2]!r}")
+        order = _key_order(elements)
+        at = list(map(position.get, ends))
+        if strays:
+            index = {e: i for i, e in enumerate(elements)}
+            for k, end in enumerate(ends):
+                if at[k] is None:
+                    label = strays[end]
+                    if label not in index:
+                        raise ElementNotFoundError(f"unknown element in covers: {label}")
+                    at[k] = index[label]
+        return cls._from_ends(elements, order, at)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return _dumps(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Poset":

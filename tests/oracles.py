@@ -5,15 +5,16 @@ paths under test: faces by powerset expansion, cliques by subset
 enumeration, simpliciality by explicit powerset comparison, covers by a
 pair loop over leq, quotients by an explicit pair loop and Warshall's
 closure, Stanley generators from the lower and upper sets of each pair.
-``oracle_parse`` reads labels part by part, re-scanning each class, and
-``oracle_theta_glue`` glues by labels and face sets: they are the
-references for the one-scan parser and the index-array gluing.
+``oracle_parse`` reads labels part by part, re-scanning each class,
+``oracle_from_json_dict`` reads a poset document one string at a time,
+and ``oracle_theta_glue`` glues by labels and face sets: they are the
+references for the document parser and the index-array gluing.
 """
 
 import re
 from itertools import chain, combinations
 
-from simposets import GluingRelation, make_complex, quotient_by_gluing, separation
+from simposets import GluingRelation, Poset, make_complex, quotient_by_gluing, separation
 from simposets.errors import FormatError
 from simposets.labels import Label
 
@@ -282,6 +283,23 @@ def _oracle_parse(text):
         if not oracle_vertex_name(name):
             raise FormatError(f"invalid vertex name: {name!r}")
     return Label._atoms(names)
+
+
+def oracle_from_json_dict(obj):
+    """A poset from its JSON object: every string through ``oracle_parse``
+    in the order a reader meets them (the elements, then each cover pair
+    in turn), then ``Poset.from_covers`` on the labels."""
+    if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
+        raise FormatError("poset JSON needs 'elements' and 'covers'")
+    if not isinstance(obj["elements"], list) or not isinstance(obj["covers"], list):
+        raise FormatError("poset JSON fields have the wrong shape")
+    elements = [oracle_parse(e) for e in obj["elements"]]
+    covers = []
+    for pair in obj["covers"]:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise FormatError(f"cover pair has the wrong shape: {pair!r}")
+        covers.append((oracle_parse(pair[0]), oracle_parse(pair[1])))
+    return Poset.from_covers(elements, covers)
 
 
 def oracle_vertex_name(name):

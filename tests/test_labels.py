@@ -10,8 +10,16 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from simposets import FormatError, RandomModelParams, parse_facet_string, rand_simplicial_poset
-from simposets.labels import LABEL_DEPTH_MAX, Label, valid_vertex_name
+from simposets import (
+    FormatError,
+    RandomModelParams,
+    fiber_relation,
+    parse_facet_string,
+    quotient_by_gluing,
+    rand_simplicial_poset,
+    separation,
+)
+from simposets.labels import LABEL_DEPTH_MAX, Label, reader, valid_vertex_name
 
 from oracles import oracle_parse, oracle_vertex_name
 
@@ -92,24 +100,66 @@ def test_parse_rejects_deep_nesting_as_format_error():
     assert str(Label.parse("1@" * 100 + "a")) == "1@" * 100 + "a"
 
 
+def nest(levels, wraps, text="a"):
+    """``text`` inside ``levels`` wraps, taken in turn from ``wraps``."""
+    for level in range(levels):
+        text = wraps[level % len(wraps)].format(text)
+    return text
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def test_nesting_cap_is_explicit():
     """The cap is LABEL_DEPTH_MAX braces or copy prefixes, wherever the
-    caller stands in the stack."""
-
-    def nest(levels, wraps):
-        text = "a"
-        for level in range(levels):
-            text = wraps[level % len(wraps)].format(text)
-        return text
+    caller stands in the stack: parsing spends no frame per level, so a
+    label at the cap parses 50 frames short of the recursion limit."""
 
     def nested(frames, text):
         return Label.parse(text) if frames == 0 else nested(frames - 1, text)
 
+    down = sys.getrecursionlimit() - 50 - stack_depth()
     for wraps in (["{{{}}}"], ["1@{}"], ["2@{}", "{{0,{}}}"]):
         ok = nest(LABEL_DEPTH_MAX, wraps)
-        assert str(nested(500, ok)) == ok
+        assert str(nested(down, ok)) == ok
         with pytest.raises(FormatError, match="label is nested too deeply"):
             Label.parse(nest(LABEL_DEPTH_MAX + 1, wraps))
+
+
+BRACED = nest(150, ["{{{}}}", "1@{}"])
+COPIES = "1@" * 150 + "a"  # met inside a class; a copy of it is one new chain of copies
+
+
+@pytest.mark.parametrize(
+    "inner, around",
+    [(BRACED, w) for w in (["{{{}}}"], ["2@{}"], ["{{0,{}}}"], ["3@{}", "{{{},z}}"])]
+    + [(COPIES, w) for w in (["{{{}}}"], ["{{0,{}}}"])],
+    ids=["braces-in-class", "braces-in-copy", "braces-beside-0", "braces-mixed", "copies-in-class", "copies-beside-0"],
+)
+def test_a_remembered_label_keeps_the_nesting_cap(inner, around, monkeypatch):
+    """A sub-label a reader has met shallow and meets again deeper counts
+    its own depth there.  ``inner`` is 150 levels deep and each wrap adds
+    one: 51 wraps pass LABEL_DEPTH_MAX and are rejected; 50 reach it and
+    parse from the memo, building only the labels around ``inner``."""
+    read = reader()
+    assert str(read(inner)) == inner
+    over = nest(LABEL_DEPTH_MAX - 150 + 1, around, inner)
+    for parse in (read, Label.parse):
+        with pytest.raises(FormatError, match="label is nested too deeply"):
+            parse(over)
+    at_cap = nest(LABEL_DEPTH_MAX - 150, around, inner)
+    built = []
+    init = Label.__init__
+    monkeypatch.setattr(Label, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    label = read(at_cap)
+    monkeypatch.undo()
+    assert len(built) <= 2 * (LABEL_DEPTH_MAX - 150)  # inner alone holds 151 labels
+    fresh = Label.parse(at_cap)
+    assert label == fresh and str(label) == str(fresh)
 
 
 def test_whitespace_rule_matches_isspace_on_every_code_point():
@@ -130,13 +180,17 @@ def _outcome(parse, text):
 
 def test_parse_matches_the_oracle_on_mutated_strings():
     """Accept/reject and the message of every FormatError agree with the
-    reference parser on random edits of real labels."""
+    reference parser on random edits of real labels, read one at a time
+    and as documents: runs of labels through one reader, whose memo of
+    sub-labels carries from each label to the next."""
     q = rand_simplicial_poset(RandomModelParams(n=7, p1=0.7, p2=0.5, seed=3))
     corpus = [str(e) for e in q.elements]
+    corpus += [str(e) for e in quotient_by_gluing(fiber_relation(separation(q))).elements[:20]]
     corpus += ["{0,a,{b,c}}", "1@2@x", "{1@{a,b},2@0}", "a*b*c", "12@{x}", "{a,b}", "{b,a}"]
+    corpus += ["{1@{a,b},2@{a,b}}", "3@{1@a,2@{b,c}}", "{{0,1@{x}},2@{y,z}}", "1@2@{a}"]
     alphabet = "{},@*0123ab \u0663\t\""
     rng = random.Random(20261018)
-    checked = 0
+    texts = []
     for _ in range(6000):
         text = rng.choice(corpus)
         for _ in range(rng.randint(1, 3)):
@@ -148,9 +202,18 @@ def test_parse_matches_the_oracle_on_mutated_strings():
                 text = text[:at] + text[at + 1 :]
             elif text:
                 text = text[:at] + rng.choice(alphabet) + text[at + 1 :]
-        assert _outcome(Label.parse, text) == _outcome(oracle_parse, text), text
-        checked += _outcome(Label.parse, text)[0] == "label"
-    assert checked > 500  # both branches are exercised
+        texts.append(text)
+    expected = [_outcome(oracle_parse, text) for text in texts]
+    assert [_outcome(Label.parse, text) for text in texts] == expected
+    at = 0
+    while at < len(texts):
+        size = min(rng.randint(1, 12), len(texts) - at)
+        read = reader()
+        extra = rng.sample(corpus, 2)  # read again after the edits
+        outcomes = [_outcome(read, text) for text in texts[at : at + size] + extra]
+        assert outcomes == expected[at : at + size] + [_outcome(oracle_parse, text) for text in extra]
+        at += size
+    assert sum(e[0] == "label" for e in expected) > 500  # both branches are exercised
 
 
 def test_bottom_sorts_first():

@@ -1,6 +1,7 @@
 """Poset core: construction, order queries, simpliciality, meets,
 quotients, serialization, isomorphism."""
 
+import json
 import random
 import time
 import tracemalloc
@@ -37,7 +38,7 @@ from simposets import (
     theta_glue,
     validate_gluing,
 )
-from simposets.labels import Label
+from simposets.labels import ATOMS, CLASS, COPY, Label, valid_vertex_name
 
 from conftest import random_complex
 from oracles import (
@@ -48,6 +49,7 @@ from oracles import (
     brute_quotient,
     is_order_isomorphism,
     minimal_elements,
+    oracle_from_json_dict,
     powerset,
     upper_set,
     warshall,
@@ -826,6 +828,170 @@ def test_from_json_reads_each_spelling_of_a_label():
         "covers": [["0", "a"], ["0", "b"], ["a", "a*b"], ["b", "b*a"]],
     })
     assert p == poset_over_bottom({"a": ["0"], "b": ["0"], "a*b": ["a", "b"]})
+
+
+unicode_or_surrogate = st.characters(exclude_characters='*@{},"') | st.characters(
+    min_codepoint=0xD800, max_codepoint=0xDFFF
+)
+vertex_names = st.text(unicode_or_surrogate, min_size=1, max_size=3).filter(valid_vertex_name)
+
+
+@st.composite
+def complexes_with_any_names(draw):
+    """Complexes on vertex names from all of Unicode, lone surrogates included."""
+    names = draw(st.lists(vertex_names, unique=True, max_size=6))
+    facets = draw(st.lists(st.lists(st.sampled_from(names), min_size=1, max_size=3), max_size=4)) if names else []
+    return make_complex(names, facets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes_with_any_names())
+def test_to_json_writes_what_json_dumps_writes(c):
+    """The JSON text is built from the C string encoder, byte for byte the
+    text of ``json.dumps(..., indent=2)``: complexes, face posets, their
+    separations (copy labels) and fiber quotients (class labels), and the
+    empty lists of the one-element poset and the empty complex."""
+    p = c.face_poset()
+    written = [c, p, separation(p).separated, quotient_by_gluing(fiber_relation(separation(p)))]
+    written += [boolean_lattice(0), make_complex([], [])]
+    for obj in written:
+        assert obj.to_json() == json.dumps(obj.to_json_dict(), indent=2) + "\n"
+    assert written[-2].to_json().endswith('"covers": []\n}\n')
+    assert written[-1].to_json() == '{\n  "vertices": [],\n  "facets": []\n}\n'
+
+
+def respell(label):
+    """Another text of the same label: names and members in reverse, and
+    copy indices with a leading zero."""
+    if label.kind == ATOMS:
+        return "*".join(reversed(label.names))
+    if label.kind == COPY:
+        index, base = label.value
+        return f"0{index}@{respell(base)}"
+    if label.kind == CLASS:
+        return "{" + ",".join(respell(m) for m in reversed(label.value)) + "}"
+    return "0"
+
+
+def _loaded(load, obj):
+    try:
+        out = load(obj)
+    except (FormatError, StructureError, ElementNotFoundError) as exc:
+        return type(exc).__name__, str(exc)
+    return "poset", out.to_json() if isinstance(out, Poset) else str(out)
+
+
+def _edit(rng, text):
+    """``text`` with one to three characters inserted, deleted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        ch = rng.choice("{},@*0123v \u0663\t\"")
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:at] + ch + text[at:]
+        elif text:
+            text = text[:at] + (ch if edit == 2 else "") + text[at + 1 :]
+    return text
+
+
+def _mutate(rng, els, covs):
+    """One random edit of a poset document's element and cover lists."""
+    labels = {}
+    for e in els + [x for c in covs if isinstance(c, list) for x in c]:
+        if isinstance(e, str) and e not in labels and _loaded(Label.parse, e)[0] == "poset":
+            labels[e] = Label.parse(e)
+    known = lambda x: isinstance(x, str) and x in labels  # noqa: E731
+    strings = [e for e in els if known(e)] or ["0"]
+    k = rng.randrange(len(els)) if els else 0
+    c = rng.randrange(len(covs)) if covs else 0
+    side = rng.randrange(2)
+    cover = covs[c] if covs and isinstance(covs[c], list) and len(covs[c]) == 2 else None
+    kind = rng.randrange(14)
+    if kind == 0 and els:  # a dropped element
+        del els[k]
+    elif kind == 1 and els:  # a duplicated element
+        els.insert(rng.randint(0, len(els)), els[k])
+    elif kind == 2 and els and known(els[k]):  # a respelled element
+        els[k] = respell(labels[els[k]])
+    elif kind == 3:  # two spellings of one label among the elements
+        e = rng.choice(strings)
+        els.insert(rng.randint(0, len(els)), respell(labels.get(e, BOT)))
+    elif kind == 4 and cover and known(cover[side]):  # a respelled cover end
+        cover[side] = respell(labels[cover[side]])
+    elif kind == 5 and cover and isinstance(cover[side], str):  # a broken label in a cover
+        cover[side] = _edit(rng, cover[side])
+    elif kind == 6 and els and isinstance(els[k], str):  # a broken element
+        els[k] = _edit(rng, els[k])
+    elif kind == 7:  # an entry that is not a string
+        other = rng.choice([7, None, ["0"], 2.5, {"a": "v1"}, True])
+        if cover and rng.randrange(2):
+            cover[side] = other
+        elif els:
+            els[k] = other
+    elif kind == 8 and covs:  # a cover pair of the wrong shape
+        e = rng.choice(strings)
+        covs[c] = rng.choice([[e], [e, e, e], e, None, [], {"0": e}, (e, e)])
+    elif kind in (9, 10):  # an unknown end before or after a broken label
+        unknown = rng.choice(["zz", "v1*zz", "{9@zz}", "0@0"])
+        bad = _edit(rng, rng.choice(strings))
+        at = sorted(rng.randint(0, len(covs)) for _ in range(2))
+        first, second = ([rng.choice(strings), unknown], [bad, "0"])[:: 1 if kind == 9 else -1]
+        covs.insert(at[1], second)
+        covs.insert(at[0], first)
+    elif kind == 11 and cover:  # a reversed pair: a cycle
+        covs.append(cover[::-1])
+    elif kind == 12 and cover:  # a pair with an element between its ends
+        above = [d for d in covs if isinstance(d, list) and d[:1] == cover[1:2]]
+        if above:
+            covs.insert(rng.randint(0, len(covs)), [cover[0], rng.choice(above)[1]])
+    elif kind == 13:  # the same document in another order
+        rng.shuffle(els)
+        rng.shuffle(covs)
+
+
+def test_from_json_matches_the_oracle_on_mutated_documents():
+    """Whole documents, mutated, load to the same poset or fail with the
+    same exception type and message as the string-at-a-time reference."""
+    small = [rand_simplicial_poset(RandomModelParams(n=n, p1=p, p2=p, seed=s))
+             for n, p, s in ((5, 0.7, 1), (6, 0.6, 2), (6, 0.8, 4), (7, 0.5, 3))]
+    docs = [q.to_json_dict() for q in small]
+    docs.append(quotient_by_gluing(fiber_relation(separation(small[0]))).to_json_dict())
+    docs.append(parse_facet_string("a*b*c,b*c*d,d*e").face_poset().to_json_dict())
+    docs.append(boolean_lattice(0).to_json_dict())
+    rng = random.Random(20261019)
+    seen = {}
+    for _ in range(600):
+        doc = rng.choice(docs)
+        els, covs = list(doc["elements"]), [list(c) for c in doc["covers"]]
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, els, covs)
+        obj = {"elements": els, "covers": covs}
+        outcome = _loaded(Poset.from_json_dict, obj)
+        assert outcome == _loaded(oracle_from_json_dict, obj), obj
+        seen[outcome[0]] = seen.get(outcome[0], 0) + 1
+    assert min(seen.values()) > 40 and len(seen) == 4, seen
+
+
+@pytest.mark.parametrize(
+    "covers, error",
+    [
+        ([["0", "zz"], ["0", "{"]], "FormatError: malformed class label: '{'"),
+        ([["0", "{"], ["0", "zz"]], "FormatError: malformed class label: '{'"),
+        ([["0", "zz"], ["0"]], "FormatError: cover pair has the wrong shape: ['0']"),
+        ([["0", "a"], ["{", "0"], "0"], "FormatError: malformed class label: '{'"),
+        ([["0", "b*a"]], "ElementNotFoundError: unknown element in covers: a*b"),
+        ([["0", "zz"], ["0", "b*a"]], "ElementNotFoundError: unknown element in covers: zz"),
+        ([["0", "a"], ["0", 7]], "FormatError: cannot parse label from 7"),
+    ],
+)
+def test_from_json_errors_come_in_document_order(covers, error):
+    """Format errors, in document order, come before any unknown element;
+    an unknown element is named by its canonical text."""
+    obj = {"elements": ["0", "a"], "covers": covers}
+    with pytest.raises((FormatError, ElementNotFoundError)) as info:
+        Poset.from_json_dict(obj)
+    assert f"{type(info.value).__name__}: {info.value}" == error
+    assert _loaded(oracle_from_json_dict, obj) == tuple(error.split(": ", 1))
 
 
 def test_to_dot_mentions_every_element_and_cover():
