@@ -6,22 +6,27 @@ another are absorbed, and vertices not covered by any given face become
 singleton facets, so every vertex of the complex is a face.
 
 ``_simplex_order(k)`` is the face order of a simplex on k sorted vertices,
-the same for every simplex of that size: ``boolean_lattice`` is one, and
-``theta_glue`` takes one copy per facet.
+the same for every simplex of that size, and the one 4^k kernel, guarded at
+``BOOLEAN_LATTICE_MAX`` vertices.  ``face_poset`` takes the covers of one
+copy per facet, gives the copies of a face one id by the rank of its vertex
+positions and closes the covers with ``_dag``; ``boolean_lattice(n)`` is the
+face poset of one simplex, and ``theta_glue`` takes one copy per facet as
+its separation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import FormatError, InvariantError, SizeLimitError, StructureError
 from .labels import Label, valid_vertex_name
-from .poset import Poset, _dumps, _Lazy, _loads
+from .poset import Poset, _dag, _dumps, _Lazy, _loads, _ranks
 
-BOOLEAN_LATTICE_MAX = 20
+BOOLEAN_LATTICE_MAX = 15
 
 
 @dataclass(frozen=True)
@@ -29,45 +34,48 @@ class SimplicialComplex:
     vertices: tuple
     facets: tuple  # tuples of vertex names, each sorted; canonical row order
 
-    def faces(self):
-        """All faces, the empty face included, in canonical order."""
-        seen = {frozenset()}
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                for sub in combinations(f, k):
-                    seen.add(frozenset(sub))
-        return sorted((tuple(sorted(f)) for f in seen), key=lambda t: (len(t), t))
-
     def face_poset(self) -> Poset:
         """Faces ordered by inclusion, with the empty face as bottom.
 
-        A face lies below another when none of its vertices lies outside
-        it: one float32 product of the face-vertex incidence rows with
-        their complement, a block of rows at a time, so no block outgrows
-        ``leq``.  The order is antisymmetric iff the faces are distinct, an
-        O(n) check made here instead of one on the matrix."""
-        faces = sorted(self.faces())  # by names, which is canonical label order
-        if not _distinct(faces):
-            raise InvariantError("reachability matrix is not antisymmetric")
-        # faces are sorted tuples of the names make_complex validated
-        labels = [Label.bottom() if not f else Label._atoms(f) for f in faces]
-        vidx = {v: i for i, v in enumerate(self.vertices)}
-        n = len(faces)
-        inc = np.zeros((n, len(vidx)), dtype=np.float32)
-        inc[[k for k, f in enumerate(faces) for _ in f], [vidx[v] for f in faces for v in f]] = 1
-        outside = 1 - inc.T
-        size = np.array([len(f) for f in faces])
-        leq = np.empty((n, n), dtype=bool)
-        lo, hi = [], []
-        step = max(1, n // 4)  # a float32 block of step rows fills at most the bytes of leq
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
-            leq[rows] = inc[rows] @ outside == 0
-            # a face covers the faces below it with one vertex fewer
-            r, c = np.nonzero(leq[rows] & (size[rows, None] + 1 == size))
-            lo.append(r + start)
-            hi.append(c)
-        return Poset._trusted(labels, leq, np.concatenate(lo), np.concatenate(hi), antisymmetric=True)
+        Built from the facets: the faces and covers of each facet are a copy
+        of the simplex order of its size (``_simplex_order``), taken once
+        per size for all facets of that size.  A face's row holds its
+        vertex positions, vertices numbered in sorted-name order, ascending
+        and padded with -1, so the lex rank of its row (``_ranks``) is its
+        place in canonical label order and one id for all its copies.
+        ``_dag`` closes the covers, and its cycle check is the one
+        antisymmetry check; labels are built on first read."""
+        names = tuple(sorted(self.vertices))
+        position = {v: j for j, v in enumerate(names)}
+        width = max(map(len, self.facets), default=1)  # a column for the empty complex's bottom
+        by_size = {}
+        for f in self.facets:
+            by_size.setdefault(len(f), []).append([position[v] for v in f] + [-1])
+        rows, lo, hi = [np.full((1, width), -1)], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        start = 1
+        for k, vertex in by_size.items():
+            sub, sub_lo, sub_hi = itemgetter(0, 2, 3)(_simplex_order(k))  # not its leq
+            # the positions in the facet of each face's vertices, then k, the -1
+            bits = (sub[:, None] >> np.arange(k)) & 1
+            pick = np.full((sub.size, width), k)
+            pick[:, :k] = np.sort(np.where(bits, np.arange(k), k), axis=1)
+            rows.append(np.array(vertex)[:, pick].reshape(-1, width))
+            copy = start + sub.size * np.arange(len(vertex))[:, None]
+            lo.append((copy + sub_lo).ravel())
+            hi.append((copy + sub_hi).ravel())
+            start += sub.size * len(vertex)
+        rows = np.concatenate(rows)
+        face = _ranks(list(rows.T))
+        n = int(face.max()) + 1
+        order = _dag(n, face[np.concatenate(lo)], face[np.concatenate(hi)])
+        if order is None or order[3].any():
+            raise InvariantError("face covers do not generate a partial order")
+        leq, lo, hi, _ = order
+        first = np.zeros(n, dtype=np.intp)
+        first[face] = np.arange(face.size)  # any copy of each face
+        rows = rows[first]
+        labels = _Lazy(n, _position_labels, names, rows[rows >= 0], np.count_nonzero(rows >= 0, axis=1))
+        return Poset._indexed(labels, leq, lo, hi)
 
     def minimal_nonfaces(self):
         """Inclusion-minimal vertex subsets that are not faces.
@@ -112,13 +120,6 @@ class SimplicialComplex:
         return cls.from_json_dict(_loads(text))
 
 
-def _distinct(faces) -> bool:
-    """Whether the faces (sorted vertex tuples or position masks) are
-    pairwise distinct, which is when the subset order on them is
-    antisymmetric: two vertex sets each within the other are equal."""
-    return len(set(faces)) == len(faces)
-
-
 def make_complex(vertices, facet_candidates) -> SimplicialComplex:
     """Normalize a vertex list and a face family into a complex.
 
@@ -161,7 +162,14 @@ def _simplex_order(k: int):
     each step doubles the order block by block, with no product: a face
     with j lies below no face without j, and a face without j lies below
     F or F + {j} exactly when it lies below F.
+
+    Raises SizeLimitError before allocating when k > BOOLEAN_LATTICE_MAX:
+    at 15 ``leq`` takes 1 GiB, at 16 it would take 4 GiB.
     """
+    if k > BOOLEAN_LATTICE_MAX:
+        raise SizeLimitError(
+            f"a simplex on {k} vertices has 2^{k} faces; face orders are guarded at {BOOLEAN_LATTICE_MAX} vertices"
+        )
     sub = np.zeros(1, dtype=np.int64)
     leq = np.ones((1, 1), dtype=bool)
     lo = hi = np.zeros(0, dtype=np.intp)
@@ -196,21 +204,24 @@ def _face_labels(names: tuple) -> tuple:
     return (Label.bottom(), *map(Label._atoms, faces[1:]))
 
 
+def _position_labels(names: tuple, flat: np.ndarray, size: np.ndarray) -> tuple:
+    """The labels of faces given by the positions in ``names`` of their
+    vertices, ascending and laid end to end, and by their sizes; the empty
+    face, first, is the bottom."""
+    vertex = iter([names[j] for j in flat.tolist()])
+    return (Label.bottom(), *(Label._atoms(tuple(islice(vertex, s))) for s in size[1:].tolist()))
+
+
 def boolean_lattice(n: int) -> Poset:
     """The lattice of subsets of {x1..xn}, the face poset of the simplex on
     those vertices; 2^n elements, labels built on first read.
 
-    Guarded at n <= 20, though practical sizes sit far below the guard.
+    Guarded by ``_simplex_order`` at n <= 15, where ``leq`` takes 1 GiB.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"boolean_lattice needs a nonnegative integer, got {n!r}")
-    if n > BOOLEAN_LATTICE_MAX:
-        raise SizeLimitError(f"boolean_lattice(n) is guarded at n <= {BOOLEAN_LATTICE_MAX}")
-    sub, leq, lo, hi = _simplex_order(n)
-    if not _distinct(sub.tolist()):
-        raise InvariantError("reachability matrix is not antisymmetric")
-    names = tuple(sorted(f"x{i + 1}" for i in range(n)))
-    return Poset._indexed(_Lazy(sub.size, _face_labels, names), leq, lo, hi)
+    names = [f"x{i + 1}" for i in range(n)]
+    return make_complex(names, [names]).face_poset()
 
 
 def parse_facet_string(text: str) -> SimplicialComplex:

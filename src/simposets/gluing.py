@@ -538,11 +538,6 @@ def reconstruct_theta_pair(p: Poset):
         names = [f"p{i + 1}" for i in range(len(atoms))]
     name_of = dict(zip(atoms, names))
     d1 = make_complex(names, [[name_of[a] for a in s] for s in fam])
-    supports = {v: p.atom_support(v) for v in m.elements}
-    facets = [
-        [name_of[a] for a in supports[x]]
-        for x in sorted(m.maximal_elements())
-        if supports[x]
-    ]
-    d2 = make_complex(names, facets)
+    supports = [p.atom_support(x) for x in sorted(m.maximal_elements())]
+    d2 = make_complex(names, [[name_of[a] for a in s] for s in supports if s])
     return d1, d2

@@ -13,24 +13,25 @@ on first read of ``elements``: through a label lookup, ``bottom()`` and the
 other label queries, the ``covers`` pair set, JSON, DOT, ``==``, hashing or
 pickling.  A recipe holds labels, other recipes and index arrays, never a
 poset or its ``leq``, so intermediate posets are freed once their output
-exists.  Only ``face_poset`` and ``from_json`` build labels up front.  They,
-``restrict`` and ``from_covers`` are the constructors that sort by label
-key: through ``_trusted``, or ``_from_ends`` for cover pairs.  ``from_json``
-parses each distinct label text of its document once and finds cover ends
-by their text.  The others know the canonical order from indices alone
-(``_indexed``): a quotient numbers its classes by least member index, which
+exists.  Only ``from_json`` builds labels up front.  It and ``from_covers``
+are the constructors that sort by label key, in ``_from_ends``;
+``from_json`` parses each distinct label text of its document once and
+finds cover ends by their text.  The others know the canonical order from
+indices alone (``_indexed``): a face poset ranks its faces by their sorted
+vertex positions, which is the order of their labels; ``restrict`` keeps
+index order; a quotient numbers its classes by least member index, which
 is the order of their class labels, because two disjoint classes differ in
 their first member; a disjoint union of copies lists the bottom, then the
 copies by copy index and base index.
 
-``from_covers``, ``from_json`` and ``quotient`` derive their order from
-generating pairs through one kernel, ``_dag``: Kahn levels from the top,
-then one pass over packed ``uint64`` rows, level by level, gives every
-element's upper set and the elements strictly above its upper covers (Simon
-1988; Aho, Garey & Ullman 1972).  An element Kahn never reaches means a
-cycle, and a pair is redundant when its upper end lies strictly above
-another upper end of its lower end.  ``restrict`` starts from a closed
-matrix, so one product gives its covers.
+``from_covers``, ``from_json``, ``quotient`` and ``face_poset`` derive
+their order from generating pairs through one kernel, ``_dag``: Kahn levels
+from the top, then one pass over packed ``uint64`` rows, level by level,
+gives every element's upper set and the elements strictly above its upper
+covers (Simon 1988; Aho, Garey & Ullman 1972).  An element Kahn never
+reaches means a cycle, and a pair is redundant when its upper end lies
+strictly above another upper end of its lower end.  ``restrict`` starts
+from a closed matrix, so one product gives its covers.
 
 The facts the checks share are read off ``leq`` once per poset, on first
 use, into a private profile (``Poset._profile``): ``lower`` and ``upper``,
@@ -208,6 +209,12 @@ class _Lazy(Sequence):
         return (_Lazy.of, (self.get(),))
 
 
+def _gather(labels: _Lazy, idx: np.ndarray) -> tuple:
+    """The labels at the indices ``idx``, in that order."""
+    el = labels.get()
+    return tuple([el[i] for i in idx.tolist()])
+
+
 def _class_members(labels: _Lazy, cls: np.ndarray) -> list:
     """The member labels of each class of ``cls`` (numbered from 0), as
     tuples in index order, which is canonical label order."""
@@ -254,33 +261,6 @@ class Poset:
     # ----- construction -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, elements, leq, lo, hi, *, antisymmetric=False):
-        """Build from labels, an order matrix and the index arrays
-        ``(lo, hi)`` of its cover pairs, all of which the caller derived
-        combinatorially or from a closed matrix.
-
-        The labels are checked to be nonempty and distinct, and elements
-        are re-sorted into canonical label order by key, one gather of rows
-        and one of columns unless they already are in it.  Antisymmetry is
-        asserted unless the caller has it from distinct face masks
-        (``antisymmetric=True``): given reflexivity, ``leq`` is
-        antisymmetric iff ``leq & leq.T`` holds the diagonal alone.  The
-        rest is ``_indexed``.
-        """
-        elements = list(elements)
-        order = _key_order(elements)
-        leq = np.asarray(leq, dtype=bool)
-        if order != list(range(len(order))):
-            perm = np.asarray(order, dtype=np.intp)
-            leq = leq.take(perm, 0).take(perm, 1)
-            position = np.argsort(perm)
-            lo, hi = position[lo], position[hi]
-        p = cls._indexed(_Lazy.of(tuple(map(elements.__getitem__, order))), leq, lo, hi)
-        if not antisymmetric and _has_cycle(leq):
-            raise InvariantError("reachability matrix is not antisymmetric")
-        return p
-
-    @classmethod
     def _indexed(cls, labels: _Lazy, leq, lo, hi):
         """Build from an order matrix whose elements already stand in
         canonical label order, the index arrays ``(lo, hi)`` of its cover
@@ -288,10 +268,11 @@ class Poset:
 
         Reflexivity is asserted and the covers are sorted into the order of
         ``(lo, hi)``.  The caller vouches for the canonical order and for
-        antisymmetry, each checked once per matrix: by ``_trusted``, by the
-        cycle check of ``_dag`` (``_from_ends``), or by the ascending
-        members of a disjoint union.  Closure is not verified here; the
-        test suite checks it against Warshall's algorithm.
+        antisymmetry, each checked once per matrix: by the cycle check of
+        ``_dag`` (``_from_ends``, ``quotient``, ``face_poset``), by
+        ``_has_cycle`` (``restrict``), or by the ascending members of a
+        disjoint union.  Closure is not verified here; the test suite checks
+        it against Warshall's algorithm.
         """
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
@@ -591,14 +572,19 @@ class Poset:
         return cls
 
     def restrict(self, subset) -> "Poset":
-        """Induced subposet on the given elements (covers recomputed)."""
-        idx = sorted(self._require(v) for v in set(subset))
+        """Induced subposet on the given elements (covers recomputed).  The
+        elements keep their index order, which is canonical label order."""
+        idx = np.array(sorted(self._require(v) for v in set(subset)), dtype=np.intp)
+        if not idx.size:
+            raise StructureError("a poset needs at least one element")
         sub = self._leq.take(idx, 0).take(idx, 1)
+        if _has_cycle(sub):
+            raise InvariantError("reachability matrix is not antisymmetric")
         strict = sub.astype(np.float32)
         np.fill_diagonal(strict, 0)
         # sub is closed, so a pair with an element between is one product away
         lo, hi = np.nonzero((strict > 0) & ((strict @ strict) == 0))
-        return Poset._trusted([self.elements[i] for i in idx], sub, lo, hi)
+        return Poset._indexed(_Lazy(idx.size, _gather, self._labels, idx), sub, lo, hi)
 
     # ----- misc helpers -----------------------------------------------------
 

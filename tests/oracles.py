@@ -1,18 +1,22 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is written for clarity over speed and avoids the code
-paths under test: faces by powerset expansion, cliques by subset
-enumeration, simpliciality by explicit powerset comparison, covers by a
-pair loop over leq, quotients by an explicit pair loop and Warshall's
-closure, Stanley generators from the lower and upper sets of each pair.
-``oracle_parse`` reads labels part by part, re-scanning each class,
-``oracle_from_json_dict`` reads a poset document one string at a time,
-and ``oracle_theta_glue`` glues by labels and face sets: they are the
-references for the document parser and the index-array gluing.
+paths under test: faces by powerset expansion, face posets by containment
+of those faces, cliques by subset enumeration, simpliciality by explicit
+powerset comparison, covers by a pair loop over leq, quotients by an
+explicit pair loop and Warshall's closure, Stanley generators from the
+lower and upper sets of each pair.  ``oracle_parse`` reads labels part by
+part, re-scanning each class, ``oracle_from_json_dict`` reads a poset
+document one string at a time, and ``oracle_theta_glue`` glues by labels
+and face sets: they are the references for the document parser and the
+index-array gluing.
 """
 
+import json
 import re
 from itertools import chain, combinations
+
+import numpy as np
 
 from simposets import GluingRelation, Poset, make_complex, quotient_by_gluing, separation
 from simposets.errors import FormatError
@@ -31,6 +35,23 @@ def brute_faces(facets):
         for s in powerset(f):
             faces.add(frozenset(s))
     return faces
+
+
+def oracle_face_poset(c):
+    """The face poset of a complex as plain data, with no order kernel:
+    ``(labels, leq, covers, text)``.  The faces from ``brute_faces`` are
+    labelled and sorted by label key; ``leq`` is frozenset containment;
+    ``covers`` are the index pairs of containments with one vertex more,
+    in index order; ``text`` is their JSON as ``json.dumps`` writes it."""
+    faces = {(Label.atom_set(f) if f else Label.bottom()): f for f in brute_faces(c.facets)}
+    labels = sorted(faces, key=lambda e: e.key)
+    faces = [faces[e] for e in labels]
+    leq = np.array([list(map(f.__le__, faces)) for f in faces], dtype=bool)
+    size = np.array([len(f) for f in faces])
+    covers = list(zip(*(a.tolist() for a in np.nonzero(leq & (size[:, None] + 1 == size)))))
+    text = [str(e) for e in labels]
+    doc = {"elements": text, "covers": [[text[i], text[j]] for i, j in covers]}
+    return labels, leq, covers, json.dumps(doc, indent=2) + "\n"
 
 
 def facet_subset(facets, face):
@@ -316,10 +337,10 @@ def oracle_vertex_name(name):
 def oracle_theta_glue(d1, d2):
     """theta_glue by labels: the copies of a face of d1 in its separation
     form one class when the face is a face of d2 extended with d1's
-    vertices, listed by ``faces()``; the rest stand alone."""
+    vertices, listed by ``brute_faces``; the rest stand alone."""
     sep = separation(d1.face_poset())
     d2_vertices = list(d2.vertices) + [v for v in d1.vertices if v not in set(d2.vertices)]
-    shared = {frozenset(f) for f in make_complex(d2_vertices, d2.facets).faces()}
+    shared = brute_faces(make_complex(d2_vertices, d2.facets).facets)
     groups, singles = {}, []
     for lab in sep.separated.elements:
         if lab == Label.bottom():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -268,6 +269,23 @@ def test_input_too_large_for_memory_exits_2(poset_file, capsys, monkeypatch):
     path = poset_file(boolean_lattice(1))
     assert run(["check", "--poset", path, "--test", "simplicial"]) == 2
     assert capsys.readouterr().err == "error: Unable to allocate 83.8 GiB for an array\n"
+
+
+def test_check_complex_on_a_16_vertex_facet_exits_2_without_allocating(capsys):
+    # its face poset would have 2^16 elements, a leq of 4 GiB; the simplex
+    # order is refused before anything of that size is asked for
+    facet = "*".join(f"v{i}" for i in range(16))
+    tracemalloc.start()
+    try:
+        code = run(["check", "--complex", facet, "--test", "faceposet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: a simplex on 16 vertices has 2^16 faces; face orders are guarded at 15 vertices\n"
+    )
+    assert peak < 1 << 20
 
 
 def test_random_stdout_json(capsys):

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,14 @@ from simposets import (
 from simposets.labels import Label
 
 from conftest import random_complex
-from oracles import brute_covers, brute_faces, brute_maximal_cliques, brute_minimal_nonfaces, facet_subset
+from oracles import (
+    brute_covers,
+    brute_faces,
+    brute_maximal_cliques,
+    brute_minimal_nonfaces,
+    facet_subset,
+    oracle_face_poset,
+)
 
 small_complexes = st.integers(0, 10_000).map(
     lambda s: random_complex(random.Random(s), max_vertices=7, max_facets=5)
@@ -59,14 +67,6 @@ def test_parse_facet_string():
         parse_facet_string("")
 
 
-def test_faces_of_two_triangles():
-    c = parse_facet_string("a*b*c,b*c*d")
-    faces = c.faces()
-    assert len(faces) == 12  # brute-force count over both triangles, incl. empty
-    assert faces[0] == ()
-    assert set(map(frozenset, faces)) == brute_faces(c.facets)
-
-
 def test_is_face():
     c = parse_facet_string("a*b*c,b*c*d")
     assert facet_subset(c.facets, ())
@@ -89,21 +89,44 @@ def test_minimal_nonfaces_match_oracle(c):
 
 @settings(max_examples=60, deadline=None)
 @given(small_complexes)
-def test_faces_match_oracle(c):
-    faces = c.faces()
-    assert len(set(faces)) == len(faces)
-    assert set(map(frozenset, faces)) == brute_faces(c.facets)
-    assert all(facet_subset(c.facets, f) for f in faces)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_complexes)
 def test_face_poset_elements_are_faces(c):
     p = c.face_poset()
     assert p.is_face_poset()
-    assert len(p) == len(c.faces())
+    assert len(p) == len(brute_faces(c.facets))
     atoms = {a.single_vertex_name() for a in p.atoms()}
     assert atoms == set(c.vertices)
+
+
+def assert_matches_oracle(c):
+    p = c.face_poset()
+    labels, leq, covers, text = oracle_face_poset(c)
+    assert p.elements == tuple(labels)
+    assert np.array_equal(p._leq, leq)
+    assert list(zip(p._lo.tolist(), p._hi.tolist())) == covers
+    assert p.covers == {(labels[i], labels[j]) for i, j in covers}
+    assert p.to_json() == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_complexes)
+def test_face_poset_matches_the_oracle(c):
+    assert_matches_oracle(c)
+
+
+SIMPLEX_12 = [f"x{i}" for i in range(12)]
+CORNERS = {
+    "empty": ([], []),
+    "point": (["a"], []),
+    "unsorted vertices": (["d", "b", "a", "c"], [["d", "a"], ["c", "b", "d"]]),
+    "x10 before x2": (["x2", "x10", "x1", "x3"], [["x10", "x2"], ["x1", "x2", "x3"], ["x10", "x3"]]),
+    "70 vertices": ([f"v{i}" for i in range(70)], [["v1", "v2", "v69"], ["v0", "v68"], ["v3", "v64", "v65"]]),
+    "12-simplex": (SIMPLEX_12, [SIMPLEX_12]),
+}
+
+
+@pytest.mark.parametrize("name", CORNERS)
+def test_face_poset_matches_the_oracle_on_corners(name):
+    assert_matches_oracle(make_complex(*CORNERS[name]))
 
 
 def test_face_poset_order_is_containment():
@@ -125,9 +148,9 @@ def test_face_poset_takes_more_vertices_than_a_machine_word():
 
 
 def test_face_poset_of_the_12_simplex_stays_within_three_leq_sizes():
-    """The subset order is built a block of rows at a time, so the traced
-    peak stays within three times the bytes of ``leq``; one n x n int64
-    temporary alone is eight times them."""
+    """The simplex order and its closure by ``_dag`` each hold about one
+    ``leq`` at a time, so the traced peak stays within three times its
+    bytes; one n x n int64 temporary alone is eight times them."""
     names = [f"x{i}" for i in range(12)]
     simplex = make_complex(names, [names])
     tracemalloc.start()

@@ -49,6 +49,7 @@ from oracles import (
     brute_quotient,
     is_order_isomorphism,
     minimal_elements,
+    oracle_face_poset,
     oracle_from_json_dict,
     powerset,
     upper_set,
@@ -130,16 +131,15 @@ BUILDS = {
 def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
     """Each order matrix a constructor builds is checked for antisymmetry
     once: by the Kahn levels of ``_dag``, which reach every element only
-    when the pairs have no cycle, by the distinct vertex masks of a face
-    poset or boolean lattice, by the ascending members of a disjoint union
-    (a theta gluing's separation included), or through
-    ``_has_cycle``.  Every Poset is built through ``Poset._indexed``, which
-    ``_trusted`` calls after its key sort."""
+    when the pairs have no cycle (a face poset or boolean lattice calls it
+    from ``complexes``), by the ascending members of a disjoint union (a
+    theta gluing's separation included), or through ``_has_cycle``
+    (``restrict``).  Every Poset is built through ``Poset._indexed``."""
     calls, built = [], []
     checks = (
         (poset_module, "_has_cycle"),
         (poset_module, "_dag"),
-        (complexes_module, "_distinct"),
+        (complexes_module, "_dag"),
         (gluing_module, "_ascending"),
     )
     for module, name in checks:
@@ -167,14 +167,13 @@ def test_covers_are_the_reduction_in_key_order(name):
 
 
 def key_sorted(p, rng):
-    """p rebuilt by ``Poset._trusted`` from its labels, order matrix and
-    covers listed in a random order, so that the key sort alone decides
-    the element order."""
-    perm = list(range(len(p)))
-    rng.shuffle(perm)
-    position = np.argsort(perm)
-    leq = p._leq[np.ix_(perm, perm)]
-    return Poset._trusted([p.elements[i] for i in perm], leq, position[p._lo], position[p._hi])
+    """p rebuilt by ``Poset.from_covers`` from its labels and covers, each
+    listed in a random order, so that the key sort alone decides the
+    element order."""
+    elements, covers = list(p.elements), list(p.covers)
+    rng.shuffle(elements)
+    rng.shuffle(covers)
+    return Poset.from_covers(elements, covers)
 
 
 def test_index_built_posets_equal_a_key_sort_of_their_labels():
@@ -363,19 +362,22 @@ def test_boolean_lattice_0_is_a_point():
 def test_boolean_lattice_guards():
     with pytest.raises(ValueError):
         boolean_lattice(-1)
-    with pytest.raises(SizeLimitError):
-        boolean_lattice(21)
+    for n in (16, 21):
+        with pytest.raises(SizeLimitError, match="guarded at 15 vertices"):
+            boolean_lattice(n)
 
 
 @pytest.mark.parametrize("k", range(11))
 def test_boolean_lattice_is_the_face_poset_of_the_simplex(k):
-    """The lattice built from the per-size simplex order equals the face
-    poset of the simplex on x1..xk, labels (x10 sorts before x2), covers
-    and order matrix."""
+    """The lattice equals the oracle face poset of the simplex on x1..xk:
+    labels (x10 sorts before x2), order matrix, covers and JSON."""
     names = [f"x{i}" for i in range(1, k + 1)]
-    b, ref = boolean_lattice(k), make_complex(names, [names]).face_poset()
-    assert b == ref
-    assert np.array_equal(b._leq, ref._leq)
+    b = boolean_lattice(k)
+    labels, leq, covers, text = oracle_face_poset(make_complex(names, [names]))
+    assert b.elements == tuple(labels)
+    assert np.array_equal(b._leq, leq)
+    assert list(zip(b._lo.tolist(), b._hi.tolist())) == covers
+    assert b.to_json() == text
 
 
 def test_boolean_lattice_matches_subset_order():
