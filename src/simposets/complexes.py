@@ -6,19 +6,20 @@ another are absorbed, and vertices not covered by any given face become
 singleton facets, so every vertex of the complex is a face.
 
 ``_simplex_order(k)`` is the face order of a simplex on k sorted vertices,
-the same for every simplex of that size, and the one 4^k kernel, guarded at
-``BOOLEAN_LATTICE_MAX`` vertices.  ``face_poset`` takes the covers of one
-copy per facet, gives the copies of a face one id by the rank of its vertex
-positions and closes the covers with ``_dag``; ``boolean_lattice(n)`` is the
-face poset of one simplex, and ``theta_glue`` takes one copy per facet as
-its separation.
+the same for every simplex of that size, the one 4^k kernel, guarded at
+``BOOLEAN_LATTICE_MAX`` vertices, and the one layout of a simplex's faces:
+a table of their vertex positions.  ``face_poset`` reads each facet's
+vertices at those positions, gives the copies of a face one id by the rank
+of its row and closes the covers with ``_dag``; ``theta_glue`` takes one
+copy per facet as its separation.  Both label faces by their positions
+(``_position_labels``).  ``boolean_lattice(n)`` is the face poset of one
+simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -40,31 +41,30 @@ class SimplicialComplex:
         Built from the facets: the faces and covers of each facet are a copy
         of the simplex order of its size (``_simplex_order``), taken once
         per size for all facets of that size.  A face's row holds its
-        vertex positions, vertices numbered in sorted-name order, ascending
-        and padded with -1, so the lex rank of its row (``_ranks``) is its
-        place in canonical label order and one id for all its copies.
-        ``_dag`` closes the covers, and its cycle check is the one
-        antisymmetry check; labels are built on first read."""
+        vertices, numbered in sorted-name order: the facet's vertices read
+        at the face's row of the position table, so ascending and padded
+        with -1.  The lex rank of its row (``_ranks``) is its place in
+        canonical label order and one id for all its copies.  ``_dag``
+        closes the covers, and its cycle check is the one antisymmetry
+        check; labels are built on first read."""
         names = tuple(sorted(self.vertices))
         position = {v: j for j, v in enumerate(names)}
-        width = max(map(len, self.facets), default=1)  # a column for the empty complex's bottom
         by_size = {}
         for f in self.facets:
             by_size.setdefault(len(f), []).append([position[v] for v in f] + [-1])
-        rows, lo, hi = [np.full((1, width), -1)], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        orders = {k: _simplex_order(k) for k in by_size}  # guarded before rows is allocated
+        width = max(by_size, default=1)  # a column for the empty complex's bottom
+        rows = np.full((1 + sum(len(vertex) << k for k, vertex in by_size.items()), width), -1)
+        lo, hi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
         start = 1
         for k, vertex in by_size.items():
-            sub, sub_lo, sub_hi = itemgetter(0, 2, 3)(_simplex_order(k))  # not its leq
-            # the positions in the facet of each face's vertices, then k, the -1
-            bits = (sub[:, None] >> np.arange(k)) & 1
-            pick = np.full((sub.size, width), k)
-            pick[:, :k] = np.sort(np.where(bits, np.arange(k), k), axis=1)
-            rows.append(np.array(vertex)[:, pick].reshape(-1, width))
-            copy = start + sub.size * np.arange(len(vertex))[:, None]
+            pos, _, sub_lo, sub_hi = orders[k]  # not its leq
+            # the facet's vertices at each face's positions; padding -1 picks the -1 at the end
+            rows[start : start + (len(vertex) << k), :k] = np.array(vertex)[:, pos].reshape(-1, k)
+            copy = start + (1 << k) * np.arange(len(vertex))[:, None]
             lo.append((copy + sub_lo).ravel())
             hi.append((copy + sub_hi).ravel())
-            start += sub.size * len(vertex)
-        rows = np.concatenate(rows)
+            start += len(vertex) << k
         face = _ranks(list(rows.T))
         n = int(face.max()) + 1
         order = _dag(n, face[np.concatenate(lo)], face[np.concatenate(hi)])
@@ -152,10 +152,11 @@ def make_complex(vertices, facet_candidates) -> SimplicialComplex:
 
 def _simplex_order(k: int):
     """The faces of the simplex on positions 0..k-1, ordered by inclusion:
-    ``(sub, leq, lo, hi)``.  ``sub`` holds each face's position mask, in
-    lex order of its position tuple, so the empty face comes first; ``leq``
-    is the order matrix and ``lo``, ``hi`` are the sorted cover pairs, all
-    read-only.  On sorted vertex names this is canonical label order.
+    ``(pos, leq, lo, hi)``.  Row i of ``pos`` holds the positions of face
+    i, ascending and padded with -1 to width k, in lex order of those
+    tuples, so the empty face comes first; ``leq`` is the order matrix and
+    ``lo``, ``hi`` are the sorted cover pairs, all read-only.  On sorted
+    vertex names this is canonical label order.
 
     In lex order the faces of {j..k-1} are the empty face, then each face
     of {j+1..k-1} with j added, then the nonempty faces of {j+1..k-1}.  So
@@ -170,11 +171,11 @@ def _simplex_order(k: int):
         raise SizeLimitError(
             f"a simplex on {k} vertices has 2^{k} faces; face orders are guarded at {BOOLEAN_LATTICE_MAX} vertices"
         )
-    sub = np.zeros(1, dtype=np.int64)
+    pos = np.zeros((1, 0), dtype=np.intp)
     leq = np.ones((1, 1), dtype=bool)
     lo = hi = np.zeros(0, dtype=np.intp)
     for j in range(k - 1, -1, -1):
-        h = sub.size
+        h = pos.shape[0]
         at = np.arange(h) + h  # the old faces without j, the empty face staying at 0
         at[0] = 0
         grown = np.zeros((2 * h, 2 * h), dtype=bool)
@@ -185,23 +186,15 @@ def _simplex_order(k: int):
         # covers among faces with j, among faces without it, and F below F + {j}
         lo = np.concatenate([lo + 1, at[lo], at])
         hi = np.concatenate([hi + 1, at[hi], np.arange(1, h + 1)])
-        sub = np.concatenate([sub[:1], sub | 1 << j, sub[1:]])
-        leq = grown
+        # j first in the faces with it, the faces without it padded one column on
+        rows = np.full((2 * h, k - j), -1, dtype=np.intp)
+        rows[1 : h + 1, 0], rows[1 : h + 1, 1:], rows[h + 1 :, :-1] = j, pos, pos[1:]
+        pos, leq = rows, grown
     sort = np.lexsort((hi, lo))
-    out = (sub, leq, lo[sort], hi[sort])
+    out = (pos, leq, lo[sort], hi[sort])
     for a in out:
         a.setflags(write=False)
     return out
-
-
-def _face_labels(names: tuple) -> tuple:
-    """The labels of the faces of the simplex on the sorted ``names``, in
-    the lex order of ``_simplex_order``, built the same way: the bottom
-    first."""
-    faces = [()]
-    for v in reversed(names):
-        faces = [(), *((v, *t) for t in faces), *faces[1:]]
-    return (Label.bottom(), *map(Label._atoms, faces[1:]))
 
 
 def _position_labels(names: tuple, flat: np.ndarray, size: np.ndarray) -> tuple:

@@ -13,7 +13,8 @@ ideal of another, the isomorphism induced by a facet map plus an atom map.
 ``theta_glue`` glues the separation of a complex's face poset along the
 faces it shares with a second complex; it builds that separation straight
 from the complex's facets, one copy of a simplex per facet, with no face
-poset.  Both constructors build their disjoint union with the same code as
+poset, each copy's vertices read from the simplex's table of positions.
+Both constructors build their disjoint union with the same code as
 ``separation``, and both end in ``quotient_by_gluing``.
 ``reconstruct_theta_pair`` inverts that construction when the atom family
 is an antichain and the meet poset is a face poset.
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _face_labels, _simplex_order, make_complex
+from .complexes import SimplicialComplex, _position_labels, _simplex_order, make_complex
 from .errors import (
     ElementNotFoundError,
     FormatError,
@@ -141,7 +142,7 @@ def _ascending(blocks) -> bool:
     each block, are strictly ascending.  Then the union of ``_disjoint_union``
     is antisymmetric: each block is a principal submatrix, on distinct
     indices, of an antisymmetric matrix (a poset's, or the subset order of
-    a simplex on distinct masks), and blocks share only the bottom.
+    a simplex on distinct faces), and blocks share only the bottom.
     Its elements then also stand in canonical label order: the bottom, then
     copy index, then base index, which is base label order."""
     copies = [ci for ci, _, _ in blocks]
@@ -156,7 +157,7 @@ def _copy_labels(blocks) -> tuple:
     labels = [Label.bottom()]
     for ci, source, members in blocks:
         el = source.get()
-        labels += [Label.copy(ci, el[v]) for v in members.tolist()]
+        labels += [Label._copy(ci, el[v]) for v in members.tolist()]
     return tuple(labels)
 
 
@@ -422,32 +423,29 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
 
 def _facet_separation(facets, index):
     """The separation of the face poset of the complex with the given
-    facets, in sorted order, built from the facets, with the position mask
-    of each element in its facet and the element's packed vertex row: bit
-    j % 64 of word j // 64 when it has the vertex ``index`` numbers j.
+    facets, in sorted order, built from the facets, with each element's
+    vertex row: the numbers ``index`` gives its vertices, in sorted-name
+    order and padded with -1, so the copies of one face share a row.
 
     Copy i holds the nonempty faces of the i-th facet, a copy of the
-    ``_simplex_order`` of the facet's size, computed once per size, under
-    the facet's own face labels, which are built only when read.
-    """
+    ``_simplex_order`` of the facet's size, taken once per size.  Its
+    position table gives each copy's row, and the facet's face labels,
+    built only when read."""
     orders, blocks = {}, []
+    for k in {len(f) for f in facets}:  # guarded before rows is allocated
+        pos, leq, lo, hi = _simplex_order(k)
+        orders[k] = pos, leq, lo, hi, pos[pos >= 0], np.count_nonzero(pos >= 0, axis=1)
+    rows = np.full((1 + sum((1 << len(f)) - 1 for f in facets), max(orders, default=0)), -1)
+    start = 1  # the bottom's row stays empty
     for ci, f in enumerate(facets, start=1):
-        if len(f) not in orders:
-            orders[len(f)] = _simplex_order(len(f))
-        sub, leq, lo, hi = orders[len(f)]
-        simplex = Poset(_Lazy(sub.size, _face_labels, f), lo, hi, leq)
-        blocks.append((ci, simplex, np.arange(1, sub.size)))
-    sep = _disjoint_union(blocks)
-    mask = np.concatenate([[0], *(orders[len(f)][0][1:] for f in facets)])
-    owner = np.repeat(np.arange(-1, len(facets)), [1] + [(1 << len(f)) - 1 for f in facets])
-    width = max(map(len, facets), default=0)
-    vertex = np.array([[index[v] for v in f] + [0] * (width - len(f)) for f in facets], dtype=np.intp)
-    rows = np.zeros((mask.size, -(-len(index) // 64) or 1), dtype=np.uint64)
-    for i in range(width):
-        at = np.flatnonzero((mask >> i) & 1)  # never the bottom, whose owner is -1
-        j = vertex[owner[at], i]
-        rows[at, j >> 6] |= np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
-    return sep, mask, rows
+        k = len(f)
+        pos, leq, lo, hi, flat, size = orders[k]
+        simplex = Poset(_Lazy(pos.shape[0], _position_labels, f, flat, size), lo, hi, leq)
+        blocks.append((ci, simplex, np.arange(1, pos.shape[0])))
+        # padding -1 picks the -1 at the end of the facet's vertex row
+        rows[start : start + pos.shape[0] - 1, :k] = np.array([index[v] for v in f] + [-1])[pos[1:]]
+        start += pos.shape[0] - 1
+    return _disjoint_union(blocks), rows
 
 
 def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
@@ -460,28 +458,33 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
 
     No face poset of d1 is built: the separation comes from d1's facets in
     canonical label order, ``sorted(d1.facets)``, one copy of the simplex
-    order of each (``_facet_separation``), and copies of a face are found
-    by their packed vertex rows, so d1 may have any number of vertices.
-    The relation is a class array over the separation, whose labels, like
-    the result's, are built only when read.
+    order of each (``_facet_separation``).  Copies of a face are found by
+    their vertex rows, packed 64 vertices to a uint64 word, so d1 may have
+    any number of vertices.  The relation is a class array over the
+    separation, whose labels, like the result's, are built only when read.
     """
     index = {v: j for j, v in enumerate(d1.vertices)}
-    sep, mask, rows = _facet_separation(sorted(d1.facets), index)
+    sep, vertex = _facet_separation(sorted(d1.facets), index)
     if not sep.is_face_poset():  # as separation checks its output
         raise InvariantError("separation produced a non face poset")
-    pairs = [(g, index[v]) for g, f in enumerate(d2.facets) for v in f if v in index]
+    # pack the rows of the copies, then of d2's facets, 64 vertices to a word
+    n = len(sep)
+    r, c = np.nonzero(vertex >= 0)
+    pairs = [(g, index[v]) for g, f in enumerate(d2.facets, start=n) for v in f if v in index]
     g, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    d2_rows = np.zeros((len(d2.facets), rows.shape[1]), dtype=np.uint64)
-    np.bitwise_or.at(d2_rows, (g, j >> 6), np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)))
+    r, j = np.concatenate([r, g]), np.concatenate([vertex[r, c], j])
+    rows = np.zeros((n + len(d2.facets), -(-len(index) // 64) or 1), dtype=np.uint64)
+    np.bitwise_or.at(rows, (r, j >> 6), np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)))
+    rows, d2_rows = rows[:n], rows[n:]
     # a face lies in a facet of d2 when none of its vertices lies outside
     # it, tested a block of facets at a time of at most the bytes of leq
-    shared = (mask & (mask - 1)) == 0  # the vertices, and the bottom
-    step = max(1, mask.size // (8 * rows.shape[1]))
+    shared = (vertex[:, 1:2] < 0).all(axis=1)  # no second vertex: the vertices, and the bottom
+    step = max(1, n // (8 * rows.shape[1]))
     for start in range(0, len(d2_rows), step):
         outside = rows[:, None] & ~d2_rows[None, start : start + step]
         shared |= (outside == 0).all(axis=2).any(axis=1)
     # copies of a shared face join the class of its vertex set, others stand alone
-    cls = np.where(shared, _ranks(list(rows.T)), mask.size + np.arange(mask.size))
+    cls = np.where(shared, _ranks(list(rows.T)), n + np.arange(n))
     return quotient_by_gluing(GluingRelation(sep, cls))
 
 

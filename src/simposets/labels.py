@@ -82,7 +82,7 @@ class Label:
 
     @classmethod
     def copy(cls, index: int, base: "Label") -> "Label":
-        if not isinstance(index, int) or index < 0:
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
             raise FormatError(f"copy index must be a nonnegative integer, got {index!r}")
         if not isinstance(base, Label):
             raise FormatError("copy label base must be a Label")

@@ -542,6 +542,8 @@ class Poset:
             classes = self._class_array([frozenset(c) for c in classes])
         elif classes.shape != (len(self),):
             raise StructureError("classes must partition the elements")
+        elif not np.issubdtype(classes.dtype, np.integer):
+            raise StructureError(f"a class array must hold integers, not {classes.dtype}")
         order = np.argsort(classes, kind="stable")
         new = np.ones(order.size, dtype=bool)
         new[1:] = classes[order[1:]] != classes[order[:-1]]

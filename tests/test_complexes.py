@@ -17,6 +17,7 @@ from simposets import (
     make_graph,
     parse_facet_string,
 )
+from simposets.complexes import _position_labels, _simplex_order
 from simposets.labels import Label
 
 from conftest import random_complex
@@ -127,6 +128,25 @@ CORNERS = {
 @pytest.mark.parametrize("name", CORNERS)
 def test_face_poset_matches_the_oracle_on_corners(name):
     assert_matches_oracle(make_complex(*CORNERS[name]))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_simplex_order_position_table(k):
+    """Row i of the position table is face i's positions, padded with -1:
+    the empty face, then every position tuple in sorted order.  ``leq`` is
+    the subset test on those rows, the covers add one position, and the
+    labels read from the table are those of the simplex's face poset."""
+    pos, leq, lo, hi = _simplex_order(k)
+    assert pos.shape == (1 << k, k)
+    faces = [tuple(j for j in row if j >= 0) for row in pos.tolist()]
+    assert faces == [()] + sorted(c for r in range(1, k + 1) for c in combinations(range(k), r))
+    assert pos.tolist() == [list(f) + [-1] * (k - len(f)) for f in faces]
+    assert leq.tolist() == [[set(a) <= set(b) for b in faces] for a in faces]
+    names = tuple("abcdef"[:k])
+    labels, _, covers, _ = oracle_face_poset(make_complex(names, [names]))
+    assert list(zip(lo.tolist(), hi.tolist())) == covers
+    built = _position_labels(names, pos[pos >= 0], np.count_nonzero(pos >= 0, axis=1))
+    assert [str(e) for e in built] == [str(e) for e in labels]
 
 
 def test_face_poset_order_is_containment():

@@ -19,6 +19,7 @@ from simposets import (
     PreconditionError,
     RandomModelParams,
     SimplicialComplex,
+    SizeLimitError,
     StructureError,
     are_isomorphic,
     atom_family,
@@ -144,6 +145,8 @@ def test_gluing_relation_requires_partition():
     b = boolean_lattice(2)
     with pytest.raises(StructureError, match="partition"):
         GluingRelation(base=b, classes=(frozenset([BOT]),))
+    with pytest.raises(StructureError, match="integers"):
+        GluingRelation(base=b, classes=np.full(4, np.nan))  # nan != nan: four classes
 
 
 def test_fiber_relation_of_separation_validates():
@@ -659,8 +662,8 @@ def theta_cases():
 
 
 def row_vertices(row, vertices):
-    """The vertices whose bits are set in a packed vertex row."""
-    return {v for j, v in enumerate(vertices) if int(row[j >> 6]) >> (j & 63) & 1}
+    """The vertices a vertex row numbers, in row order, padding dropped."""
+    return [vertices[j] for j in row.tolist() if j >= 0]
 
 
 def test_facet_separation_matches_the_separation_of_the_face_poset():
@@ -671,14 +674,17 @@ def test_facet_separation_matches_the_separation_of_the_face_poset():
     for d1, _ in theta_cases():
         ref = separation(d1.face_poset())
         index = {v: j for j, v in enumerate(d1.vertices)}
-        sep, mask, rows = gluing._facet_separation(sorted(d1.facets), index)
+        sep, rows = gluing._facet_separation(sorted(d1.facets), index)
         assert sep == ref.separated
         assert np.array_equal(sep._leq, ref.separated._leq)
         faces = ref.source.get()
         for i, origin in enumerate(ref.origin.tolist()):
-            face = faces[origin]
-            assert row_vertices(rows[i], d1.vertices) == set(face.names if i else ())
-            assert bin(int(mask[i])).count("1") == len(face.names if i else ())
+            names = faces[origin].names if i else ()
+            assert set(row_vertices(rows[i], d1.vertices)) == set(names)
+            assert np.count_nonzero(rows[i] >= 0) == len(names)
+            # in sorted-name order, padded at the end
+            assert row_vertices(rows[i], d1.vertices) == list(names)
+            assert (rows[i][len(names) :] == -1).all()
         keys = [r.tobytes() for r in rows]
         assert len(set(zip(keys, ref.origin.tolist()))) == len(set(keys)) == len(set(ref.origin.tolist()))
 
@@ -708,6 +714,21 @@ def test_theta_glue_builds_no_face_poset_or_separation(monkeypatch):
     assert theta_glue(d1, d2) == expected
     rand_simplicial_poset(RandomModelParams(n=9, p1=0.8, p2=0.7, seed=4))
     assert len(quotients) == 2
+
+
+def test_theta_glue_guards_a_16_vertex_facet_before_allocating():
+    # the copies of its 2^16 faces would take a 4 GiB order matrix and an
+    # 8 MB table of vertex rows; neither is asked for
+    names = [f"v{i}" for i in range(16)]
+    d1 = make_complex(names, [names])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="guarded at 15 vertices"):
+            theta_glue(d1, d1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_a_dense_sample_stays_within_its_memory_budget():

@@ -71,6 +71,14 @@ def test_copy_rejects_bad_index():
         Label.copy("1", Label.bottom())
 
 
+def test_copy_rejects_a_bool_index():
+    # True would share the key of index 1 but print as True@0, which no
+    # parser reads back
+    for index in (True, False):
+        with pytest.raises(FormatError, match="copy index"):
+            Label.copy(index, Label.bottom())
+
+
 def test_class_members_sorted_and_unique():
     a, b = Label.atom_set(["a"]), Label.atom_set(["b"])
     assert Label.class_of([b, a]) == Label.class_of([a, b])

@@ -748,6 +748,21 @@ def test_quotient_requires_partition():
         p.quotient([[BOT, L("a")], [L("a"), L("b")]])
 
 
+def test_quotient_rejects_a_class_array_that_is_not_integer():
+    p = chain_poset(["a", "b"])
+    nan = float("nan")
+    for classes in (
+        np.array([nan, nan, nan]),  # nan != nan: would give three classes
+        np.array([0.0, 0.0, 1.0]),
+        np.array(["x", "x", "y"]),
+        np.array([0, 0, None], dtype=object),
+        np.array([True, True, False]),
+    ):
+        with pytest.raises(StructureError, match="integers"):
+            p.quotient(classes)
+    assert len(p.quotient(np.array([0, 1, 1], dtype=np.uint8))) == 2
+
+
 def test_quotient_rejects_order_collapse():
     # merging the endpoints of a 3-chain pinches the middle into a cycle
     p = chain_poset(["a", "b"])
