@@ -211,7 +211,7 @@ def boolean_lattice(n: int) -> Poset:
 
     Guarded by ``_simplex_order`` at n <= 15, where ``leq`` takes 1 GiB.
     """
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"boolean_lattice needs a nonnegative integer, got {n!r}")
     names = [f"x{i + 1}" for i in range(n)]
     return make_complex(names, [names]).face_poset()

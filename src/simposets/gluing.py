@@ -269,10 +269,11 @@ def _classes_below(base, cls, k):
 
 
 def _failing_classes(base, cls, k):
-    """A mask of the classes with a gluing violation: their ranks differ,
-    some maximal element lies above two members (as it does above two
-    comparable ones), or their rows of ``_classes_below`` differ, which is
-    condition (2) for all ordered pairs at once."""
+    """A mask of the classes with a gluing violation, and the rows of
+    ``_classes_below``.  A class fails when its ranks differ, some maximal
+    element lies above two members (as it does above two comparable ones),
+    or its members' rows differ, which is condition (2) for all ordered
+    pairs at once."""
     rank = base._profile().rank
     size = np.bincount(cls, minlength=k)
     first = np.argsort(cls, kind="stable")[np.cumsum(size) - size]  # each class's first member
@@ -281,7 +282,7 @@ def _failing_classes(base, cls, k):
     fail[base._shared_below_maxima(cls, k)] = True
     below = _classes_below(base, cls, k)
     fail[cls[(below != below[first[cls]]).any(axis=1)]] = True
-    return fail
+    return fail, below
 
 
 def validate_gluing(relation: GluingRelation) -> GluingCheck:
@@ -294,8 +295,9 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
 
     A class-first pass (``_failing_classes``) finds the classes with a
     violation; only their pairs are then enumerated, so a valid relation
-    never reaches the pair loop.  Beside n x k bits of classes below, every
-    temporary is O(n) or a block of at most 2^20 cells.
+    never reaches the pair loop, which reads condition (2) off the same
+    bit rows of classes below.  Beside those n x k bits, every temporary
+    is O(n) or a block of at most 2^20 cells.
     """
     base = relation.base
     leq = base._leq
@@ -303,7 +305,8 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     base._bottom_index()  # the rank counts atoms, so needs a unique minimum
     rank = base._profile().rank
     cls = relation.class_index
-    members = np.flatnonzero(_failing_classes(base, cls, k)[cls])
+    fail, below = _failing_classes(base, cls, k)
+    members = np.flatnonzero(fail[cls])
     a, b = (members[x] for x in _related_pairs(cls[members], k))
     if not a.size:
         return GluingCheck(violations=())
@@ -317,12 +320,11 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
         first &= (i < j)[:, None]  # unordered pairs, smaller element first
         pair, what = np.nonzero(first)
         found.append((pair + start, np.ones_like(pair), what))
-        # reached[p, c]: some member of class c lies below j[p]
-        reached = np.zeros((j.size, k), dtype=bool)
-        p, w = np.nonzero(leq[:, j].T)
-        reached[p, cls[w]] = True
-        pair, what = np.nonzero(leq[:, i].T & ~reached[:, cls])
-        found.append((pair + start, np.full_like(pair, 2), what))
+        # each w below i[pair] whose class has no bit in the row of j[pair]
+        what, pair = np.nonzero(leq[:, i])
+        c = cls[what]
+        missing = (below[j[pair], c >> 6] >> (c & 63).astype(np.uint64)) & np.uint64(1) == 0
+        found.append((pair[missing] + start, np.full(np.count_nonzero(missing), 2), what[missing]))
     pair, condition, what = (np.concatenate(col) for col in zip(*found))
     sort = np.lexsort((what, pair, condition, cls[a[pair]]))
     el = base.elements

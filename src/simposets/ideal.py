@@ -4,7 +4,9 @@
 variable per non-bottom element and one generator per incomparable pair.
 A pair with no common upper bound contributes the plain product; otherwise
 the product is corrected by the meet times the sum over minimal upper
-bounds, with the bottom variable read as 1.
+bounds, with the bottom variable read as 1.  The meets and minimal upper
+bounds come a block of pairs at a time from ``Poset._bounds``, the kernel
+that ``Poset.meet`` and ``Poset.minimal_upper_bounds`` run on one pair.
 
 On a face poset every variable can be replaced by the product of its atoms;
 ``reduce_face_poset_ideal`` performs that substitution, checks each
@@ -162,42 +164,25 @@ def _pair_blocks(p: Poset):
     order, which is the order of ``combinations(variables, 2)``: the bottom
     is comparable to everything, so it is in no pair.  ``blocks`` yields
     ``(rows, i, j, meet, owner, ub)`` for up to ``_PAIR_BLOCK`` pairs with a
-    common upper bound: their positions in ``pi``, their two elements and
-    their meets, and one ``(owner, ub)`` entry per minimal common upper
-    bound ``ub`` of pair ``owner`` of the block, in row-major order.
+    common upper bound: their positions in ``pi``, their two elements, and
+    ``Poset._bounds`` of them: their meets, and one ``(owner, ub)`` entry per
+    minimal common upper bound ``ub`` of pair ``owner`` of the block.
 
     Two elements have a common upper bound iff they have a common maximal
-    one.  The meet is the common lower bound with the largest lower set, and
-    it is checked to lie above every common lower bound, which is what
-    ``Poset.meet`` asserts.  Inside each boolean interval [0,z] above both
-    elements their join has rank |supp i| + |supp j| - |supp meet|, so the
-    minimal common upper bounds are the common upper bounds of that rank.
+    one.
     """
     leq, prof = p._leq, p._profile()
-    n = len(p.elements)
     pi, pj = np.nonzero(np.triu(~(leq | leq.T), 1))
     # a common maximal element, from one float32 product over the maxima
     f = leq[:, prof.upper == 1].astype(np.float32)
     with_upper = np.flatnonzero(((f @ f.T) > 0)[pi, pj])
     geq = np.ascontiguousarray(leq.T)
-    rank = prof.rank  # atoms below
 
     def blocks():
         for start in range(0, with_upper.size, _PAIR_BLOCK):
             rows = with_upper[start : start + _PAIR_BLOCK]
             i, j = pi[rows], pj[rows]
-            # common lower bounds, row by row; the bottom is one of each row
-            r, c = np.divmod(np.flatnonzero(geq[i] & geq[j]), n)
-            first = np.searchsorted(r, np.arange(rows.size))
-            # the largest lower set; a tie means no meet, which the check finds
-            meet = np.maximum.reduceat(prof.lower[c] * n + c, first) % n
-            bad = ~leq[c, meet[r]]
-            if bad.any():
-                k = r[np.argmax(bad)]
-                _raise_no_meet(p, int(i[k]), int(j[k]))
-            owner, ub = np.divmod(np.flatnonzero(leq[i] & leq[j]), n)
-            minimal = rank[ub] == (rank[i] + rank[j] - rank[meet])[owner]
-            yield rows, i, j, meet, owner[minimal], ub[minimal]
+            yield rows, i, j, *p._bounds(i, j, geq)
 
     return pi, pj, blocks()
 
@@ -242,18 +227,6 @@ def stanley_poset_ideal(p: Poset) -> IdealPresentation:
     offsets = np.concatenate([[0], np.cumsum(counts)])
     generators = _Generators(var_of[pi], var_of[pj], rows, offsets, lo, hi, sign)
     return IdealPresentation(poset=p, variables=variables, generators=generators)
-
-
-def _raise_no_meet(p: Poset, i, j):
-    """The error ``Poset.meet`` raises for elements i and j, whose common
-    lower bounds have no greatest element."""
-    cand = np.flatnonzero(p._leq[:, i] & p._leq[:, j])
-    above = p._leq[np.ix_(cand, cand)] & ~np.eye(cand.size, dtype=bool)
-    tops = int(np.count_nonzero(~above.any(axis=1)))
-    raise InvariantError(
-        f"{p.elements[i]} and {p.elements[j]} have {tops} maximal common lower bounds; "
-        "poset is not simplicial"
-    )
 
 
 def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:

@@ -30,8 +30,10 @@ from the top, then one pass over packed ``uint64`` rows, level by level,
 gives every element's upper set and the elements strictly above its upper
 covers (Simon 1988; Aho, Garey & Ullman 1972).  An element Kahn never
 reaches means a cycle, and a pair is redundant when its upper end lies
-strictly above another upper end of its lower end.  ``restrict`` starts
-from a closed matrix, so one product gives its covers.
+strictly above another upper end of its lower end.  ``restrict`` takes
+an order ideal, whose covers are the covers with both ends inside.  Meets
+and minimal upper bounds come from one kernel, ``_bounds``: ``ideal`` runs
+it on blocks of pairs, ``meet`` and ``minimal_upper_bounds`` on one pair.
 
 The facts the checks share are read off ``leq`` once per poset, on first
 use, into a private profile (``Poset._profile``): ``lower`` and ``upper``,
@@ -162,13 +164,6 @@ def _loads(text: str):
         raise FormatError("JSON is nested too deeply") from None
 
 
-def _has_cycle(leq: np.ndarray) -> bool:
-    """True when two distinct elements are each below the other, i.e. the
-    reflexive relation ``leq`` is not antisymmetric: then ``leq & leq.T``
-    holds more than the diagonal."""
-    return np.count_nonzero(leq & leq.T) != leq.shape[0]
-
-
 class _Lazy(Sequence):
     """A tuple of known length, built by ``build(*args)`` on first read of
     an item.  The arguments hold labels, other ``_Lazy`` tuples or index
@@ -269,10 +264,11 @@ class Poset:
         Reflexivity is asserted and the covers are sorted into the order of
         ``(lo, hi)``.  The caller vouches for the canonical order and for
         antisymmetry, each checked once per matrix: by the cycle check of
-        ``_dag`` (``_from_ends``, ``quotient``, ``face_poset``), by
-        ``_has_cycle`` (``restrict``), or by the ascending members of a
-        disjoint union.  Closure is not verified here; the test suite checks
-        it against Warshall's algorithm.
+        ``_dag`` (``_from_ends``, ``quotient``, ``face_poset``), or by the
+        ascending members of a disjoint union.  ``restrict`` needs no
+        check: its matrix is a principal submatrix of an antisymmetric one
+        on ascending indices.  Closure is not verified here; the test suite
+        checks it against Warshall's algorithm.
         """
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
@@ -473,44 +469,64 @@ class Poset:
 
     # ----- bounds and meets ----------------------------------------------
 
-    def _minimal_upper_bound_indices(self, i, j) -> np.ndarray:
-        """Indices of the minimal common upper bounds of elements i and j."""
-        cand = np.flatnonzero(self._leq[i] & self._leq[j])
-        if cand.size == 0:
-            return cand
-        below = self._leq[np.ix_(cand, cand)] & ~np.eye(cand.size, dtype=bool)
-        return cand[~below.any(axis=0)]
+    def _bounds(self, i, j, geq):
+        """The meets and minimal common upper bounds of the pairs
+        ``(i[k], j[k])`` of a simplicial poset, each with a common upper
+        bound, read with ``geq``, the lower sets as rows (``leq.T``; a
+        contiguous copy when many blocks read it).  Returns ``(meet, owner,
+        ub)``: each pair's meet, and one entry per minimal common upper
+        bound ``ub`` of pair ``owner``, in row-major order.
 
-    def minimal_upper_bounds(self, s, t) -> frozenset:
-        i, j = self._require(s), self._require(t)
-        return frozenset(self.elements[c] for c in self._minimal_upper_bound_indices(i, j))
-
-    def meet(self, s, t) -> Label:
-        """Greatest lower bound of two elements of a simplicial poset.
-
-        Defined only when s and t have a common upper bound.  The result is
-        asserted to agree with the meet computed inside [0,u] for every
-        minimal common upper bound u.
+        The meet is the common lower bound with the largest lower set,
+        checked to lie above every common lower bound.  Inside each boolean
+        interval [0,z] above both elements their join has rank
+        |supp i| + |supp j| - |supp meet|, so the minimal common upper
+        bounds are the common upper bounds of that rank.
         """
-        i, j = self._require(s), self._require(t)
-        min_ub = self._minimal_upper_bound_indices(i, j)
-        if min_ub.size == 0:
+        leq, prof = self._leq, self._profile()
+        n = leq.shape[0]
+        # common lower bounds, row by row; the bottom is one of each row
+        r, c = np.divmod(np.flatnonzero(geq[i] & geq[j]), n)
+        first = np.searchsorted(r, np.arange(i.size))
+        # the largest lower set; a tie means no meet, which the check finds
+        meet = np.maximum.reduceat(prof.lower[c] * n + c, first) % n
+        bad = ~leq[c, meet[r]]
+        if bad.any():
+            k = r[np.argmax(bad)]
+            below = c[r == k]
+            tops = np.count_nonzero(leq[np.ix_(below, below)].sum(axis=1) == 1)
+            s, t = self.elements[i[k]], self.elements[j[k]]
+            raise InvariantError(f"{s} and {t} have {tops} maximal common lower bounds; poset is not simplicial")
+        owner, ub = np.divmod(np.flatnonzero(leq[i] & leq[j]), n)
+        rank = prof.rank
+        minimal = rank[ub] == (rank[i] + rank[j] - rank[meet])[owner]
+        return meet, owner[minimal], ub[minimal]
+
+    def _pair_bounds(self, query, s, t):
+        """``_bounds`` of the one pair s, t, or None when they have no
+        common upper bound."""
+        if not self.is_simplicial():
+            raise PreconditionError(f"{query} requires a simplicial poset")
+        i, j = np.array([self._require(s)]), np.array([self._require(t)])
+        if (self._leq[i] & self._leq[j]).any():
+            return self._bounds(i, j, self._leq.T)
+        return None
+
+    # kept as a method while perfbench/tracing.py patches it by name
+    def minimal_upper_bounds(self, s, t) -> frozenset:
+        """The minimal common upper bounds of two elements of a simplicial
+        poset."""
+        bounds = self._pair_bounds("minimal_upper_bounds", s, t)
+        return frozenset(() if bounds is None else [self.elements[u] for u in bounds[2].tolist()])
+
+    # kept as a method while perfbench/tracing.py patches it by name
+    def meet(self, s, t) -> Label:
+        """Greatest lower bound of two elements of a simplicial poset,
+        defined only when they have a common upper bound."""
+        bounds = self._pair_bounds("meet", s, t)
+        if bounds is None:
             raise MeetUndefinedError(f"{s} and {t} have no common upper bound")
-        lb = self._leq[:, i] & self._leq[:, j]
-        cand = np.flatnonzero(lb)
-        above = self._leq[np.ix_(cand, cand)] & ~np.eye(cand.size, dtype=bool)
-        tops = cand[~above.any(axis=1)]
-        if tops.size != 1:
-            raise InvariantError(
-                f"{s} and {t} have {tops.size} maximal common lower bounds; "
-                "poset is not simplicial"
-            )
-        m = int(tops[0])
-        for u in min_ub:
-            inside = lb & self._leq[:, u]
-            if not (~inside | self._leq[:, m]).all():
-                raise InvariantError("meet depends on the enclosing interval")
-        return self.elements[m]
+        return self.elements[bounds[0][0]]
 
     # ----- quotients and restrictions --------------------------------------
 
@@ -573,20 +589,25 @@ class Poset:
             raise StructureError("classes must partition the elements")
         return cls
 
-    def restrict(self, subset) -> "Poset":
-        """Induced subposet on the given elements (covers recomputed).  The
-        elements keep their index order, which is canonical label order."""
-        idx = np.array(sorted(self._require(v) for v in set(subset)), dtype=np.intp)
+    def restrict(self, ideal) -> "Poset":
+        """Induced subposet on an order ideal, given as labels: every
+        element below one of its elements is one of them.  Its covers are
+        the covers with both ends inside, and its elements keep their index
+        order, which is canonical label order.  Raises StructureError when
+        the ideal is empty or a cover enters it from outside, which is
+        exactly when it is not closed downward."""
+        inside = np.zeros(len(self), dtype=bool)
+        inside[[self._require(v) for v in ideal]] = True
+        idx = np.flatnonzero(inside)
         if not idx.size:
             raise StructureError("a poset needs at least one element")
+        into = inside[self._hi]
+        if (into & ~inside[self._lo]).any():
+            raise StructureError("restrict needs an order ideal")
+        at = np.cumsum(inside) - 1
+        # a principal submatrix on ascending indices, so antisymmetric as leq is
         sub = self._leq.take(idx, 0).take(idx, 1)
-        if _has_cycle(sub):
-            raise InvariantError("reachability matrix is not antisymmetric")
-        strict = sub.astype(np.float32)
-        np.fill_diagonal(strict, 0)
-        # sub is closed, so a pair with an element between is one product away
-        lo, hi = np.nonzero((strict > 0) & ((strict @ strict) == 0))
-        return Poset._indexed(_Lazy(idx.size, _gather, self._labels, idx), sub, lo, hi)
+        return Poset._indexed(_Lazy(idx.size, _gather, self._labels, idx), sub, at[self._lo[into]], at[self._hi[into]])
 
     # ----- misc helpers -----------------------------------------------------
 

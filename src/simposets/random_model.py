@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Real
 
 from .complexes import (
     Graph,
@@ -40,7 +41,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         self._state = seed & _MASK64
 
@@ -64,14 +65,14 @@ class RandomModelParams:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.n > RAND_N_MAX:
             raise SizeLimitError(f"the random model is guarded at n <= {RAND_N_MAX}")
         for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not 0.0 <= float(p) <= 1.0:
+            if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
@@ -82,9 +83,9 @@ def erdos_renyi_graph(n: int, p: float, rng: SplitMix64) -> Graph:
     ..., regardless of p, so the stream position after a graph is a
     function of n alone.
     """
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not 0.0 <= float(p) <= 1.0:
+    if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     vertices = [f"v{i + 1}" for i in range(n)]
     return make_graph(vertices, [(vertices[i], vertices[j]) for i, j in _edges(n, p, rng)])
@@ -160,7 +161,7 @@ def run_batch(params: RandomModelParams, count: int) -> dict:
     on the same two graphs, drawn from the same stream, without building
     the poset.
     """
-    if not isinstance(count, int) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     n = params.n
     per_sample = []

@@ -95,14 +95,27 @@ def upper_set(poset, v):
     return frozenset(w for w in poset.elements if poset.leq(v, w))
 
 
+def brute_bounds(lower, upper, s, t):
+    """The meet and the minimal common upper bounds of s and t, read off
+    the lower and upper sets (dicts of frozensets).  The meet is the common
+    lower bound whose lower set is all the common lower bounds, or None
+    without a common upper bound; the minimal upper bounds are the common
+    upper bounds with no other common upper bound below them."""
+    common_upper = upper[s] & upper[t]
+    ubs = frozenset(z for z in common_upper if lower[z] & common_upper == {z})
+    if not ubs:
+        return None, ubs
+    common_lower = lower[s] & lower[t]
+    (m,) = [m for m in common_lower if lower[m] == common_lower]
+    return m, ubs
+
+
 def brute_generators(poset):
     """The Stanley generator records of a simplicial poset, pair by pair.
 
     A record is ``((variable indices, sign), ...)`` in graded order, over
-    the non-bottom elements in canonical order.  The meet of a pair is the
-    common lower bound whose lower set is all the common lower bounds, and
-    its minimal upper bounds are the common upper bounds with no other
-    common upper bound below them, both read off the lower and upper sets.
+    the non-bottom elements in canonical order, with each pair's meet and
+    minimal upper bounds from ``brute_bounds``.
     """
     bot = poset.bottom()
     index = {e: i for i, e in enumerate(e for e in poset.elements if e != bot)}
@@ -111,13 +124,10 @@ def brute_generators(poset):
     gens = []
     for s, t in brute_incomparable_pairs(poset):
         product = ((index[s], index[t]), 1)
-        common_upper = upper[s] & upper[t]
-        ubs = [z for z in common_upper if lower[z] & common_upper == {z}]
+        m, ubs = brute_bounds(lower, upper, s, t)
         if not ubs:
             gens.append((product,))
             continue
-        common_lower = lower[s] & lower[t]
-        (m,) = [m for m in common_lower if lower[m] == common_lower]
         meet_part = () if m == bot else (index[m],)
         terms = [product] + [(tuple(sorted((*meet_part, index[z]))), -1) for z in ubs]
         terms.sort(key=lambda term: (-len(term[0]), term[0]))

@@ -43,6 +43,7 @@ from simposets.labels import ATOMS, CLASS, COPY, Label, valid_vertex_name
 from conftest import random_complex
 from oracles import (
     brute_atoms,
+    brute_bounds,
     brute_covers,
     brute_is_face_poset,
     brute_is_simplicial,
@@ -115,7 +116,7 @@ BUILDS = {
         [[L("x1*x2"), L("x1*x3")]] + [[v] for v in B3.elements if v not in (L("x1*x2"), L("x1*x3"))]
     )),
     "quotient_by_array": (1, lambda: B3.quotient(np.array([9, 4, 7, 1, 3, 4, 8, 2]))),
-    "restrict": (1, lambda: B3.restrict(B3.elements[:6])),
+    "restrict": (1, lambda: B3.restrict(B3.lower_set(L("x1*x2")) | B3.lower_set(L("x2*x3")))),
     "face_poset": (1, lambda: parse_facet_string("a*b*c,b*c*d,d*e").face_poset()),
     "separation": (1, lambda: separation(B3).separated),
     "delta_glue": (2, lambda: delta_glue(
@@ -132,12 +133,13 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
     """Each order matrix a constructor builds is checked for antisymmetry
     once: by the Kahn levels of ``_dag``, which reach every element only
     when the pairs have no cycle (a face poset or boolean lattice calls it
-    from ``complexes``), by the ascending members of a disjoint union (a
-    theta gluing's separation included), or through ``_has_cycle``
-    (``restrict``).  Every Poset is built through ``Poset._indexed``."""
+    from ``complexes``), or by the ascending members of a disjoint union (a
+    theta gluing's separation included).  ``restrict`` makes no check: its
+    matrix is a principal submatrix of its parent's on ascending indices,
+    antisymmetric as the parent's is.  Every Poset is built through
+    ``Poset._indexed``."""
     calls, built = [], []
     checks = (
-        (poset_module, "_has_cycle"),
         (poset_module, "_dag"),
         (complexes_module, "_dag"),
         (gluing_module, "_ascending"),
@@ -152,7 +154,7 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
         built.clear()
         build()
         assert len(built) == expected, name
-        assert len(calls) == len(built), name
+        assert len(calls) == len(built) - (name == "restrict"), name
 
 
 @pytest.mark.parametrize("name", BUILDS)
@@ -227,7 +229,8 @@ def test_from_covers_and_restrict_match_warshall(case, rng):
     error type and message.  When ``reduced`` is drawn and the relation
     has no cycle, the input is the covers of its closure, so accepted
     posets are drawn too.  A random induced subposet of each accepted one
-    checks ``restrict``."""
+    checks ``restrict`` on its down-closure; the raw subset is rejected
+    when it is not closed downward."""
     n, pairs, reduced = case
     labels = [L(f"v{i}") for i in range(n)]
     closure = warshall(n, pairs)
@@ -251,7 +254,11 @@ def test_from_covers_and_restrict_match_warshall(case, rng):
     assert all(p.leq(labels[i], labels[j]) == closure[i][j] for i in range(n) for j in range(n))
     assert p.covers == {(labels[i], labels[j]) for i, j in expected_covers} == brute_covers(p)
 
-    idx = [i for i in range(n) if rng.random() < 0.6] or [rng.randrange(n)]
+    drawn = [i for i in range(n) if rng.random() < 0.6] or [rng.randrange(n)]
+    idx = [i for i in range(n) if any(closure[i][j] for j in drawn)]
+    if idx != drawn:
+        with pytest.raises(StructureError, match="order ideal"):
+            p.restrict([labels[i] for i in drawn])
     r = p.restrict([labels[i] for i in idx])
     sub = [[closure[i][j] for j in idx] for i in idx]
     assert r.elements == tuple(sorted(labels[i] for i in idx))
@@ -360,8 +367,9 @@ def test_boolean_lattice_0_is_a_point():
 
 
 def test_boolean_lattice_guards():
-    with pytest.raises(ValueError):
-        boolean_lattice(-1)
+    for n in (-1, True, False, 2.0, "2"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            boolean_lattice(n)
     for n in (16, 21):
         with pytest.raises(SizeLimitError, match="guarded at 15 vertices"):
             boolean_lattice(n)
@@ -477,7 +485,9 @@ def test_is_simplicial_matches_oracle_on_mutilated_posets(c, rng):
     # dropping a random non-bottom element usually breaks boolean intervals
     p = c.face_poset()
     victim = rng.choice([e for e in p.elements if e != BOT])
-    q = p.restrict([e for e in p.elements if e != victim])
+    kept = [e for e in p.elements if e != victim]
+    induced = warshall_covers([[p.leq(a, b) for b in kept] for a in kept])
+    q = Poset.from_covers(kept, [(kept[a], kept[b]) for a, b in induced])
     assert q.is_simplicial() == brute_is_simplicial(q)
 
 
@@ -728,6 +738,41 @@ def test_meet_on_face_posets_is_support_intersection(c):
             assert p.atom_support(m) == expected
 
 
+def test_meet_and_minimal_upper_bounds_match_the_oracle_on_every_pair(
+    two_points_two_edges, four_triangles_two_shared_edges
+):
+    """Every ordered pair, comparable pairs and pairs with no common upper
+    bound included, on simplicial posets that are not face posets: theta
+    samples with doubled faces and the two doubled-edge fixtures."""
+    samples = [rand_simplicial_poset(RandomModelParams(n=6, p1=0.7, p2=0.3, seed=seed)) for seed in (0, 1, 8)]
+    posets = [two_points_two_edges, four_triangles_two_shared_edges, *samples]
+    unbounded = 0
+    for p in posets:
+        assert p.is_simplicial() and not p.is_face_poset()
+        lower = {v: p.lower_set(v) for v in p.elements}
+        upper = {v: upper_set(p, v) for v in p.elements}
+        for s in p.elements:
+            for t in p.elements:
+                meet, ubs = brute_bounds(lower, upper, s, t)
+                assert p.minimal_upper_bounds(s, t) == ubs, (s, t)
+                if meet is None:
+                    unbounded += 1
+                    with pytest.raises(MeetUndefinedError, match="no common upper bound"):
+                        p.meet(s, t)
+                else:
+                    assert p.meet(s, t) == meet, (s, t)
+    assert unbounded > 100
+
+
+def test_meet_and_minimal_upper_bounds_need_a_simplicial_poset():
+    # two elements over two minima: no unique minimum
+    p = Poset.from_covers([L("a"), L("b"), L("c")], [(L("a"), L("c")), (L("b"), L("c"))])
+    with pytest.raises(PreconditionError, match="meet requires a simplicial poset"):
+        p.meet(L("a"), L("b"))
+    with pytest.raises(PreconditionError, match="minimal_upper_bounds requires a simplicial poset"):
+        p.minimal_upper_bounds(L("a"), L("b"))
+
+
 # ----- quotients and restriction --------------------------------------------
 
 
@@ -795,10 +840,20 @@ def test_quotient_matches_oracle_past_one_word():
 
 def test_restrict_keeps_induced_order():
     b = boolean_lattice(3)
-    r = b.restrict([BOT, L("x1"), L("x1*x2*x3")])
-    assert len(r) == 3
-    assert r.leq(L("x1"), L("x1*x2*x3"))
-    assert (L("x1"), L("x1*x2*x3")) in r.covers
+    ideal = [BOT, L("x1"), L("x2"), L("x3"), L("x1*x2")]
+    r = b.restrict(ideal)
+    assert r.elements == tuple(sorted(ideal))
+    assert r.leq(L("x1"), L("x1*x2")) and not r.leq(L("x3"), L("x1*x2"))
+    assert r.covers == {(BOT, L("x1")), (BOT, L("x2")), (BOT, L("x3")), (L("x1"), L("x1*x2")), (L("x2"), L("x1*x2"))}
+
+
+def test_restrict_rejects_a_subset_that_is_not_closed_downward():
+    b = boolean_lattice(3)
+    for subset in ([BOT, L("x1"), L("x1*x2*x3")], [L("x1")], [BOT, L("x1"), L("x1*x2")]):
+        with pytest.raises(StructureError, match="order ideal"):
+            b.restrict(subset)
+    with pytest.raises(StructureError, match="at least one element"):
+        b.restrict([])
 
 
 # ----- serialization --------------------------------------------------------

@@ -40,8 +40,9 @@ def test_splitmix_reference_vectors():
 
 def test_splitmix_seed_is_masked_to_64_bits():
     assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
-    with pytest.raises(ValueError):
-        SplitMix64("7")
+    for seed in ("7", True):
+        with pytest.raises(ValueError):
+            SplitMix64(seed)
 
 
 @given(st.integers(0, (1 << 64) - 1))
@@ -65,6 +66,24 @@ def test_params_validation():
         RandomModelParams(n=3, p1=0.5, p2=0.5, seed=-1)
     with pytest.raises(ValueError):
         RandomModelParams(n=3, p1=0.5, p2=0.5, seed=1 << 64)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", True), ("p1", "0.5"), ("p1", True), ("p2", None), ("p2", False), ("p1", float("nan")), ("seed", True)],
+)
+def test_params_reject_bools_and_non_numbers(field, value):
+    """Every bad value is a ValueError at construction, before a sample
+    or a batch can echo it or fail inside the draws."""
+    fields = {"n": 3, "p1": 0.5, "p2": 0.5, "seed": 1}
+    with pytest.raises(ValueError, match=field):
+        RandomModelParams(**{**fields, field: value})
+
+
+def test_erdos_renyi_rejects_bools_and_non_numbers():
+    for n, p in ((True, 0.5), (3, "0.5"), (3, True), (3, None)):
+        with pytest.raises(ValueError):
+            erdos_renyi_graph(n, p, SplitMix64(1))
 
 
 def test_erdos_renyi_extremes():
@@ -186,8 +205,9 @@ def test_run_batch_seed_wraps_at_64_bits():
 
 def test_run_batch_rejects_bad_count():
     params = RandomModelParams(n=3, p1=0.5, p2=0.5, seed=1)
-    with pytest.raises(ValueError):
-        run_batch(params, 0)
+    for count in (0, True, 2.0):
+        with pytest.raises(ValueError, match="count"):
+            run_batch(params, count)
 
 
 def test_run_batch_is_deterministic():
