@@ -113,6 +113,9 @@ class SimplicialComplex:
         for f in obj["facets"]:
             if not isinstance(f, list):
                 raise FormatError(f"facet has the wrong shape: {f!r}")
+            for v in f:
+                if not isinstance(v, str):
+                    raise FormatError(f"facet entry is not a vertex name: {v!r}")
         return make_complex(obj["vertices"], obj["facets"])
 
     @classmethod

@@ -28,7 +28,6 @@ so no label is built until the output is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -48,18 +47,10 @@ from .poset import Poset, _class_members, _Lazy, _ranges, _ranks
 class SeparationResult:
     """The separation of a poset q.  ``origin[i]`` is the index in q of the
     element that element i of ``separated`` copies (the bottom copies q's
-    bottom), and ``source`` is q's label recipe.  ``projection``, the same
-    map on labels, is a dict built on first read."""
+    bottom), so ``q.elements[origin[i]]`` is its original label."""
 
     separated: Poset
     origin: np.ndarray = field(compare=False, repr=False)
-    source: _Lazy = field(compare=False, repr=False)
-
-    @cached_property
-    def projection(self) -> dict:
-        """Separated label -> original label."""
-        el, orig = self.separated.elements, self.source.get()
-        return {el[i]: orig[j] for i, j in enumerate(self.origin.tolist())}
 
 
 @dataclass(frozen=True)
@@ -204,16 +195,15 @@ def separation(q: Poset) -> SeparationResult:
     prof = q._profile()
     # elements are stored in canonical order, so ascending indices are sorted labels
     above_bottom = prof.lower > 1
-    maxima = np.flatnonzero(prof.upper == 1)
     blocks = [
         (ci, q, np.flatnonzero(q._leq[:, x] & above_bottom))
-        for ci, x in enumerate(maxima.tolist(), start=1)
+        for ci, x in enumerate(prof.maxima.tolist(), start=1)
     ]
     sep = _disjoint_union(blocks)
     origin = np.concatenate([[prof.bottom], *(members for _, _, members in blocks)])
     if not sep.is_face_poset():
         raise InvariantError("separation produced a non face poset")
-    return SeparationResult(separated=sep, origin=origin, source=q._labels)
+    return SeparationResult(separated=sep, origin=origin)
 
 
 def fiber_relation(result: SeparationResult) -> GluingRelation:
@@ -386,8 +376,8 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
     if len(set(atom_map.values())) != len(atom_map):
         raise InvalidGluingError("atom_map_not_injective")
 
-    supp_a = {v: a.atom_support(v) for v in a.elements}
-    supp_b = {u: b.atom_support(u) for u in b.elements}
+    supp_a = dict(zip(a.elements, a._supports(range(len(a)))))
+    supp_b = dict(zip(b.elements, b._supports(range(len(b)))))
     for x, y in sorted(facet_map.items()):
         sx = supp_a[x]
         missing = sorted(s for s in sx if s not in atom_map)
@@ -491,35 +481,31 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
 
 
 def atom_family(p: Poset):
-    """Atom supports of the maximal elements, kept as a list: duplicate
-    supports stay duplicated."""
+    """Atom supports of the maximal elements, in canonical order, which is
+    their index order, kept as a list: duplicate supports stay duplicated."""
     if not p.is_simplicial():
         raise PreconditionError("atom_family requires a simplicial poset")
-    return [p.atom_support(x) for x in sorted(p.maximal_elements())]
+    return p._supports(p._profile().maxima.tolist())
 
 
 def is_antichain_list(sets) -> bool:
     """No entry contained in another entry at a different index; duplicate
     entries therefore fail."""
     fam = [frozenset(s) for s in sets]
-    for i, s in enumerate(fam):
-        for j, t in enumerate(fam):
-            if i != j and s <= t:
-                return False
-    return True
+    return not any(i != j and s <= t for i, s in enumerate(fam) for j, t in enumerate(fam))
 
 
 def meet_poset(p: Poset) -> Poset:
     """Union of pairwise intersections of the maximal elements' lower sets,
-    as an induced subposet.  With at most one maximal element this is just
-    the bottom."""
+    plus the bottom: ``restrict`` on the mask of the elements below two or
+    more maximal elements, so no label is read.  With at most one maximal
+    element this is just the bottom."""
     if not p.is_simplicial():
         raise PreconditionError("meet_poset requires a simplicial poset")
-    maxima = np.flatnonzero(p._profile().upper == 1)
-    if maxima.size <= 1:
-        return p.restrict([p.bottom()])
-    below_two = np.count_nonzero(p._leq[:, maxima], axis=1) >= 2
-    return p.restrict([p.elements[i] for i in np.flatnonzero(below_two).tolist()])
+    prof = p._profile()
+    inside = np.count_nonzero(p._leq[:, prof.maxima], axis=1) >= 2
+    inside[prof.bottom] = True
+    return p.restrict(inside)
 
 
 def reconstruct_theta_pair(p: Poset):
@@ -527,7 +513,8 @@ def reconstruct_theta_pair(p: Poset):
     complex carried by the meet poset extended with all points.
 
     Preconditions: p is simplicial, its atom family is an antichain
-    (condition i) and its meet poset is a face poset (condition ii).
+    (condition i) and its meet poset is a face poset (condition ii).  The
+    meet poset is an order ideal of p, so d2's faces are its atom family.
     """
     if not p.is_simplicial():
         raise PreconditionError("reconstruct_theta_pair requires a simplicial poset")
@@ -537,12 +524,11 @@ def reconstruct_theta_pair(p: Poset):
     m = meet_poset(p)
     if not m.is_face_poset():
         raise PreconditionError("condition (ii) fails: meet poset is not a face poset")
-    atoms = sorted(p.atoms())
+    atoms = [p.elements[a] for a in p._profile().atoms.tolist()]
     names = [a.single_vertex_name() for a in atoms]
     if any(nm is None for nm in names) or len(set(names)) != len(names):
         names = [f"p{i + 1}" for i in range(len(atoms))]
     name_of = dict(zip(atoms, names))
     d1 = make_complex(names, [[name_of[a] for a in s] for s in fam])
-    supports = [p.atom_support(x) for x in sorted(m.maximal_elements())]
-    d2 = make_complex(names, [[name_of[a] for a in s] for s in supports if s])
+    d2 = make_complex(names, [[name_of[a] for a in s] for s in atom_family(m) if s])
     return d1, d2

@@ -106,7 +106,6 @@ class _Generators(Sequence):
 class IdealPresentation:
     """Generators of the defining ideal, over one variable per element."""
 
-    poset: Poset
     variables: tuple  # non-bottom element labels, canonical order
     generators: _Generators  # per generator: ((variable indices, +1 or -1), ...)
 
@@ -174,7 +173,7 @@ def _pair_blocks(p: Poset):
     leq, prof = p._leq, p._profile()
     pi, pj = np.nonzero(np.triu(~(leq | leq.T), 1))
     # a common maximal element, from one float32 product over the maxima
-    f = leq[:, prof.upper == 1].astype(np.float32)
+    f = leq[:, prof.maxima].astype(np.float32)
     with_upper = np.flatnonzero(((f @ f.T) > 0)[pi, pj])
     geq = np.ascontiguousarray(leq.T)
 
@@ -200,10 +199,9 @@ def stanley_poset_ideal(p: Poset) -> IdealPresentation:
     """
     if not p.is_simplicial():
         raise PreconditionError("stanley_poset_ideal requires a simplicial poset")
-    bot = p.bottom()
-    variables = tuple(e for e in p.elements if e != bot)
-    n = len(p.elements)
-    b = p._require(bot)
+    b, el = p._bottom_index(), p.elements
+    variables = el[:b] + el[b + 1 :]
+    n = len(el)
     # variable index of each element, -1 for the bottom
     var_of = np.arange(n) - (np.arange(n) > b)
     var_of[b] = -1
@@ -226,7 +224,7 @@ def stanley_poset_ideal(p: Poset) -> IdealPresentation:
     rows, counts, lo, hi, sign = (np.concatenate(column) for column in zip(*parts))
     offsets = np.concatenate([[0], np.cumsum(counts)])
     generators = _Generators(var_of[pi], var_of[pj], rows, offsets, lo, hi, sign)
-    return IdealPresentation(poset=p, variables=variables, generators=generators)
+    return IdealPresentation(variables=variables, generators=generators)
 
 
 def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:

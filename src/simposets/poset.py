@@ -31,19 +31,20 @@ gives every element's upper set and the elements strictly above its upper
 covers (Simon 1988; Aho, Garey & Ullman 1972).  An element Kahn never
 reaches means a cycle, and a pair is redundant when its upper end lies
 strictly above another upper end of its lower end.  ``restrict`` takes
-an order ideal, whose covers are the covers with both ends inside.  Meets
-and minimal upper bounds come from one kernel, ``_bounds``: ``ideal`` runs
-it on blocks of pairs, ``meet`` and ``minimal_upper_bounds`` on one pair.
+an order ideal, as labels or a mask, and keeps the covers inside it.
+Meets and minimal upper bounds come from one kernel, ``_bounds``: ``ideal``
+runs it on blocks of pairs, ``meet`` and ``minimal_upper_bounds`` on one.
 
 The facts the checks share are read off ``leq`` once per poset, on first
 use, into a private profile (``Poset._profile``): ``lower`` and ``upper``,
 the lower-set and upper-set sizes; ``bottom``, the index of the unique
 minimum or -1; ``atoms``, the elements with a lower set of size 2; ``supp``,
 their rows ``leq[atoms]``, whose columns are the atom supports; ``rank``,
-the atoms below each element; and ``ids``, one dense id per distinct
-support, ranked from the packed ``supp`` columns by ``_ranks``.  Building
-it never raises; readers that need the unique minimum check it through
-``_bottom_index()``.
+the atoms below each element; ``ids``, one dense id per distinct support,
+ranked from the packed ``supp`` columns by ``_ranks``; and ``maxima``, the
+ascending indices of the maximal elements, the one place they are found.
+Building it never raises; readers that need the unique minimum check it
+through ``_bottom_index()``.
 
 The simplicial vocabulary lives here as methods: atoms, atom supports,
 ``is_simplicial`` (every lower interval is a boolean lattice) and
@@ -237,7 +238,7 @@ def _key_order(labels) -> list:
     return order
 
 
-_Profile = namedtuple("_Profile", "lower upper bottom atoms supp rank ids")
+_Profile = namedtuple("_Profile", "lower upper bottom atoms supp rank ids maxima")
 
 
 class Poset:
@@ -383,9 +384,10 @@ class Poset:
             packed = np.zeros((max(1, -(-atoms.size // 64)) * 8, leq.shape[0]), dtype=np.uint8)
             packed[: -(-atoms.size // 8)] = np.packbits(supp, axis=0)
             ids = _ranks(list(np.ascontiguousarray(packed.T).view(np.uint64).T))
-            for a in (lower, upper, atoms, supp, rank, ids):
+            maxima = np.flatnonzero(upper == 1)
+            for a in (lower, upper, atoms, supp, rank, ids, maxima):
                 a.setflags(write=False)
-            self._profile_cache = _Profile(lower, upper, bottom, atoms, supp, rank, ids)
+            self._profile_cache = _Profile(lower, upper, bottom, atoms, supp, rank, ids, maxima)
         return self._profile_cache
 
     def _bottom_index(self) -> int:
@@ -409,16 +411,19 @@ class Poset:
         return frozenset(self.elements[i] for i in np.flatnonzero(self._leq[:, j]))
 
     def maximal_elements(self) -> frozenset:
-        return frozenset(self.elements[i] for i in np.flatnonzero(self._profile().upper == 1).tolist())
+        return frozenset(self.elements[i] for i in self._profile().maxima.tolist())
 
     # ----- atom supports and simpliciality --------------------------------
 
     def atom_support(self, v) -> frozenset:
         """The atoms below v."""
-        j = self._require(v)
+        return self._supports([self._require(v)])[0]
+
+    def _supports(self, idx) -> list:
+        """The atom supports, as frozensets of labels, of the elements at ``idx``."""
         self._bottom_index()
-        prof = self._profile()
-        return frozenset(self.elements[a] for a in prof.atoms[prof.supp[:, j]].tolist())
+        prof, el = self._profile(), self.elements
+        return [frozenset(el[a] for a in prof.atoms[prof.supp[:, j]].tolist()) for j in idx]
 
     def is_simplicial(self) -> bool:
         """True iff every lower interval [0,v] is a boolean lattice, checked
@@ -448,7 +453,7 @@ class Poset:
         element: the pairs (v <= x, x maximal), keyed ``x * k + ids[v]``,
         sorted and tested for neighbours a block of maximal elements at a
         time, so each block holds at most ``_CHECK_CELLS`` cells."""
-        maxima = np.flatnonzero(self._profile().upper == 1)
+        maxima = self._profile().maxima
         step = max(1, _CHECK_CELLS // len(ids))
         found = []
         for start in range(0, maxima.size, step):
@@ -590,14 +595,18 @@ class Poset:
         return cls
 
     def restrict(self, ideal) -> "Poset":
-        """Induced subposet on an order ideal, given as labels: every
-        element below one of its elements is one of them.  Its covers are
-        the covers with both ends inside, and its elements keep their index
-        order, which is canonical label order.  Raises StructureError when
-        the ideal is empty or a cover enters it from outside, which is
-        exactly when it is not closed downward."""
-        inside = np.zeros(len(self), dtype=bool)
-        inside[[self._require(v) for v in ideal]] = True
+        """Induced subposet on an order ideal, given as labels or as a
+        boolean mask over the elements.  Its covers are the covers with both
+        ends inside, and its elements keep their index order, which is
+        canonical label order.  Raises StructureError when a mask is not one
+        bool per element, or when the ideal is empty or a cover enters it
+        from outside, which is exactly when it is not closed downward."""
+        inside = ideal
+        if not isinstance(ideal, np.ndarray):
+            inside = np.zeros(len(self), dtype=bool)
+            inside[[self._require(v) for v in ideal]] = True
+        elif ideal.shape != (len(self),) or ideal.dtype != bool:
+            raise StructureError(f"an ideal mask needs one bool per element, not {ideal.dtype} {ideal.shape}")
         idx = np.flatnonzero(inside)
         if not idx.size:
             raise StructureError("a poset needs at least one element")

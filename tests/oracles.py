@@ -9,7 +9,10 @@ lower and upper sets of each pair.  ``oracle_parse`` reads labels part by
 part, re-scanning each class, ``oracle_from_json_dict`` reads a poset
 document one string at a time, and ``oracle_theta_glue`` glues by labels
 and face sets: they are the references for the document parser and the
-index-array gluing.
+index-array gluing.  ``oracle_atom_family``, ``oracle_meet_poset`` and
+``oracle_reconstruct_theta_pair`` are the label-based reconstruction the
+index-array one replaced: maxima sorted as labels, supports looked up label
+by label, and the meet poset restricted to a list of labels.
 """
 
 import json
@@ -18,8 +21,15 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from simposets import GluingRelation, Poset, make_complex, quotient_by_gluing, separation
-from simposets.errors import FormatError
+from simposets import (
+    GluingRelation,
+    Poset,
+    is_antichain_list,
+    make_complex,
+    quotient_by_gluing,
+    separation,
+)
+from simposets.errors import FormatError, PreconditionError
 from simposets.labels import Label
 
 
@@ -363,3 +373,44 @@ def oracle_theta_glue(d1, d2):
             singles.append(lab)
     classes = [frozenset(v) for v in groups.values()] + [frozenset([s]) for s in singles]
     return quotient_by_gluing(GluingRelation(sep.separated, classes))
+
+
+def oracle_atom_family(p):
+    """Atom supports of the maximal elements, in sorted label order."""
+    if not p.is_simplicial():
+        raise PreconditionError("atom_family requires a simplicial poset")
+    return [p.atom_support(x) for x in sorted(p.maximal_elements())]
+
+
+def oracle_meet_poset(p):
+    """``restrict`` to the labels of the elements below two or more
+    maximal elements, or to the bottom alone."""
+    if not p.is_simplicial():
+        raise PreconditionError("meet_poset requires a simplicial poset")
+    maxima = np.flatnonzero(p._profile().upper == 1)
+    if maxima.size <= 1:
+        return p.restrict([p.bottom()])
+    below_two = np.count_nonzero(p._leq[:, maxima], axis=1) >= 2
+    return p.restrict([p.elements[i] for i in np.flatnonzero(below_two).tolist()])
+
+
+def oracle_reconstruct_theta_pair(p):
+    """reconstruct_theta_pair by labels: atoms sorted as labels, and d2's
+    faces as p's supports of the meet poset's maximal elements."""
+    if not p.is_simplicial():
+        raise PreconditionError("reconstruct_theta_pair requires a simplicial poset")
+    fam = oracle_atom_family(p)
+    if not is_antichain_list(fam):
+        raise PreconditionError("condition (i) fails: atom family is not an antichain")
+    m = oracle_meet_poset(p)
+    if not m.is_face_poset():
+        raise PreconditionError("condition (ii) fails: meet poset is not a face poset")
+    atoms = sorted(p.atoms())
+    names = [a.single_vertex_name() for a in atoms]
+    if any(nm is None for nm in names) or len(set(names)) != len(names):
+        names = [f"p{i + 1}" for i in range(len(atoms))]
+    name_of = dict(zip(atoms, names))
+    d1 = make_complex(names, [[name_of[a] for a in s] for s in fam])
+    supports = [p.atom_support(x) for x in sorted(m.maximal_elements())]
+    d2 = make_complex(names, [[name_of[a] for a in s] for s in supports if s])
+    return d1, d2

@@ -90,6 +90,20 @@ def test_label_that_is_not_a_string_is_io_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cannot parse label from ['a']\n"
 
 
+@pytest.mark.parametrize("command", ["check", "glue-theta"])
+def test_complex_facet_holding_a_list_is_io_error(tmp_path, capsys, command):
+    path = str(tmp_path / "c.json")
+    (tmp_path / "c.json").write_text(json.dumps({"vertices": ["a"], "facets": [[["a"]]]}))
+    out = tmp_path / "out.json"
+    argv = {
+        "check": ["check", "--complex", path, "--test", "simplicial"],
+        "glue-theta": ["glue-theta", "--a", path, "--b", "a", "--out", str(out)],
+    }[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: facet entry is not a vertex name: ['a']\n"
+    assert not out.exists()
+
+
 def test_deeply_nested_json_is_io_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

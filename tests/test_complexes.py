@@ -229,6 +229,12 @@ def test_complex_json_rejects_bad_shapes():
         SimplicialComplex.from_json_dict({"vertices": "a", "facets": []})
 
 
+@pytest.mark.parametrize("entry", [["a"], {"a": 1}, 1, None])
+def test_complex_json_rejects_a_facet_entry_that_is_not_a_name(entry):
+    with pytest.raises(FormatError, match=r"facet entry is not a vertex name: "):
+        SimplicialComplex.from_json_dict({"vertices": ["a"], "facets": [["a", entry]]})
+
+
 def test_complex_from_json_deeply_nested_is_format_error():
     with pytest.raises(FormatError, match="JSON is nested too deeply"):
         SimplicialComplex.from_json("[" * 100_000 + "]" * 100_000)

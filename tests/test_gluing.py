@@ -1,6 +1,7 @@
 """Separation, gluing relations, delta and theta gluing, reconstruction."""
 
 import random
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -42,7 +43,14 @@ from simposets.labels import ATOMS, CLASS, COPY, Label
 from simposets.poset import _Lazy
 
 from conftest import random_complex
-from oracles import brute_covers, brute_gluing_violations, oracle_theta_glue
+from oracles import (
+    brute_covers,
+    brute_gluing_violations,
+    oracle_atom_family,
+    oracle_meet_poset,
+    oracle_reconstruct_theta_pair,
+    oracle_theta_glue,
+)
 
 L = Label.parse
 BOT = Label.bottom()
@@ -73,11 +81,18 @@ def doubled_pq_poset():
 # ----- separation -----------------------------------------------------------
 
 
+def projection(sep, q):
+    """Separated label -> original label, read off ``origin`` and the
+    labels of the separated poset q."""
+    el, orig = sep.separated.elements, q.elements
+    return {el[i]: orig[j] for i, j in enumerate(sep.origin.tolist())}
+
+
 def test_separation_of_boolean_lattice_is_identity_up_to_labels():
     b = boolean_lattice(3)
     sep = separation(b)
     assert are_isomorphic(sep.separated, b)
-    assert set(sep.projection.values()) == set(b.elements)
+    assert set(projection(sep, b).values()) == set(b.elements)
 
 
 def test_separation_counts_blocks():
@@ -91,8 +106,8 @@ def test_separation_counts_blocks():
 def test_separation_copy_indices_follow_canonical_maximal_order():
     p = parse_facet_string("a*b*c,b*c*d").face_poset()
     sep = separation(p)
-    assert sep.projection[L("1@a*b*c")] == L("a*b*c")
-    assert sep.projection[L("2@b*c*d")] == L("b*c*d")
+    assert projection(sep, p)[L("1@a*b*c")] == L("a*b*c")
+    assert projection(sep, p)[L("2@b*c*d")] == L("b*c*d")
     assert L("1@b*c*d") not in sep.separated
 
 
@@ -111,9 +126,10 @@ def test_separation_requires_simplicial(two_points_two_edges):
 def test_separation_projection_preserves_supports(c):
     p = c.face_poset()
     sep = separation(p)
+    proj = projection(sep, p)
     for lab in sep.separated.elements:
-        orig = sep.projection[lab]
-        got = {sep.projection[a] for a in sep.separated.atom_support(lab)}
+        orig = proj[lab]
+        got = {proj[a] for a in sep.separated.atom_support(lab)}
         assert got == p.atom_support(orig)
 
 
@@ -676,12 +692,13 @@ def test_facet_separation_matches_the_separation_of_the_face_poset():
     the vertex set of the face it copies, so the copies of one face, and
     only they, share a row."""
     for d1, _ in theta_cases():
-        ref = separation(d1.face_poset())
+        q = d1.face_poset()
+        ref = separation(q)
         index = {v: j for j, v in enumerate(d1.vertices)}
         sep, rows = gluing._facet_separation(sorted(d1.facets), index)
         assert sep == ref.separated
         assert np.array_equal(sep._leq, ref.separated._leq)
-        faces = ref.source.get()
+        faces = q.elements
         for i, origin in enumerate(ref.origin.tolist()):
             names = faces[origin].names if i else ()
             assert set(row_vertices(rows[i], d1.vertices)) == set(names)
@@ -838,6 +855,25 @@ def test_meet_poset_collects_all_pairwise_intersections(four_triangles_two_share
     assert are_isomorphic(m, two_points_two_edges)
 
 
+def test_meet_poset_of_a_sample_builds_no_label(monkeypatch):
+    """The meet poset is restricted on a mask, so neither the sample's
+    labels nor its own are built until they are read."""
+    built = []
+    init = Label.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(Label, "__init__", counted)
+    for seed in range(3):
+        p = rand_simplicial_poset(RandomModelParams(n=9, p1=0.8, p2=0.6, seed=seed))
+        m = meet_poset(p)
+        assert 1 < len(m) < len(p)
+    assert not built
+    assert str(m.bottom()) == "{0}" and built  # reading them builds them
+
+
 # ----- reconstruction ---------------------------------------------------------
 
 
@@ -884,3 +920,28 @@ def test_reconstruct_round_trips_theta_outputs(d1, d2):
     p = theta_glue(d1, d2)
     e1, e2 = reconstruct_theta_pair(p)
     assert are_isomorphic(theta_glue(e1, e2), p)
+
+
+def test_reconstruction_matches_the_label_oracle(complex_corpus, two_points_two_edges, four_triangles_two_shared_edges):
+    """The atom family, the meet poset and the reconstructed pair, against
+    the label-based code they replaced, on the corpus's face posets, both
+    fixtures and theta samples at n = 6..11."""
+    posets = [c.face_poset() for c in complex_corpus] + [two_points_two_edges, four_triangles_two_shared_edges]
+    posets += [
+        rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=0.6, seed=seed))
+        for n in range(6, 12)
+        for p1, seed in ((0.5, n), (0.8, 100 + n))
+    ]
+    reconstructed = 0
+    for p in posets:
+        assert atom_family(p) == oracle_atom_family(p)
+        assert meet_poset(p).to_json() == oracle_meet_poset(p).to_json()
+        try:
+            expected = oracle_reconstruct_theta_pair(p)
+        except PreconditionError as err:
+            with pytest.raises(PreconditionError, match=re.escape(str(err))):
+                reconstruct_theta_pair(p)
+            continue
+        assert reconstruct_theta_pair(p) == expected
+        reconstructed += 1
+    assert reconstructed == len(posets) - 2  # the fixtures fail conditions (i) and (ii)

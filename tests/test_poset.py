@@ -856,6 +856,38 @@ def test_restrict_rejects_a_subset_that_is_not_closed_downward():
         b.restrict([])
 
 
+def test_restrict_on_a_mask_matches_restrict_on_labels():
+    """Random order ideals, the down-closures of random subsets, of theta
+    samples and face posets: the mask and its labels give the same poset."""
+    rng = random.Random(5)
+    posets = [random_complex(rng).face_poset() for _ in range(15)]
+    posets += [rand_simplicial_poset(RandomModelParams(n=8, p1=0.8, p2=0.6, seed=s)) for s in range(8)]
+    for p in posets:
+        for _ in range(4):
+            drawn = [i for i in range(len(p)) if rng.random() < 0.2] or [rng.randrange(len(p))]
+            inside = p._leq[:, drawn].any(axis=1)
+            by_mask = p.restrict(inside)
+            by_labels = p.restrict([p.elements[i] for i in np.flatnonzero(inside).tolist()])
+            assert by_mask == by_labels
+            assert by_mask.to_json() == by_labels.to_json()
+
+
+def test_restrict_rejects_a_bad_mask():
+    b = boolean_lattice(3)
+    n = len(b)
+    ideal = b._leq[:, b._require(L("x1*x2"))].copy()
+    assert b.restrict(ideal).elements == (BOT, L("x1"), L("x1*x2"), L("x2"))
+    for bad in (ideal[:-1], ideal[:, None], np.append(ideal, False), ideal.astype(np.int8), ideal.astype(np.intp)):
+        with pytest.raises(StructureError, match="one bool per element"):
+            b.restrict(bad)
+    not_closed = ideal.copy()
+    not_closed[b._require(L("x1"))] = False
+    with pytest.raises(StructureError, match="order ideal"):
+        b.restrict(not_closed)
+    with pytest.raises(StructureError, match="at least one element"):
+        b.restrict(np.zeros(n, dtype=bool))
+
+
 # ----- serialization --------------------------------------------------------
 
 

@@ -1,12 +1,19 @@
-"""The README's ``>>>`` examples, run one fenced block at a time, and its
-experiment-script transcript."""
+"""The README's ``>>>`` examples, run one fenced block at a time, its CLI
+session, and its experiment-script transcript."""
 
+import contextlib
 import doctest
+import io
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from simposets import parse_facet_string
+from simposets.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -30,6 +37,63 @@ def test_readme_examples():
         runner.run(test, clear_globs=False)
         globs = test.globs
     assert runner.summarize(verbose=False).failed == 0
+
+
+# A fenced shell block: ``$ command`` lines, each followed by what it prints.
+SHELL = re.compile(r"^```\n(\$ .*?)^```$", re.MULTILINE | re.DOTALL)
+
+
+def session_steps(text):
+    """``(command, printed lines)`` for each ``$`` line of the shell blocks
+    from "A session" up to "File formats"."""
+    part = text.split("A session:", 1)[1].split("### File formats", 1)[0]
+    steps = []
+    for block in SHELL.finditer(part):
+        for line in block.group(1).splitlines():
+            if line.startswith("$ "):
+                steps.append((line[2:], []))
+            else:
+                steps[-1][1].append(line)
+    return steps
+
+
+def test_cli_session_matches_readme(tmp_path, monkeypatch, capsys):
+    """Every ``$ simposets`` line of the session and the delta-gluing
+    example, run through ``cli.run`` in an empty directory, prints what the
+    README shows (stdout, then stderr) and exits 0, or with the code the
+    following ``echo $?`` shows.  The inputs are written as the README
+    describes them; ``python3 -c`` and ``cat`` lines run in-process."""
+    text = README.read_text()
+    monkeypatch.chdir(tmp_path)
+    # edges.json is the "File formats" example, bowtie.json the face poset of {abc, bcd}
+    example = text.split("Poset JSON is the Hasse diagram:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    Path("edges.json").write_text(example)
+    Path("bowtie.json").write_text(parse_facet_string("a*b*c,b*c*d").face_poset().to_json())
+    steps = session_steps(text)
+    spec = "\n".join(next(shown for command, shown in steps if command == "cat spec.json")) + "\n"
+    Path("spec.json").write_text(spec)
+    bad = json.loads(spec)
+    bad["atom_map"].update(x1="x2", x2="x1")
+    Path("badspec.json").write_text(json.dumps(bad))
+    ran = 0
+    for k, (command, shown) in enumerate(steps):
+        argv = shlex.split(command, comments=True)
+        if argv[0] == "simposets":
+            code = run(argv[1:])
+            out, err = capsys.readouterr()
+            assert (out + err).splitlines() == shown, command
+            follow = steps[k + 1] if k + 1 < len(steps) else ("", [])
+            assert code == (int(follow[1][0]) if follow[0] == "echo $?" else 0), command
+            ran += 1
+        elif argv[:2] == ["python3", "-c"] and argv[3] == ">":
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                exec(argv[2], {})
+            Path(argv[4]).write_text(out.getvalue())
+        elif argv[0] == "cat":
+            assert Path(argv[1]).read_text().splitlines() == shown
+        else:
+            assert command == "echo $?", f"no replay for README line: $ {command}"
+    assert ran == 10
 
 
 def test_tally_experiment_matches_transcript():
