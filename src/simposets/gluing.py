@@ -40,7 +40,7 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset, _class_members, _Lazy, _ranges, _ranks
+from .poset import Poset, _block, _class_members, _Lazy, _ranges, _ranks
 
 
 @dataclass
@@ -113,19 +113,26 @@ class GluingSpec:
             raise FormatError("gluing spec JSON needs 'facet_map' and 'atom_map'")
         if not isinstance(obj["facet_map"], dict) or not isinstance(obj["atom_map"], dict):
             raise FormatError("gluing spec maps have the wrong shape")
-        fm = tuple(
-            (Label.parse(k), Label.parse(v)) for k, v in sorted(obj["facet_map"].items())
-        )
-        am = tuple(
-            (Label.parse(k), Label.parse(v)) for k, v in sorted(obj["atom_map"].items())
-        )
-        return cls(facet_map=fm, atom_map=am)
+        return cls(facet_map=_spec_map(obj, "facet_map"), atom_map=_spec_map(obj, "atom_map"))
 
     def to_json_dict(self) -> dict:
         return {
             "facet_map": {str(k): str(v) for k, v in self.facet_map},
             "atom_map": {str(k): str(v) for k, v in self.atom_map},
         }
+
+
+def _spec_map(obj: dict, field: str) -> tuple:
+    """The (key, value) label pairs of one map of a gluing spec, by key
+    text; two keys that spell one label (``a*b`` and ``b*a``) are an error,
+    not a silent choice of one of them."""
+    pairs = tuple((Label.parse(k), Label.parse(v)) for k, v in sorted(obj[field].items()))
+    seen = set()
+    for k, _ in pairs:
+        if k in seen:
+            raise FormatError(f"gluing spec {field} has two keys for label {k}")
+        seen.add(k)
+    return pairs
 
 
 def _ascending(blocks) -> bool:
@@ -216,7 +223,6 @@ _CONDITION_1 = (
     "related elements must have equal rank",
     "related elements must not share an upper bound",
 )
-_PAIR_CELLS = 1 << 20  # pairs x elements per block of validate_gluing
 
 
 def _related_pairs(cls, k):
@@ -237,7 +243,8 @@ def _classes_below(base, cls, k):
     """Bit rows: bit c of row u is set when some member of class c lies
     below u.  Row u is its own class bit OR the rows of its lower covers,
     filled level by level of lower-set size (elements of equal size are
-    incomparable), each block gathering at most ``_PAIR_CELLS`` bytes."""
+    incomparable), each block of ``_block`` elements gathering their lower
+    covers' rows."""
     n = cls.size
     words = (k + 63) >> 6
     below = np.zeros((n, words), dtype=np.uint64)
@@ -250,7 +257,7 @@ def _classes_below(base, cls, k):
     # the first level is the bottom, which covers nothing
     for level in np.split(order, np.flatnonzero(np.diff(lower[order])) + 1)[1:]:
         degree = into[level + 1] - into[level]
-        step = max(1, _PAIR_CELLS // (8 * words * int(degree.max())))
+        step = _block(8 * words * int(degree.max()))
         for start in range(0, level.size, step):
             u, size = level[start : start + step], degree[start : start + step]
             rows = below[lo[_ranges(into[u], into[u + 1])]]
@@ -287,7 +294,7 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     violation; only their pairs are then enumerated, so a valid relation
     never reaches the pair loop, which reads condition (2) off the same
     bit rows of classes below.  Beside those n x k bits, every temporary
-    is O(n) or a block of at most 2^20 cells.
+    is O(n) or one block of ``_block`` pairs, each a row of ``leq``.
     """
     base = relation.base
     leq = base._leq
@@ -301,7 +308,7 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     if not a.size:
         return GluingCheck(violations=())
     found = []  # (pair, condition, message or element below a) per violation
-    step = max(1, _PAIR_CELLS // n)
+    step = _block(n)
     for start in range(0, a.size, step):
         i, j = a[start : start + step], b[start : start + step]
         first = np.column_stack(
@@ -469,9 +476,9 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
     np.bitwise_or.at(rows, (r, j >> 6), np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)))
     rows, d2_rows = rows[:n], rows[n:]
     # a face lies in a facet of d2 when none of its vertices lies outside
-    # it, tested a block of facets at a time of at most the bytes of leq
+    # it, tested a block of facets at a time, each an n x words temporary
     shared = (vertex[:, 1:2] < 0).all(axis=1)  # no second vertex: the vertices, and the bottom
-    step = max(1, n // (8 * rows.shape[1]))
+    step = _block(8 * n * rows.shape[1])
     for start in range(0, len(d2_rows), step):
         outside = rows[:, None] & ~d2_rows[None, start : start + step]
         shared |= (outside == 0).all(axis=2).any(axis=1)

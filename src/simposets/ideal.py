@@ -38,10 +38,8 @@ import numpy as np
 
 from .complexes import SimplicialComplex
 from .errors import PreconditionError, InvariantError, StructureError
-from .poset import Poset
+from .poset import Poset, _block
 
-_PAIR_BLOCK = 1024
-_DIVIDES_CELLS = 1 << 22
 _EXPONENT_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -162,10 +160,11 @@ def _pair_blocks(p: Poset):
     Returns ``(pi, pj, blocks)``.  ``pi``, ``pj`` are the pairs in row-major
     order, which is the order of ``combinations(variables, 2)``: the bottom
     is comparable to everything, so it is in no pair.  ``blocks`` yields
-    ``(rows, i, j, meet, owner, ub)`` for up to ``_PAIR_BLOCK`` pairs with a
-    common upper bound: their positions in ``pi``, their two elements, and
-    ``Poset._bounds`` of them: their meets, and one ``(owner, ub)`` entry per
-    minimal common upper bound ``ub`` of pair ``owner`` of the block.
+    ``(rows, i, j, meet, owner, ub)`` for a block of pairs with a common
+    upper bound, ``_block`` of them, each a row of ``leq``: their positions
+    in ``pi``, their two elements, and ``Poset._bounds`` of them: their
+    meets, and one ``(owner, ub)`` entry per minimal common upper bound
+    ``ub`` of pair ``owner`` of the block.
 
     Two elements have a common upper bound iff they have a common maximal
     one.
@@ -178,8 +177,9 @@ def _pair_blocks(p: Poset):
     geq = np.ascontiguousarray(leq.T)
 
     def blocks():
-        for start in range(0, with_upper.size, _PAIR_BLOCK):
-            rows = with_upper[start : start + _PAIR_BLOCK]
+        step = _block(len(p))
+        for start in range(0, with_upper.size, step):
+            rows = with_upper[start : start + step]
             i, j = pi[rows], pj[rows]
             yield rows, i, j, *p._bounds(i, j, geq)
 
@@ -313,11 +313,11 @@ def _minimal_rows(exps):
 def _divided(rows, by):
     """For each row of ``rows``, whether some row of ``by`` divides it.
 
-    The rows are tested a block at a time, so each broadcast temporary
-    holds at most ``_DIVIDES_CELLS`` cells.
+    The rows are tested a block at a time, ``_block`` of them, each taking
+    a cell of the broadcast temporary per entry of ``by``.
     """
     out = np.zeros(len(rows), dtype=bool)
-    step = max(1, _DIVIDES_CELLS // max(1, by.size))
+    step = _block(by.size)
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         out[start : start + step] = (by[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)

@@ -12,13 +12,12 @@ Canonical strings round-trip through :meth:`Label.parse` and labels sort by
 a structural key, so every listing in the package is deterministic.
 
 A document's labels go through one ``reader()``, which parses each distinct
-label or sub-label text once and remembers it with its height.  A text with
-no brace, copy prefixes ``<digits>@`` then ``0`` or an atom set, is cut with
-``str.split``; so is a class with no brace inside.  Deeper classes are read
-with an explicit stack over one scan of their braces and commas, so no
-Python frame is spent per level.  At most ``LABEL_DEPTH_MAX`` nested braces
-and copy prefixes are accepted, wherever a remembered text is met again.
-``Label.parse`` reads one text with a reader of its own.
+label or sub-label text once and remembers it with its height.  One loop
+reads every text top down, a node at a time, with an explicit stack of the
+classes and copy prefixes still open, so no Python frame is spent per
+level.  At most ``LABEL_DEPTH_MAX`` nested braces and copy prefixes are
+accepted, wherever a remembered text is met again.  ``Label.parse`` reads
+one text with a reader of its own.
 """
 
 from __future__ import annotations
@@ -164,11 +163,11 @@ def reader():
     return partial(_read, {"0": (_BOTTOM_LABEL, 0)})
 
 
-# A reader's memo maps each text it has read to (label, height), the height
-# being the braces and copy prefixes nested inside the label, and it always
-# holds "0".  A text met at depth d is too deep when d plus its height passes
-# LABEL_DEPTH_MAX: that is where a fresh parse would find its first fault,
-# since the text parsed before.
+# A reader's memo maps each text it has read, and each node of it, to
+# (label, height), the height being the braces and copy prefixes nested
+# inside the label, and it always holds "0".  A text met at depth d is too
+# deep when d plus its height passes LABEL_DEPTH_MAX: that is where a fresh
+# parse would find its first fault, since the text parsed before.
 
 
 def _read(memo: dict, text) -> Label:
@@ -176,91 +175,8 @@ def _read(memo: dict, text) -> Label:
         raise FormatError(f"cannot parse label from {text!r}")
     done = memo.get(text)
     if done is None:
-        done = _node(memo, text, 0) or _parse(memo, text)
+        done = _parse(memo, text)
     return done[0]
-
-
-def _too_deep():
-    return FormatError("label is nested too deeply")
-
-
-def _node(memo: dict, s: str, depth: int):
-    """(label, height) of the text ``s``, met at depth ``depth`` and not in
-    the memo, when it is read without a stack: copy prefixes then ``0`` or
-    an atom set, or a class with no brace inside, split at its commas.
-    None for a class with a brace inside or a copy of a class."""
-    if not s or s[0] != "{":
-        return _plain(memo, s, depth)
-    if depth > LABEL_DEPTH_MAX:
-        raise _too_deep()
-    if s[-1] != "}" or len(s) < 3:
-        raise FormatError(f"malformed class label: {s!r}")
-    inner = s[1:-1]
-    if "{" in inner or "}" in inner:
-        return None
-    members, height = [], 1
-    for part in inner.split(","):
-        done = memo.get(part)
-        if done is None:
-            done = _plain(memo, part, depth + 1)
-        elif depth + 1 + done[1] > LABEL_DEPTH_MAX:
-            raise _too_deep()
-        members.append(done[0])
-        if done[1] >= height:
-            height = done[1] + 1
-    return _class(memo, s, members, height)
-
-
-def _plain(memo: dict, s: str, depth: int):
-    """(label, height) of a text met at depth ``depth``, not in the memo,
-    that opens with no brace: copy prefixes, then ``0`` or an atom set.
-    None when the prefixes lead to a class."""
-    if depth > LABEL_DEPTH_MAX:
-        raise _too_deep()
-    if not s:
-        raise FormatError("cannot parse label from ''")
-    chain, at = _prefixes(s, depth) if "@" in s else ((), 0)
-    if not chain:
-        done = memo[s] = (_atom_set(s), 0)
-        return done
-    base = s[at:]
-    if base[0] == "{":
-        return None
-    if depth + len(chain) > LABEL_DEPTH_MAX:
-        raise _too_deep()
-    done = memo.get(base)  # 0 or an atom set, of height 0: the chain took every prefix
-    if done is None:
-        done = memo[base] = (_atom_set(base), 0)
-    return _wrap(memo, s, chain, done)
-
-
-def _prefixes(s: str, depth: int) -> tuple:
-    """The copy prefixes ``<digits>@`` that open the text ``s`` at depth
-    ``depth``, as (index, start) pairs, and where the base after them
-    begins; a prefix must leave a nonempty base."""
-    parts = s.split("@")
-    chain, at = [], 0
-    for part in parts[:-1] if parts[-1] else parts[:-2]:
-        if not part.isdecimal():
-            break
-        if depth + len(chain) > LABEL_DEPTH_MAX:
-            raise _too_deep()
-        try:
-            chain.append((int(part), at))
-        except ValueError:  # past Python's limit on digits in an int string
-            raise FormatError(f"copy index has too many digits: {len(part)}") from None
-        at += len(part) + 1
-    return chain, at
-
-
-def _wrap(memo: dict, s: str, chain, done) -> tuple:
-    """(label, height) of ``s``: its copy prefixes ``chain`` around its
-    base ``done``, each copy remembered under its own text."""
-    label, height = done
-    for index, start in reversed(chain):
-        label, height = Label._copy(index, label), height + 1
-        memo[s[start:]] = (label, height)
-    return label, height
 
 
 def _atom_set(text: str) -> Label:
@@ -301,45 +217,60 @@ def _scan(text: str):
 
 
 def _parse(memo: dict, text: str) -> tuple:
-    """(label, height) of a text that ``_node`` cannot read alone, with an
-    explicit stack of the classes and copy chains still open.
+    """(label, height) of ``text``, read top down with an explicit stack of
+    the classes and copy prefixes still open, each node remembered under its
+    text.
 
-    Each node is read as ``0``, a class, a copy ``<digits>@<label>`` or an
-    atom set, in that order, and errors come in the order of a
-    left-to-right descent that checks a class's braces before its members.
-    A class with a brace inside is balanced iff its ``}`` matches its ``{``
-    in the one scan of ``_scan``, which also gives its members."""
+    A node is a remembered text, a class, one copy prefix ``<digits>@``
+    before a nonempty text, or an atom set, tried in that order, so errors
+    come in the order of a left-to-right descent that checks a class's
+    braces before its members.  A class with a brace inside is balanced iff
+    its ``}`` matches its ``{`` in the one scan of ``_scan``, which also
+    gives its members; a class with no brace inside is split at its
+    commas."""
     scan = None
-    stack = []  # [i, j, depth, bounds, members, height] per class, (i, j, chain) per copy chain
+    stack = []  # [i, j, depth, bounds, members, height] per class, (i, j, index) per copy
     i, j, depth = 0, len(text), 0
     while True:
         s = text[i:j]
         done = memo.get(s)
+        if depth + (done[1] if done else 0) > LABEL_DEPTH_MAX:
+            raise FormatError("label is nested too deeply")
         if done is None:
-            done = _node(memo, s, depth)
-        elif depth + done[1] > LABEL_DEPTH_MAX:
-            raise _too_deep()
-        if done is None:
+            if not s:
+                raise FormatError("cannot parse label from ''")
             if s[0] == "{":
-                if scan is None:
-                    scan = _scan(text)
-                if scan[0].get(i) != j - 1:
-                    raise FormatError(f"unbalanced braces in label: {s!r}")
-                bounds = [i, *scan[1][i], j - 1]
+                if s[-1] != "}" or len(s) < 3:
+                    raise FormatError(f"malformed class label: {s!r}")
+                inner = s[1:-1]
+                if "{" in inner or "}" in inner:
+                    if scan is None:
+                        scan = _scan(text)
+                    if scan[0].get(i) != j - 1:
+                        raise FormatError(f"unbalanced braces in label: {s!r}")
+                    bounds = [i, *scan[1][i], j - 1]
+                else:
+                    bounds = [i]
+                    for part in inner.split(","):
+                        bounds.append(bounds[-1] + len(part) + 1)
                 stack.append([i, j, depth, bounds, [], 1])
                 i, j, depth = i + 1, bounds[1], depth + 1
-            else:
-                chain, at = _prefixes(s, depth)
-                stack.append((i, j, chain))
-                i, depth = i + at, depth + len(chain)
-            continue
-        # the node is read: hand it to the innermost open class or chain
+                continue
+            at = s.find("@")
+            if 0 < at < len(s) - 1 and s[:at].isdecimal():
+                try:
+                    stack.append((i, j, int(s[:at])))
+                except ValueError:  # past Python's limit on digits in an int string
+                    raise FormatError(f"copy index has too many digits: {at}") from None
+                i, depth = i + at + 1, depth + 1
+                continue
+            done = memo[s] = (_atom_set(s), 0)
+        # the node is read: hand it to the innermost open class or copy
         while stack:
             frame = stack[-1]
             if len(frame) == 3:
-                stack.pop()
-                fi, fj, chain = frame
-                done = _wrap(memo, text[fi:fj], chain, done)
+                fi, fj, index = stack.pop()
+                done = memo[text[fi:fj]] = (Label._copy(index, done[0]), done[1] + 1)
                 continue
             fi, fj, fdepth, bounds, members, height = frame
             members.append(done[0])

@@ -81,7 +81,14 @@ from .errors import (
 from .labels import Label, reader
 
 ISOMORPHISM_MAX = 500
-_CHECK_CELLS = 1 << 20  # elements x maximal elements per block of _shared_below_maxima
+_BLOCK_CELLS = 1 << 20  # bool cells, or bytes, held by the temporaries of one block of any blocked loop
+
+
+def _block(cells: int) -> int:
+    """Items per block of a loop whose temporaries hold ``cells`` bool
+    cells (bytes) per item: ``_BLOCK_CELLS`` in all, and at least one item.
+    No result depends on where the blocks end."""
+    return max(1, _BLOCK_CELLS // max(1, cells))
 
 
 def _ranges(start, stop) -> np.ndarray:
@@ -452,9 +459,9 @@ class Poset:
         elements below one maximal element share, once per extra such
         element: the pairs (v <= x, x maximal), keyed ``x * k + ids[v]``,
         sorted and tested for neighbours a block of maximal elements at a
-        time, so each block holds at most ``_CHECK_CELLS`` cells."""
+        time, ``_block`` of them, each a column of ``leq``."""
         maxima = self._profile().maxima
-        step = max(1, _CHECK_CELLS // len(ids))
+        step = _block(len(ids))
         found = []
         for start in range(0, maxima.size, step):
             x, v = np.nonzero(self._leq[:, maxima[start : start + step]].T)
@@ -690,15 +697,16 @@ class Poset:
         simplicial posets)."""
         heights = self._height_levels()
         lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=box];"]
+        # names may hold a backslash, which would escape the closing quote
+        ids = ['"' + str(e).replace("\\", "\\\\") + '"' for e in self.elements]
         by_level = {}
-        for i, e in enumerate(self.elements):
+        for i, e in enumerate(ids):
             by_level.setdefault(heights[i], []).append(e)
         for level in sorted(by_level):
-            row = " ".join(f'"{e}";' for e in by_level[level])
+            row = " ".join(f"{e};" for e in by_level[level])
             lines.append("  { rank=same; " + row + " }")
-        el = self.elements
         for i, j in zip(self._lo.tolist(), self._hi.tolist()):
-            lines.append(f'  "{el[i]}" -> "{el[j]}";')
+            lines.append(f"  {ids[i]} -> {ids[j]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -19,6 +19,7 @@ from simposets import (
     stanley_poset_ideal,
 )
 import simposets.ideal as ideal_module
+import simposets.poset as poset_module
 from simposets.cli import run
 
 
@@ -202,6 +203,25 @@ def test_glue_delta_malformed_spec_exits_1(tmp_path, capsys):
     assert run(["glue-delta", "--a", str(a), "--b", str(a), "--spec", str(spec), "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, spec",
+    [
+        ("facet_map", {"facet_map": {"x1*x2": "x1*x3", "x2*x1": "x2*x3"}, "atom_map": {"x1": "x2", "x2": "x3"}}),
+        ("atom_map", {"facet_map": {"x1*x2": "x1*x2"}, "atom_map": {"x1": "x1", "x2": "x2", "x2*x1": "x1", "x1*x2": "x2"}}),
+    ],
+    ids=["facet_map", "atom_map"],
+)
+def test_glue_delta_spec_with_two_keys_for_one_label_exits_1(tmp_path, capsys, field, spec):
+    a = tmp_path / "a.json"
+    a.write_text(boolean_lattice(3).to_json())
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out.json"
+    assert run(["glue-delta", "--a", str(a), "--b", str(a), "--spec", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: gluing spec {field} has two keys for label x1*x2\n"
+    assert not out.exists()
+
+
 def test_glue_theta_inline_complexes(tmp_path, capsys):
     out = tmp_path / "theta.json"
     code = run(["glue-theta", "--a", "a*b*c*x,a*b*c*y", "--b", "a*b,b*c,a*c", "--out", str(out)])
@@ -251,8 +271,8 @@ def test_ideal_and_reduce_stdout_is_pinned(poset_file, capsys, name, command, co
 
 @pytest.mark.parametrize("command, build", [("ideal", stanley_poset_ideal), ("reduce", reduce_face_poset_ideal)])
 def test_ideal_and_reduce_write_the_rendered_lines(poset_file, capsys, monkeypatch, command, build):
-    monkeypatch.setattr(ideal_module, "_PAIR_BLOCK", 64)
     p = PINNED_INPUTS["face"]()
+    monkeypatch.setattr(poset_module, "_BLOCK_CELLS", 64 * len(p))  # 64 pairs a block
     assert sum(1 for _ in ideal_module._pair_blocks(p)[2]) > 1  # several pair blocks
     path = poset_file(p)
     assert run([command, "--poset", path]) == 0

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from simposets import (
     ElementNotFoundError,
+    FormatError,
     GluingRelation,
     GluingSpec,
     GluingViolation,
@@ -34,13 +35,15 @@ from simposets import (
     quotient_by_gluing,
     rand_simplicial_poset,
     reconstruct_theta_pair,
+    reduce_face_poset_ideal,
     separation,
+    stanley_poset_ideal,
     theta_glue,
     validate_gluing,
 )
 from simposets import gluing
 from simposets.labels import ATOMS, CLASS, COPY, Label
-from simposets.poset import _Lazy
+from simposets.poset import _BLOCK_CELLS, _Lazy
 
 from conftest import random_complex
 from oracles import (
@@ -281,7 +284,7 @@ def test_validate_matches_oracle_on_random_relations(seed):
     expected = brute_gluing_violations(rel)
     got = [(v.condition, v.elements, v.reason) for v in validate_gluing(rel).violations]
     assert got == expected
-    with mock.patch.object(gluing, "_PAIR_CELLS", 1):
+    with mock.patch("simposets.poset._BLOCK_CELLS", 1):
         assert validate_gluing(rel).violations == tuple(GluingViolation(*v) for v in expected)
 
 
@@ -303,7 +306,7 @@ def test_validate_matches_oracle_when_some_classes_fail():
         expected = brute_gluing_violations(rel)
         got = [(x.condition, x.elements, x.reason) for x in validate_gluing(rel).violations]
         assert got == expected, seed
-        with mock.patch.object(gluing, "_PAIR_CELLS", 1), mock.patch("simposets.poset._CHECK_CELLS", 1):
+        with mock.patch("simposets.poset._BLOCK_CELLS", 1):
             assert [(x.condition, x.elements, x.reason) for x in validate_gluing(rel).violations] == expected
         class_of = {e: i for i, c in enumerate(rel.classes) for e in c}
         cls = rel.base._class_array(rel.classes)
@@ -315,6 +318,37 @@ def test_validate_matches_oracle_when_some_classes_fail():
         assert bits.tolist() == [[int(bool(c & down)) for c in rel.classes] for down in lower], seed
         partial += 0 < marked.sum() < len(rel.classes)
     assert partial >= 30
+
+
+def test_no_result_depends_on_the_block_budget(monkeypatch):
+    """Every blocked loop takes its block size from one budget,
+    ``_BLOCK_CELLS``.  At 64 bytes each loop runs many blocks, and the
+    ideal, the reduced ideal, the violations of a failing relation, the
+    simpliciality check and the theta gluing all come out as they do at
+    the default budget."""
+    d1 = parse_facet_string("a*b*c*d,b*c*d*e,c*d*e*f,a*f,a*c*e")
+    d2 = parse_facet_string("a*b*c,c*d*e,a*f,b*d")
+
+    def results():
+        theta = theta_glue(d1, d2)
+        sep = separation(theta)
+        groups = [set(c) for c in fiber_relation(sep).classes]
+        moved = sorted(groups[5])[0]
+        groups[5].discard(moved)
+        groups[9].add(moved)
+        rel = GluingRelation(base=sep.separated, classes=tuple(frozenset(g) for g in groups if g))
+        return (
+            theta.to_json(),
+            Poset.from_json(theta.to_json()).is_simplicial(),
+            stanley_poset_ideal(theta).render_lines(),
+            reduce_face_poset_ideal(d1.face_poset()).render_lines(),
+            validate_gluing(rel).violations,
+        )
+
+    default = results()
+    assert default[1] and default[4]  # simplicial, and the relation fails
+    monkeypatch.setattr("simposets.poset._BLOCK_CELLS", 64)
+    assert results() == default
 
 
 def test_validate_finds_a_rank_mismatch_that_no_other_test_shows():
@@ -350,7 +384,7 @@ def test_validate_rejects_a_large_class_under_one_top(members):
 
 def test_validate_on_a_2000_element_separation_stays_within_its_blocks():
     """The fiber relation of the n=12, p=0.9 sample's separation (2025
-    elements): the check keeps one block of at most ``_PAIR_CELLS`` cells
+    elements): the check keeps one block of at most ``_BLOCK_CELLS`` bytes
     and O(n) arrays, where an n x k class matrix would take 2 MB."""
     sep = separation(rand_simplicial_poset(RandomModelParams(n=12, p1=0.9, p2=0.9, seed=0)))
     rel = fiber_relation(sep)
@@ -362,7 +396,7 @@ def test_validate_on_a_2000_element_separation_stays_within_its_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * gluing._PAIR_CELLS
+    assert peak < 2 * _BLOCK_CELLS
 
 
 def test_quotient_of_two_edges_gives_one_edge():
@@ -575,6 +609,21 @@ def test_gluing_spec_round_trip():
     }
     spec = GluingSpec.from_json_dict(obj)
     assert spec.to_json_dict() == obj
+
+
+TWO_KEYS_FOR_ONE_LABEL = [
+    ("facet_map", {"facet_map": {"x1*x2": "x1*x3", "x2*x1": "x2*x3"}, "atom_map": {"x1": "x2", "x2": "x3"}}),
+    ("atom_map", {"facet_map": {"x1*x2": "x1*x2"}, "atom_map": {"{x1,x2}": "x1", "{x2,x1}": "x2"}}),
+]
+
+
+@pytest.mark.parametrize("field, obj", TWO_KEYS_FOR_ONE_LABEL, ids=[f for f, _ in TWO_KEYS_FOR_ONE_LABEL])
+def test_gluing_spec_rejects_two_keys_for_one_label(field, obj):
+    """Keys are read as labels, so two spellings of one label would leave
+    one of their values to the sort order of the texts."""
+    label = "x1*x2" if field == "facet_map" else "{x1,x2}"
+    with pytest.raises(FormatError, match=re.escape(f"gluing spec {field} has two keys for label {label}")):
+        GluingSpec.from_json_dict(obj)
 
 
 # ----- theta glue ------------------------------------------------------------

@@ -27,6 +27,7 @@ from simposets import (
     stanley_reisner_ideal,
 )
 import simposets.ideal as ideal_module
+import simposets.poset as poset_module
 from simposets.ideal import _minimal_rows
 from simposets.labels import Label
 from simposets.poset import Poset
@@ -280,7 +281,7 @@ def test_generators_are_read_only():
 def test_kernel_blocks_do_not_change_the_generators(monkeypatch):
     p = rand_simplicial_poset(RandomModelParams(n=8, p1=0.8, p2=0.8, seed=1))
     whole = stanley_poset_ideal(p).generators
-    monkeypatch.setattr(ideal_module, "_PAIR_BLOCK", 7)
+    monkeypatch.setattr(poset_module, "_BLOCK_CELLS", 7 * len(p))  # 7 pairs a block
     assert stanley_poset_ideal(p).generators == whole
 
 
@@ -327,7 +328,7 @@ def test_kernel_raises_from_the_call_in_a_later_block(monkeypatch):
     covers += [(BOT, L(f"c{k}")) for k in range(4)] + [(L(f"c{k}"), L("t")) for k in range(4)]
     p = Poset.from_covers(elems, covers)
     p._simplicial = True
-    monkeypatch.setattr(ideal_module, "_PAIR_BLOCK", 7)
+    monkeypatch.setattr(poset_module, "_BLOCK_CELLS", 7 * len(p))  # 7 pairs a block
     pi, pj, blocks = ideal_module._pair_blocks(p)
     assert pi.size == 24 and (p.elements[pi[-1]], p.elements[pj[-1]]) == (L("x"), L("y"))
     with pytest.raises(InvariantError, match="x and y have 2 maximal common lower bounds"):
@@ -345,7 +346,7 @@ def brute_minimal(expanded):
 @pytest.mark.parametrize("cells", [None, 1])
 def test_minimal_monomials_match_pairwise_divisibility(monkeypatch, cells):
     if cells is not None:  # one row per block
-        monkeypatch.setattr(ideal_module, "_DIVIDES_CELLS", cells)
+        monkeypatch.setattr(poset_module, "_BLOCK_CELLS", cells)
     rng = random.Random(17)
     for _ in range(60):
         nvars = rng.randint(1, 6)

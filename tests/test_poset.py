@@ -3,6 +3,7 @@ quotients, serialization, isomorphism."""
 
 import json
 import random
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -542,7 +543,7 @@ def test_simplicial_and_face_checks_match_oracle_on_random_orders():
         p = random_order_over_bottom(rng, rng.randint(1, 7))
         simplicial = brute_is_simplicial(p)
         assert p._compute_simplicial() == simplicial
-        with mock.patch.object(poset_module, "_CHECK_CELLS", 1):  # one maximal element per block
+        with mock.patch.object(poset_module, "_BLOCK_CELLS", 1):  # one maximal element per block
             assert p._compute_simplicial() == simplicial
         if simplicial:
             assert p.is_face_poset() == brute_is_face_poset(p)
@@ -1105,6 +1106,22 @@ def test_to_dot_mentions_every_element_and_cover():
     for e in b.elements:
         assert f'"{e}"' in dot
     assert '"x1" -> "x1*x2";' in dot
+
+
+def test_to_dot_quotes_every_id_whole():
+    """A vertex name may hold a backslash; each one is escaped, so every
+    quoted ID ends at its own closing quote and distinct labels keep
+    distinct IDs once DOT reads the escapes back."""
+    names = ["a\\", "b", "\\", "a\\\\", "c\\d"]
+    p = make_complex(names, [names[:2], names[1:]]).face_poset()
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    nodes = []
+    for line in p.to_dot().splitlines()[3:-1]:
+        assert re.fullmatch(r"  \{ rank=same;( ID;)+ \}|  ID -> ID;", quoted.sub("ID", line)), line
+        if "rank=same" in line:
+            nodes += [re.sub(r"\\(.)", r"\1", t[1:-1]) for t in quoted.findall(line)]
+    assert sorted(nodes) == sorted(map(str, p.elements))
+    assert len(set(nodes)) == len(p)
 
 
 # ----- isomorphism ----------------------------------------------------------
