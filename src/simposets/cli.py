@@ -107,10 +107,27 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+_SAMPLE_JSON = (
+    '    {\n      "seed": %d,\n      "is_face_poset": %s,\n      "atoms": %d,\n      "elements": %d\n    }'
+)
+
+
+def _batch_json(batch) -> str:
+    """``json.dumps(batch, indent=2) + "\\n"`` for a ``run_batch`` result,
+    in one pass: the head through ``json.dumps``, and each per-sample
+    record through one fixed template."""
+    head = json.dumps({key: value for key, value in batch.items() if key != "per_sample"}, indent=2)
+    records = [
+        _SAMPLE_JSON % (s["seed"], _bool_word(s["is_face_poset"]), s["atoms"], s["elements"])
+        for s in batch["per_sample"]
+    ]
+    return head[:-2] + ',\n  "per_sample": [\n' + ",\n".join(records) + "\n  ]\n}\n"
+
+
 def _cmd_random(args) -> int:
     params = RandomModelParams(n=args.n, p1=args.p1, p2=args.p2, seed=args.seed)
     batch = run_batch(params, args.count)
-    text = json.dumps(batch, indent=2) + "\n"
+    text = _batch_json(batch)
     if args.tally:
         print(f"faceposet: {batch['face_poset_count']}/{batch['samples']}")
     if args.out:

@@ -5,34 +5,48 @@ reimplement anywhere (state advances by the golden-gamma constant, output
 is finalized by two xor-multiply rounds).  Doubles take the top 53 bits of
 one output word.  Test vectors live in the test suite and the README.
 
+The k-th output (k >= 1) of the stream with state s is the finalizer of
+``s + k*gamma`` mod 2**64, so ``_draws`` computes any number of
+streams' draws at once, as one ``uint64`` array expression; ``SplitMix64``
+is the one-draw-at-a-time reference.  A pair is an edge iff its draw is
+below p by Python's ``draw < p``, whatever the type of p; ``_threshold``
+turns that compare into one integer bound on the draws.
+
 ``rand_simplicial_poset`` draws one graph for each of the two probability
 parameters from a single stream (the first graph's edges are drawn first,
 in canonical pair order), takes clique complexes, and glues the pair with
 ``theta_glue``.  Identical parameters therefore reproduce identical posets
-bit for bit.  ``run_batch`` draws the same two graphs, as vertex bitmasks
-through the same ``_edges``, and counts each gluing in closed form.
+bit for bit.  ``run_batch`` draws the same two graphs through the same
+``_draws``, one grid for a block of samples (a row of both graphs'
+draws per sample), reads their neighbour bitmasks off the grid with one
+product, and counts each gluing in closed form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from numbers import Real
 
+import numpy as np
+
 from .complexes import (
     Graph,
     SimplicialComplex,
-    _adjacency,
     _maximal_cliques,
     clique_complex,
     make_graph,
 )
 from .errors import SizeLimitError
 from .gluing import theta_glue
-from .poset import Poset
+from .poset import Poset, _block
 
 RAND_N_MAX = 12
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -46,10 +60,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def random(self) -> float:
@@ -93,8 +107,38 @@ def erdos_renyi_graph(n: int, p: float, rng: SplitMix64) -> Graph:
 
 def _edges(n: int, p: float, rng: SplitMix64) -> list:
     """Index pairs (i, j), i < j, of G(n, p): one draw per pair, in
-    ``combinations`` order, and the pair is an edge iff the draw is < p."""
-    return [pair for pair in combinations(range(n), 2) if rng.random() < p]
+    ``combinations`` order, and the pair is an edge iff the draw is < p.
+    The draws come from ``_draws`` on the stream's state, which then moves
+    on past them."""
+    pairs = list(combinations(range(n), 2))
+    below = _draws(np.array([rng._state], dtype=np.uint64), len(pairs))[0] < np.uint64(_threshold(p))
+    rng._state = (rng._state + len(pairs) * _GAMMA) & _MASK64
+    return [pair for pair, edge in zip(pairs, below.tolist()) if edge]
+
+
+def _threshold(p) -> int:
+    """The number of draws ``u * 2**-53`` (``u`` in ``[0, 2**53)``) that
+    compare below ``p``, so a draw is below ``p`` iff its ``u`` is below
+    this.  The comparison is Python's ``draw < p``, whatever the type of
+    ``p``; it is monotone in the draw, so a bisection finds the count."""
+    return bisect_left(range(1 << 53), True, key=lambda u: not u * 2.0**-53 < p)
+
+
+def _draws(states: np.ndarray, k: int) -> np.ndarray:
+    """Row i: the first ``k`` draws of the splitmix64 stream with state
+    ``states[i]``, each as the integer ``u`` of the double ``u * 2**-53``.
+
+    Draw j (j >= 1) is the finalizer of ``state + j * gamma``, computed
+    for the whole grid in ``uint64`` arrays, which wrap mod 2**64 without
+    a warning."""
+    z = states[:, None] + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z
 
 
 def kahle_complex(n: int, p: float, rng: SplitMix64) -> SimplicialComplex:
@@ -151,6 +195,30 @@ def _theta_tally(adj1, adj2) -> tuple:
     return elements, face_poset
 
 
+def _adjacency_blocks(params: RandomModelParams, count: int):
+    """For samples 0..count-1, a block at a time: the seeds of the block
+    (a ``uint64`` array) and an array of shape (samples, 2, n) holding the
+    neighbour bitmasks of both graphs of each sample.
+
+    A block's draw grid has one row per sample, the first graph's C(n, 2)
+    draws then the second's; a block takes ``_block`` samples, each
+    holding its draws, seed and masks in 8-byte cells.  A pair (i, j) that
+    is an edge adds ``1 << j`` to vertex i's mask and ``1 << i`` to vertex
+    j's, one product with a (pairs, n) weight table for both graphs."""
+    n = params.n
+    pairs = list(combinations(range(n), 2))
+    weight = np.zeros((len(pairs), n), dtype=np.int64)
+    for row, (i, j) in enumerate(pairs):
+        weight[row, i] = 1 << j
+        weight[row, j] = 1 << i
+    thresholds = np.repeat(np.array([_threshold(params.p1), _threshold(params.p2)], dtype=np.uint64), len(pairs))
+    step = _block(8 * (thresholds.size + 1 + 2 * n))
+    for start in range(0, count, step):
+        seeds = np.uint64(params.seed) + np.arange(start, min(count, start + step), dtype=np.uint64)
+        below = _draws(seeds, thresholds.size) < thresholds
+        yield seeds, below.reshape(len(seeds), 2, len(pairs)).astype(np.int64) @ weight
+
+
 def run_batch(params: RandomModelParams, count: int) -> dict:
     """Tally ``count`` samples on derived seeds (base seed + index): per
     sample, whether it is a face poset, its atom count and its element
@@ -158,29 +226,26 @@ def run_batch(params: RandomModelParams, count: int) -> dict:
 
     Sample i equals ``rand_simplicial_poset`` with seed ``params.seed + i``
     (mod 2**64); its record comes from the closed form of ``_theta_tally``
-    on the same two graphs, drawn from the same stream, without building
-    the poset.
+    on the same two graphs, drawn by the same ``_draws``, without
+    building the poset.
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     n = params.n
     per_sample = []
     hits = 0
-    for i in range(count):
-        seed_i = (params.seed + i) & _MASK64
-        rng = SplitMix64(seed_i)
-        adj1 = _adjacency(n, _edges(n, params.p1, rng))
-        adj2 = _adjacency(n, _edges(n, params.p2, rng))
-        elements, fp = _theta_tally(adj1, adj2)
-        hits += fp
-        per_sample.append(
-            {
-                "seed": seed_i,
-                "is_face_poset": fp,
-                "atoms": n,
-                "elements": elements,
-            }
-        )
+    for seeds, adj in _adjacency_blocks(params, count):
+        for seed_i, (adj1, adj2) in zip(seeds.tolist(), adj.tolist()):
+            elements, fp = _theta_tally(adj1, adj2)
+            hits += fp
+            per_sample.append(
+                {
+                    "seed": seed_i,
+                    "is_face_poset": fp,
+                    "atoms": n,
+                    "elements": elements,
+                }
+            )
     return {
         "params": {"n": params.n, "p1": params.p1, "p2": params.p2, "seed": params.seed},
         "samples": count,

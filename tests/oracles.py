@@ -316,7 +316,11 @@ def _oracle_parse(text):
         return Label.class_of(_oracle_parse(p) for p in parts)
     m = re.fullmatch(r"(\d+)@(.+)", text, re.DOTALL)
     if m:
-        return Label.copy(int(m.group(1)), _oracle_parse(m.group(2)))
+        try:
+            index = int(m.group(1))
+        except ValueError:  # past Python's limit on digits in an int string
+            raise FormatError(f"copy index has too many digits: {len(m.group(1))}") from None
+        return Label.copy(index, _oracle_parse(m.group(2)))
     names = tuple(sorted(text.split("*")))
     if len(set(names)) != len(names):
         raise FormatError(f"repeated vertex name in atom-set label: {names}")

@@ -1,10 +1,13 @@
 """Command line behavior: outputs, file round-trips, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from simposets import (
     InvalidGluingError,
@@ -16,6 +19,7 @@ from simposets import (
     parse_facet_string,
     rand_simplicial_poset,
     reduce_face_poset_ideal,
+    run_batch,
     stanley_poset_ideal,
 )
 import simposets.ideal as ideal_module
@@ -327,6 +331,31 @@ def test_random_stdout_json(capsys):
     batch = json.loads(capsys.readouterr().out)
     assert batch["samples"] == 5
     assert len(batch["per_sample"]) == 5
+
+
+CLI_PROBABILITIES = ["1e-05", "5e-324", "0.1", "1.0", "1", "0", "0.5", "2.5e-10", "0.30000000000000004"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.one_of(st.sampled_from(CLI_PROBABILITIES), st.floats(0.0, 1.0).map(repr)),
+    st.one_of(st.sampled_from(CLI_PROBABILITIES), st.floats(0.0, 1.0).map(repr)),
+    st.one_of(st.integers(0, (1 << 64) - 1), st.integers((1 << 64) - 3, (1 << 64) - 1)),
+    st.integers(1, 6),
+)
+@example(1, "5e-324", "1e-05", (1 << 64) - 1, 1)
+@example(6, "0.1", "1.0", (1 << 64) - 2, 3)
+def test_random_writes_the_bytes_of_json_dumps(n, p1, p2, seed, count):
+    """The batch is written in one pass, byte for byte what
+    ``json.dumps(batch, indent=2)`` writes, for p as the CLI reads it,
+    seeds up to 2**64 - 1, one sample, and n = 1 (no vertex pairs)."""
+    argv = ["random", "--n", str(n), "--p1", p1, "--p2", p2, "--seed", str(seed), "--count", str(count)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(argv) == 0
+    batch = run_batch(RandomModelParams(n=n, p1=float(p1), p2=float(p2), seed=seed), count)
+    assert buf.getvalue() == json.dumps(batch, indent=2) + "\n"
 
 
 def test_random_is_byte_deterministic(capsys):

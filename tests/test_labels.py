@@ -196,6 +196,7 @@ def test_parse_matches_the_oracle_on_mutated_strings():
     corpus += [str(e) for e in quotient_by_gluing(fiber_relation(separation(q))).elements[:20]]
     corpus += ["{0,a,{b,c}}", "1@2@x", "{1@{a,b},2@0}", "a*b*c", "12@{x}", "{a,b}", "{b,a}"]
     corpus += ["{1@{a,b},2@{a,b}}", "3@{1@a,2@{b,c}}", "{{0,1@{x}},2@{y,z}}", "1@2@{a}"]
+    corpus += ["5" * 5000 + "@a", "{0," + "9" * 4301 + "@{b,c}}", "2@" + "1" * 4400 + "@x"]  # past the int digit limit
     alphabet = "{},@*0123ab \u0663\t\""
     rng = random.Random(20261018)
     texts = []
@@ -222,6 +223,7 @@ def test_parse_matches_the_oracle_on_mutated_strings():
         assert outcomes == expected[at : at + size] + [_outcome(oracle_parse, text) for text in extra]
         at += size
     assert sum(e[0] == "label" for e in expected) > 500  # both branches are exercised
+    assert any(e[1].startswith("copy index has too many digits") for e in expected)
 
 
 def test_bottom_sorts_first():

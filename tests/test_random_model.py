@@ -2,8 +2,11 @@
 
 import hashlib
 import time
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +23,9 @@ from simposets import (
     run_batch,
     theta_glue,
 )
+
+from simposets.poset import _BLOCK_CELLS
+from simposets.random_model import _adjacency_blocks, _draws, _threshold
 
 from oracles import brute_maximal_cliques
 
@@ -78,6 +84,124 @@ def test_params_reject_bools_and_non_numbers(field, value):
     fields = {"n": 3, "p1": 0.5, "p2": 0.5, "seed": 1}
     with pytest.raises(ValueError, match=field):
         RandomModelParams(**{**fields, field: value})
+
+
+def reference_below(seed, ps, m):
+    """Draw by draw from ``SplitMix64.random``: whether each of the first
+    ``m`` draws is below ``ps[0]`` and each of the next ``m`` below
+    ``ps[1]``."""
+    rng = SplitMix64(seed)
+    return [rng.random() < ps[k // m] for k in range(2 * m)] if m else []
+
+
+SEEDS_NEAR_THE_TOP = [(1 << 64) - 3, (1 << 64) - 1, 0, 1234567, 0x9E3779B97F4A7C15]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_draws_equal_the_reference_stream(n):
+    """Each row of the draw grid is its seed's stream, draw by draw, for
+    chunks of both graphs' draws whose seeds wrap past 2**64."""
+    for start in SEEDS_NEAR_THE_TOP:
+        seeds = [(start + i) % (1 << 64) for i in range(7)]
+        grid = _draws(np.array(seeds, dtype=np.uint64), n * (n - 1))
+        assert grid.dtype == np.uint64 and grid.shape == (7, n * (n - 1))
+        expected = []
+        for seed in seeds:
+            rng = SplitMix64(seed)
+            expected.append([rng.random() for _ in range(n * (n - 1))])
+        assert (grid * 2.0**-53).tolist() == expected, (n, start)
+
+
+def reference_masks(n, p1, p2, seed):
+    """Both graphs' neighbour bitmasks of the sample on ``seed``, from the
+    reference stream."""
+    pairs = list(combinations(range(n), 2))
+    below = reference_below(seed, (p1, p2), len(pairs))
+    masks = [[0] * n, [0] * n]
+    for k, edge in enumerate(below):
+        if edge:
+            i, j = pairs[k % len(pairs)]
+            masks[k // len(pairs)][i] |= 1 << j
+            masks[k // len(pairs)][j] |= 1 << i
+    return masks
+
+
+@pytest.mark.parametrize("n, count", [(1, 5), (2, 7), (6, 7), (12, 5)])
+def test_adjacency_blocks_cross_block_boundaries(monkeypatch, n, count):
+    """Blocks of three samples, on seeds that wrap past 2**64: the seeds
+    and masks laid end to end are those of the reference stream."""
+    m = n * (n - 1) // 2
+    monkeypatch.setattr("simposets.poset._BLOCK_CELLS", 3 * 8 * (2 * m + 1 + 2 * n))
+    params = RandomModelParams(n=n, p1=0.6, p2=0.4, seed=(1 << 64) - 3)
+    blocks = list(_adjacency_blocks(params, count))
+    assert [len(seeds) for seeds, _ in blocks] == [3] * (count // 3) + [count % 3] * (count % 3 > 0)
+    seeds = [seed for block, _ in blocks for seed in block.tolist()]
+    assert seeds == [(params.seed + i) % (1 << 64) for i in range(count)]
+    masks = [pair for _, adj in blocks for pair in adj.tolist()]
+    assert masks == [reference_masks(n, params.p1, params.p2, seed) for seed in seeds]
+
+
+def test_draw_grid_stays_within_its_blocks():
+    """200,000 samples at n=12 would take a 211 MB grid of draws; a block
+    of at most ``_BLOCK_CELLS`` bytes of draws, seeds and masks is held at
+    a time, with the temporaries of its expression."""
+    params = RandomModelParams(n=12, p1=0.5, p2=0.5, seed=(1 << 64) - 5)
+    tracemalloc.start()
+    try:
+        for _ in _adjacency_blocks(params, 200_000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * _BLOCK_CELLS
+
+
+P_TYPES = [0.3, 1 / 3, 5e-324, 1e-05, 0, 1, Fraction(1, 3), Fraction(1, 10), np.float64(1 / 3), np.float32(1 / 3), np.float32(0.1)]
+
+
+@pytest.mark.parametrize("p", P_TYPES, ids=lambda p: f"{type(p).__name__}({p})")
+def test_threshold_is_the_python_compare(p):
+    """A draw ``u * 2**-53`` is below p iff ``u < _threshold(p)``, where
+    "below" is Python's ``draw < p``, as ``SplitMix64.random() < p`` reads
+    it.  For a np.float32 p that compare is made at float32 precision, so
+    the draws within half a float32 step of p do not count as below it,
+    where a float64 compare would count some; the draws around
+    ``np.nextafter`` of p in both precisions are tested."""
+    t = _threshold(p)
+    assert 0 <= t <= 1 << 53
+    near = [float(p), float(np.nextafter(np.float64(p), 0)), float(np.nextafter(np.float64(p), 1))]
+    if isinstance(p, np.float32):
+        near += [float(np.nextafter(p, np.float32(0))), float(np.nextafter(p, np.float32(1)))]
+        near += [(x + float(p)) / 2 for x in near[-2:]]
+    for x in near:
+        u0 = int(x * 2.0**53)
+        for u in range(max(0, u0 - 2), min(1 << 53, u0 + 3)):
+            assert (u < t) == (u * 2.0**-53 < p), (u, t)
+    if p in (0, 1):
+        assert t == p << 53
+
+
+def test_threshold_of_a_float32_p_is_not_the_float64_compare():
+    """The draw just below the float64 value of ``np.float32(1/3)`` is
+    below it in a float64 array compare.  Python's compare is the one
+    followed: since numpy 2 it reads the draw at float32 precision, where
+    it rounds to p, so that draw is no edge."""
+    p = np.float32(1 / 3)
+    u = int(float(p) * 2.0**53) - 1
+    draw = u * 2.0**-53
+    assert (np.array([draw]) < p).tolist() == [True]
+    assert (u < _threshold(p)) == (draw < p)
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert not draw < p
+
+
+@pytest.mark.parametrize("p", P_TYPES, ids=lambda p: f"{type(p).__name__}({p})")
+def test_edges_of_every_p_type_follow_the_reference_stream(p):
+    for seed in SEEDS_NEAR_THE_TOP:
+        g = erdos_renyi_graph(12, p, SplitMix64(seed))
+        below = reference_below(seed, (p, p), 66)
+        expected = {frozenset((f"v{i + 1}", f"v{j + 1}")) for (i, j), b in zip(combinations(range(12), 2), below) if b}
+        assert {frozenset(e) for e in g.edges} == expected
 
 
 def test_erdos_renyi_rejects_bools_and_non_numbers():
@@ -256,11 +380,14 @@ def test_run_batch_matches_full_construction():
     st.integers(6, 8),
     st.floats(0.0, 1.0),
     st.floats(0.0, 1.0),
-    st.integers(0, (1 << 64) - 1),
+    st.one_of(st.integers(0, (1 << 64) - 1), st.integers((1 << 64) - 4, (1 << 64) - 1)),
+    st.integers(1, 4),
 )
-def test_run_batch_matches_full_construction_on_random_seeds(n, p1, p2, seed):
-    batch = run_batch(RandomModelParams(n=n, p1=p1, p2=p2, seed=seed), 1)
-    assert batch["per_sample"] == [full_record(n, p1, p2, seed)]
+def test_run_batch_matches_full_construction_on_random_seeds(n, p1, p2, seed, count):
+    """Chunks of more than one sample, so each row's seed offset counts,
+    and chunks whose seeds wrap past 2**64."""
+    batch = run_batch(RandomModelParams(n=n, p1=p1, p2=p2, seed=seed), count)
+    assert batch["per_sample"] == [full_record(n, p1, p2, (seed + i) % (1 << 64)) for i in range(count)]
 
 
 def test_full_simplex_at_n11_is_checked_within_budget():
