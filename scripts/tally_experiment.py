@@ -7,13 +7,18 @@ fraction, optionally sweeping one of the probability parameters.
 
     python3 scripts/tally_experiment.py --n 6 --p1 0.5 --p2 0.5 --count 100 --seed 7
     python3 scripts/tally_experiment.py --n 6 --sweep 0.1 0.3 0.5 0.7 0.9 --count 200 --seed 7
+
+Parameters the random model rejects (n above its cap, a probability outside
+[0, 1], a count below 1) print ``error: ...`` and exit 2, as
+``simposets random`` does.
 """
 
 import argparse
 import json
 import math
+import sys
 
-from simposets import RandomModelParams, run_batch
+from simposets import RandomModelParams, SizeLimitError, run_batch
 
 
 def tally_line(batch) -> str:
@@ -49,11 +54,13 @@ def main() -> None:
     else:
         settings = [(args.p1, args.p2)]
 
-    batches = []
-    for p1, p2 in settings:
-        params = RandomModelParams(n=args.n, p1=p1, p2=p2, seed=args.seed)
-        batch = run_batch(params, args.count)
-        batches.append(batch)
+    try:
+        params = [RandomModelParams(n=args.n, p1=p1, p2=p2, seed=args.seed) for p1, p2 in settings]
+        batches = [run_batch(p, args.count) for p in params]
+    except (SizeLimitError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    for batch in batches:
         print(tally_line(batch))
 
     if args.json:

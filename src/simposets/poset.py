@@ -91,6 +91,20 @@ def _block(cells: int) -> int:
     return max(1, _BLOCK_CELLS // max(1, cells))
 
 
+def _blocks(cells) -> list:
+    """Bounds ``[0, ..., len(cells)]`` of the consecutive blocks of a loop
+    whose item i holds ``cells[i]`` bool cells (bytes) of temporaries:
+    ``_BLOCK_CELLS`` a block, and at least one item.  No result depends on
+    where the blocks end."""
+    ends = np.cumsum(cells)
+    bounds = [0]
+    while bounds[-1] < len(ends):
+        start = bounds[-1]
+        held = ends[start - 1] if start else 0
+        bounds.append(max(start + 1, int(np.searchsorted(ends, held + _BLOCK_CELLS, side="right"))))
+    return bounds
+
+
 def _ranges(start, stop) -> np.ndarray:
     """The ranges ``[start[i], stop[i])``, at least one, laid end to end."""
     size = stop - start

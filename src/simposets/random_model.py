@@ -18,8 +18,11 @@ in canonical pair order), takes clique complexes, and glues the pair with
 ``theta_glue``.  Identical parameters therefore reproduce identical posets
 bit for bit.  ``run_batch`` draws the same two graphs through the same
 ``_draws``, one grid for a block of samples (a row of both graphs'
-draws per sample), reads their neighbour bitmasks off the grid with one
-product, and counts each gluing in closed form.
+draws per sample), and reads their neighbour bitmasks off the grid with
+one product.  ``_tally`` then counts the gluings of a block of samples
+without building them: it enumerates the faces of the first complex as
+clique rows of the whole block, vertex by vertex, and counts the facets
+above a face by subset tests against the block's padded facet array.
 """
 
 from __future__ import annotations
@@ -31,18 +34,15 @@ from numbers import Real
 
 import numpy as np
 
-from .complexes import (
-    Graph,
-    SimplicialComplex,
-    _maximal_cliques,
-    clique_complex,
-    make_graph,
-)
+from .complexes import Graph, SimplicialComplex, clique_complex, make_graph
 from .errors import SizeLimitError
 from .gluing import theta_glue
-from .poset import Poset, _block
+from .poset import Poset, _block, _blocks
 
 RAND_N_MAX = 12
+_FACE_BYTES = 32  # bytes ``_tally`` holds per face of d1, temporaries included
+# the number of set bits of each mask on up to RAND_N_MAX vertices, indexed by the mask
+_POPCOUNT = np.unpackbits(np.arange(1 << RAND_N_MAX, dtype=">u2").view(np.uint8)).reshape(-1, 16).sum(1, dtype=np.int64)
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -153,46 +153,90 @@ def rand_simplicial_poset(params: RandomModelParams) -> Poset:
     return theta_glue(first, second)
 
 
-def _theta_tally(adj1, adj2) -> tuple:
-    """``(len(P), P.is_face_poset())`` for ``P = theta_glue`` of the clique
-    complexes of the graphs with neighbour bitmasks ``adj1`` and ``adj2``
-    on the same vertices; ``P`` has one atom per vertex.
+def _clique_rows(adj: np.ndarray) -> tuple:
+    """The faces of d1 for a block of samples with neighbour bitmasks
+    ``adj`` of shape (samples, 2, n), as rows of four arrays: the sample,
+    the vertex mask, whether the face is *shared* (a clique of the second
+    graph too) and whether it is a facet.
 
-    The faces of d1 are the nonempty submasks of its facets (the maximal
-    cliques of the first graph).  A face F is *shared* iff it is a clique
-    of the second graph; every singleton is one, which is d2 extended by
-    every vertex.  The separation holds one copy of F per facet containing
-    F, and ``theta_glue`` merges those copies exactly when F is shared, so
+    The faces of d1 are the nonempty cliques of the first graph.  They are
+    found one vertex w at a time: every row so far, the empty face
+    included, whose common neighbourhood in the first graph holds w gains
+    a copy extended by w.  A row carries that neighbourhood, and it is a
+    facet iff it is empty.  It also carries its common neighbourhood in the
+    second graph, so it is shared iff its parent is and w lies in the
+    parent's; the singletons are shared, which is d2 extended by every
+    vertex."""
+    samples, _, n = adj.shape
+    g1 = adj[:, 0].T.astype(np.uint16)
+    g2 = adj[:, 1].T.astype(np.uint16)
+    s = np.arange(samples, dtype=np.int32)
+    mask = np.zeros(samples, dtype=np.uint16)
+    nb1 = np.full(samples, (1 << n) - 1, dtype=np.uint16)
+    nb2 = nb1.copy()
+    shared = np.ones(samples, dtype=bool)
+    for w in range(n):
+        bit = np.uint16(1 << w)
+        rows = np.flatnonzero(nb1 & bit)
+        sw = s[rows]
+        parent2 = nb2[rows]
+        s = np.concatenate([s, sw])
+        mask = np.concatenate([mask, mask[rows] | bit])
+        shared = np.concatenate([shared, shared[rows] & (parent2 & bit != 0)])
+        nb1 = np.concatenate([nb1, nb1[rows] & g1[w][sw]])
+        nb2 = np.concatenate([nb2, parent2 & g2[w][sw]])
+    return s[samples:], mask[samples:], shared[samples:], nb1[samples:] == 0
 
-        len(P) = 1 + sum over F of (1 if F is shared else
-                                     the number of facets containing F).
 
-    A simplicial poset is a face poset iff no two elements have the same
-    atom support.  Two copies of F survive iff F is unshared and lies in
-    two facets f, g, so in ``f & g``; the shared faces are closed under
-    subsets, so this happens iff some ``f & g`` is unshared (the empty
-    intersection counts as shared).
+def _tally(adj: np.ndarray) -> tuple:
+    """``(elements, face_poset)`` arrays for a block of samples with
+    neighbour bitmasks ``adj`` of shape (samples, 2, n): ``len(P)`` and
+    ``P.is_face_poset()`` for ``P = theta_glue`` of the clique complexes
+    of each sample's two graphs; ``P`` has one atom per vertex.
+
+    The separation holds one copy of a face F of d1 per facet containing
+    F, k(F) of them, and ``theta_glue`` merges those copies exactly when F
+    is shared, so ``len(P) = 1 + sum over F of (1 if F is shared else
+    k(F))``.  The faces of a facet f number ``2**|f| - 1``, so
+
+        len(P) = 1 + sum over f of (2**|f| - 1)
+                   - sum over shared F of (k(F) - 1),
+
+    which needs k(F) on the shared faces alone.  A simplicial poset is a
+    face poset iff no two elements have the same atom support, so iff no
+    unshared face lies in two facets.  An unshared face holds a pair that
+    is no edge of the second graph; that pair is an unshared face in every
+    facet the face lies in, so only the pairs need the test.
+
+    The faces come from ``_clique_rows``.  k(F) comes from direct subset
+    tests, ``F & ~f == 0``, against the complements of the block's facets,
+    sorted by sample into a (samples, width) array and padded with the
+    complement of the empty set, which holds no face.  ``_block`` faces
+    are tested at a time.
     """
-
-    def shared(face):
-        rest = face
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if face & ~adj2[bit.bit_length() - 1] & ~bit:
-                return False
-        return True
-
-    facets = _maximal_cliques(adj1)
-    copies = {}
-    for f in facets:
-        sub = f
-        while sub:
-            copies[sub] = copies.get(sub, 0) + 1
-            sub = (sub - 1) & f
-    elements = 1 + sum(1 if k == 1 or shared(face) else k for face, k in copies.items())
-    face_poset = all(shared(f & g) for f, g in combinations(facets, 2))
-    return elements, face_poset
+    samples = len(adj)
+    s, mask, shared, facet = _clique_rows(adj)
+    fs, fm = s[facet], mask[facet]
+    order = np.argsort(fs, kind="stable")
+    fs, fm = fs[order], fm[order]
+    per_sample = np.bincount(fs, minlength=samples)
+    complements = np.full((samples, int(per_sample.max())), ~np.uint16(0))
+    complements[fs, np.arange(fs.size) - np.repeat(np.cumsum(per_sample) - per_sample, per_sample)] = ~fm
+    # float64 sums of small integers, which it holds exactly
+    copies = np.bincount(fs, weights=(1 << _POPCOUNT[fm]) - 1, minlength=samples)
+    merged = np.zeros(samples)
+    doubled = np.zeros(samples)
+    tested = np.flatnonzero(shared | (_POPCOUNT[mask] == 2))
+    # a tested face holds 40 bytes of 8-byte temporaries, and 5 bytes per
+    # facet: the gathered complements, their masked copy and its test
+    step = _block(40 + 5 * complements.shape[1])
+    for start in range(0, tested.size, step):
+        rows = tested[start : start + step]
+        sr, sh = s[rows], shared[rows]
+        k = ((mask[rows, None] & complements[sr]) == 0).sum(1)
+        merged += np.bincount(sr, weights=np.where(sh, k - 1, 0), minlength=samples)
+        doubled += np.bincount(sr, weights=~sh & (k > 1), minlength=samples)
+    return 1 + (copies - merged).astype(np.int64), doubled == 0
 
 
 def _adjacency_blocks(params: RandomModelParams, count: int):
@@ -225,30 +269,33 @@ def run_batch(params: RandomModelParams, count: int) -> dict:
     count, plus the number of face posets.
 
     Sample i equals ``rand_simplicial_poset`` with seed ``params.seed + i``
-    (mod 2**64); its record comes from the closed form of ``_theta_tally``
-    on the same two graphs, drawn by the same ``_draws``, without
-    building the poset.
+    (mod 2**64); its record is read off the same two graphs, drawn by the
+    same ``_draws``, without building the poset: ``_tally`` enumerates
+    the faces of d1 for a block of samples at once as clique rows and
+    counts the facets above a face by subset tests.  A clique of the first
+    graph is a vertex v with a set of v's neighbours above v, which bounds
+    a sample's faces; a block of the tally takes as many samples as that
+    bound lets it hold at ``_FACE_BYTES`` a face.
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     n = params.n
-    per_sample = []
-    hits = 0
-    for seeds, adj in _adjacency_blocks(params, count):
-        for seed_i, (adj1, adj2) in zip(seeds.tolist(), adj.tolist()):
-            elements, fp = _theta_tally(adj1, adj2)
-            hits += fp
-            per_sample.append(
-                {
-                    "seed": seed_i,
-                    "is_face_poset": fp,
-                    "atoms": n,
-                    "elements": elements,
-                }
-            )
+    above = ((1 << n) - 1) & ~((2 << np.arange(n)) - 1)
+    seeds, elements, face_poset = [], [], []
+    for block_seeds, adj in _adjacency_blocks(params, count):
+        seeds += block_seeds.tolist()
+        faces = (1 << _POPCOUNT[adj[:, 0] & above]).sum(1)
+        bounds = _blocks(_FACE_BYTES * (1 + faces))
+        for start, stop in zip(bounds, bounds[1:]):
+            block_elements, block_face_poset = _tally(adj[start:stop])
+            elements += block_elements.tolist()
+            face_poset += block_face_poset.tolist()
     return {
         "params": {"n": params.n, "p1": params.p1, "p2": params.p2, "seed": params.seed},
         "samples": count,
-        "face_poset_count": hits,
-        "per_sample": per_sample,
+        "face_poset_count": sum(face_poset),
+        "per_sample": [
+            {"seed": seed, "is_face_poset": fp, "atoms": n, "elements": size}
+            for seed, fp, size in zip(seeds, face_poset, elements)
+        ],
     }

@@ -13,6 +13,8 @@ index-array gluing.  ``oracle_atom_family``, ``oracle_meet_poset`` and
 ``oracle_reconstruct_theta_pair`` are the label-based reconstruction the
 index-array one replaced: maxima sorted as labels, supports looked up label
 by label, and the meet poset restricted to a list of labels.
+``theta_tally`` is the per-sample count of a theta gluing's elements and
+face-poset test that the block-wide tally of ``run_batch`` replaced.
 """
 
 import json
@@ -29,6 +31,7 @@ from simposets import (
     quotient_by_gluing,
     separation,
 )
+from simposets.complexes import _maximal_cliques
 from simposets.errors import FormatError, PreconditionError
 from simposets.labels import Label
 
@@ -418,3 +421,46 @@ def oracle_reconstruct_theta_pair(p):
     supports = [p.atom_support(x) for x in sorted(m.maximal_elements())]
     d2 = make_complex(names, [[name_of[a] for a in s] for s in supports if s])
     return d1, d2
+
+
+def theta_tally(adj1, adj2):
+    """``(len(P), P.is_face_poset())`` for ``P = theta_glue`` of the clique
+    complexes of the graphs with neighbour bitmasks ``adj1`` and ``adj2``
+    on the same vertices; ``P`` has one atom per vertex.  One sample at a
+    time, by Bron-Kerbosch and a walk over every face's submasks.
+
+    The faces of d1 are the nonempty submasks of its facets (the maximal
+    cliques of the first graph).  A face F is *shared* iff it is a clique
+    of the second graph; every singleton is one, which is d2 extended by
+    every vertex.  The separation holds one copy of F per facet containing
+    F, and ``theta_glue`` merges those copies exactly when F is shared, so
+
+        len(P) = 1 + sum over F of (1 if F is shared else
+                                     the number of facets containing F).
+
+    A simplicial poset is a face poset iff no two elements have the same
+    atom support.  Two copies of F survive iff F is unshared and lies in
+    two facets f, g, so in ``f & g``; the shared faces are closed under
+    subsets, so this happens iff some ``f & g`` is unshared (the empty
+    intersection counts as shared).
+    """
+
+    def shared(face):
+        rest = face
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if face & ~adj2[bit.bit_length() - 1] & ~bit:
+                return False
+        return True
+
+    facets = _maximal_cliques(adj1)
+    copies = {}
+    for f in facets:
+        sub = f
+        while sub:
+            copies[sub] = copies.get(sub, 0) + 1
+            sub = (sub - 1) & f
+    elements = 1 + sum(1 if k == 1 or shared(face) else k for face, k in copies.items())
+    face_poset = all(shared(f & g) for f, g in combinations(facets, 2))
+    return elements, face_poset

@@ -27,7 +27,7 @@ from simposets import (
 from simposets.poset import _BLOCK_CELLS
 from simposets.random_model import _adjacency_blocks, _draws, _threshold
 
-from oracles import brute_maximal_cliques
+from oracles import brute_maximal_cliques, theta_tally
 
 # Reference outputs of the splitmix64 finalizer, cross-checked against the
 # published C implementation.
@@ -388,6 +388,75 @@ def test_run_batch_matches_full_construction_on_random_seeds(n, p1, p2, seed, co
     and chunks whose seeds wrap past 2**64."""
     batch = run_batch(RandomModelParams(n=n, p1=p1, p2=p2, seed=seed), count)
     assert batch["per_sample"] == [full_record(n, p1, p2, (seed + i) % (1 << 64)) for i in range(count)]
+
+
+def oracle_records(n, p1, p2, seed, count):
+    """The per-sample records of ``run_batch``, one sample at a time: the
+    masks of the reference stream, counted by the per-sample tally."""
+    records = []
+    for i in range(count):
+        sample_seed = (seed + i) % (1 << 64)
+        elements, face_poset = theta_tally(*reference_masks(n, p1, p2, sample_seed))
+        records.append({"seed": sample_seed, "is_face_poset": face_poset, "atoms": n, "elements": elements})
+    return records
+
+
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def batches(draw):
+    """``(n, p1, p2, seed, count)``; every other seed lies within ``count``
+    of 2**64, so the batch wraps past it."""
+    count = draw(st.integers(1, 40))
+    seed = draw(st.one_of(st.integers(0, (1 << 64) - 1), st.integers((1 << 64) - count, (1 << 64) - 1)))
+    return draw(st.integers(1, 12)), draw(PROBABILITIES), draw(PROBABILITIES), seed, count
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches())
+def test_run_batch_matches_the_per_sample_tally(batch):
+    n, p1, p2, seed, count = batch
+    got = run_batch(RandomModelParams(n=n, p1=p1, p2=p2, seed=seed), count)
+    assert got["per_sample"] == oracle_records(n, p1, p2, seed, count)
+    assert got["face_poset_count"] == sum(s["is_face_poset"] for s in got["per_sample"])
+
+
+BLOCK_SIZES = {
+    "every block one item": lambda n: 1,
+    "three samples a block of draws": lambda n: 3 * 8 * (n * (n - 1) + 1 + 2 * n),
+    "two or more samples a block of the tally": lambda n: 2 * (32 << n),
+    "one to three faces a block of subset tests": lambda n: 150,
+}
+
+
+@pytest.mark.parametrize("n, p1, p2", [(5, 0.8, 0.5), (7, 1.0, 1.0), (12, 0.9, 0.5)])
+@pytest.mark.parametrize("blocks", BLOCK_SIZES)
+def test_run_batch_does_not_depend_on_block_ends(monkeypatch, n, p1, p2, blocks):
+    """``_BLOCK_CELLS`` small enough that one of the blocked loops of
+    ``run_batch`` holds a few items a block: a sample's draws, seed and
+    masks take 8 bytes a cell; a sample in the tally takes ``_FACE_BYTES``
+    = 32 per face its bound allows, at most ``2**n``; a tested face takes
+    40 bytes and 5 per facet.  The records stay those of one block."""
+    params = RandomModelParams(n=n, p1=p1, p2=p2, seed=(1 << 64) - 4)
+    expected = run_batch(params, 7)
+    assert expected["per_sample"] == oracle_records(n, p1, p2, params.seed, 7)
+    monkeypatch.setattr("simposets.poset._BLOCK_CELLS", BLOCK_SIZES[blocks](n))
+    assert run_batch(params, 7) == expected
+
+
+@pytest.mark.parametrize("p1", [0.9, 1.0])
+def test_tally_memory_is_bounded(p1):
+    """1000 samples at n=12 hold up to 4096 faces each; the tally holds
+    them a block of samples at a time."""
+    params = RandomModelParams(n=12, p1=p1, p2=0.5, seed=3)
+    tracemalloc.start()
+    try:
+        run_batch(params, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
 
 
 def test_full_simplex_at_n11_is_checked_within_budget():

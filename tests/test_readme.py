@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from simposets import parse_facet_string
 from simposets.cli import run
 
@@ -96,6 +98,19 @@ def test_cli_session_matches_readme(tmp_path, monkeypatch, capsys):
     assert ran == 10
 
 
+def run_script(args):
+    """``scripts/tally_experiment.py`` with the words of ``args``, on this
+    source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "tally_experiment.py"), *args.split()],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 def test_tally_experiment_matches_transcript():
     """The experiment script prints the README transcript line for line."""
     args = "--n 6 --count 100 --seed 7 --sweep 0.3 0.5 0.9"
@@ -103,13 +118,24 @@ def test_tally_experiment_matches_transcript():
     prompt = f"$ python3 scripts/tally_experiment.py {args}\n"
     assert prompt in text, "README transcript is missing"
     transcript = text.split(prompt, 1)[1].split("```", 1)[0]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "tally_experiment.py"), *args.split()],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    ).stdout
-    assert out.splitlines() == transcript.splitlines()
+    done = run_script(args)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == transcript.splitlines()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("--n 13", "the random model is guarded at n <= 12"),
+        ("--count 0", "count must be a positive integer, got 0"),
+    ],
+)
+def test_tally_experiment_rejects_bad_parameters_like_the_cli(args, message, capsys):
+    """Input the random model rejects ends the script as it ends
+    ``simposets random``: one ``error:`` line and exit 2, no traceback."""
+    done = run_script(args)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+    flag, value = args.split()
+    cli_args = {"--n": "6", "--p1": "0.5", "--p2": "0.5", "--seed": "7", "--count": "100", flag: value}
+    assert run(["random", *[word for pair in cli_args.items() for word in pair]]) == 2
+    assert capsys.readouterr().err == done.stderr
