@@ -75,7 +75,7 @@ class SimplicialComplex:
         first[face] = np.arange(face.size)  # any copy of each face
         rows = rows[first]
         labels = _Lazy(n, _position_labels, names, rows[rows >= 0], np.count_nonzero(rows >= 0, axis=1))
-        return Poset._indexed(labels, leq, lo, hi)
+        return Poset(labels, leq, lo, hi)
 
     def minimal_nonfaces(self):
         """Inclusion-minimal vertex subsets that are not faces.
@@ -158,8 +158,8 @@ def _simplex_order(k: int):
     ``(pos, leq, lo, hi)``.  Row i of ``pos`` holds the positions of face
     i, ascending and padded with -1 to width k, in lex order of those
     tuples, so the empty face comes first; ``leq`` is the order matrix and
-    ``lo``, ``hi`` are the sorted cover pairs, all read-only.  On sorted
-    vertex names this is canonical label order.
+    ``lo``, ``hi`` are the sorted cover pairs.  On sorted vertex names this
+    is canonical label order.
 
     In lex order the faces of {j..k-1} are the empty face, then each face
     of {j+1..k-1} with j added, then the nonempty faces of {j+1..k-1}.  So
@@ -194,10 +194,7 @@ def _simplex_order(k: int):
         rows[1 : h + 1, 0], rows[1 : h + 1, 1:], rows[h + 1 :, :-1] = j, pos, pos[1:]
         pos, leq = rows, grown
     sort = np.lexsort((hi, lo))
-    out = (pos, leq, lo[sort], hi[sort])
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return pos, leq, lo[sort], hi[sort]
 
 
 def _position_labels(names: tuple, flat: np.ndarray, size: np.ndarray) -> tuple:

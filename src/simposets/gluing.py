@@ -190,7 +190,9 @@ def _disjoint_union(blocks) -> Poset:
         hi.append(at[p._hi[into]])
         offset += m
     labels = _Lazy(leq.shape[0], _copy_labels, [(ci, p._labels, members) for ci, p, members in blocks])
-    return Poset._indexed(labels, leq, np.concatenate(lo), np.concatenate(hi))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    first = np.argsort(lo > 0, kind="stable")  # the bottom's covers, then each block's, which ascend
+    return Poset(labels, leq, lo[first], hi[first])
 
 
 def separation(q: Poset) -> SeparationResult:
@@ -439,7 +441,7 @@ def _facet_separation(facets, index):
     for ci, f in enumerate(facets, start=1):
         k = len(f)
         pos, leq, lo, hi, flat, size = orders[k]
-        simplex = Poset(_Lazy(pos.shape[0], _position_labels, f, flat, size), lo, hi, leq)
+        simplex = Poset(_Lazy(pos.shape[0], _position_labels, f, flat, size), leq, lo, hi)
         blocks.append((ci, simplex, np.arange(1, pos.shape[0])))
         # padding -1 picks the -1 at the end of the facet's vertex row
         rows[start : start + pos.shape[0] - 1, :k] = np.array([index[v] for v in f] + [-1])[pos[1:]]

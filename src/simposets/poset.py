@@ -5,7 +5,8 @@ a read-only boolean matrix ``leq`` where ``leq[i, j]`` means element ``i`` is
 below element ``j``.  The covers, always the transitive reduction of
 ``leq``, are kept alongside as two index arrays ``(lo, hi)`` sorted in that
 same order, so order queries are O(1) and every listing derived from a
-poset is deterministic.
+poset is deterministic.  One constructor, ``Poset.__init__``, makes every
+poset from ``leq``, the covers in ``(lo, hi)`` order and a label recipe.
 
 Labels are looked up only on input and built only for output.  A poset
 keeps its element labels as a recipe (``_Lazy``) and builds the label tuple
@@ -14,15 +15,15 @@ other label queries, the ``covers`` pair set, JSON, DOT, ``==``, hashing or
 pickling.  A recipe holds labels, other recipes and index arrays, never a
 poset or its ``leq``, so intermediate posets are freed once their output
 exists.  Only ``from_json`` builds labels up front.  It and ``from_covers``
-are the constructors that sort by label key, in ``_from_ends``;
-``from_json`` parses each distinct label text of its document once and
-finds cover ends by their text.  The others know the canonical order from
-indices alone (``_indexed``): a face poset ranks its faces by their sorted
-vertex positions, which is the order of their labels; ``restrict`` keeps
-index order; a quotient numbers its classes by least member index, which
-is the order of their class labels, because two disjoint classes differ in
-their first member; a disjoint union of copies lists the bottom, then the
-copies by copy index and base index.
+are the builders that sort by label key, in ``_from_ends``; ``from_json``
+parses each distinct label text of its document once and finds cover ends
+by their text.  The others know the canonical order from indices alone: a
+face poset ranks its faces by their sorted vertex positions, which is the
+order of their labels; ``restrict`` keeps index order; a quotient numbers
+its classes by least member index, which is the order of their class
+labels, because two disjoint classes differ in their first member; a
+disjoint union of copies lists the bottom, then the copies by copy index
+and base index.
 
 ``from_covers``, ``from_json``, ``quotient`` and ``face_poset`` derive
 their order from generating pairs through one kernel, ``_dag``: Kahn levels
@@ -36,15 +37,15 @@ Meets and minimal upper bounds come from one kernel, ``_bounds``: ``ideal``
 runs it on blocks of pairs, ``meet`` and ``minimal_upper_bounds`` on one.
 
 The facts the checks share are read off ``leq`` once per poset, on first
-use, into a private profile (``Poset._profile``): ``lower`` and ``upper``,
-the lower-set and upper-set sizes; ``bottom``, the index of the unique
-minimum or -1; ``atoms``, the elements with a lower set of size 2; ``supp``,
-their rows ``leq[atoms]``, whose columns are the atom supports; ``rank``,
-the atoms below each element; ``ids``, one dense id per distinct support,
-ranked from the packed ``supp`` columns by ``_ranks``; and ``maxima``, the
-ascending indices of the maximal elements, the one place they are found.
-Building it never raises; readers that need the unique minimum check it
-through ``_bottom_index()``.
+use, into a private profile (``Poset._profile``): ``lower``, the lower-set
+sizes; ``bottom``, the index of the unique minimum or -1; ``atoms``, the
+elements with a lower set of size 2; ``supp``, their rows ``leq[atoms]``,
+whose columns are the atom supports; ``rank``, the atoms below each
+element; ``ids``, one dense id per distinct support, ranked from the packed
+``supp`` columns by ``_ranks``; and ``maxima``, the ascending indices of
+the elements that no cover leaves, the one place they are found.  Building
+it never raises; readers that need the unique minimum check it through
+``_bottom_index()``.
 
 The simplicial vocabulary lives here as methods: atoms, atom supports,
 ``is_simplicial`` (every lower interval is a boolean lattice) and
@@ -259,14 +260,31 @@ def _key_order(labels) -> list:
     return order
 
 
-_Profile = namedtuple("_Profile", "lower upper bottom atoms supp rank ids maxima")
+_Profile = namedtuple("_Profile", "lower bottom atoms supp rank ids maxima")
 
 
 class Poset:
     __slots__ = ("_labels", "_index_cache", "_lo", "_hi", "_leq", "_profile_cache", "_simplicial")
 
-    def __init__(self, labels: _Lazy, lo, hi, leq):
-        # Internal: use from_covers / from_json instead.
+    def __init__(self, labels: _Lazy, leq, lo, hi):
+        """Internal: use from_covers / from_json instead.  Takes an order
+        matrix whose elements stand in canonical label order, its covers as
+        index arrays in ``(lo, hi)`` order, and the labels as a ``_Lazy``
+        recipe, not read; asserts reflexivity and the cover order, and
+        freezes the arrays.  The builder vouches for the canonical order; for
+        antisymmetry, checked once per matrix by the cycle check of ``_dag``,
+        a disjoint union's ascending blocks or the doubling of
+        ``_simplex_order`` (``restrict`` keeps a principal submatrix); and for
+        the cover order: the sorted pairs of ``_dag`` or ``_simplex_order``,
+        a monotone index map, or a disjoint union's block layout.  The test
+        suite checks closure against Warshall's algorithm."""
+        if not leq.diagonal().all():
+            raise InvariantError("reachability matrix is not reflexive")
+        key = lo * leq.shape[0] + hi
+        if (key[1:] <= key[:-1]).any():
+            raise InvariantError("covers are not in (lo, hi) order")
+        for a in (leq, lo, hi):
+            a.setflags(write=False)
         self._labels = labels
         self._index_cache = None
         self._lo = lo
@@ -278,44 +296,27 @@ class Poset:
     # ----- construction -------------------------------------------------
 
     @classmethod
-    def _indexed(cls, labels: _Lazy, leq, lo, hi):
-        """Build from an order matrix whose elements already stand in
-        canonical label order, the index arrays ``(lo, hi)`` of its cover
-        pairs, and the labels as a ``_Lazy`` recipe, which is not read.
-
-        Reflexivity is asserted and the covers are sorted into the order of
-        ``(lo, hi)``.  The caller vouches for the canonical order and for
-        antisymmetry, each checked once per matrix: by the cycle check of
-        ``_dag`` (``_from_ends``, ``quotient``, ``face_poset``), or by the
-        ascending members of a disjoint union.  ``restrict`` needs no
-        check: its matrix is a principal submatrix of an antisymmetric one
-        on ascending indices.  Closure is not verified here; the test suite
-        checks it against Warshall's algorithm.
-        """
-        if not leq.diagonal().all():
-            raise InvariantError("reachability matrix is not reflexive")
-        sort = np.lexsort((hi, lo))
-        lo, hi = lo[sort], hi[sort]
-        for a in (leq, lo, hi):
-            a.setflags(write=False)
-        return cls(labels, lo, hi, leq)
-
-    @classmethod
     def from_covers(cls, elements, covers):
         """Build from explicit cover pairs ``(lower, upper)``.
 
         The pairs must be exactly the transitive reduction of the order they
-        generate; redundant or cyclic input is rejected.
-        """
+        generate; redundant or cyclic input is rejected.  Elements and cover
+        ends must be Labels, and each cover a list or tuple of two."""
         elements = list(elements)
+        if not all(isinstance(e, Label) for e in elements):
+            raise FormatError("poset elements must be Labels")
         order = _key_order(elements)
         index = {e: i for i, e in enumerate(elements)}
         ends = []
-        for lo, hi in covers:
-            for end in (lo, hi):
+        for pair in covers:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise FormatError(f"cover pair has the wrong shape: {pair!r}")
+            for end in pair:
+                if not isinstance(end, Label):
+                    raise FormatError("cover ends must be Labels")
                 if end not in index:
                     raise ElementNotFoundError(f"unknown element in covers: {end}")
-            ends += index[lo], index[hi]
+                ends.append(index[end])
         return cls._from_ends(elements, order, ends)
 
     @classmethod
@@ -336,7 +337,7 @@ class Poset:
         leq, lo, hi, redundant = dag
         if self_pair.any() or redundant.any():
             raise StructureError("covers must be transitively reduced cover pairs")
-        return cls._indexed(_Lazy.of(tuple(map(elements.__getitem__, order))), leq, lo, hi)
+        return cls(_Lazy.of(tuple(map(elements.__getitem__, order))), leq, lo, hi)
 
     # ----- basic queries ------------------------------------------------
 
@@ -394,7 +395,7 @@ class Poset:
         """The order facts read off ``leq``, computed on first use."""
         if self._profile_cache is None:
             leq = self._leq
-            lower, upper = leq.sum(axis=0), leq.sum(axis=1)
+            lower = leq.sum(axis=0)
             mins = np.flatnonzero(lower == 1)
             bottom = int(mins[0]) if mins.size == 1 else -1
             # with a unique minimum, a lower set of size 2 is it and an atom
@@ -405,10 +406,10 @@ class Poset:
             packed = np.zeros((max(1, -(-atoms.size // 64)) * 8, leq.shape[0]), dtype=np.uint8)
             packed[: -(-atoms.size // 8)] = np.packbits(supp, axis=0)
             ids = _ranks(list(np.ascontiguousarray(packed.T).view(np.uint64).T))
-            maxima = np.flatnonzero(upper == 1)
-            for a in (lower, upper, atoms, supp, rank, ids, maxima):
+            maxima = np.flatnonzero(np.bincount(self._lo, minlength=leq.shape[0]) == 0)
+            for a in (lower, atoms, supp, rank, ids, maxima):
                 a.setflags(write=False)
-            self._profile_cache = _Profile(lower, upper, bottom, atoms, supp, rank, ids, maxima)
+            self._profile_cache = _Profile(lower, bottom, atoms, supp, rank, ids, maxima)
         return self._profile_cache
 
     def _bottom_index(self) -> int:
@@ -572,7 +573,7 @@ class Poset:
             raise StructureError("quotient is not a partial order")
         leq, lo, hi, redundant = order
         labels = _Lazy(k, _class_labels, self._labels, cls)
-        return Poset._indexed(labels, leq, lo[~redundant], hi[~redundant])
+        return Poset(labels, leq, lo[~redundant], hi[~redundant])
 
     def _partition(self, classes):
         """The class array of a partition, given as in ``quotient``, with
@@ -637,7 +638,7 @@ class Poset:
         at = np.cumsum(inside) - 1
         # a principal submatrix on ascending indices, so antisymmetric as leq is
         sub = self._leq.take(idx, 0).take(idx, 1)
-        return Poset._indexed(_Lazy(idx.size, _gather, self._labels, idx), sub, at[self._lo[into]], at[self._hi[into]])
+        return Poset(_Lazy(idx.size, _gather, self._labels, idx), sub, at[self._lo[into]], at[self._hi[into]])
 
     # ----- misc helpers -----------------------------------------------------
 
@@ -738,14 +739,21 @@ def _cover_digraph(p: Poset):
     return children, parents
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a fresh ``uint64`` array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _color_hash(colors: np.ndarray) -> np.ndarray:
-    """The splitmix64 finaliser of each colour.  A sum of these (wrapping
+    """The first splitmix64 draw of each colour taken as a state.  A sum of these (wrapping
     uint64, so independent of summation order) stands for a multiset of
     colours; two multisets whose sums collide only share a class."""
-    z = colors.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    return _mix(colors.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15))
 
 
 def _ranks(keys) -> np.ndarray:
@@ -843,7 +851,7 @@ def find_isomorphism(p: Poset, q: Poset):
     lo, hi = np.concatenate([p._lo, q._lo + n]), np.concatenate([p._hi, q._hi + n])
     seed = (
         np.concatenate([p._profile().lower, q._profile().lower]),
-        np.concatenate([p._profile().upper, q._profile().upper]),
+        np.concatenate([p._leq.sum(axis=1), q._leq.sum(axis=1)]),
         np.bincount(hi, minlength=2 * n),
         np.bincount(lo, minlength=2 * n),
     )

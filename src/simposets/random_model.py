@@ -37,7 +37,7 @@ import numpy as np
 from .complexes import Graph, SimplicialComplex, clique_complex, make_graph
 from .errors import SizeLimitError
 from .gluing import theta_glue
-from .poset import Poset, _block, _blocks
+from .poset import Poset, _block, _blocks, _mix
 
 RAND_N_MAX = 12
 _FACE_BYTES = 32  # bytes ``_tally`` holds per face of d1, temporaries included
@@ -128,17 +128,9 @@ def _draws(states: np.ndarray, k: int) -> np.ndarray:
     """Row i: the first ``k`` draws of the splitmix64 stream with state
     ``states[i]``, each as the integer ``u`` of the double ``u * 2**-53``.
 
-    Draw j (j >= 1) is the finalizer of ``state + j * gamma``, computed
-    for the whole grid in ``uint64`` arrays, which wrap mod 2**64 without
-    a warning."""
-    z = states[:, None] + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z
+    Draw j (j >= 1) is the finalizer ``_mix`` of ``state + j * gamma``,
+    computed for the whole grid in one ``uint64`` array."""
+    return _mix(states[:, None] + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)) >> np.uint64(11)
 
 
 def kahle_complex(n: int, p: float, rng: SplitMix64) -> SimplicialComplex:

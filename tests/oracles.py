@@ -394,7 +394,7 @@ def oracle_meet_poset(p):
     maximal elements, or to the bottom alone."""
     if not p.is_simplicial():
         raise PreconditionError("meet_poset requires a simplicial poset")
-    maxima = np.flatnonzero(p._profile().upper == 1)
+    maxima = np.flatnonzero(p._leq.sum(axis=1) == 1)
     if maxima.size <= 1:
         return p.restrict([p.bottom()])
     below_two = np.count_nonzero(p._leq[:, maxima], axis=1) >= 2

@@ -105,10 +105,28 @@ def test_from_covers_rejects_cycle():
         Poset.from_covers([L("a"), L("b")], [(L("a"), L("b")), (L("b"), L("a"))])
 
 
+@pytest.mark.parametrize(
+    "elements, covers, message",
+    [
+        (["0", "a"], [("0", "a")], "poset elements must be Labels"),
+        ([BOT, L("a")], [(BOT, BOT, L("a"))], "cover pair has the wrong shape: (Label('0'), Label('0'), Label('a'))"),
+        ([BOT, L("a")], [BOT], "cover pair has the wrong shape: Label('0')"),
+        ([BOT, L("a")], [(BOT, ["a"])], "cover ends must be Labels"),
+        ([BOT, L("a")], [(BOT, "a")], "cover ends must be Labels"),
+    ],
+)
+def test_from_covers_rejects_wrong_types(elements, covers, message):
+    """Elements and cover ends that are no Label, and covers that are no
+    pair, are malformed input, as in ``from_json_dict``."""
+    with pytest.raises(FormatError) as info:
+        Poset.from_covers(elements, covers)
+    assert str(info.value) == message
+
+
 B3 = boolean_lattice(3)
 # One build per way of making a Poset, with the number of Posets it makes:
-# a gluing chains a disjoint union and a quotient (theta takes its union
-# from the facets, with no face poset).
+# a gluing chains a disjoint union and a quotient, and theta takes its
+# union from one simplex Poset per facet (two here), with no face poset.
 BUILDS = {
     "boolean_lattice": (1, lambda: boolean_lattice(3)),
     "from_covers": (1, lambda: Poset.from_covers(B3.elements, B3.covers)),
@@ -123,7 +141,7 @@ BUILDS = {
     "delta_glue": (2, lambda: delta_glue(
         B3, B3, {L("x1*x2"): L("x2*x3")}, {L("x1"): L("x2"), L("x2"): L("x3")}
     )),
-    "theta_glue": (2, lambda: theta_glue(
+    "theta_glue": (4, lambda: theta_glue(
         parse_facet_string("a*b*c*x,a*b*c*y"), parse_facet_string("a*b,b*c,a*c")
     )),
     "fiber_quotient": (2, lambda: quotient_by_gluing(fiber_relation(separation(B3)))),
@@ -131,31 +149,39 @@ BUILDS = {
 
 
 def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
-    """Each order matrix a constructor builds is checked for antisymmetry
-    once: by the Kahn levels of ``_dag``, which reach every element only
-    when the pairs have no cycle (a face poset or boolean lattice calls it
-    from ``complexes``), or by the ascending members of a disjoint union (a
-    theta gluing's separation included).  ``restrict`` makes no check: its
-    matrix is a principal submatrix of its parent's on ascending indices,
+    """Each distinct order matrix a constructor builds is checked for
+    antisymmetry once: by the Kahn levels of ``_dag``, which reach every
+    element only when the pairs have no cycle (a face poset or boolean
+    lattice calls it from ``complexes``), by the ascending members of a
+    disjoint union (a theta gluing's separation included), or by the
+    doubling of ``_simplex_order``, whose matrix the simplex Poset of every
+    facet of that size shares.  ``restrict`` makes no check: its matrix is
+    a principal submatrix of its parent's on ascending indices,
     antisymmetric as the parent's is.  Every Poset is built through
-    ``Poset._indexed``."""
+    ``Poset.__init__``."""
     calls, built = [], []
     checks = (
         (poset_module, "_dag"),
         (complexes_module, "_dag"),
         (gluing_module, "_ascending"),
+        (gluing_module, "_simplex_order"),
     )
     for module, name in checks:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(1) or real(*a))
-    indexed = Poset._indexed
-    monkeypatch.setattr(Poset, "_indexed", classmethod(lambda cls, *a, **k: built.append(1) or indexed(*a, **k)))
+    init = Poset.__init__
+
+    def counted(self, labels, leq, lo, hi):
+        built.append(leq)  # kept referenced, so no two matrices share an id
+        init(self, labels, leq, lo, hi)
+
+    monkeypatch.setattr(Poset, "__init__", counted)
     for name, (expected, build) in BUILDS.items():
         calls.clear()
         built.clear()
         build()
         assert len(built) == expected, name
-        assert len(calls) == len(built) - (name == "restrict"), name
+        assert len(calls) == len({id(leq) for leq in built}) - (name == "restrict"), name
 
 
 @pytest.mark.parametrize("name", BUILDS)
@@ -167,6 +193,19 @@ def test_covers_are_the_reduction_in_key_order(name):
     assert p.to_json_dict()["covers"] == [[str(lo), str(hi)] for lo, hi in by_key]
     q = Poset.from_json(p.to_json())
     assert p == q and hash(p) == hash(q)
+
+
+def test_maxima_are_the_elements_with_an_upper_set_of_one():
+    """The profile's maxima, the elements no cover leaves, are those whose
+    row of ``leq`` holds only themselves."""
+    posets = [build() for _, build in BUILDS.values()]
+    posets += [
+        rand_simplicial_poset(RandomModelParams(n=n, p1=p1, p2=p1 * 0.6, seed=seed))
+        for n in range(4, 11)
+        for p1, seed in ((0.5, n), (0.9, 50 + n), (1.0, 0))
+    ]
+    for p in posets:
+        assert np.array_equal(p._profile().maxima, np.flatnonzero(p._leq.sum(axis=1) == 1))
 
 
 def key_sorted(p, rng):
