@@ -37,6 +37,8 @@ def _read_json(path):
             return json.load(fh)
         except RecursionError:
             raise FormatError(f"{path}: JSON is nested too deeply") from None
+        except UnicodeDecodeError as exc:  # a ValueError, which would exit 2
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _load_poset(path) -> Poset:

@@ -53,12 +53,14 @@ class SimplicialComplex:
         for f in self.facets:
             by_size.setdefault(len(f), []).append([position[v] for v in f] + [-1])
         orders = {k: _simplex_order(k) for k in by_size}  # guarded before rows is allocated
+        # no leq is read, so none is kept while _dag runs
+        orders = {k: (pos, sub_lo, sub_hi) for k, (pos, _, sub_lo, sub_hi) in orders.items()}
         width = max(by_size, default=1)  # a column for the empty complex's bottom
         rows = np.full((1 + sum(len(vertex) << k for k, vertex in by_size.items()), width), -1)
         lo, hi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
         start = 1
         for k, vertex in by_size.items():
-            pos, _, sub_lo, sub_hi = orders[k]  # not its leq
+            pos, sub_lo, sub_hi = orders[k]
             # the facet's vertices at each face's positions; padding -1 picks the -1 at the end
             rows[start : start + (len(vertex) << k), :k] = np.array(vertex)[:, pos].reshape(-1, k)
             copy = start + (1 << k) * np.arange(len(vertex))[:, None]

@@ -640,17 +640,6 @@ class Poset:
         sub = self._leq.take(idx, 0).take(idx, 1)
         return Poset(_Lazy(idx.size, _gather, self._labels, idx), sub, at[self._lo[into]], at[self._hi[into]])
 
-    # ----- misc helpers -----------------------------------------------------
-
-    def _height_levels(self) -> list:
-        """Length of the longest chain below each element (0 for minimal)."""
-        children = _cover_digraph(self)[0]
-        h = [0] * len(self)
-        for j in np.argsort(self._profile().lower, kind="stable").tolist():
-            if children[j]:
-                h[j] = 1 + max(h[i] for i in children[j])
-        return h
-
     # ----- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -708,18 +697,23 @@ class Poset:
 
     def to_dot(self) -> str:
         """Graphviz rendering: one node per element, one edge per cover,
-        elements rank-aligned by height (equals atom-support size on
-        simplicial posets)."""
-        heights = self._height_levels()
+        elements rank-aligned by height, the length of the longest chain
+        below them (atom-support size on simplicial posets).  Heights come
+        from one pass over the covers ordered by the lower-set size of
+        their upper end, which reads every cover into an element before any
+        cover out of it."""
+        heights = [0] * len(self)
+        by_top = np.argsort(self._profile().lower[self._hi], kind="stable")
+        for i, j in zip(self._lo[by_top].tolist(), self._hi[by_top].tolist()):
+            heights[j] = max(heights[j], heights[i] + 1)
         lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=box];"]
         # names may hold a backslash, which would escape the closing quote
         ids = ['"' + str(e).replace("\\", "\\\\") + '"' for e in self.elements]
         by_level = {}
-        for i, e in enumerate(ids):
-            by_level.setdefault(heights[i], []).append(e)
-        for level in sorted(by_level):
-            row = " ".join(f"{e};" for e in by_level[level])
-            lines.append("  { rank=same; " + row + " }")
+        for e, h in zip(ids, heights):
+            by_level.setdefault(h, []).append(f"{e};")
+        for _, row in sorted(by_level.items()):
+            lines.append("  { rank=same; " + " ".join(row) + " }")
         for i, j in zip(self._lo.tolist(), self._hi.tolist()):
             lines.append(f"  {ids[i]} -> {ids[j]};")
         lines.append("}")
@@ -729,22 +723,18 @@ class Poset:
 # ----- isomorphism ------------------------------------------------------------
 
 
-def _cover_digraph(p: Poset):
-    n = len(p)
-    children = [[] for _ in range(n)]  # covered-by lists (towards bottom)
-    parents = [[] for _ in range(n)]
-    for i, j in zip(p._lo.tolist(), p._hi.tolist()):
-        children[j].append(i)
-        parents[i].append(j)
-    return children, parents
+# splitmix64: the state increment and the two multipliers of the finalizer
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer, in place on a fresh ``uint64`` array."""
     z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
+    z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     return z
 
@@ -753,7 +743,7 @@ def _color_hash(colors: np.ndarray) -> np.ndarray:
     """The first splitmix64 draw of each colour taken as a state.  A sum of these (wrapping
     uint64, so independent of summation order) stands for a multiset of
     colours; two multisets whose sums collide only share a class."""
-    return _mix(colors.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15))
+    return _mix(colors.astype(np.uint64) + np.uint64(_GAMMA))
 
 
 def _ranks(keys) -> np.ndarray:
@@ -785,22 +775,6 @@ def _refine(colors: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         if refined.max() == colors.max():
             return refined
         colors = refined
-
-
-def _fits(v, w, adj, placed) -> bool:
-    """Whether mapping v to w keeps the cover relations with the placed
-    elements: each placed child (parent) of v maps to a child (parent) of
-    w, and w has no further placed children (parents)."""
-    (children_p, parents_p), (children_q, parents_q) = adj
-    mate, placed_p, placed_q = placed
-    for near_p, near_q in ((children_p, children_q), (parents_p, parents_q)):
-        images = [mate[u] for u in near_p[v] if placed_p[u]]
-        near = near_q[w]
-        if len(images) != sum(placed_q[x] for x in near):
-            return False
-        if any(x not in near for x in images):
-            return False
-    return True
 
 
 class _LabelMap(Mapping):
@@ -835,13 +809,15 @@ def find_isomorphism(p: Poset, q: Poset):
 
     Both posets are coloured jointly by refinement on their cover digraphs,
     seeded with lower-set and upper-set sizes and cover degrees, so a map
-    must keep colours.  When every colour class is one element of each
-    poset the colours force the map, and one comparison of the ``leq``
-    matrices accepts or refutes it.  Otherwise an explicit-stack search
-    individualises one pair of the smallest class and refines again; a
-    candidate must match its placed cover neighbours and their count, and
-    every map returned passes the same ``leq`` comparison.  Both posets are
-    guarded at ``ISOMORPHISM_MAX`` elements.
+    must keep colours and send an element in a class of its own to its
+    mate, the element of ``q`` in that class.  At every node one comparison
+    of cover keys checks that the covers between such elements map onto
+    those of ``q``, and accepts the map once every class is one element of
+    each poset.  Otherwise an explicit-stack search individualises one pair
+    of the smallest class and refines again (McKay & Piperno 2014); the
+    refinement drops a pair that breaks a cover, and the comparison drops
+    it where colour hashes collide.  Both posets are guarded at
+    ``ISOMORPHISM_MAX`` elements.
     """
     if len(p) > ISOMORPHISM_MAX or len(q) > ISOMORPHISM_MAX:
         raise SizeLimitError(f"isomorphism search is guarded at {ISOMORPHISM_MAX} elements")
@@ -855,7 +831,7 @@ def find_isomorphism(p: Poset, q: Poset):
         np.bincount(hi, minlength=2 * n),
         np.bincount(lo, minlength=2 * n),
     )
-    adj = None
+    q_key = q._lo * n + q._hi  # ascending, as every poset keeps its covers
     stack = [(_refine(_ranks(seed), lo, hi), -1, -1)]
     while stack:
         colors, v, w = stack.pop()
@@ -870,18 +846,16 @@ def find_isomorphism(p: Poset, q: Poset):
         q_of = np.empty(k, dtype=np.intp)
         q_of[colors[n:]] = np.arange(n)
         mate = q_of[colors[:n]]  # the map, on the elements of singleton classes
-        if k == n:
-            if np.array_equal(q._leq.take(mate, 0).take(mate, 1), p._leq):
-                return _LabelMap(p._labels, q._labels, mate)
+        single = sizes[colors] == 1
+        at_p, at_q = single[p._lo] & single[p._hi], single[n + q._lo] & single[n + q._hi]
+        if not np.array_equal(np.sort(mate[p._lo[at_p]] * n + mate[p._hi[at_p]]), q_key[at_q]):
             continue
-        if adj is None:
-            adj = (_cover_digraph(p), _cover_digraph(q))
-        single = (sizes[colors] == 1).tolist()
-        placed = (mate.tolist(), single[:n], single[n:])
+        if k == n:
+            return _LabelMap(p._labels, q._labels, mate)
         cell = int(np.flatnonzero(sizes == sizes[sizes > 1].min())[0])
         v = int(np.flatnonzero(colors[:n] == cell)[0])
-        bucket = np.flatnonzero(colors[n:] == cell).tolist()
-        stack.extend((colors, v, w) for w in reversed(bucket) if _fits(v, w, adj, placed))
+        bucket = np.flatnonzero(colors[n:] == cell)
+        stack.extend((colors, v, w) for w in bucket[::-1].tolist())
     return None
 
 

@@ -37,16 +37,13 @@ import numpy as np
 from .complexes import Graph, SimplicialComplex, clique_complex, make_graph
 from .errors import SizeLimitError
 from .gluing import theta_glue
-from .poset import Poset, _block, _blocks, _mix
+from .poset import _GAMMA, _MIX1, _MIX2, Poset, _block, _blocks, _mix
 
 RAND_N_MAX = 12
 _FACE_BYTES = 32  # bytes ``_tally`` holds per face of d1, temporaries included
 # the number of set bits of each mask on up to RAND_N_MAX vertices, indexed by the mask
 _POPCOUNT = np.unpackbits(np.arange(1 << RAND_N_MAX, dtype=">u2").view(np.uint8)).reshape(-1, 16).sum(1, dtype=np.int64)
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:

@@ -108,6 +108,16 @@ def upper_set(poset, v):
     return frozenset(w for w in poset.elements if poset.leq(v, w))
 
 
+def brute_heights(poset):
+    """The length of the longest chain below each element, 0 for a minimal
+    one: elements by lower-set size, each one more than the highest
+    element strictly below it, read off leq rather than the covers."""
+    height = {}
+    for v in sorted(poset.elements, key=lambda v: len(poset.lower_set(v))):
+        height[v] = max((height[u] + 1 for u in poset.lower_set(v) if u != v), default=0)
+    return height
+
+
 def brute_bounds(lower, upper, s, t):
     """The meet and the minimal common upper bounds of s and t, read off
     the lower and upper sets (dicts of frozensets).  The meet is the common

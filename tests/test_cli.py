@@ -72,6 +72,25 @@ def test_check_malformed_json_is_io_error(tmp_path, capsys):
     assert run(["check", "--poset", str(path), "--test", "simplicial"]) == 1
 
 
+def test_check_poset_that_is_not_utf8_is_io_error(tmp_path, capsys):
+    """A UnicodeDecodeError is a ValueError, yet unreadable input exits 1."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    assert run(["check", "--poset", str(path), "--test", "simplicial"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_glue_delta_spec_that_is_not_utf8_is_io_error(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text(boolean_lattice(2).to_json())
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b"\xff{}")
+    out = tmp_path / "out.json"
+    assert run(["glue-delta", "--a", str(a), "--b", str(a), "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {spec}: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
 def test_check_wrong_schema_is_io_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"elements": ["0"]}))

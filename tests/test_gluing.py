@@ -114,13 +114,16 @@ def test_separation_copy_indices_follow_canonical_maximal_order():
     assert L("1@b*c*d") not in sep.separated
 
 
-def test_separation_requires_simplicial(two_points_two_edges):
+@pytest.mark.parametrize(
+    "build", [separation, atom_family, meet_poset, reconstruct_theta_pair], ids=lambda f: f.__name__
+)
+def test_separation_requires_simplicial(build, two_points_two_edges):
     top = L("t")
     elems = [BOT, L("a"), L("b"), L("c"), top]
     covers = [(BOT, L(v)) for v in "abc"] + [(L(v), top) for v in "abc"]
     bad = Poset.from_covers(elems, covers)
-    with pytest.raises(PreconditionError):
-        separation(bad)
+    with pytest.raises(PreconditionError, match=f"^{build.__name__} requires a simplicial poset$"):
+        build(bad)
     assert separation(two_points_two_edges).separated.is_face_poset()
 
 
