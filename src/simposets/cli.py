@@ -27,17 +27,15 @@ from .errors import (
 )
 from .gluing import GluingSpec, delta_glue, theta_glue
 from .ideal import reduce_face_poset_ideal, stanley_poset_ideal
-from .poset import Poset
+from .poset import Poset, _loads
 from .random_model import RandomModelParams, run_batch
 
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except RecursionError:
-            raise FormatError(f"{path}: JSON is nested too deeply") from None
-        except UnicodeDecodeError as exc:  # a ValueError, which would exit 2
+            return _loads(fh.read())
+        except (FormatError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError is a ValueError, which would exit 2
             raise FormatError(f"{path}: {exc}") from None
 
 

@@ -8,12 +8,13 @@ singleton facets, so every vertex of the complex is a face.
 ``_simplex_order(k)`` is the face order of a simplex on k sorted vertices,
 the same for every simplex of that size, the one 4^k kernel, guarded at
 ``BOOLEAN_LATTICE_MAX`` vertices, and the one layout of a simplex's faces:
-a table of their vertex positions.  ``face_poset`` reads each facet's
-vertices at those positions, gives the copies of a face one id by the rank
-of its row and closes the covers with ``_dag``; ``theta_glue`` takes one
-copy per facet as its separation.  Both label faces by their positions
-(``_position_labels``).  ``boolean_lattice(n)`` is the face poset of one
-simplex.
+a table of their vertex positions.  ``_facet_copies`` lays out one copy
+of it per facet, joined at the bottom, with each face's vertex row: the
+separation of the face poset.  ``face_poset`` gives the copies of a face
+one id by the rank of its row and closes the covers with ``_dag``;
+``theta_glue`` glues the copies instead.  Both label faces by their
+positions (``_position_labels``).  ``boolean_lattice(n)`` is the face poset
+of one simplex.
 """
 
 from __future__ import annotations
@@ -38,38 +39,17 @@ class SimplicialComplex:
     def face_poset(self) -> Poset:
         """Faces ordered by inclusion, with the empty face as bottom.
 
-        Built from the facets: the faces and covers of each facet are a copy
-        of the simplex order of its size (``_simplex_order``), taken once
-        per size for all facets of that size.  A face's row holds its
-        vertices, numbered in sorted-name order: the facet's vertices read
-        at the face's row of the position table, so ascending and padded
-        with -1.  The lex rank of its row (``_ranks``) is its place in
-        canonical label order and one id for all its copies.  ``_dag``
-        closes the covers, and its cycle check is the one antisymmetry
-        check; labels are built on first read."""
+        The facet copies (``_facet_copies``) merged: with vertices numbered
+        in sorted-name order, the lex rank of a face's row (``_ranks``) is
+        its place in canonical label order and one id for all its copies.
+        ``_dag`` closes the covers, and its cycle check is the one
+        antisymmetry check; labels are built on first read."""
         names = tuple(sorted(self.vertices))
-        position = {v: j for j, v in enumerate(names)}
-        by_size = {}
-        for f in self.facets:
-            by_size.setdefault(len(f), []).append([position[v] for v in f] + [-1])
-        orders = {k: _simplex_order(k) for k in by_size}  # guarded before rows is allocated
-        # no leq is read, so none is kept while _dag runs
-        orders = {k: (pos, sub_lo, sub_hi) for k, (pos, _, sub_lo, sub_hi) in orders.items()}
-        width = max(by_size, default=1)  # a column for the empty complex's bottom
-        rows = np.full((1 + sum(len(vertex) << k for k, vertex in by_size.items()), width), -1)
-        lo, hi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        start = 1
-        for k, vertex in by_size.items():
-            pos, sub_lo, sub_hi = orders[k]
-            # the facet's vertices at each face's positions; padding -1 picks the -1 at the end
-            rows[start : start + (len(vertex) << k), :k] = np.array(vertex)[:, pos].reshape(-1, k)
-            copy = start + (1 << k) * np.arange(len(vertex))[:, None]
-            lo.append((copy + sub_lo).ravel())
-            hi.append((copy + sub_hi).ravel())
-            start += len(vertex) << k
+        # no simplex matrix is read, so none is kept while _dag runs
+        rows, lo, hi = _facet_copies({v: j for j, v in enumerate(names)}, self.facets)[:3]
         face = _ranks(list(rows.T))
         n = int(face.max()) + 1
-        order = _dag(n, face[np.concatenate(lo)], face[np.concatenate(hi)])
+        order = _dag(n, face[lo], face[hi])
         if order is None or order[3].any():
             raise InvariantError("face covers do not generate a partial order")
         leq, lo, hi, _ = order
@@ -160,7 +140,7 @@ def _simplex_order(k: int):
     ``(pos, leq, lo, hi)``.  Row i of ``pos`` holds the positions of face
     i, ascending and padded with -1 to width k, in lex order of those
     tuples, so the empty face comes first; ``leq`` is the order matrix and
-    ``lo``, ``hi`` are the sorted cover pairs.  On sorted vertex names this
+    ``lo``, ``hi`` are the cover pairs.  On sorted vertex names this
     is canonical label order.
 
     In lex order the faces of {j..k-1} are the empty face, then each face
@@ -195,8 +175,38 @@ def _simplex_order(k: int):
         rows = np.full((2 * h, k - j), -1, dtype=np.intp)
         rows[1 : h + 1, 0], rows[1 : h + 1, 1:], rows[h + 1 :, :-1] = j, pos, pos[1:]
         pos, leq = rows, grown
-    sort = np.lexsort((hi, lo))
-    return pos, leq, lo[sort], hi[sort]
+    return pos, leq, lo, hi
+
+
+def _facet_copies(position: dict, facets):
+    """One copy of the simplex on each facet, joined at the bottom: the
+    separation of the complex's face poset, which ``face_poset`` merges and
+    ``theta_glue`` glues.  Returns ``(rows, lo, hi, copies)``: element 0 is
+    the bottom, then copy i holds the nonempty faces of facet i in
+    ``_simplex_order`` order.  Row j of ``rows`` holds element j's vertices
+    as ``position`` numbers them, read at the face's row of the simplex's
+    position table and padded with -1.  ``lo``, ``hi`` are the covers in
+    ``(lo, hi)`` order; ``copies[i]`` is copy i's first element and the
+    ``_simplex_order`` matrix of its facet's size.  Each simplex order is
+    taken once, before ``rows`` is allocated, and the facets of one size
+    are laid out at once."""
+    size = np.array([len(f) for f in facets], dtype=np.intp)
+    orders = {k: _simplex_order(k) for k in set(size.tolist())}
+    faces = (1 << size) - 1  # the nonempty faces of each copy
+    start = np.cumsum(faces) - faces  # face f > 0 of copy i is element start[i] + f
+    rows = np.full((1 + int(faces.sum()), max(orders, default=1)), -1, dtype=np.intp)
+    lo, hi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for k, (pos, _, sub_lo, sub_hi) in orders.items():
+        which = np.flatnonzero(size == k)
+        base = start[which, None]
+        # padding -1 picks the -1 at the end of each facet's vertex row
+        vertex = np.array([[position[v] for v in facets[i]] + [-1] for i in which.tolist()])
+        rows[base + np.arange(1, 1 << k), :k] = vertex[:, pos[1:]]
+        lo.append(np.where(sub_lo > 0, base + sub_lo, 0).ravel())  # each empty face is the bottom
+        hi.append((base + sub_hi).ravel())
+    key = np.sort(np.concatenate(lo) * len(rows) + np.concatenate(hi))
+    copies = [(s + 1, orders[k][1]) for s, k in zip(start.tolist(), size.tolist())]
+    return rows, key // len(rows), key % len(rows), copies
 
 
 def _position_labels(names: tuple, flat: np.ndarray, size: np.ndarray) -> tuple:

@@ -11,11 +11,11 @@ asserts the result is simplicial again.
 ``delta_glue`` identifies an order ideal of one poset with an isomorphic
 ideal of another, the isomorphism induced by a facet map plus an atom map.
 ``theta_glue`` glues the separation of a complex's face poset along the
-faces it shares with a second complex; it builds that separation straight
-from the complex's facets, one copy of a simplex per facet, with no face
-poset, each copy's vertices read from the simplex's table of positions.
-Both constructors build their disjoint union with the same code as
-``separation``, and both end in ``quotient_by_gluing``.
+faces it shares with a second complex; it takes that separation from the
+facet layout that ``face_poset`` merges (``complexes._facet_copies``), one
+copy of a simplex per facet, so it builds no face poset.  ``delta_glue``
+builds its disjoint union with the same code as ``separation``
+(``_disjoint_union``).  All three gluings end in ``quotient_by_gluing``.
 ``reconstruct_theta_pair`` inverts that construction when the atom family
 is an antichain and the meet poset is a face poset.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _position_labels, _simplex_order, make_complex
+from .complexes import SimplicialComplex, _facet_copies, _position_labels, make_complex
 from .errors import (
     ElementNotFoundError,
     FormatError,
@@ -139,10 +139,9 @@ def _ascending(blocks) -> bool:
     """Whether the copy indices of the blocks, and the member indices of
     each block, are strictly ascending.  Then the union of ``_disjoint_union``
     is antisymmetric: each block is a principal submatrix, on distinct
-    indices, of an antisymmetric matrix (a poset's, or the subset order of
-    a simplex on distinct faces), and blocks share only the bottom.
-    Its elements then also stand in canonical label order: the bottom, then
-    copy index, then base index, which is base label order."""
+    indices, of a poset's antisymmetric matrix, and blocks share only the
+    bottom.  Its elements then also stand in canonical label order: the
+    bottom, then copy index, then base index, which is base label order."""
     copies = [ci for ci, _, _ in blocks]
     return all(a < b for a, b in zip(copies, copies[1:])) and all(
         (np.diff(members) > 0).all() for _, _, members in blocks
@@ -176,11 +175,7 @@ def _disjoint_union(blocks) -> Poset:
     offset = 1
     for _, p, members in blocks:
         m = members.size
-        if m and members[-1] - members[0] == m - 1:  # a range: a view, not a gather
-            piece = p._leq[members[0] : members[0] + m, members[0] : members[0] + m]
-        else:
-            piece = p._leq.take(members, 0).take(members, 1)
-        leq[offset : offset + m, offset : offset + m] = piece
+        leq[offset : offset + m, offset : offset + m] = p._leq.take(members, 0).take(members, 1)
         # Members are closed downward, so a cover into a member starts at
         # another member or at the bottom, which stays at 0.
         at = np.zeros(len(p), dtype=np.intp)
@@ -422,31 +417,25 @@ def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
     return quotient_by_gluing(GluingRelation(union, cls))
 
 
-def _facet_separation(facets, index):
+def _facet_separation(facets, position):
     """The separation of the face poset of the complex with the given
-    facets, in sorted order, built from the facets, with each element's
-    vertex row: the numbers ``index`` gives its vertices, in sorted-name
-    order and padded with -1, so the copies of one face share a row.
-
-    Copy i holds the nonempty faces of the i-th facet, a copy of the
-    ``_simplex_order`` of the facet's size, taken once per size.  Its
-    position table gives each copy's row, and the facet's face labels,
+    facets, in sorted order, and each element's vertex row: the facet
+    copies of ``_facet_copies``, with ``position`` numbering the vertices
+    in sorted-name order, so the copies of one face share a row.  ``leq``
+    is the block-diagonal copy of their simplex orders below one bottom;
+    copy i's faces are labelled ``i@face`` over one recipe of face labels,
     built only when read."""
-    orders, blocks = {}, []
-    for k in {len(f) for f in facets}:  # guarded before rows is allocated
-        pos, leq, lo, hi = _simplex_order(k)
-        orders[k] = pos, leq, lo, hi, pos[pos >= 0], np.count_nonzero(pos >= 0, axis=1)
-    rows = np.full((1 + sum((1 << len(f)) - 1 for f in facets), max(orders, default=0)), -1)
-    start = 1  # the bottom's row stays empty
-    for ci, f in enumerate(facets, start=1):
-        k = len(f)
-        pos, leq, lo, hi, flat, size = orders[k]
-        simplex = Poset(_Lazy(pos.shape[0], _position_labels, f, flat, size), leq, lo, hi)
-        blocks.append((ci, simplex, np.arange(1, pos.shape[0])))
-        # padding -1 picks the -1 at the end of the facet's vertex row
-        rows[start : start + pos.shape[0] - 1, :k] = np.array([index[v] for v in f] + [-1])[pos[1:]]
-        start += pos.shape[0] - 1
-    return _disjoint_union(blocks), rows
+    rows, lo, hi, copies = _facet_copies(position, facets)
+    inside = rows >= 0
+    faces = _Lazy(len(rows), _position_labels, tuple(sorted(position)), rows[inside], inside.sum(axis=1))
+    leq = np.zeros((len(rows), len(rows)), dtype=bool)
+    leq[0] = True
+    blocks = []
+    for ci, (start, simplex) in enumerate(copies, start=1):
+        end = start + len(simplex) - 1
+        leq[start:end, start:end] = simplex[1:, 1:]
+        blocks.append((ci, faces, np.arange(start, end)))
+    return Poset(_Lazy(len(rows), _copy_labels, blocks), leq, lo, hi), rows
 
 
 def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
@@ -460,21 +449,22 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
     No face poset of d1 is built: the separation comes from d1's facets in
     canonical label order, ``sorted(d1.facets)``, one copy of the simplex
     order of each (``_facet_separation``).  Copies of a face are found by
-    their vertex rows, packed 64 vertices to a uint64 word, so d1 may have
-    any number of vertices.  The relation is a class array over the
-    separation, whose labels, like the result's, are built only when read.
+    their vertex rows, numbered in sorted-name order as in ``face_poset``
+    and packed 64 vertices to a uint64 word, so d1 may have any number of
+    vertices.  The relation is a class array over the separation, whose
+    labels, like the result's, are built only when read.
     """
-    index = {v: j for j, v in enumerate(d1.vertices)}
-    sep, vertex = _facet_separation(sorted(d1.facets), index)
+    position = {v: j for j, v in enumerate(sorted(d1.vertices))}
+    sep, vertex = _facet_separation(sorted(d1.facets), position)
     if not sep.is_face_poset():  # as separation checks its output
         raise InvariantError("separation produced a non face poset")
     # pack the rows of the copies, then of d2's facets, 64 vertices to a word
     n = len(sep)
     r, c = np.nonzero(vertex >= 0)
-    pairs = [(g, index[v]) for g, f in enumerate(d2.facets, start=n) for v in f if v in index]
+    pairs = [(g, position[v]) for g, f in enumerate(d2.facets, start=n) for v in f if v in position]
     g, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     r, j = np.concatenate([r, g]), np.concatenate([vertex[r, c], j])
-    rows = np.zeros((n + len(d2.facets), -(-len(index) // 64) or 1), dtype=np.uint64)
+    rows = np.zeros((n + len(d2.facets), -(-len(position) // 64) or 1), dtype=np.uint64)
     np.bitwise_or.at(rows, (r, j >> 6), np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)))
     rows, d2_rows = rows[:n], rows[n:]
     # a face lies in a facet of d2 when none of its vertices lies outside

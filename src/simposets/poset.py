@@ -274,10 +274,10 @@ class Poset:
         freezes the arrays.  The builder vouches for the canonical order; for
         antisymmetry, checked once per matrix by the cycle check of ``_dag``,
         a disjoint union's ascending blocks or the doubling of
-        ``_simplex_order`` (``restrict`` keeps a principal submatrix); and for
-        the cover order: the sorted pairs of ``_dag`` or ``_simplex_order``,
-        a monotone index map, or a disjoint union's block layout.  The test
-        suite checks closure against Warshall's algorithm."""
+        ``_simplex_order`` in ``_facet_copies`` (``restrict`` keeps a principal
+        submatrix); and for the cover order: the sorted pairs of ``_dag`` or
+        ``_facet_copies``, a monotone index map, or a disjoint union's block
+        layout.  The test suite checks closure against Warshall's algorithm."""
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
         key = lo * leq.shape[0] + hi

@@ -167,8 +167,20 @@ def test_gluing_relation_requires_partition():
     b = boolean_lattice(2)
     with pytest.raises(StructureError, match="partition"):
         GluingRelation(base=b, classes=(frozenset([BOT]),))
+    # a class names a label b lacks, so as many members as elements are too few
+    with pytest.raises(StructureError, match="^classes must partition the elements$"):
+        GluingRelation(base=b, classes=(frozenset([L("zz")]), *(frozenset([v]) for v in b.elements[1:])))
     with pytest.raises(StructureError, match="integers"):
         GluingRelation(base=b, classes=np.full(4, np.nan))  # nan != nan: four classes
+
+
+def test_gluing_relation_classes_are_read_by_index():
+    rel = fiber_relation(separation(parse_facet_string("a*b,b*c").face_poset()))
+    # the copies 1@a, 1@a*b, 1@b, 2@b, 2@b*c, 2@c, by least member
+    assert len(rel.classes) == 6
+    assert rel.classes[0] == frozenset([BOT])
+    assert rel.classes[3] == frozenset([L("1@b"), L("2@b")])
+    assert rel.classes[-1] == frozenset([L("2@c")])
 
 
 def test_fiber_relation_of_separation_validates():
@@ -515,6 +527,9 @@ def test_delta_glue_error_codes():
         delta_glue(b, b, fm, cyc)
     assert e.value.code == "incompatible"
     assert str(e.value) == "Assignment of atoms-atoms or facets-facets invalid."
+    assert repr(e.value) == (
+        "InvalidGluingError(code='incompatible', detail='atom sets below x1*x2*x3 and x1*x2*x3 do not correspond')"
+    )
 
 
 def test_delta_glue_incomplete_atom_map_detail_is_sorted():
@@ -741,23 +756,22 @@ def row_vertices(row, vertices):
 def test_facet_separation_matches_the_separation_of_the_face_poset():
     """The separation built from the facets equals the separation of the
     face poset, order matrix included, and each element's vertex row is
-    the vertex set of the face it copies, so the copies of one face, and
-    only they, share a row."""
+    the vertex set of the face it copies, numbered in sorted-name order, so
+    the copies of one face, and only they, share a row."""
     for d1, _ in theta_cases():
         q = d1.face_poset()
         ref = separation(q)
-        index = {v: j for j, v in enumerate(d1.vertices)}
-        sep, rows = gluing._facet_separation(sorted(d1.facets), index)
+        names = sorted(d1.vertices)
+        sep, rows = gluing._facet_separation(sorted(d1.facets), {v: j for j, v in enumerate(names)})
         assert sep == ref.separated
         assert np.array_equal(sep._leq, ref.separated._leq)
         faces = q.elements
         for i, origin in enumerate(ref.origin.tolist()):
-            names = faces[origin].names if i else ()
-            assert set(row_vertices(rows[i], d1.vertices)) == set(names)
-            assert np.count_nonzero(rows[i] >= 0) == len(names)
-            # in sorted-name order, padded at the end
-            assert row_vertices(rows[i], d1.vertices) == list(names)
-            assert (rows[i][len(names) :] == -1).all()
+            face = faces[origin].names if i else ()
+            # ascending positions in sorted-name order, padded at the end
+            assert row_vertices(rows[i], names) == list(face)
+            assert (np.diff(rows[i][: len(face)]) > 0).all()
+            assert (rows[i][len(face) :] == -1).all()
         keys = [r.tobytes() for r in rows]
         assert len(set(zip(keys, ref.origin.tolist()))) == len(set(keys)) == len(set(ref.origin.tolist()))
 

@@ -126,8 +126,8 @@ def test_from_covers_rejects_wrong_types(elements, covers, message):
 
 B3 = boolean_lattice(3)
 # One build per way of making a Poset, with the number of Posets it makes:
-# a gluing chains a disjoint union and a quotient, and theta takes its
-# union from one simplex Poset per facet (two here), with no face poset.
+# a gluing chains a disjoint union and a quotient, and theta lays its
+# union out from the facets, with no face poset and no Poset per facet.
 BUILDS = {
     "boolean_lattice": (1, lambda: boolean_lattice(3)),
     "from_covers": (1, lambda: Poset.from_covers(B3.elements, B3.covers)),
@@ -142,7 +142,7 @@ BUILDS = {
     "delta_glue": (2, lambda: delta_glue(
         B3, B3, {L("x1*x2"): L("x2*x3")}, {L("x1"): L("x2"), L("x2"): L("x3")}
     )),
-    "theta_glue": (4, lambda: theta_glue(
+    "theta_glue": (2, lambda: theta_glue(
         parse_facet_string("a*b*c*x,a*b*c*y"), parse_facet_string("a*b,b*c,a*c")
     )),
     "fiber_quotient": (2, lambda: quotient_by_gluing(fiber_relation(separation(B3)))),
@@ -154,9 +154,9 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
     antisymmetry once: by the Kahn levels of ``_dag``, which reach every
     element only when the pairs have no cycle (a face poset or boolean
     lattice calls it from ``complexes``), by the ascending members of a
-    disjoint union (a theta gluing's separation included), or by the
-    doubling of ``_simplex_order``, whose matrix the simplex Poset of every
-    facet of that size shares.  ``restrict`` makes no check: its matrix is
+    disjoint union, or by the doubling of ``_simplex_order`` inside the
+    facet layout (``_facet_copies``), whose matrices a theta gluing's
+    separation copies below one bottom.  ``restrict`` makes no check: its matrix is
     a principal submatrix of its parent's on ascending indices,
     antisymmetric as the parent's is.  Every Poset is built through
     ``Poset.__init__``."""
@@ -165,7 +165,7 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
         (poset_module, "_dag"),
         (complexes_module, "_dag"),
         (gluing_module, "_ascending"),
-        (gluing_module, "_simplex_order"),
+        (gluing_module, "_facet_copies"),
     )
     for module, name in checks:
         real = getattr(module, name)
@@ -832,6 +832,8 @@ def test_quotient_requires_partition():
         p.quotient([[BOT], [L("a")]])
     with pytest.raises(StructureError, match="partition"):
         p.quotient([[BOT, L("a")], [L("a"), L("b")]])
+    with pytest.raises(StructureError, match="^classes must partition the elements$"):
+        p.quotient([[BOT], [L("a")], [L("zz")]])  # as many members as elements
 
 
 def test_quotient_rejects_a_class_array_that_is_not_integer():
@@ -1229,6 +1231,16 @@ def test_isomorphism_distinguishes_shapes():
     )
     assert not are_isomorphic(chain, fork)
     assert find_isomorphism(chain, fork) is None
+    # element counts differ, then only cover counts: two against one
+    assert find_isomorphism(chain, chain_poset(["a", "b", "c", "d"])) is None
+    vee = Poset.from_covers([BOT, L("a"), L("b")], [(BOT, L("a")), (BOT, L("b"))])
+    assert find_isomorphism(vee, Poset.from_covers([BOT, L("a"), L("b")], [(BOT, L("a"))])) is None
+
+
+def test_a_poset_iterates_and_shows_itself():
+    vee = Poset.from_covers([L("b"), BOT, L("a")], [(BOT, L("a")), (BOT, L("b"))])
+    assert list(vee) == [BOT, L("a"), L("b")]
+    assert repr(vee) == "Poset(3 elements, 2 covers)"
 
 
 def test_isomorphism_rejects_regular_but_different_orders():
