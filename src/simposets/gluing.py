@@ -222,18 +222,14 @@ _CONDITION_1 = (
 )
 
 
-def _related_pairs(cls, k):
+def _related_pairs(cls):
     """Ordered pairs (a, b) of distinct elements in one class, by class,
-    then a, then b; ``cls`` gives each element's class among ``k``."""
+    then a, then b; ``cls`` gives each element's class."""
     order = np.argsort(cls, kind="stable")
-    size = np.bincount(cls, minlength=k)
-    reps = size[cls[order]]  # each element repeated once per member of its class
-    start = np.cumsum(size)[cls[order]] - reps  # where its class begins in order
-    a_pos = np.repeat(np.arange(cls.size), reps)
-    b_pos = np.repeat(start, reps) + np.arange(a_pos.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    a, b = order[a_pos], order[b_pos]
-    keep = a != b
-    return a[keep], b[keep]
+    same = cls[order, None] == cls[order]
+    np.fill_diagonal(same, False)
+    a, b = np.nonzero(same)
+    return order[a], order[b]
 
 
 def _classes_below(base, cls, k):
@@ -290,8 +286,10 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     A class-first pass (``_failing_classes``) finds the classes with a
     violation; only their pairs are then enumerated, so a valid relation
     never reaches the pair loop, which reads condition (2) off the same
-    bit rows of classes below.  Beside those n x k bits, every temporary
-    is O(n) or one block of ``_block`` pairs, each a row of ``leq``.
+    bit rows of classes below.  Beside those n x k bits, the pair list and
+    the f x f class comparison of the f members of failing classes, never
+    larger than ``leq``, every temporary is O(n) or one block of
+    ``_block`` pairs, each a row of ``leq``.
     """
     base = relation.base
     leq = base._leq
@@ -301,7 +299,7 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     cls = relation.class_index
     fail, below = _failing_classes(base, cls, k)
     members = np.flatnonzero(fail[cls])
-    a, b = (members[x] for x in _related_pairs(cls[members], k))
+    a, b = (members[x] for x in _related_pairs(cls[members]))
     if not a.size:
         return GluingCheck(violations=())
     found = []  # (pair, condition, message or element below a) per violation

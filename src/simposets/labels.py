@@ -8,16 +8,34 @@ Four kinds cover everything the library constructs:
   disjoint pieces
 * class labels ``{m1,m2,...}``, produced by quotients
 
-Canonical strings round-trip through :meth:`Label.parse` and labels sort by
-a structural key, so every listing in the package is deterministic.
+Canonical strings round-trip through :meth:`Label.parse`, and labels sort
+by one flat key, a tuple of ints and strings, so every listing in the
+package is deterministic.  The keys are:
+
+* the bottom ``0``: ``(0,)``
+* an atom set: ``(1, *names, "")``
+* a copy ``i@L``: ``(2, i, *L.key)``
+* a class: ``(3, *M1.key, ..., *Mk.key, -1)``
+
+Their order is that of the nested keys ``(0,)``, ``(1, names)``,
+``(2, i, key(L))`` and ``(3, (key(M1), ..., key(Mk)))``.  Two different
+flat keys first differ at some token, since a key ends only where its
+grammar does, so neither is a prefix of the other.  Up to that token they
+agree, so both tokens stand at the same place in this grammar.  There,
+either both are of one type (names, copy indices or kind tags), or one of
+them ends that place: ``""`` after the names, ``-1`` after the members,
+and a terminator sorts below anything else that can stand there.  So the flat order and equality are exactly
+the nested ones, and no comparison, hash or pickle recurses.
 
 A document's labels go through one ``reader()``, which parses each distinct
 label or sub-label text once and remembers it with its height.  One loop
 reads every text top down, a node at a time, with an explicit stack of the
 classes and copy prefixes still open, so no Python frame is spent per
 level.  At most ``LABEL_DEPTH_MAX`` nested braces and copy prefixes are
-accepted, wherever a remembered text is met again.  ``Label.parse`` reads
-one text with a reader of its own.
+accepted, wherever a remembered text is met again and at any depth of the
+caller's stack.  The cap guards no recursion: it bounds key building.
+Keys share no sub-tuples, so a chain of d copy prefixes builds about d²/2
+tokens.  ``Label.parse`` reads one text with a reader of its own.
 """
 
 from __future__ import annotations
@@ -47,14 +65,12 @@ def valid_vertex_name(name) -> bool:
 
 @total_ordering
 class Label:
-    __slots__ = ("kind", "value", "key", "_text", "_hash")
+    __slots__ = ("key", "_text", "_hash")
 
-    def __init__(self, kind, value, key, text):
-        self.kind = kind
-        self.value = value
+    def __init__(self, key, text):
         self.key = key
         self._text = text
-        # keys are immutable nested tuples: hash once, not on every lookup
+        # keys are immutable flat tuples: hash once, not on every lookup
         self._hash = hash(key)
 
     @classmethod
@@ -63,6 +79,10 @@ class Label:
 
     @classmethod
     def atom_set(cls, names) -> "Label":
+        names = tuple(names)
+        for n in names:
+            if not isinstance(n, str):
+                raise FormatError(f"invalid vertex name: {n!r}")
         names = tuple(sorted(names))
         if not names:
             raise FormatError("atom-set label needs at least one vertex name")
@@ -77,7 +97,7 @@ class Label:
     def _atoms(cls, names: tuple) -> "Label":
         """Atom-set label from a nonempty sorted tuple of distinct valid
         vertex names; the caller vouches for all three."""
-        return cls(ATOMS, names, (ATOMS, names), "*".join(names))
+        return cls((ATOMS, *names, ""), "*".join(names))  # "" sorts below any name
 
     @classmethod
     def copy(cls, index: int, base: "Label") -> "Label":
@@ -91,26 +111,30 @@ class Label:
     def _copy(cls, index: int, base: "Label") -> "Label":
         """Copy label from a nonnegative int and a Label; the caller
         vouches for both."""
-        return cls(COPY, (index, base), (COPY, index, base.key), f"{index}@{base._text}")
+        return cls((COPY, index, *base.key), f"{index}@{base._text}")
 
     @classmethod
     def class_of(cls, members) -> "Label":
+        members = tuple(members)
+        for m in members:
+            if not isinstance(m, Label):
+                raise FormatError("class label members must be Labels")
         members = tuple(sorted(members))
         if not members:
             raise FormatError("class label needs at least one member")
         if len(set(members)) != len(members):
             raise FormatError("repeated member in class label")
-        for m in members:
-            if not isinstance(m, Label):
-                raise FormatError("class label members must be Labels")
         return cls._class(members)
 
     @classmethod
     def _class(cls, members: tuple) -> "Label":
         """Class label from a nonempty sorted tuple of distinct Labels; the
         caller vouches for all three."""
-        key = (CLASS, tuple([m.key for m in members]))
-        return cls(CLASS, members, key, "{" + ",".join([m._text for m in members]) + "}")
+        key = [CLASS]
+        for m in members:
+            key += m.key
+        key.append(-1)  # sorts below any kind tag
+        return cls(tuple(key), "{" + ",".join([m._text for m in members]) + "}")
 
     @classmethod
     def parse(cls, text: str) -> "Label":
@@ -122,14 +146,13 @@ class Label:
     @property
     def names(self):
         """Vertex names of an atom-set label."""
-        if self.kind != ATOMS:
+        if self.key[0] != ATOMS:
             raise FormatError(f"label {self} carries no vertex names")
-        return self.value
+        return self.key[1:-1]
 
     def single_vertex_name(self):
-        if self.kind == ATOMS and len(self.value) == 1:
-            return self.value[0]
-        return None
+        key = self.key
+        return key[1] if key[0] == ATOMS and len(key) == 3 else None
 
     def __str__(self):
         return self._text
@@ -150,10 +173,10 @@ class Label:
 
     def __reduce__(self):
         # string hashes differ between processes, so unpickling hashes anew
-        return (Label, (self.kind, self.value, self.key, self._text))
+        return (Label, (self.key, self._text))
 
 
-_BOTTOM_LABEL = Label(BOTTOM, None, (BOTTOM,), "0")
+_BOTTOM_LABEL = Label((BOTTOM,), "0")
 
 
 def reader():
@@ -173,10 +196,7 @@ def reader():
 def _read(memo: dict, text) -> Label:
     if not isinstance(text, str) or not text:
         raise FormatError(f"cannot parse label from {text!r}")
-    done = memo.get(text)
-    if done is None:
-        done = _parse(memo, text)
-    return done[0]
+    return (memo.get(text) or _parse(memo, text))[0]
 
 
 def _atom_set(text: str) -> Label:
@@ -191,12 +211,9 @@ def _class(memo: dict, s: str, members: list, height: int) -> tuple:
     lists in strictly increasing key order unless it repeats one or is
     unsorted; ``class_of`` then sorts them or rejects the repeat."""
     keys = [m.key for m in members]
-    if all(map(lt, keys, keys[1:])):
-        label = Label._class(tuple(members))
-    else:
-        label = Label.class_of(members)
-    done = memo[s] = (label, height)
-    return done
+    in_order = all(map(lt, keys, keys[1:]))
+    memo[s] = (Label._class(tuple(members)) if in_order else Label.class_of(members), height)
+    return memo[s]
 
 
 def _scan(text: str):

@@ -9,12 +9,15 @@ lower and upper sets of each pair.  ``oracle_parse`` reads labels part by
 part, re-scanning each class, ``oracle_from_json_dict`` reads a poset
 document one string at a time, and ``oracle_theta_glue`` glues by labels
 and face sets: they are the references for the document parser and the
-index-array gluing.  ``oracle_atom_family``, ``oracle_meet_poset`` and
-``oracle_reconstruct_theta_pair`` are the label-based reconstruction the
-index-array one replaced: maxima sorted as labels, supports looked up label
-by label, and the meet poset restricted to a list of labels.
-``theta_tally`` is the per-sample count of a theta gluing's elements and
-face-poset test that the block-wide tally of ``run_batch`` replaced.
+index-array gluing.  ``nested_key`` gives a label's place in the
+canonical order as a nested tuple, read from its text with no ``Label``:
+the reference for the flat ``Label.key``.  ``oracle_atom_family``,
+``oracle_meet_poset`` and ``oracle_reconstruct_theta_pair`` are the
+label-based reconstruction the index-array one replaced: maxima sorted
+as labels, supports looked up label by label, and the meet poset
+restricted to a list of labels.  ``theta_tally`` is the per-sample
+count of a theta gluing's elements and face-poset test that the
+block-wide tally of ``run_batch`` replaced.
 """
 
 import json
@@ -292,6 +295,9 @@ def is_order_isomorphism(p, q, mapping):
     return all({mapping[u] for u in p.lower_set(v)} == q.lower_set(mapping[v]) for v in p.elements)
 
 
+_COPY_RE = re.compile(r"(\d+)@(.+)", re.DOTALL)
+
+
 def oracle_parse(text):
     """A label from its text by the grammar read top down: ``0``, then a
     class ``{...}`` split at its top-level commas, then a copy
@@ -309,25 +315,8 @@ def _oracle_parse(text):
     if text == "0":
         return Label.bottom()
     if text.startswith("{"):
-        if not text.endswith("}") or len(text) < 3:
-            raise FormatError(f"malformed class label: {text!r}")
-        inner = text[1:-1]
-        parts, depth, start = [], 0, 0
-        for i, ch in enumerate(inner):
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth < 0:
-                    raise FormatError(f"unbalanced braces in label: {text!r}")
-            elif ch == "," and depth == 0:
-                parts.append(inner[start:i])
-                start = i + 1
-        if depth != 0:
-            raise FormatError(f"unbalanced braces in label: {text!r}")
-        parts.append(inner[start:])
-        return Label.class_of(_oracle_parse(p) for p in parts)
-    m = re.fullmatch(r"(\d+)@(.+)", text, re.DOTALL)
+        return Label.class_of(_oracle_parse(p) for p in _class_parts(text))
+    m = _COPY_RE.fullmatch(text)
     if m:
         try:
             index = int(m.group(1))
@@ -341,6 +330,45 @@ def _oracle_parse(text):
         if not oracle_vertex_name(name):
             raise FormatError(f"invalid vertex name: {name!r}")
     return Label._atoms(names)
+
+
+def _class_parts(text):
+    """The member texts of the class text ``{...}``, split at its
+    top-level commas."""
+    if not text.endswith("}") or len(text) < 3:
+        raise FormatError(f"malformed class label: {text!r}")
+    inner = text[1:-1]
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(inner):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth < 0:
+                raise FormatError(f"unbalanced braces in label: {text!r}")
+        elif ch == "," and depth == 0:
+            parts.append(inner[start:i])
+            start = i + 1
+    if depth != 0:
+        raise FormatError(f"unbalanced braces in label: {text!r}")
+    parts.append(inner[start:])
+    return parts
+
+
+def nested_key(text):
+    """The nested key of the label written ``text``, which must parse, from
+    the text grammar alone: ``(0,)``, ``(1, sorted names)``,
+    ``(2, i, nested_key(base))`` and ``(3, sorted member keys)``.  Python's
+    tuple order on these is the canonical label order, which the flat
+    ``Label.key`` must reproduce."""
+    if text == "0":
+        return (0,)
+    if text.startswith("{"):
+        return (3, tuple(sorted(nested_key(p) for p in _class_parts(text))))
+    m = _COPY_RE.fullmatch(text)
+    if m:
+        return (2, int(m.group(1)), nested_key(m.group(2)))
+    return (1, tuple(sorted(text.split("*"))))
 
 
 def oracle_from_json_dict(obj):
@@ -383,8 +411,8 @@ def oracle_theta_glue(d1, d2):
         if lab == Label.bottom():
             singles.append(lab)
             continue
-        base = lab.value[1]
-        if frozenset(base.names) in shared:
+        base = str(lab).split("@", 1)[1]  # an atom set: a face of d1
+        if frozenset(base.split("*")) in shared:
             groups.setdefault(base, []).append(lab)
         else:
             singles.append(lab)

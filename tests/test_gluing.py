@@ -42,13 +42,14 @@ from simposets import (
     validate_gluing,
 )
 from simposets import gluing
-from simposets.labels import ATOMS, CLASS, COPY, Label
+from simposets.labels import ATOMS, BOTTOM, CLASS, COPY, Label
 from simposets.poset import _BLOCK_CELLS, _Lazy
 
 from conftest import random_complex
 from oracles import (
     brute_covers,
     brute_gluing_violations,
+    nested_key,
     oracle_atom_family,
     oracle_meet_poset,
     oracle_reconstruct_theta_pair,
@@ -217,6 +218,14 @@ def test_validate_rejects_comparable_pair():
         (1, ("a", "a*b"), UPPER_BOUND),
         (2, ("a*b", "a"), "b below a*b is related to nothing below a"),
     ]
+
+
+def test_a_gluing_check_is_true_exactly_when_valid():
+    p = parse_facet_string("a*b*c,b*c*d").face_poset()
+    assert bool(validate_gluing(fiber_relation(separation(p)))) is True
+    pair = {L("a"), L("a*b")}
+    classes = [frozenset(pair)] + [frozenset([e]) for e in p.elements if e not in pair]
+    assert bool(validate_gluing(GluingRelation(base=p, classes=tuple(classes)))) is False
 
 
 def test_validate_rejects_rank_mismatch():
@@ -689,9 +698,10 @@ def test_theta_glue_never_duplicates_atoms(d1, d2):
 def test_theta_classes_stay_inside_fibers(d1, d2):
     p = theta_glue(d1, d2)
     for e in p.elements:
-        if e.kind != CLASS:
+        key = nested_key(str(e))
+        if key[0] != CLASS:
             continue
-        bases = {m.value[1] for m in e.value if m != BOT}
+        bases = {m[2] for m in key[1] if m != (BOTTOM,)}  # copies (2, i, base) and the bottom
         assert len(bases) <= 1
 
 
@@ -841,16 +851,16 @@ def test_a_sample_builds_no_copy_or_class_label(monkeypatch):
     kinds = Counter()
     init = Label.__init__
 
-    def counted(self, kind, *args):
-        kinds[kind] += 1
-        init(self, kind, *args)
+    def counted(self, key, *args):
+        kinds[key[0]] += 1
+        init(self, key, *args)
 
     monkeypatch.setattr(Label, "__init__", counted)
     for seed in range(3):
         p = rand_simplicial_poset(RandomModelParams(n=9, p1=0.8, p2=0.8, seed=seed))
         p.is_face_poset()
     assert not kinds
-    assert p.elements[-1].kind == CLASS  # reading them builds them
+    assert p.elements[-1].key[0] == CLASS  # reading them builds them
     assert kinds[ATOMS] > 0 and kinds[COPY] > 0 and kinds[CLASS] > 0
 
 

@@ -247,6 +247,7 @@ def test_generators_read_like_the_tuple_of_records():
     assert tuple(gens) == want and list(iter(gens)) == list(want)
     assert gens == want and want == gens
     assert gens != want[:-1] and want[:-1] != gens
+    assert (gens == list(want)) is False and gens != list(want)  # only tuples compare equal
     assert hash(gens) == hash(want)
     again = stanley_poset_ideal(p)
     assert again == pres and again.generators == gens and hash(again) == hash(pres)

@@ -19,9 +19,9 @@ from simposets import (
     rand_simplicial_poset,
     separation,
 )
-from simposets.labels import LABEL_DEPTH_MAX, Label, reader, valid_vertex_name
+from simposets.labels import ATOMS, BOTTOM, CLASS, COPY, LABEL_DEPTH_MAX, Label, reader, valid_vertex_name
 
-from oracles import oracle_parse, oracle_vertex_name
+from oracles import nested_key, oracle_parse, oracle_vertex_name
 
 names = st.text(alphabet="abcdefgh123", min_size=1, max_size=3).filter(
     lambda s: s != "0"
@@ -88,10 +88,30 @@ def test_class_members_sorted_and_unique():
         Label.class_of([])
 
 
+@pytest.mark.parametrize("names", [["a", 5], [5, "a"], ["b", "a", None], ["a", "a", 5]])
+def test_atom_set_rejects_a_name_that_is_not_a_string_before_sorting(names):
+    bad = next(n for n in names if not isinstance(n, str))
+    with pytest.raises(FormatError, match=re.escape(f"invalid vertex name: {bad!r}")):
+        Label.atom_set(names)
+
+
+@pytest.mark.parametrize("other", [5, "a", None])
+def test_class_of_rejects_a_member_that_is_not_a_label_before_sorting(other):
+    a = Label.parse("a")
+    for members in ([a, other], [other, a], [Label.bottom(), a, a, other]):
+        with pytest.raises(FormatError, match="class label members must be Labels"):
+            Label.class_of(members)
+
+
 def test_parse_examples():
     assert Label.parse("a*b").names == ("a", "b")
     lab = Label.parse("1@2@x")
-    assert lab.kind == 2 and lab.value[0] == 1
+    assert lab == Label.copy(1, Label.copy(2, Label.atom_set(["x"])))
+    assert lab.key == (COPY, 1, COPY, 2, ATOMS, "x", "")
+    assert Label.parse("{0,a*b}").key == (CLASS, BOTTOM, ATOMS, "a", "b", "", -1)
+    # a list that is a prefix of another sorts first: the terminators sort lowest
+    assert Label.parse("a") < Label.parse("a*b") < Label.parse("b")
+    assert Label.parse("{a}") < Label.parse("{a,b}") < Label.parse("{b}")
     assert str(Label.parse("{0,a,{b,c}}")) == "{0,a,{b,c}}"
 
 
@@ -136,6 +156,24 @@ def test_nesting_cap_is_explicit():
         assert str(nested(down, ok)) == ok
         with pytest.raises(FormatError, match="label is nested too deeply"):
             Label.parse(nest(LABEL_DEPTH_MAX + 1, wraps))
+
+
+def test_deep_labels_compare_hash_and_pickle_without_recursion():
+    """Labels 198 copy prefixes deep lie within LABEL_DEPTH_MAX, and so does
+    a class of two of them.  Comparing, sorting, pickling and parsing them
+    50 frames short of the recursion limit spends no frame per level."""
+    x, y = Label.parse("1@" * 198 + "a"), Label.parse("1@" * 198 + "b")
+
+    def nested(frames):
+        if frames:
+            return nested(frames - 1)
+        again = pickle.loads(pickle.dumps(x))
+        return x < y, x == Label.parse(str(x)), sorted([y, x]), again, Label.parse(f"{{{x},{y}}}")
+
+    less, same, order, again, pair = nested(sys.getrecursionlimit() - 50 - stack_depth())
+    assert less and same and order[0] is x and order[1] is y
+    assert again.key == x.key and str(again) == str(x) and hash(again) == hash(x)
+    assert str(pair) == f"{{{x},{y}}}" and pair.key == (CLASS, *x.key, *y.key, -1)
 
 
 BRACED = nest(150, ["{{{}}}", "1@{}"])
@@ -186,11 +224,9 @@ def _outcome(parse, text):
     return "label", str(label), label.key
 
 
-def test_parse_matches_the_oracle_on_mutated_strings():
-    """Accept/reject and the message of every FormatError agree with the
-    reference parser on random edits of real labels, read one at a time
-    and as documents: runs of labels through one reader, whose memo of
-    sub-labels carries from each label to the next."""
+def mutated_label_texts():
+    """Real labels, and 6000 random edits of them with the generator that
+    made the edits: ``(corpus, texts, rng)``."""
     q = rand_simplicial_poset(RandomModelParams(n=7, p1=0.7, p2=0.5, seed=3))
     corpus = [str(e) for e in q.elements]
     corpus += [str(e) for e in quotient_by_gluing(fiber_relation(separation(q))).elements[:20]]
@@ -212,6 +248,15 @@ def test_parse_matches_the_oracle_on_mutated_strings():
             elif text:
                 text = text[:at] + rng.choice(alphabet) + text[at + 1 :]
         texts.append(text)
+    return corpus, texts, rng
+
+
+def test_parse_matches_the_oracle_on_mutated_strings():
+    """Accept/reject and the message of every FormatError agree with the
+    reference parser on random edits of real labels, read one at a time
+    and as documents: runs of labels through one reader, whose memo of
+    sub-labels carries from each label to the next."""
+    corpus, texts, rng = mutated_label_texts()
     expected = [_outcome(oracle_parse, text) for text in texts]
     assert [_outcome(Label.parse, text) for text in texts] == expected
     at = 0
@@ -224,6 +269,55 @@ def test_parse_matches_the_oracle_on_mutated_strings():
         at += size
     assert sum(e[0] == "label" for e in expected) > 500  # both branches are exercised
     assert any(e[1].startswith("copy index has too many digits") for e in expected)
+
+
+def is_flat(key):
+    return type(key) is tuple and all(type(t) in (int, str) for t in key)
+
+
+def agree_with_nested_keys(a, b):
+    """``<`` and ``==`` of two (label, text) pairs are those of the nested
+    keys of their texts."""
+    (a, ka), (b, kb) = ((lab, nested_key(text)) for lab, text in (a, b))
+    return (a < b) == (ka < kb) and (b < a) == (kb < ka) and (a == b) == (ka == kb)
+
+
+def test_flat_keys_agree_with_the_nested_oracle_on_mutated_strings():
+    """Every label the mutated-string corpus parses to has a flat key, and
+    sorting by it, neighbour by neighbour and on random pairs, agrees with
+    the nested keys read from the texts as written."""
+    corpus, texts, rng = mutated_label_texts()
+    parsed = []
+    for text in corpus + texts:
+        try:
+            parsed.append((Label.parse(text), text))
+        except FormatError:
+            pass
+    assert len(parsed) > 500 and all(is_flat(lab.key) for lab, _ in parsed)
+    by_flat = sorted(parsed, key=lambda pair: pair[0])
+    by_nested = sorted(parsed, key=lambda pair: nested_key(pair[1]))
+    assert [str(lab) for lab, _ in by_flat] == [str(lab) for lab, _ in by_nested]
+    assert all(agree_with_nested_keys(a, b) for a, b in zip(by_flat, by_flat[1:]))
+    assert all(agree_with_nested_keys(*rng.sample(parsed, 2)) for _ in range(3000))
+
+
+@given(labels, labels)
+def test_flat_keys_agree_with_the_nested_oracle(a, b):
+    """Also below a shared copy prefix and beside a shared class member,
+    where a terminator meets a token of the other key."""
+    assert is_flat(a.key) and is_flat(b.key)
+    pairs = [(a, b), (Label.copy(7, a), Label.copy(7, b))]
+    c = Label.parse("{0,0@0}")
+    if c not in (a, b):
+        pairs.append((Label.class_of([c, a]), Label.class_of([c, b])))
+    for x, y in pairs:
+        assert agree_with_nested_keys((x, str(x)), (y, str(y)))
+
+
+def test_a_label_compares_only_with_labels():
+    with pytest.raises(TypeError):
+        Label.parse("a") < 1  # noqa: B015
+    assert Label.parse("a") != "a"
 
 
 def test_bottom_sorts_first():

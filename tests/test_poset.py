@@ -6,6 +6,7 @@ import random
 import re
 import time
 import tracemalloc
+from operator import lt
 from unittest import mock
 
 import numpy as np
@@ -39,7 +40,7 @@ from simposets import (
     theta_glue,
     validate_gluing,
 )
-from simposets.labels import ATOMS, CLASS, COPY, Label, valid_vertex_name
+from simposets.labels import ATOMS, BOTTOM, CLASS, COPY, Label, valid_vertex_name
 
 from conftest import random_complex
 from oracles import (
@@ -52,6 +53,7 @@ from oracles import (
     brute_quotient,
     is_order_isomorphism,
     minimal_elements,
+    nested_key,
     oracle_face_poset,
     oracle_from_json_dict,
     powerset,
@@ -1007,16 +1009,15 @@ def test_to_json_writes_what_json_dumps_writes(c):
     assert written[-1].to_json() == '{\n  "vertices": [],\n  "facets": []\n}\n'
 
 
-def respell(label):
-    """Another text of the same label: names and members in reverse, and
-    copy indices with a leading zero."""
-    if label.kind == ATOMS:
-        return "*".join(reversed(label.names))
-    if label.kind == COPY:
-        index, base = label.value
-        return f"0{index}@{respell(base)}"
-    if label.kind == CLASS:
-        return "{" + ",".join(respell(m) for m in reversed(label.value)) + "}"
+def respell(key):
+    """Another text of the label with the nested key ``key``: names and
+    members in reverse, and copy indices with a leading zero."""
+    if key[0] == ATOMS:
+        return "*".join(reversed(key[1]))
+    if key[0] == COPY:
+        return f"0{key[1]}@{respell(key[2])}"
+    if key[0] == CLASS:
+        return "{" + ",".join(respell(m) for m in reversed(key[1])) + "}"
     return "0"
 
 
@@ -1046,7 +1047,7 @@ def _mutate(rng, els, covs):
     labels = {}
     for e in els + [x for c in covs if isinstance(c, list) for x in c]:
         if isinstance(e, str) and e not in labels and _loaded(Label.parse, e)[0] == "poset":
-            labels[e] = Label.parse(e)
+            labels[e] = nested_key(e)
     known = lambda x: isinstance(x, str) and x in labels  # noqa: E731
     strings = [e for e in els if known(e)] or ["0"]
     k = rng.randrange(len(els)) if els else 0
@@ -1062,7 +1063,7 @@ def _mutate(rng, els, covs):
         els[k] = respell(labels[els[k]])
     elif kind == 3:  # two spellings of one label among the elements
         e = rng.choice(strings)
-        els.insert(rng.randint(0, len(els)), respell(labels.get(e, BOT)))
+        els.insert(rng.randint(0, len(els)), respell(labels.get(e, (BOTTOM,))))
     elif kind == 4 and cover and known(cover[side]):  # a respelled cover end
         cover[side] = respell(labels[cover[side]])
     elif kind == 5 and cover and isinstance(cover[side], str):  # a broken label in a cover
@@ -1115,6 +1116,9 @@ def test_from_json_matches_the_oracle_on_mutated_documents():
         obj = {"elements": els, "covers": covs}
         outcome = _loaded(Poset.from_json_dict, obj)
         assert outcome == _loaded(oracle_from_json_dict, obj), obj
+        if outcome[0] == "poset":  # the flat keys put the elements in nested-key order
+            keys = [nested_key(str(e)) for e in Poset.from_json_dict(obj).elements]
+            assert all(map(lt, keys, keys[1:])), obj
         seen[outcome[0]] = seen.get(outcome[0], 0) + 1
     assert min(seen.values()) > 40 and len(seen) == 4, seen
 
