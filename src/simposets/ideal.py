@@ -4,14 +4,15 @@
 variable per non-bottom element and one generator per incomparable pair.
 A pair with no common upper bound contributes the plain product; otherwise
 the product is corrected by the meet times the sum over minimal upper
-bounds, with the bottom variable read as 1.  The meets and minimal upper
-bounds come a block of pairs at a time from ``Poset._bounds``, the kernel
-that ``Poset.meet`` and ``Poset.minimal_upper_bounds`` run on one pair.
+bounds, with the bottom variable read as 1.  ``_pair_blocks`` alone writes
+those terms, a block of pairs at a time, from ``Poset._bounds``, the
+kernel that ``Poset.meet`` and ``Poset.minimal_upper_bounds`` run on one
+pair.
 
 On a face poset every variable can be replaced by the product of its atoms;
-``reduce_face_poset_ideal`` performs that substitution, checks each
-generator collapses to zero or to a single monomial, and returns the
-minimal monomial generating set.  For the complex itself,
+``reduce_face_poset_ideal`` substitutes the presentation's own terms, block
+by block, checks each generator collapses to zero or to a single monomial,
+and returns the minimal monomial generating set.  For the complex itself,
 ``stanley_reisner_ideal`` lists the minimal non-faces directly, which gives
 an independent route to the same ideal.  Both return a ``MonomialIdeal``,
 whose generators are exponent rows, one entry per variable, in graded
@@ -155,76 +156,64 @@ class MonomialIdeal:
 
 def _pair_blocks(p: Poset):
     """The incomparable pairs of a simplicial poset and, a block at a time,
-    the meets and minimal common upper bounds of those with an upper bound.
+    the generator terms of those with a common upper bound.
 
-    Returns ``(pi, pj, blocks)``.  ``pi``, ``pj`` are the pairs in row-major
-    order, which is the order of ``combinations(variables, 2)``: the bottom
-    is comparable to everything, so it is in no pair.  ``blocks`` yields
-    ``(rows, i, j, meet, owner, ub)`` for a block of pairs with a common
-    upper bound, ``_block`` of them, each a row of ``leq``: their positions
-    in ``pi``, their two elements, and ``Poset._bounds`` of them: their
-    meets, and one ``(owner, ub)`` entry per minimal common upper bound
-    ``ub`` of pair ``owner`` of the block.
-
-    Two elements have a common upper bound iff they have a common maximal
-    one.
+    Returns ``(a, b, blocks)``: ``a < b``, the variables of the pairs in
+    row-major order, which is the order of ``combinations(variables, 2)``
+    (the bottom is comparable to everything, so it is in no pair).
+    ``blocks`` yields ``(gen, lo, hi, sign)`` for a block of pairs with a
+    common upper bound, ``_block`` of them, each a row of ``leq``: per term,
+    its pair's position in ``a``, its two variables (``hi`` -1 for degree
+    1) and its sign.  A pair's terms are its product, then -meet*z for each
+    minimal common upper bound z, or -z when the meet is the bottom, which
+    reads as 1.
     """
     leq, prof = p._leq, p._profile()
+    n, bot = len(p), p._bottom_index()
+    var_of = np.concatenate([np.arange(bot), [-1], np.arange(bot, n - 1)])  # the bottom's is -1
     pi, pj = np.nonzero(np.triu(~(leq | leq.T), 1))
-    # a common maximal element, from one float32 product over the maxima
+    # a common upper bound iff a common maximal element: one float32 product over the maxima
     f = leq[:, prof.maxima].astype(np.float32)
     with_upper = np.flatnonzero(((f @ f.T) > 0)[pi, pj])
+    a, b = var_of[pi], var_of[pj]  # the blocks keep these, not pi and pj
     geq = np.ascontiguousarray(leq.T)
 
     def blocks():
-        step = _block(len(p))
+        step = _block(n)
         for start in range(0, with_upper.size, step):
-            rows = with_upper[start : start + step]
-            i, j = pi[rows], pj[rows]
-            yield rows, i, j, *p._bounds(i, j, geq)
+            gen = with_upper[start : start + step]
+            x, y = a[gen], b[gen]
+            meet, owner, ub = p._bounds(x + (x >= bot), y + (y >= bot), geq)  # elements skip the bottom
+            m, z = var_of[meet][owner], var_of[ub]
+            lo = np.concatenate([x, np.where(m < 0, z, np.minimum(m, z))])
+            hi = np.concatenate([y, np.where(m < 0, -1, np.maximum(m, z))])
+            yield np.concatenate([gen, gen[owner]]), lo, hi, np.repeat([1, -1], [gen.size, owner.size])
 
-    return pi, pj, blocks()
+    return a, b, blocks()
 
 
 def stanley_poset_ideal(p: Poset) -> IdealPresentation:
     """One generator per unordered incomparable pair of non-bottom elements.
 
-    The pairs, meets and minimal common upper bounds come from
-    ``_pair_blocks``, so no per-pair query runs, and every block is
-    consumed here, so a failed meet check raises from this call.  Every
-    pair starts as its plain product; the terms of the pairs with a common
-    upper bound are laid out a block at a time, in an order from one
-    ``np.lexsort``, as the compressed rows of the returned generators.  No
-    generator record is built.
+    The pairs and their terms come from ``_pair_blocks``, so no per-pair
+    query runs, and every block is consumed here, so a failed meet check
+    raises from this call.  The terms are stacked and laid out, in an order
+    from one ``np.lexsort``, as the compressed rows of the returned
+    generators; the other pairs are their plain products.  No generator
+    record is built.
     """
     if not p.is_simplicial():
         raise PreconditionError("stanley_poset_ideal requires a simplicial poset")
-    b, el = p._bottom_index(), p.elements
-    variables = el[:b] + el[b + 1 :]
-    n = len(el)
-    # variable index of each element, -1 for the bottom
-    var_of = np.arange(n) - (np.arange(n) > b)
-    var_of[b] = -1
-    pi, pj, blocks = _pair_blocks(p)
-    empty = np.zeros(0, dtype=var_of.dtype)
-    parts = [(empty,) * 5]
-    for block, i, j, meet, owner, ub in blocks:
-        # the product, then -meet*z for each bound z, or -z when the meet is
-        # the bottom, which reads as 1
-        m, z = var_of[meet][owner], var_of[ub]
-        at_bot = m < 0
-        key = np.concatenate([np.arange(block.size), owner])
-        lo = np.concatenate([var_of[i], np.where(at_bot, z, np.minimum(m, z))])
-        hi = np.concatenate([var_of[j], np.where(at_bot, -1, np.maximum(m, z))])
-        sign = np.repeat([1, -1], [block.size, owner.size])
-        # graded order: degree descending, then lexicographic
-        order = np.lexsort((hi, lo, hi < 0, key))
-        counts = np.bincount(owner, minlength=block.size) + 1
-        parts.append((block, counts, lo[order], hi[order], sign[order]))
-    rows, counts, lo, hi, sign = (np.concatenate(column) for column in zip(*parts))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    generators = _Generators(var_of[pi], var_of[pj], rows, offsets, lo, hi, sign)
-    return IdealPresentation(variables=variables, generators=generators)
+    bot, el = p._bottom_index(), p.elements
+    a, b, blocks = _pair_blocks(p)
+    gen, lo, hi, sign = map(np.concatenate, zip((a[:0],) * 4, *blocks))  # empty first, for no block
+    # graded order: degree descending, then lexicographic
+    order = np.lexsort((hi, lo, hi < 0, gen))
+    # where each generator's terms start, then where the last one's end
+    edges = np.concatenate([[-1], gen[order], [a.size]])
+    offsets = np.flatnonzero(edges[1:] != edges[:-1])
+    generators = _Generators(a, b, edges[offsets[:-1] + 1], offsets, lo[order], hi[order], sign[order])
+    return IdealPresentation(variables=el[:bot] + el[bot + 1 :], generators=generators)
 
 
 def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:
@@ -240,34 +229,31 @@ def reduce_face_poset_ideal(p: Poset) -> MonomialIdeal:
 
     Works on face posets only.  Every generator must collapse to zero or a
     single monomial under the substitution; anything else signals a bug in
-    the face-poset check.  The generators are not built: the image of each
-    term is an exponent row, the sum of the atom-support rows of its
-    variables, computed on the arrays of ``_pair_blocks``.
+    the face-poset check.  No generator is built: the image of each term of
+    ``_pair_blocks`` is the sum of its variables' atom-support rows.
     """
     if not p.is_face_poset():
         raise PreconditionError("reduce_face_poset_ideal requires a face poset")
     prof = p._profile()
     names = [str(p.elements[a]) for a in prof.atoms.tolist()]
     universe = tuple(sorted(names))
-    # the atom support of each element as an exponent row over the universe
+    # the variables' atom supports as exponent rows, then the bottom's zero row for hi = -1
     supp = np.zeros((len(p.elements), len(universe)), dtype=np.int8)
-    supp[:, [universe.index(name) for name in names]] = prof.supp.T
-    pi, pj, blocks = _pair_blocks(p)
-    plain = np.ones(pi.size, dtype=bool)
+    supp[:-1, [universe.index(name) for name in names]] = np.delete(prof.supp.T, p._bottom_index(), axis=0)
+    a, b, blocks = _pair_blocks(p)
+    plain = np.ones(a.size, dtype=bool)
     images = []
-    for rows, i, j, meet, owner, ub in blocks:
-        plain[rows] = False
-        # the product with sign +1 and each meet*z with sign -1, summed over
-        # equal images within each generator
-        gen = np.concatenate([np.arange(rows.size), owner])
-        image = np.concatenate([supp[i] + supp[j], supp[meet[owner]] + supp[ub]])
-        sign = np.repeat([1, -1], [rows.size, owner.size])
+    for gen, lo, hi, sign in blocks:
+        plain[gen] = False
+        # the terms' images, summed over equal images within each generator
+        image = supp[lo] + supp[hi]
         order, start = _runs(gen, image)
         live = order[start[np.add.reduceat(sign[order], start) != 0]]
-        if (np.bincount(gen[live]) > 1).any():
+        kept = gen[live]  # sorted
+        if (kept[1:] == kept[:-1]).any():
             raise InvariantError("substituted generator is neither zero nor a monomial")
         images.append(image[live])
-    images.append(supp[pi[plain]] + supp[pj[plain]])  # a plain product is a monomial
+    images.append(supp[a[plain]] + supp[b[plain]])  # a plain product is a monomial
     exps = np.concatenate(images)
     order, start = _runs(exps.sum(axis=1), exps)
     exps = exps[order[start]]  # distinct, by degree

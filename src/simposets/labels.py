@@ -33,7 +33,8 @@ reads every text top down, a node at a time, with an explicit stack of the
 classes and copy prefixes still open, so no Python frame is spent per
 level.  At most ``LABEL_DEPTH_MAX`` nested braces and copy prefixes are
 accepted, wherever a remembered text is met again and at any depth of the
-caller's stack.  The cap guards no recursion: it bounds key building.
+caller's stack, and ``Label.copy`` and ``Label.class_of`` refuse a label
+past it alike.  The cap guards no recursion: it bounds key building.
 Keys share no sub-tuples, so a chain of d copy prefixes builds about d²/2
 tokens.  ``Label.parse`` reads one text with a reader of its own.
 """
@@ -57,6 +58,7 @@ _NAME = "[^" + re.escape("".join(sorted(RESERVED))) + r"\s]+"
 _NAME_RE = re.compile(_NAME)
 _ATOMS_RE = re.compile(rf"{_NAME}(?:\*{_NAME})*")  # names joined by *, each valid but "0"
 _BRACES_RE = re.compile("[{},]")
+_NESTING_RE = re.compile("[{},@]")
 
 
 def valid_vertex_name(name) -> bool:
@@ -105,6 +107,7 @@ class Label:
             raise FormatError(f"copy index must be a nonnegative integer, got {index!r}")
         if not isinstance(base, Label):
             raise FormatError("copy label base must be a Label")
+        _check_nesting(base)
         return cls._copy(index, base)
 
     @classmethod
@@ -124,6 +127,7 @@ class Label:
             raise FormatError("class label needs at least one member")
         if len(set(members)) != len(members):
             raise FormatError("repeated member in class label")
+        _check_nesting(*members)
         return cls._class(members)
 
     @classmethod
@@ -177,6 +181,25 @@ class Label:
 
 
 _BOTTOM_LABEL = Label((BOTTOM,), "0")
+
+
+def _check_nesting(*labels):
+    """Refuse a copy of, or a class around, ``labels`` past the cap, as the
+    reader does, with each height read off the text: a brace lasts to its
+    match, a copy prefix to the end of its class member."""
+    for label in labels:
+        depth, opened = 0, []  # opened: the depth inside each open class
+        for ch in _NESTING_RE.findall(label._text):
+            if ch == ",":
+                depth = opened[-1]
+            elif ch == "}":
+                depth = opened.pop() - 1
+            elif depth + 1 >= LABEL_DEPTH_MAX:
+                raise FormatError("label is nested too deeply")
+            else:
+                depth += 1
+                if ch == "{":
+                    opened.append(depth)
 
 
 def reader():

@@ -7,19 +7,20 @@ one output word.  Test vectors live in the test suite and the README.
 
 The k-th output (k >= 1) of the stream with state s is the finalizer of
 ``s + k*gamma`` mod 2**64, so ``_draws`` computes any number of
-streams' draws at once, as one ``uint64`` array expression; ``SplitMix64``
-is the one-draw-at-a-time reference.  A pair is an edge iff its draw is
+streams' draws at once, as one ``uint64`` array expression, for the
+batches.  ``SplitMix64`` draws one at a time: it draws single graphs, and
+it is the reference for ``_draws``.  A pair is an edge iff its draw is
 below p by Python's ``draw < p``, whatever the type of p; ``_threshold``
-turns that compare into one integer bound on the draws.
+turns that compare into one integer bound on the batches' draws.
 
 ``rand_simplicial_poset`` draws one graph for each of the two probability
-parameters from a single stream (the first graph's edges are drawn first,
-in canonical pair order), takes clique complexes, and glues the pair with
-``theta_glue``.  Identical parameters therefore reproduce identical posets
-bit for bit.  ``run_batch`` draws the same two graphs through the same
-``_draws``, one grid for a block of samples (a row of both graphs'
-draws per sample), and reads their neighbour bitmasks off the grid with
-one product.  ``_tally`` then counts the gluings of a block of samples
+parameters from a single ``SplitMix64`` stream (the first graph's edges
+are drawn first, in canonical pair order), takes clique complexes, and
+glues the pair with ``theta_glue``.  Identical parameters therefore
+reproduce identical posets bit for bit.  ``run_batch`` draws the same two
+graphs through ``_draws``, one grid for a block of samples (a row of both
+graphs' draws per sample), and reads their neighbour bitmasks off the grid
+with one product.  ``_tally`` then counts the gluings of a block of samples
 without building them: it enumerates the faces of the first complex as
 clique rows of the whole block, vertex by vertex, and counts the facets
 above a face by subset tests against the block's padded facet array.
@@ -99,18 +100,7 @@ def erdos_renyi_graph(n: int, p: float, rng: SplitMix64) -> Graph:
     if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     vertices = [f"v{i + 1}" for i in range(n)]
-    return make_graph(vertices, [(vertices[i], vertices[j]) for i, j in _edges(n, p, rng)])
-
-
-def _edges(n: int, p: float, rng: SplitMix64) -> list:
-    """Index pairs (i, j), i < j, of G(n, p): one draw per pair, in
-    ``combinations`` order, and the pair is an edge iff the draw is < p.
-    The draws come from ``_draws`` on the stream's state, which then moves
-    on past them."""
-    pairs = list(combinations(range(n), 2))
-    below = _draws(np.array([rng._state], dtype=np.uint64), len(pairs))[0] < np.uint64(_threshold(p))
-    rng._state = (rng._state + len(pairs) * _GAMMA) & _MASK64
-    return [pair for pair, edge in zip(pairs, below.tolist()) if edge]
+    return make_graph(vertices, [pair for pair in combinations(vertices, 2) if rng.random() < p])
 
 
 def _threshold(p) -> int:

@@ -5,13 +5,15 @@ paths under test: faces by powerset expansion, face posets by containment
 of those faces, cliques by subset enumeration, simpliciality by explicit
 powerset comparison, covers by a pair loop over leq, quotients by an
 explicit pair loop and Warshall's closure, Stanley generators from the
-lower and upper sets of each pair.  ``oracle_parse`` reads labels part by
-part, re-scanning each class, ``oracle_from_json_dict`` reads a poset
-document one string at a time, and ``oracle_theta_glue`` glues by labels
-and face sets: they are the references for the document parser and the
-index-array gluing.  ``nested_key`` gives a label's place in the
-canonical order as a nested tuple, read from its text with no ``Label``:
-the reference for the flat ``Label.key``.  ``oracle_atom_family``,
+lower and upper sets of each pair, and the reduced ideal of a face poset
+by substituting atom supports into those generators.  ``oracle_parse``
+reads labels part by part, re-scanning each class,
+``oracle_from_json_dict`` reads a poset document one string at a time,
+and ``oracle_theta_glue`` glues by labels and face sets: they are the
+references for the document parser and the index-array gluing.
+``nested_key`` gives a label's place in the canonical order as a nested
+tuple, read from its text with no ``Label``: the reference for the flat
+``Label.key``.  ``oracle_atom_family``,
 ``oracle_meet_poset`` and ``oracle_reconstruct_theta_pair`` are the
 label-based reconstruction the index-array one replaced: maxima sorted
 as labels, supports looked up label by label, and the meet poset
@@ -159,6 +161,33 @@ def brute_generators(poset):
         terms.sort(key=lambda term: (-len(term[0]), term[0]))
         gens.append(tuple(terms))
     return tuple(gens)
+
+
+def brute_reduced_generators(poset):
+    """The reduced face-poset ideal as ``(atom names, exponent rows)``, the
+    rows in graded order, from the records of ``brute_generators``.
+
+    Each variable becomes its atom support, an exponent row over the sorted
+    atom names; a term's image is the sum of its variables' rows.  Equal
+    images within a generator add their signs, the images left nonzero are
+    the generator's monomial, and the rows no other row divides are kept.
+    """
+    bot = poset.bottom()
+    atoms = brute_atoms(poset)
+    names = sorted(str(a) for a in atoms)
+    supports = [{str(a) for a in poset.lower_set(v) & atoms} for v in poset.elements if v != bot]
+    rows = [tuple(int(name in support) for name in names) for support in supports]
+    images = set()
+    for record in brute_generators(poset):
+        total = {}
+        for variables, sign in record:
+            image = tuple(map(sum, zip(*(rows[x] for x in variables))))
+            total[image] = total.get(image, 0) + sign
+        live = [image for image, coefficient in total.items() if coefficient]
+        assert len(live) <= 1, f"generator {record} does not collapse"
+        images.update(live)
+    minimal = [m for m in images if not any(o != m and all(map(int.__le__, o, m)) for o in images)]
+    return tuple(names), sorted(minimal, key=lambda m: (sum(m), [-e for e in m]))
 
 
 def minimal_elements(poset):

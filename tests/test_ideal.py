@@ -33,7 +33,12 @@ from simposets.labels import Label
 from simposets.poset import Poset
 
 from conftest import random_complex
-from oracles import brute_generators, brute_incomparable_pairs, brute_minimal_nonfaces
+from oracles import (
+    brute_generators,
+    brute_incomparable_pairs,
+    brute_minimal_nonfaces,
+    brute_reduced_generators,
+)
 from test_gluing import glue_two_b4, random_delta_inputs
 from test_poset import random_pair_merge
 
@@ -330,10 +335,32 @@ def test_kernel_raises_from_the_call_in_a_later_block(monkeypatch):
     p = Poset.from_covers(elems, covers)
     p._simplicial = True
     monkeypatch.setattr(poset_module, "_BLOCK_CELLS", 7 * len(p))  # 7 pairs a block
-    pi, pj, blocks = ideal_module._pair_blocks(p)
-    assert pi.size == 24 and (p.elements[pi[-1]], p.elements[pj[-1]]) == (L("x"), L("y"))
+    a, b, blocks = ideal_module._pair_blocks(p)
+    variables = p.elements[1:]  # the bottom sorts first
+    assert a.size == 24 and (variables[a[-1]], variables[b[-1]]) == (L("x"), L("y"))
+    for _ in range(3):
+        next(blocks)
+    with pytest.raises(InvariantError, match="x and y have 2 maximal common lower bounds"):
+        next(blocks)
     with pytest.raises(InvariantError, match="x and y have 2 maximal common lower bounds"):
         stanley_poset_ideal(p)
+
+
+@pytest.mark.parametrize("pairs", [1, 7, None], ids=["1-pair-blocks", "7-pair-blocks", "one-block"])
+def test_both_ideals_match_the_oracles_on_the_complex_corpus(complex_corpus, monkeypatch, pairs):
+    """Both ideals read the terms of the same blocks: the presentation
+    against ``brute_generators``, the reduction against the substitution
+    of atom supports into those records, whatever the block size."""
+    several_blocks = 0
+    for c in complex_corpus:
+        p = c.face_poset()
+        cells = len(p) * (pairs or len(p) ** 2)  # None: all pairs in one block
+        monkeypatch.setattr(poset_module, "_BLOCK_CELLS", cells)
+        several_blocks += sum(1 for _ in ideal_module._pair_blocks(p)[2]) > 1
+        assert stanley_poset_ideal(p).generators == brute_generators(p)
+        reduced = reduce_face_poset_ideal(p)
+        assert (reduced.variables, list(reduced.generators)) == brute_reduced_generators(p)
+    assert (several_blocks > 0) == (pairs is not None)
 
 
 def brute_minimal(expanded):
@@ -443,15 +470,18 @@ def test_reduce_hollow_triangle():
 
 
 def test_reduce_rejects_a_generator_that_does_not_collapse(monkeypatch):
-    # a kernel that gives the top as the minimal upper bound of every pair:
+    # a kernel that gives -x[a*b*c] as the negative term of every pair:
     # x[a]*x[b] - x[a*b*c] substitutes to two distinct monomials
     p = parse_facet_string("a*b*c").face_poset()
-    top = p.elements.index(L("a*b*c"))
+    top = stanley_poset_ideal(p).variables.index(L("a*b*c"))
     kernel = ideal_module._pair_blocks
 
     def top_as_bound(q):
-        pi, pj, blocks = kernel(q)
-        return pi, pj, ((*block[:-1], np.full_like(block[-1], top)) for block in blocks)
+        a, b, blocks = kernel(q)
+        return a, b, (
+            (gen, np.where(sign < 0, top, lo), np.where(sign < 0, -1, hi), sign)
+            for gen, lo, hi, sign in blocks
+        )
 
     monkeypatch.setattr(ideal_module, "_pair_blocks", top_as_bound)
     with pytest.raises(InvariantError, match="neither zero nor a monomial"):

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from simposets import (
     FormatError,
+    Poset,
     RandomModelParams,
     fiber_relation,
     parse_facet_string,
@@ -156,6 +157,27 @@ def test_nesting_cap_is_explicit():
         assert str(nested(down, ok)) == ok
         with pytest.raises(FormatError, match="label is nested too deeply"):
             Label.parse(nest(LABEL_DEPTH_MAX + 1, wraps))
+
+
+def test_constructors_keep_the_nesting_cap():
+    """``Label.copy`` and ``Label.class_of`` take labels up to
+    LABEL_DEPTH_MAX levels deep, which a poset writes and reads back from
+    JSON, and refuse one level more with the reader's error."""
+    a, b = Label.atom_set(["a"]), Label.atom_set(["b"])
+    chain = [a]
+    for _ in range(LABEL_DEPTH_MAX):
+        chain.append(Label.copy(1, chain[-1]))
+    copies = chain[-1]  # 200 copy prefixes
+    wrapped = Label.class_of([chain[-2], b])  # a class around 199 of them
+    beside = Label.class_of([chain[-2], Label.class_of([b])])
+    for top in (copies, wrapped, beside):
+        p = Poset.from_covers([Label.bottom(), top], [(Label.bottom(), top)])
+        assert Poset.from_json(p.to_json()).elements == p.elements
+    for base in (copies, wrapped, beside):
+        with pytest.raises(FormatError, match="label is nested too deeply"):
+            Label.copy(0, base)
+        with pytest.raises(FormatError, match="label is nested too deeply"):
+            Label.class_of([a, base])
 
 
 def test_deep_labels_compare_hash_and_pickle_without_recursion():
