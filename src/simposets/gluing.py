@@ -5,8 +5,11 @@ element, joined only at the bottom; the result is always a face poset.  A
 ``GluingRelation`` is a partition of such a poset whose classes satisfy the
 two gluing conditions checked by ``validate_gluing``: related elements are
 incomparable, of equal rank, with no common upper bound, and their lower
-sets match class-by-class.  ``quotient_by_gluing`` collapses the classes and
-asserts the result is simplicial again.
+sets match class-by-class.  The second condition is read off one bit row
+per element, the classes below it (``_classes_below``), which the pass that
+closes every order, ``poset._spread``, fills level by level of lower-set
+size.  ``quotient_by_gluing`` collapses the classes and asserts the result
+is simplicial again.
 
 ``delta_glue`` identifies an order ideal of one poset with an isomorphic
 ideal of another, the isomorphism induced by a facet map plus an atom map.
@@ -40,7 +43,7 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset, _block, _class_members, _Lazy, _ranges, _ranks
+from .poset import Poset, _bit_rows, _block, _class_members, _Lazy, _ranks, _spread
 
 
 @dataclass
@@ -235,26 +238,16 @@ def _related_pairs(cls):
 def _classes_below(base, cls, k):
     """Bit rows: bit c of row u is set when some member of class c lies
     below u.  Row u is its own class bit OR the rows of its lower covers,
-    filled level by level of lower-set size (elements of equal size are
-    incomparable), each block of ``_block`` elements gathering their lower
-    covers' rows."""
-    n = cls.size
-    words = (k + 63) >> 6
-    below = np.zeros((n, words), dtype=np.uint64)
-    below[np.arange(n), cls >> 6] = np.left_shift(np.uint64(1), (cls & 63).astype(np.uint64))
+    spread (``_spread``) level by level of lower-set size: elements of
+    equal size are incomparable, and all but the first level, the minimal
+    elements, cover something."""
+    below = _bit_rows(cls, k)
     by_hi = np.argsort(base._hi, kind="stable")
-    lo = base._lo[by_hi]
-    into = np.searchsorted(base._hi[by_hi], np.arange(n + 1))  # covers into u: into[u]:into[u + 1]
+    into = np.searchsorted(base._hi[by_hi], np.arange(cls.size + 1))  # covers into u: into[u]:into[u + 1]
     lower = base._profile().lower
     order = np.argsort(lower, kind="stable")
-    # the first level is the bottom, which covers nothing
-    for level in np.split(order, np.flatnonzero(np.diff(lower[order])) + 1)[1:]:
-        degree = into[level + 1] - into[level]
-        step = _block(8 * words * int(degree.max()))
-        for start in range(0, level.size, step):
-            u, size = level[start : start + step], degree[start : start + step]
-            rows = below[lo[_ranges(into[u], into[u + 1])]]
-            below[u] |= np.bitwise_or.reduceat(rows, np.cumsum(size) - size, axis=0)
+    levels = np.split(order, np.flatnonzero(np.diff(lower[order])) + 1)[1:]
+    _spread(below, below, levels, into, base._lo[by_hi])
     return below
 
 

@@ -27,12 +27,17 @@ and base index.
 
 ``from_covers``, ``from_json``, ``quotient`` and ``face_poset`` derive
 their order from generating pairs through one kernel, ``_dag``: Kahn levels
-from the top, then one pass over packed ``uint64`` rows, level by level,
-gives every element's upper set and the elements strictly above its upper
-covers (Simon 1988; Aho, Garey & Ullman 1972).  An element Kahn never
-reaches means a cycle, and a pair is redundant when its upper end lies
-strictly above another upper end of its lower end.  ``restrict`` takes
-an order ideal, as labels or a mask, and keeps the covers inside it.
+from the top, where an element Kahn never reaches means a cycle, then one
+bit-row pass, ``_spread``, which ORs packed ``uint64`` rows along the
+pairs, level by level and a block of ``_block`` receiving rows at a time,
+into every element's upper set (Simon 1988).  A pair is redundant when its
+upper end lies strictly above another upper end of its lower end (Aho,
+Garey & Ullman 1972); a second ``_spread`` call finds them, run only on
+the lower ends of pairs two or more Kahn levels apart, since nothing lies
+strictly between the ends of a pair in adjacent levels.  The gluing check
+builds its rows of classes below each element (``gluing._classes_below``)
+with the same pass.  ``restrict`` takes an order ideal, as labels or a
+mask, and keeps the covers inside it.
 Meets and minimal upper bounds come from one kernel, ``_bounds``: ``ideal``
 runs it on blocks of pairs, ``meet`` and ``minimal_upper_bounds`` on one.
 
@@ -82,7 +87,9 @@ from .errors import (
 from .labels import Label, reader
 
 ISOMORPHISM_MAX = 500
-_BLOCK_CELLS = 1 << 20  # bool cells, or bytes, held by the temporaries of one block of any blocked loop
+# bool cells, or bytes, held by the temporaries of one block of any blocked
+# loop, the bit-row pass (_spread) of _dag and _classes_below included
+_BLOCK_CELLS = 1 << 20
 
 
 def _block(cells: int) -> int:
@@ -113,6 +120,37 @@ def _ranges(start, stop) -> np.ndarray:
     return np.arange(end[-1]) + np.repeat(start - end + size, size)
 
 
+def _bit_rows(idx: np.ndarray, bits: int) -> np.ndarray:
+    """Packed ``uint64`` rows of ``bits`` bits, one per entry of ``idx``,
+    row i holding the one bit ``idx[i]``."""
+    rows = np.zeros((idx.size, (bits + 63) >> 6), dtype=np.uint64)
+    rows[np.arange(idx.size), idx >> 6] = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
+    return rows
+
+
+def _spread(dst, src, levels, start, send) -> None:
+    """The one pass that closes bit rows along pairs: level by level, OR
+    into each row u of ``dst`` the rows of ``src`` at
+    ``send[start[u]:start[u + 1]]``, one ``bitwise_or.reduceat`` per block
+    of ``_block`` receiving rows of the level.  ``src`` may be ``dst`` when
+    every row a level reads is final before it: each sender stands in an
+    earlier level.
+
+    Every receiver must have at least one sender, or ``reduceat`` would
+    read the next receiver's rows.  ``_dag`` passes the Kahn levels below
+    the first, whose elements were waiting on at least one pair, and, for
+    the redundancy rows, lower ends of its pairs; ``_classes_below``
+    passes the levels of lower-set size above the minimal elements, each
+    of which covers something."""
+    for level in levels:
+        size = start[level + 1] - start[level]
+        step = _block(8 * src.shape[1] * int(size.max()))
+        for first in range(0, level.size, step):
+            u, k = level[first : first + step], size[first : first + step]
+            rows = src[send[_ranges(start[u], start[u + 1])]]
+            dst[u] |= np.bitwise_or.reduceat(rows, np.cumsum(k) - k, axis=0)
+
+
 def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
     """The order on ``range(n)`` generated by the index pairs
     ``lo[k] < hi[k]``, which must contain no self-pair.
@@ -124,10 +162,13 @@ def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
 
     Kahn's algorithm peels levels off the top: first the elements with no
     pair above them, then those all of whose pairs lead into earlier
-    levels.  Level by level, with ``up[a]`` the bit row of the upper set of
-    ``a``, ``up[a] = {a} | OR up[b]`` and ``above[a] = OR (up[b] - {b})``
-    over the pairs ``(a, b)``, one ``bitwise_or.reduceat`` each; the pair
-    is redundant iff ``b`` is in ``above[a]``.
+    levels; an element it never reaches lies on or below a cycle.  Then
+    ``_spread`` builds ``up[a] = {a} | OR up[b]``, the upper sets, and
+    ``above[a] = OR (up[b] - {b})`` over the pairs ``(a, b)``; the pair is
+    redundant iff ``b`` is in ``above[a]``.  An element strictly between
+    the ends of a pair stands in a level between theirs, so only the lower
+    ends of pairs two or more levels apart get an ``above`` row, and
+    graded inputs skip that pass.
     """
     key = np.sort(lo * n + hi)  # a sort and a neighbour test: np.unique loads numpy.ma
     distinct = np.ones(key.size, dtype=bool)
@@ -135,30 +176,26 @@ def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
     lo, hi = np.divmod(key[distinct], n)
     at = np.arange(n + 1)
     out = np.searchsorted(lo, at)  # pairs (a, .) are out[a]:out[a + 1]
-    by_hi = np.argsort(hi, kind="stable")
-    into = np.searchsorted(hi[by_hi], at)  # pairs (., b) are by_hi[into[b]:into[b + 1]]
     waiting = np.diff(out)
-    element = at[:-1]
-    bit = np.left_shift(np.uint64(1), (element & 63).astype(np.uint64))
-    up = np.zeros((n, (n + 63) >> 6), dtype=np.uint64)
-    up[element, element >> 6] = bit
-    above = np.zeros_like(up)
-    level = np.flatnonzero(waiting == 0)
+    depth = np.full(n, -1)  # the Kahn level of each element, once reached
+    levels, level = [], np.flatnonzero(waiting == 0)
     while level.size:
-        size = out[level + 1] - out[level]
-        if size.all():  # every level but the first
-            b = hi[_ranges(out[level], out[level + 1])]
-            start = np.cumsum(size) - size
-            rows = up[b]
-            up[level] |= np.bitwise_or.reduceat(rows, start, axis=0)
-            rows[np.arange(b.size), b >> 6] &= ~bit[b]
-            above[level] = np.bitwise_or.reduceat(rows, start, axis=0)
+        depth[level] = len(levels)
         waiting[level] = -1  # done, so never a level again
-        waiting -= np.bincount(lo[by_hi[_ranges(into[level], into[level + 1])]], minlength=n)
+        waiting -= np.bincount(lo[depth[hi] == len(levels)], minlength=n)  # the pairs into this level
+        levels.append(level)
         level = np.flatnonzero(waiting == 0)
     if (waiting >= 0).any():  # never reached: on or below a cycle
         return None
-    redundant = (above[lo, hi >> 6] & bit[hi]) != 0
+    up = _bit_rows(at[:-1], n)
+    _spread(up, up, levels[1:], out, hi)
+    redundant = np.zeros(lo.size, dtype=bool)
+    wide = np.flatnonzero(np.bincount(lo[depth[lo] - depth[hi] > 1], minlength=n))
+    if wide.size:
+        seed = _bit_rows(at[:-1], n)
+        above = np.zeros_like(up)
+        _spread(above, up ^ seed, [wide], out, hi)
+        redundant = (above[lo, hi >> 6] & seed[hi, hi >> 6]) != 0
     # little-endian words, so bit j of a row is byte j // 8, bit j % 8
     leq = np.unpackbits(up.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
     return leq.view(bool), lo, hi, redundant

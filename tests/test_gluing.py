@@ -334,12 +334,15 @@ def test_validate_matches_oracle_when_some_classes_fail():
             assert [(x.condition, x.elements, x.reason) for x in validate_gluing(rel).violations] == expected
         class_of = {e: i for i, c in enumerate(rel.classes) for e in c}
         cls = rel.base._class_array(rel.classes)
-        marked, below = gluing._failing_classes(rel.base, cls, len(rel.classes))
-        assert set(marked.nonzero()[0].tolist()) == {class_of[x[1][0]] for x in expected}, seed
-        # the bit rows the pair loop reads: bit c of row u when class c meets the lower set of u
-        bits = np.unpackbits(below.astype("<u8", copy=False).view(np.uint8), axis=1, count=len(rel.classes), bitorder="little")
         lower = [rel.base.lower_set(u) for u in rel.base.elements]
-        assert bits.tolist() == [[int(bool(c & down)) for c in rel.classes] for down in lower], seed
+        for cells in (_BLOCK_CELLS, 1):  # the default budget, and one receiving row a block
+            with mock.patch("simposets.poset._BLOCK_CELLS", cells):
+                marked, below = gluing._failing_classes(rel.base, cls, len(rel.classes))
+            assert set(marked.nonzero()[0].tolist()) == {class_of[x[1][0]] for x in expected}, seed
+            # the bit rows the pair loop reads: bit c of row u when class c meets the lower set of u
+            words = below.astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(words, axis=1, count=len(rel.classes), bitorder="little")
+            assert bits.tolist() == [[int(bool(c & down)) for c in rel.classes] for down in lower], seed
         partial += 0 < marked.sum() < len(rel.classes)
     assert partial >= 30
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import simposets.complexes as complexes_module
 import simposets.gluing as gluing_module
@@ -264,12 +264,48 @@ relations = st.integers(1, 7).flatmap(
 )
 
 
+def kahn_levels(n, pairs):
+    """Each element's Kahn level from the top, by relaxation over acyclic
+    pairs: 0 when no pair leads up from it, else one more than the highest
+    level of the upper ends of its pairs."""
+    level = [0] * n
+    for _ in range(n):
+        for i, j in pairs:
+            level[i] = max(level[i], level[j] + 1)
+    return level
+
+
+def assert_dag_matches_warshall(n, pairs):
+    """``_dag`` on acyclic pairs with no self-pair against Warshall's
+    algorithm: the closure, and the covers as the pairs it leaves
+    unmarked by its redundancy pass."""
+    lo, hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    leq, lo, hi, redundant = poset_module._dag(n, lo, hi)
+    closure = warshall(n, pairs)
+    assert leq.tolist() == closure
+    assert set(zip(lo[~redundant].tolist(), hi[~redundant].tolist())) == warshall_covers(closure)
+
+
+# the face order of the non-pure complex a*b*c, c*d: its cover c < c*d
+# joins Kahn levels two apart and is no redundant pair
+NON_PURE = [frozenset(f) for f in ("", "a", "b", "c", "d", "ab", "ac", "bc", "cd", "abc")]
+NON_PURE_COVERS = [
+    (i, j) for i, f in enumerate(NON_PURE) for j, g in enumerate(NON_PURE) if f < g and len(g) == len(f) + 1
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(relations, st.randoms(use_true_random=False))
+# the redundant pair (0, 3) joins levels three apart beside the cover (0, 4)
+# two apart; (0, 4) and (1, 4) join levels four and three apart
+@example((5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 3)], False), random.Random(0))
+@example((6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4), (5, 2), (0, 5)], False), random.Random(0))
+@example((len(NON_PURE), NON_PURE_COVERS, False), random.Random(0))
 def test_from_covers_and_restrict_match_warshall(case, rng):
     """Random relations, cycles and self-pairs included, against Warshall's
     closure and the covers by definition: the order, the covers, and the
-    error type and message.  When ``reduced`` is drawn and the relation
+    error type and message, and on acyclic relations also the closure and
+    redundant pairs of ``_dag``.  When ``reduced`` is drawn and the relation
     has no cycle, the input is the covers of its closure, so accepted
     posets are drawn too.  A random induced subposet of each accepted one
     checks ``restrict`` on its down-closure; the raw subset is rejected
@@ -279,6 +315,8 @@ def test_from_covers_and_restrict_match_warshall(case, rng):
     closure = warshall(n, pairs)
     cyclic = any(closure[i][j] and closure[j][i] for i in range(n) for j in range(n) if i != j)
     expected_covers = warshall_covers(closure)
+    if not cyclic:
+        assert_dag_matches_warshall(n, [(i, j) for i, j in pairs if i != j])
     if reduced and not cyclic:
         pairs = sorted(expected_covers)
     if cyclic:
@@ -330,28 +368,35 @@ def wide_relation(n, rng):
 def test_from_covers_matches_warshall_past_one_word(n):
     """Orders wider than one 64-bit word against Warshall's closure: the
     covers with repeated pairs are accepted, with the closure and covers of
-    Warshall's algorithm; the generating pairs, redundant, are rejected; and
-    one pair back along the middle of the chain makes a cycle, with acyclic
-    elements above and below it."""
+    Warshall's algorithm; the generating pairs, with redundant pairs three
+    or more Kahn levels apart, are rejected, and ``_dag`` marks exactly
+    those; and one pair back along the middle of the chain makes a cycle,
+    with acyclic elements above and below it.  All of it at the default
+    block budget and at one receiving row a block."""
     rng = random.Random(n)
     labels, pairs, chain = wide_relation(n, rng)
     closure = warshall(n, pairs)
     covers = sorted(warshall_covers(closure))
     given = covers + rng.sample(covers, 10)
     rng.shuffle(given)
-    p = Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in given])
-    assert all(p.leq(labels[i], labels[j]) == closure[i][j] for i in range(n) for j in range(n))
-    assert p.covers == {(labels[i], labels[j]) for i, j in covers}
     assert sum(sum(closure[i]) == 1 == sum(row[i] for row in closure) for i in range(n)) >= 5  # isolated
     assert set(pairs) != set(covers)
-    with pytest.raises(StructureError, match="^covers must be transitively reduced cover pairs$"):
-        Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in pairs])
+    level = kahn_levels(n, pairs)
+    assert max(level[i] - level[j] for i, j in set(pairs) - set(covers)) >= 3
     mid = len(chain) // 2
     back = covers + [(chain[mid + 2], chain[mid])]
     cyclic = warshall(n, back)
     assert cyclic[chain[mid]][chain[mid + 2]] and cyclic[chain[mid + 2]][chain[mid]]
-    with pytest.raises(StructureError, match="^covers contain a cycle$"):
-        Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in back])
+    for cells in (poset_module._BLOCK_CELLS, 1):  # the default budget, and one receiving row a block
+        with mock.patch.object(poset_module, "_BLOCK_CELLS", cells):
+            p = Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in given])
+            assert all(p.leq(labels[i], labels[j]) == closure[i][j] for i in range(n) for j in range(n))
+            assert p.covers == {(labels[i], labels[j]) for i, j in covers}
+            assert_dag_matches_warshall(n, pairs)
+            with pytest.raises(StructureError, match="^covers must be transitively reduced cover pairs$"):
+                Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in pairs])
+            with pytest.raises(StructureError, match="^covers contain a cycle$"):
+                Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in back])
 
 
 def test_from_covers_closes_a_300_element_chain():
@@ -1411,6 +1456,32 @@ def test_isomorphism_agrees_with_networkx():
         elif len(a) == len(b) and len(a.covers) == len(b.covers):
             rejected_at_equal_counts += 1
     assert rejected_at_equal_counts >= 10
+
+
+def test_isomorphism_search_refines_a_bounded_number_of_times(monkeypatch):
+    """The search over every pair of ``oracle_pairs()`` runs 244 colour
+    refinements, at most 11 on one pair; the bounds are twice the total
+    and four times the largest.  A refinement that ignores the parents'
+    colours still answers right, but passes 2000 refinements on each of
+    the even cycles against two cycles, so the count fails at the bound
+    of one pair instead of running for minutes."""
+    pairs = oracle_pairs()
+    calls = [0]
+    refine = poset_module._refine
+
+    def capped(*args):
+        calls[0] += 1
+        if calls[0] > 4 * 11:
+            raise AssertionError("more than 44 refinements on one pair")
+        return refine(*args)
+
+    monkeypatch.setattr(poset_module, "_refine", capped)
+    total = 0
+    for a, b in pairs:
+        calls[0] = 0
+        find_isomorphism(a, b)
+        total += calls[0]
+    assert total <= 2 * 244
 
 
 @pytest.mark.parametrize("n", range(9))
