@@ -28,8 +28,16 @@ and a terminator sorts below anything else that can stand there.  So the flat or
 the nested ones, and no comparison, hash or pickle recurses.
 
 A document's labels go through one ``reader()``, which parses each distinct
-label or sub-label text once and remembers it with its height.  One loop
-reads every text top down, a node at a time, with an explicit stack of the
+label or sub-label text once and remembers it with its height.  A shallow
+text, a leaf or a class of leaves spelled canonically, is read by one
+regular-expression match (``_shallow``): a leaf is ``0`` or an atom set
+with strictly increasing names, after at most one copy index with no
+leading zero, and class members stand in strictly increasing key order.
+These are the texts the package writes for theta samples, face posets and
+boolean lattices, and their keys are built straight from the leaves.
+Every other text goes to ``_parse``, which is the one reader of nested,
+non-canonical and malformed labels and so the source of every error.  It
+reads a text top down, a node at a time, with an explicit stack of the
 classes and copy prefixes still open, so no Python frame is spent per
 level.  At most ``LABEL_DEPTH_MAX`` nested braces and copy prefixes are
 accepted, wherever a remembered text is met again and at any depth of the
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import re
 from functools import partial, total_ordering
+from itertools import chain
 from operator import lt
 
 from .errors import FormatError
@@ -57,6 +66,9 @@ LABEL_DEPTH_MAX = 200  # nested braces and copy prefixes that parse accepts
 _NAME = "[^" + re.escape("".join(sorted(RESERVED))) + r"\s]+"
 _NAME_RE = re.compile(_NAME)
 _ATOMS_RE = re.compile(rf"{_NAME}(?:\*{_NAME})*")  # names joined by *, each valid but "0"
+# a leaf: "0" or an atom set, after at most one copy index in canonical digits
+_LEAF = rf"(?:(?:0|[1-9][0-9]{{0,17}})@)?{_NAME}(?:\*{_NAME})*"
+_SHALLOW_RE = re.compile(rf"{_LEAF}|\{{{_LEAF}(?:,{_LEAF})*\}}")
 _BRACES_RE = re.compile("[{},]")
 _NESTING_RE = re.compile("[{},@]")
 
@@ -219,7 +231,44 @@ def reader():
 def _read(memo: dict, text) -> Label:
     if not isinstance(text, str) or not text:
         raise FormatError(f"cannot parse label from {text!r}")
-    return (memo.get(text) or _parse(memo, text))[0]
+    return (memo.get(text) or _shallow(memo, text) or _parse(memo, text))[0]
+
+
+def _shallow(memo: dict, text: str):
+    """(label, height) of ``text`` when it is a leaf or a class of leaves,
+    spelled canonically, with its key built straight from the leaves; None
+    for any other text, which ``_parse`` then reads.  A leaf is ``0`` or an
+    atom set with strictly increasing names, after at most one copy index
+    with no leading zero, and class members stand in strictly increasing
+    key order, so the text is the label's own.  Once the text matches, its
+    commas and its one ``@`` per leaf split it, as no name holds either.
+    Never raises."""
+    if _SHALLOW_RE.fullmatch(text) is None:
+        return None
+    keys, height = [], 0
+    for leaf in text[1:-1].split(",") if text[0] == "{" else [text]:
+        index, _, names = leaf.rpartition("@")
+        done = memo.get(names)
+        if done is None or done[0]._text != names:
+            parts = names.split("*")
+            if "0" in parts or not all(map(lt, parts, parts[1:])):
+                return None
+            done = memo[names] = (Label._atoms(tuple(parts)), 0)
+        if index:
+            keys.append((COPY, int(index), *done[0].key))
+            height = 1
+        else:
+            keys.append(done[0].key)
+    if text[0] == "{":
+        if not all(map(lt, keys, keys[1:])):
+            return None
+        key, height = (CLASS, *chain.from_iterable(keys), -1), height + 1
+    elif index:
+        key = keys[0]
+    else:
+        return done  # an atom set, remembered above
+    memo[text] = done = (Label(key, text), height)
+    return done
 
 
 def _atom_set(text: str) -> Label:

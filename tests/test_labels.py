@@ -20,7 +20,18 @@ from simposets import (
     rand_simplicial_poset,
     separation,
 )
-from simposets.labels import ATOMS, BOTTOM, CLASS, COPY, LABEL_DEPTH_MAX, Label, reader, valid_vertex_name
+from simposets.labels import (
+    ATOMS,
+    BOTTOM,
+    CLASS,
+    COPY,
+    LABEL_DEPTH_MAX,
+    Label,
+    _parse,
+    _shallow,
+    reader,
+    valid_vertex_name,
+)
 
 from oracles import nested_key, oracle_parse, oracle_vertex_name
 
@@ -230,6 +241,16 @@ def test_a_remembered_label_keeps_the_nesting_cap(inner, around, monkeypatch):
     assert label == fresh and str(label) == str(fresh)
 
 
+@pytest.mark.parametrize("text", ["1@b*a", "{b*a}", "{0,b*a}", "{b*a,1@c}"])
+def test_a_respelled_leaf_in_the_memo_keeps_its_canonical_text(text):
+    """Once a reader has read ``b*a`` as ``a*b``, a shallow text around that
+    leaf still reads as a fresh parse does, its leaf written ``a*b``."""
+    read = reader()
+    assert str(read("b*a")) == "a*b"
+    label, fresh = read(text), Label.parse(text)
+    assert str(label) == str(fresh) and label.key == fresh.key and "b*a" not in str(label)
+
+
 def test_whitespace_rule_matches_isspace_on_every_code_point():
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
@@ -255,6 +276,9 @@ def mutated_label_texts():
     corpus += ["{0,a,{b,c}}", "1@2@x", "{1@{a,b},2@0}", "a*b*c", "12@{x}", "{a,b}", "{b,a}"]
     corpus += ["{1@{a,b},2@{a,b}}", "3@{1@a,2@{b,c}}", "{{0,1@{x}},2@{y,z}}", "1@2@{a}"]
     corpus += ["5" * 5000 + "@a", "{0," + "9" * 4301 + "@{b,c}}", "2@" + "1" * 4400 + "@x"]  # past the int digit limit
+    # at the edges of the shallow reader's canonical texts
+    corpus += ["{01@a}", "{\u0663@a}", "{b*a}", "{a,a}", "{1@b,1@a}", "{10@a,2@a}", "{0,a}", "{a,0}", "1@0"]
+    corpus += ["{1@0}", "9" * 18 + "@a", "9" * 19 + "@a", "0*a", "1@2@a", "{a,a*b}"]
     alphabet = "{},@*0123ab \u0663\t\""
     rng = random.Random(20261018)
     texts = []
@@ -273,12 +297,26 @@ def mutated_label_texts():
     return corpus, texts, rng
 
 
+def _shallow_agrees(text):
+    """None when the shallow reader declines ``text`` on a fresh memo, else
+    whether it gives the label key, text and height that ``_parse`` does."""
+    got = _shallow({"0": (Label.bottom(), 0)}, text)
+    if got is None:
+        return None
+    label, height = _parse({"0": (Label.bottom(), 0)}, text)
+    return (got[0].key, str(got[0]), got[1]) == (label.key, str(label), height)
+
+
 def test_parse_matches_the_oracle_on_mutated_strings():
     """Accept/reject and the message of every FormatError agree with the
     reference parser on random edits of real labels, read one at a time
     and as documents: runs of labels through one reader, whose memo of
-    sub-labels carries from each label to the next."""
+    sub-labels carries from each label to the next.  On a fresh memo the
+    shallow reader declines each text or reads it as ``_parse`` does."""
     corpus, texts, rng = mutated_label_texts()
+    shallow = [_shallow_agrees(text) for text in corpus + texts]
+    assert False not in shallow
+    assert shallow.count(True) > 500 and shallow.count(None) > 500  # both outcomes occur
     expected = [_outcome(oracle_parse, text) for text in texts]
     assert [_outcome(Label.parse, text) for text in texts] == expected
     at = 0

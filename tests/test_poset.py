@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import simposets.complexes as complexes_module
 import simposets.gluing as gluing_module
+import simposets.labels as labels_module
 import simposets.poset as poset_module
 from simposets import (
     ElementNotFoundError,
@@ -25,10 +26,13 @@ from simposets import (
     PreconditionError,
     RandomModelParams,
     SizeLimitError,
+    SplitMix64,
     StructureError,
     are_isomorphic,
     boolean_lattice,
+    clique_complex,
     delta_glue,
+    erdos_renyi_graph,
     fiber_relation,
     find_isomorphism,
     make_complex,
@@ -1178,6 +1182,13 @@ def test_from_json_matches_the_oracle_on_mutated_documents():
         ([["0", "b*a"]], "ElementNotFoundError: unknown element in covers: a*b"),
         ([["0", "zz"], ["0", "b*a"]], "ElementNotFoundError: unknown element in covers: zz"),
         ([["0", "a"], ["0", 7]], "FormatError: cannot parse label from 7"),
+        ([["0", "a"], ["0", None]], "FormatError: cannot parse label from None"),
+        ([["0", "a"], ["0", ["a"]]], "FormatError: cannot parse label from ['a']"),
+        # covers whose items are all element strings, in pairs of the wrong shape
+        ([["0", "a"], "0a"], "FormatError: cover pair has the wrong shape: '0a'"),
+        ([["0", "a"], {"0": 1, "a": 2}], "FormatError: cover pair has the wrong shape: {'0': 1, 'a': 2}"),
+        ([["0", "a", "a"], ["0"]], "FormatError: cover pair has the wrong shape: ['0', 'a', 'a']"),
+        ([["0", "a"], 7], "FormatError: cover pair has the wrong shape: 7"),
     ],
 )
 def test_from_json_errors_come_in_document_order(covers, error):
@@ -1188,6 +1199,45 @@ def test_from_json_errors_come_in_document_order(covers, error):
         Poset.from_json_dict(obj)
     assert f"{type(info.value).__name__}: {info.value}" == error
     assert _loaded(oracle_from_json_dict, obj) == tuple(error.split(": ", 1))
+
+
+LATTICE = ["0", "a", "b", "a*b"]
+
+
+@pytest.mark.parametrize(
+    "elements, covers",
+    [
+        (LATTICE, [("0", "a"), ("0", "b"), ("a", "a*b"), ("b", "a*b")]),  # tuple pairs
+        (LATTICE, [["0", "a"], ["0", "b"], ["a", "b*a"], ["b", "a*b"]]),  # a respelled end
+        (["0"], []),
+        (["0", "a"], []),
+        ([], []),
+    ],
+)
+def test_from_json_loads_covers_off_the_written_shape_as_the_oracle_does(elements, covers):
+    """Tuple pairs and a respelled end skip the one-pass map of cover ends,
+    and an empty cover list takes it; each loads, or fails, as the
+    reference does."""
+    obj = {"elements": elements, "covers": covers}
+    assert _loaded(Poset.from_json_dict, obj) == _loaded(oracle_from_json_dict, obj)
+
+
+def test_the_documents_the_library_writes_take_the_shallow_path():
+    """Theta samples, face posets and boolean lattices have only leaves and
+    classes of leaves as labels, so loading them calls ``_parse`` on no
+    text; a separation or a gluing quotient holds nested labels, which
+    still go through it."""
+    theta = [rand_simplicial_poset(RandomModelParams(n=10, p1=p, p2=p, seed=s)) for p, s in ((0.8, 3), (0.85, 5))]
+    face = clique_complex(erdos_renyi_graph(9, 0.6, SplitMix64(2))).face_poset()
+    nested = [separation(theta[0]).separated, quotient_by_gluing(fiber_relation(separation(theta[0])))]
+    parse = labels_module._parse
+    with mock.patch.object(labels_module, "_parse", side_effect=parse) as spy:
+        for q in [*theta, face, boolean_lattice(3)]:
+            assert Poset.from_json(q.to_json()) == q
+        assert spy.call_count == 0
+        for q in nested:
+            assert Poset.from_json(q.to_json()) == q
+        assert spy.call_count > 0
 
 
 def test_to_dot_mentions_every_element_and_cover():
