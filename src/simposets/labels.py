@@ -221,11 +221,12 @@ def reader():
     return partial(_read, {"0": (_BOTTOM_LABEL, 0)})
 
 
-# A reader's memo maps each text it has read, and each node of it, to
-# (label, height), the height being the braces and copy prefixes nested
-# inside the label, and it always holds "0".  A text met at depth d is too
-# deep when d plus its height passes LABEL_DEPTH_MAX: that is where a fresh
-# parse would find its first fault, since the text parsed before.
+# A reader's memo maps each text it has read, and each node of it (of a
+# shallow text, its atom sets), to (label, height), the height being the
+# braces and copy prefixes nested inside the label, and it always holds
+# "0".  A text met at depth d is too deep when d plus its height passes
+# LABEL_DEPTH_MAX: that is where a fresh parse would find its first
+# fault, since the text parsed before.
 
 
 def _read(memo: dict, text) -> Label:
