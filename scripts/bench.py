@@ -4,20 +4,22 @@ alternating pairs, and write the result to ``BENCH_<short-sha>.json``.
 
     python3 scripts/bench.py --parent HEAD~1 --workloads roundtrip,ideal --pairs 10
 
-Both revisions are extracted with ``git archive`` into a temporary
-directory, so only committed files are measured.  Each pair runs
-``perfbench/run.py --seed S --seconds T --trace 0`` once on each tree, the
+``HEAD`` and the parent revision are extracted with ``git archive`` into a
+temporary directory, so only committed files are measured.  Each pair runs
+``perfbench/run.py --seed 1 --seconds 15 --trace 0`` once on each tree, the
 parent first in odd pairs and the change first in even ones, and reads the
 last JSON line of each run.  The file holds, for each workload and each
 end-to-end metric of ``BENCHMARK.json``: the values of every pair, the
 parent and change medians, the parent's interquartile range, the bound and
 a verdict, together with the Python and numpy versions and the CPU count.
 
-A verdict is ``better`` when the change wins at least nine pairs in ten
-and its median beats the parent's by more than the parent's interquartile
-range, ``worse`` when its median is worse than the parent's by more than
-the bound, a fraction of the parent's median, and ``within bound``
-otherwise.
+A verdict is ``unresolved`` when the parent's interquartile range is wider
+than the bound, a fraction of the parent's median, unless every run of the
+change reads better than every run of the parent.  Otherwise it is
+``better`` when the change wins at least nine pairs in ten and its median
+beats the parent's by more than the parent's interquartile range, ``worse``
+when its median is worse than the parent's by more than the bound, and
+``within bound`` otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED, SECONDS = 1, 15
 
 
 def iqr(values) -> float:
@@ -46,12 +49,16 @@ def iqr(values) -> float:
 
 
 def verdict(parent, change, better: str, bound: float) -> str:
-    """``better``, ``worse`` or ``within bound`` for the per-pair values of
-    one metric, ``better`` being ``"higher"`` or ``"lower"``."""
+    """``unresolved``, ``better``, ``worse`` or ``within bound`` for the
+    per-pair values of one metric, ``better`` being ``"higher"`` or
+    ``"lower"``."""
     sign = 1 if better == "higher" else -1
-    p, c = median(parent), median(change)
+    p, c, spread = median(parent), median(change), iqr(parent)
+    every_run_better = min(sign * y for y in change) > max(sign * x for x in parent)
+    if spread > bound * abs(p) and not every_run_better:
+        return "unresolved"
     wins = sum(sign * (y - x) > 0 for x, y in zip(parent, change))
-    if sign * (c - p) > iqr(parent) and 10 * wins >= 9 * len(parent):
+    if sign * (c - p) > spread and 10 * wins >= 9 * len(parent):
         return "better"
     if sign * (p - c) > bound * abs(p):
         return "worse"
@@ -100,9 +107,9 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: Path, workload: str) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
@@ -113,30 +120,28 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the revision to compare against")
-    ap.add_argument("--change", default="HEAD", help="the revision measured (default HEAD)")
     ap.add_argument("--workloads", help="comma-separated workloads (default: all of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=15)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    shas = {side: git("rev-parse", "--short", rev) for side, rev in (("parent", args.parent), ("change", args.change))}
+    revs = {"parent": args.parent, "change": "HEAD"}
+    shas = {side: git("rev-parse", "--short", rev) for side, rev in revs.items()}
     runs = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {side: extract(rev, Path(tmp) / side) for side, rev in (("parent", args.parent), ("change", args.change))}
+        trees = {side: extract(rev, Path(tmp) / side) for side, rev in revs.items()}
         for k in range(1, args.pairs + 1):
             sides = ("parent", "change") if k % 2 else ("change", "parent")
             for w in workloads:
-                got = {side: run(trees[side], w, args.seed, args.seconds) for side in sides}
+                got = {side: run(trees[side], w) for side in sides}
                 runs[w].append((got["parent"], got["change"]))
                 print(f"pair {k} {w}: " + ", ".join(
                     f"{side} {got[side]['metrics']['ops_per_s']['value']:.1f} ops/s" for side in sides), file=sys.stderr)
     result = {
         "parent": {"rev": args.parent, "sha": shas["parent"]},
-        "change": {"rev": args.change, "sha": shas["change"]},
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "change": {"rev": "HEAD", "sha": shas["change"]},
+        "seed": SEED,
+        "seconds": SECONDS,
         "pairs": args.pairs,
         "host": host(),
         "workloads": {w: summarise(runs[w], spec["end_to_end"]) for w in workloads},

@@ -71,7 +71,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii as encode
 from operator import lt
 
@@ -696,12 +696,10 @@ class Poset:
         once: a leaf or a class of leaves spelled canonically, as
         ``to_json`` writes theta samples, face posets and boolean lattices,
         by one regular-expression match, and every other text by the
-        general parser.  When every cover is a list of two element strings,
-        the ends are mapped to elements in one pass.  Otherwise the reader
-        reads every cover end that is not an element string, in document
-        order, so each FormatError comes before any structural error, and
-        the ends are found by their text; a respelling such as ``b*a`` for
-        ``a*b`` is found by its label."""
+        general parser.  It then reads every cover end that is not an
+        element string, in document order, so each FormatError comes before
+        any structural error.  Cover ends are found by their text; a
+        respelling such as ``b*a`` for ``a*b`` is found by its label."""
         if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
             raise FormatError("poset JSON needs 'elements' and 'covers'")
         texts, pairs = obj["elements"], obj["covers"]
@@ -710,12 +708,6 @@ class Poset:
         read = reader()
         elements = list(map(read, texts))
         position = dict(zip(texts, range(len(texts))))
-        try:  # as to_json writes: each cover a list of two element strings
-            at = list(map(position.get, chain.from_iterable(pairs)))
-        except TypeError:  # an unhashable end, or a cover that is not iterable
-            at = [None]
-        if None not in at and {*map(type, pairs)} <= {list} and {*map(len, pairs)} <= {2}:
-            return cls._from_ends(elements, _key_order(elements), at)
         ends = []
         for pair in pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:

@@ -34,6 +34,13 @@ def test_iqr():
         ([x * 1.2 for x in PARENT[:8]] + [90.0, 90.0], "higher", 0.2, "within bound"),
         # 9 pairs in 10 won, by less than the parent's IQR
         ([x + 1 for x in PARENT[:9]] + [0.0], "higher", 0.2, "within bound"),
+        # the parent's IQR, 3.5, is wider than a bound of 0.01 of its median
+        (PARENT, "higher", 0.01, "unresolved"),
+        ([x * 0.7 for x in PARENT], "higher", 0.01, "unresolved"),
+        ([x * 1.01 for x in PARENT], "higher", 0.01, "unresolved"),
+        # ... unless every run of the change reads better than every parent run
+        ([x + 10 for x in PARENT], "higher", 0.01, "better"),
+        ([x - 10 for x in PARENT], "lower", 0.01, "better"),
     ],
 )
 def test_verdict(change, better, bound, expected):

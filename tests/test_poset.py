@@ -1215,9 +1215,9 @@ LATTICE = ["0", "a", "b", "a*b"]
     ],
 )
 def test_from_json_loads_covers_off_the_written_shape_as_the_oracle_does(elements, covers):
-    """Tuple pairs and a respelled end skip the one-pass map of cover ends,
-    and an empty cover list takes it; each loads, or fails, as the
-    reference does."""
+    """Tuple pairs, a respelled end and an empty cover list, which
+    ``to_json`` never writes: each loads, or fails, as the reference
+    does."""
     obj = {"elements": elements, "covers": covers}
     assert _loaded(Poset.from_json_dict, obj) == _loaded(oracle_from_json_dict, obj)
 
