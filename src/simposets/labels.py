@@ -27,8 +27,18 @@ them ends that place: ``""`` after the names, ``-1`` after the members,
 and a terminator sorts below anything else that can stand there.  So the flat order and equality are exactly
 the nested ones, and no comparison, hash or pickle recurses.
 
+A label carries its height, the braces and copy prefixes nested inside it,
+and each constructor sets it: 0 for the bottom and an atom set, one more
+than the base for a copy, one more than its highest member for a class.
+At most ``LABEL_DEPTH_MAX`` levels are allowed, and ``_copy`` and
+``_class``, through which every copy and class label is built, refuse a
+label past them with the reader's error, so the package writes no label it
+cannot read back.  The cap guards no recursion: it bounds key building.
+Keys share no sub-tuples, so a chain of d copy prefixes builds about d²/2
+tokens.
+
 A document's labels go through one ``reader()``, which parses each distinct
-label or sub-label text once and remembers it with its height.  A shallow
+label or sub-label text once and remembers its label.  A shallow
 text, a leaf or a class of leaves spelled canonically, is read by one
 regular-expression match (``_shallow``): a leaf is ``0`` or an atom set
 with strictly increasing names, after at most one copy index with no
@@ -39,12 +49,11 @@ Every other text goes to ``_parse``, which is the one reader of nested,
 non-canonical and malformed labels and so the source of every error.  It
 reads a text top down, a node at a time, with an explicit stack of the
 classes and copy prefixes still open, so no Python frame is spent per
-level.  At most ``LABEL_DEPTH_MAX`` nested braces and copy prefixes are
-accepted, wherever a remembered text is met again and at any depth of the
-caller's stack, and ``Label.copy`` and ``Label.class_of`` refuse a label
-past it alike.  The cap guards no recursion: it bounds key building.
-Keys share no sub-tuples, so a chain of d copy prefixes builds about d²/2
-tokens.  ``Label.parse`` reads one text with a reader of its own.
+level.  It refuses a text past the cap as it descends, at the first node
+whose depth plus height passes it, wherever a remembered text is met again
+and at any depth of the caller's stack, so it never reads below level
+``LABEL_DEPTH_MAX`` + 1.  ``Label.parse`` reads one text with a reader of
+its own.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ BOTTOM, ATOMS, COPY, CLASS = 0, 1, 2, 3
 
 # Characters with a job in the grammar; vertex names may not contain them.
 RESERVED = set('*@{},"')
-LABEL_DEPTH_MAX = 200  # nested braces and copy prefixes that parse accepts
+LABEL_DEPTH_MAX = 200  # nested braces and copy prefixes a label may hold
 
 # re's \s matches exactly the characters for which str.isspace holds
 _NAME = "[^" + re.escape("".join(sorted(RESERVED))) + r"\s]+"
@@ -70,7 +79,6 @@ _ATOMS_RE = re.compile(rf"{_NAME}(?:\*{_NAME})*")  # names joined by *, each val
 _LEAF = rf"(?:(?:0|[1-9][0-9]{{0,17}})@)?{_NAME}(?:\*{_NAME})*"
 _SHALLOW_RE = re.compile(rf"{_LEAF}|\{{{_LEAF}(?:,{_LEAF})*\}}")
 _BRACES_RE = re.compile("[{},]")
-_NESTING_RE = re.compile("[{},@]")
 
 
 def valid_vertex_name(name) -> bool:
@@ -79,11 +87,12 @@ def valid_vertex_name(name) -> bool:
 
 @total_ordering
 class Label:
-    __slots__ = ("key", "_text", "_hash")
+    __slots__ = ("key", "_text", "_height", "_hash")
 
-    def __init__(self, key, text):
+    def __init__(self, key, text, height):
         self.key = key
         self._text = text
+        self._height = height  # braces and copy prefixes nested inside
         # keys are immutable flat tuples: hash once, not on every lookup
         self._hash = hash(key)
 
@@ -111,7 +120,7 @@ class Label:
     def _atoms(cls, names: tuple) -> "Label":
         """Atom-set label from a nonempty sorted tuple of distinct valid
         vertex names; the caller vouches for all three."""
-        return cls((ATOMS, *names, ""), "*".join(names))  # "" sorts below any name
+        return cls((ATOMS, *names, ""), "*".join(names), 0)  # "" sorts below any name
 
     @classmethod
     def copy(cls, index: int, base: "Label") -> "Label":
@@ -119,14 +128,15 @@ class Label:
             raise FormatError(f"copy index must be a nonnegative integer, got {index!r}")
         if not isinstance(base, Label):
             raise FormatError("copy label base must be a Label")
-        _check_nesting(base)
         return cls._copy(index, base)
 
     @classmethod
     def _copy(cls, index: int, base: "Label") -> "Label":
         """Copy label from a nonnegative int and a Label; the caller
-        vouches for both."""
-        return cls((COPY, index, *base.key), f"{index}@{base._text}")
+        vouches for both.  Refuses a copy past the cap."""
+        if base._height >= LABEL_DEPTH_MAX:
+            raise FormatError("label is nested too deeply")
+        return cls((COPY, index, *base.key), f"{index}@{base._text}", base._height + 1)
 
     @classmethod
     def class_of(cls, members) -> "Label":
@@ -139,18 +149,20 @@ class Label:
             raise FormatError("class label needs at least one member")
         if len(set(members)) != len(members):
             raise FormatError("repeated member in class label")
-        _check_nesting(*members)
         return cls._class(members)
 
     @classmethod
     def _class(cls, members: tuple) -> "Label":
         """Class label from a nonempty sorted tuple of distinct Labels; the
-        caller vouches for all three."""
+        caller vouches for all three.  Refuses a class past the cap."""
+        height = max([m._height for m in members])
+        if height >= LABEL_DEPTH_MAX:
+            raise FormatError("label is nested too deeply")
         key = [CLASS]
         for m in members:
             key += m.key
         key.append(-1)  # sorts below any kind tag
-        return cls(tuple(key), "{" + ",".join([m._text for m in members]) + "}")
+        return cls(tuple(key), "{" + ",".join([m._text for m in members]) + "}", height + 1)
 
     @classmethod
     def parse(cls, text: str) -> "Label":
@@ -189,54 +201,35 @@ class Label:
 
     def __reduce__(self):
         # string hashes differ between processes, so unpickling hashes anew
-        return (Label, (self.key, self._text))
+        return (Label, (self.key, self._text, self._height))
 
 
-_BOTTOM_LABEL = Label((BOTTOM,), "0")
-
-
-def _check_nesting(*labels):
-    """Refuse a copy of, or a class around, ``labels`` past the cap, as the
-    reader does, with each height read off the text: a brace lasts to its
-    match, a copy prefix to the end of its class member."""
-    for label in labels:
-        depth, opened = 0, []  # opened: the depth inside each open class
-        for ch in _NESTING_RE.findall(label._text):
-            if ch == ",":
-                depth = opened[-1]
-            elif ch == "}":
-                depth = opened.pop() - 1
-            elif depth + 1 >= LABEL_DEPTH_MAX:
-                raise FormatError("label is nested too deeply")
-            else:
-                depth += 1
-                if ch == "{":
-                    opened.append(depth)
+_BOTTOM_LABEL = Label((BOTTOM,), "0", 0)
 
 
 def reader():
     """A function that reads label texts as :meth:`Label.parse` does and
-    remembers every sub-label it reads, with its height, so the labels of
-    one document parse each distinct text once."""
-    return partial(_read, {"0": (_BOTTOM_LABEL, 0)})
+    remembers every sub-label it reads, so the labels of one document parse
+    each distinct text once.  It refuses a text past the cap before it
+    reads below level ``LABEL_DEPTH_MAX`` + 1."""
+    return partial(_read, {"0": _BOTTOM_LABEL})
 
 
 # A reader's memo maps each text it has read, and each node of it (of a
-# shallow text, its atom sets), to (label, height), the height being the
-# braces and copy prefixes nested inside the label, and it always holds
-# "0".  A text met at depth d is too deep when d plus its height passes
-# LABEL_DEPTH_MAX: that is where a fresh parse would find its first
-# fault, since the text parsed before.
+# shallow text, its atom sets), to its label, and it always holds "0".  A
+# text met at depth d is too deep when d plus its label's height passes
+# LABEL_DEPTH_MAX: that is where a fresh parse would find its first fault,
+# since the text parsed before.
 
 
 def _read(memo: dict, text) -> Label:
     if not isinstance(text, str) or not text:
         raise FormatError(f"cannot parse label from {text!r}")
-    return (memo.get(text) or _shallow(memo, text) or _parse(memo, text))[0]
+    return memo.get(text) or _shallow(memo, text) or _parse(memo, text)
 
 
 def _shallow(memo: dict, text: str):
-    """(label, height) of ``text`` when it is a leaf or a class of leaves,
+    """The label of ``text`` when it is a leaf or a class of leaves,
     spelled canonically, with its key built straight from the leaves; None
     for any other text, which ``_parse`` then reads.  A leaf is ``0`` or an
     atom set with strictly increasing names, after at most one copy index
@@ -250,16 +243,16 @@ def _shallow(memo: dict, text: str):
     for leaf in text[1:-1].split(",") if text[0] == "{" else [text]:
         index, _, names = leaf.rpartition("@")
         done = memo.get(names)
-        if done is None or done[0]._text != names:
+        if done is None or done._text != names:
             parts = names.split("*")
             if "0" in parts or not all(map(lt, parts, parts[1:])):
                 return None
-            done = memo[names] = (Label._atoms(tuple(parts)), 0)
+            done = memo[names] = Label._atoms(tuple(parts))
         if index:
-            keys.append((COPY, int(index), *done[0].key))
+            keys.append((COPY, int(index), *done.key))
             height = 1
         else:
-            keys.append(done[0].key)
+            keys.append(done.key)
     if text[0] == "{":
         if not all(map(lt, keys, keys[1:])):
             return None
@@ -268,7 +261,7 @@ def _shallow(memo: dict, text: str):
         key = keys[0]
     else:
         return done  # an atom set, remembered above
-    memo[text] = done = (Label(key, text), height)
+    memo[text] = done = Label(key, text, height)
     return done
 
 
@@ -279,13 +272,13 @@ def _atom_set(text: str) -> Label:
     return Label.atom_set(names)  # raises the FormatError of the first fault
 
 
-def _class(memo: dict, s: str, members: list, height: int) -> tuple:
-    """(label, height) of the class ``s`` of ``members``, which its text
-    lists in strictly increasing key order unless it repeats one or is
-    unsorted; ``class_of`` then sorts them or rejects the repeat."""
+def _class(memo: dict, s: str, members: list) -> Label:
+    """The label of the class ``s`` of ``members``, which its text lists in
+    strictly increasing key order unless it repeats one or is unsorted;
+    ``class_of`` then sorts them or rejects the repeat."""
     keys = [m.key for m in members]
     in_order = all(map(lt, keys, keys[1:]))
-    memo[s] = (Label._class(tuple(members)) if in_order else Label.class_of(members), height)
+    memo[s] = Label._class(tuple(members)) if in_order else Label.class_of(members)
     return memo[s]
 
 
@@ -306,8 +299,8 @@ def _scan(text: str):
     return close, commas
 
 
-def _parse(memo: dict, text: str) -> tuple:
-    """(label, height) of ``text``, read top down with an explicit stack of
+def _parse(memo: dict, text: str) -> Label:
+    """The label of ``text``, read top down with an explicit stack of
     the classes and copy prefixes still open, each node remembered under its
     text.
 
@@ -319,12 +312,12 @@ def _parse(memo: dict, text: str) -> tuple:
     gives its members; a class with no brace inside is split at its
     commas."""
     scan = None
-    stack = []  # [i, j, depth, bounds, members, height] per class, (i, j, index) per copy
+    stack = []  # (i, j, depth, bounds, members) per class, (i, j, index) per copy
     i, j, depth = 0, len(text), 0
     while True:
         s = text[i:j]
         done = memo.get(s)
-        if depth + (done[1] if done else 0) > LABEL_DEPTH_MAX:
+        if depth + (done._height if done else 0) > LABEL_DEPTH_MAX:
             raise FormatError("label is nested too deeply")
         if done is None:
             if not s:
@@ -343,7 +336,7 @@ def _parse(memo: dict, text: str) -> tuple:
                     bounds = [i]
                     for part in inner.split(","):
                         bounds.append(bounds[-1] + len(part) + 1)
-                stack.append([i, j, depth, bounds, [], 1])
+                stack.append((i, j, depth, bounds, []))
                 i, j, depth = i + 1, bounds[1], depth + 1
                 continue
             at = s.find("@")
@@ -354,23 +347,21 @@ def _parse(memo: dict, text: str) -> tuple:
                     raise FormatError(f"copy index has too many digits: {at}") from None
                 i, depth = i + at + 1, depth + 1
                 continue
-            done = memo[s] = (_atom_set(s), 0)
+            done = memo[s] = _atom_set(s)
         # the node is read: hand it to the innermost open class or copy
         while stack:
             frame = stack[-1]
             if len(frame) == 3:
                 fi, fj, index = stack.pop()
-                done = memo[text[fi:fj]] = (Label._copy(index, done[0]), done[1] + 1)
+                done = memo[text[fi:fj]] = Label._copy(index, done)
                 continue
-            fi, fj, fdepth, bounds, members, height = frame
-            members.append(done[0])
-            if done[1] >= height:
-                frame[5] = done[1] + 1
+            fi, fj, fdepth, bounds, members = frame
+            members.append(done)
             k = len(members)
             if k < len(bounds) - 1:
                 i, j, depth = bounds[k] + 1, bounds[k + 1], fdepth + 1
                 break
             stack.pop()
-            done = _class(memo, text[fi:fj], members, frame[5])
+            done = _class(memo, text[fi:fj], members)
         else:
             return done

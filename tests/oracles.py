@@ -13,7 +13,8 @@ and ``oracle_theta_glue`` glues by labels and face sets: they are the
 references for the document parser and the index-array gluing.
 ``nested_key`` gives a label's place in the canonical order as a nested
 tuple, read from its text with no ``Label``: the reference for the flat
-``Label.key``.  ``oracle_atom_family``,
+``Label.key``; ``nesting_height`` is, read the same way, the reference for
+a label's height.  ``oracle_atom_family``,
 ``oracle_meet_poset`` and ``oracle_reconstruct_theta_pair`` are the
 label-based reconstruction the index-array one replaced: maxima sorted
 as labels, supports looked up label by label, and the meet poset
@@ -398,6 +399,19 @@ def nested_key(text):
     if m:
         return (2, int(m.group(1)), nested_key(m.group(2)))
     return (1, tuple(sorted(text.split("*"))))
+
+
+def nesting_height(text):
+    """The braces and copy prefixes nested inside the label written
+    ``text``, which must parse, from the text grammar alone: 0 for ``0``
+    and an atom set, one more than the base for a copy, and one more than
+    the highest member for a class."""
+    if text.startswith("{"):
+        return 1 + max(nesting_height(p) for p in _class_parts(text))
+    m = _COPY_RE.fullmatch(text)
+    if m:
+        return 1 + nesting_height(m.group(2))
+    return 0
 
 
 def oracle_from_json_dict(obj):

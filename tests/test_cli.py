@@ -158,6 +158,24 @@ def test_deeply_nested_spec_label_is_io_error(tmp_path, capsys, label):
     assert not out.exists()
 
 
+def test_glue_delta_past_the_label_cap_exits_1_and_writes_nothing(tmp_path, capsys):
+    """Gluing copies each label one prefix deeper, so an atom at the cap of
+    200 levels cannot be glued: the command fails as a malformed input
+    would, instead of writing a file that ``check --poset`` rejects."""
+    deep = "1@" * 200 + "m"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"elements": ["0", deep], "covers": [["0", deep]]}))
+    b.write_text(json.dumps({"elements": ["0", "n"], "covers": [["0", "n"]]}))
+    assert run(["check", "--poset", str(a), "--test", "simplicial"]) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"facet_map": {deep: "n"}, "atom_map": {deep: "n"}}))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(["glue-delta", "--a", str(a), "--b", str(b), "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: label is nested too deeply\n"
+    assert not out.exists()
+
+
 def test_check_faceposet_on_nonsimplicial_is_precondition_error(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(

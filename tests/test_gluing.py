@@ -42,7 +42,7 @@ from simposets import (
     validate_gluing,
 )
 from simposets import gluing
-from simposets.labels import ATOMS, BOTTOM, CLASS, COPY, Label
+from simposets.labels import ATOMS, BOTTOM, CLASS, COPY, LABEL_DEPTH_MAX, Label
 from simposets.poset import _BLOCK_CELLS, _Lazy
 
 from conftest import random_complex
@@ -464,6 +464,28 @@ def glue_two_b4():
     fm = {L("x1*x2*x3"): L("x1*x2*x3"), L("x2*x3*x4"): L("x2*x3*x4")}
     am = {L(f"x{i}"): L(f"x{i}") for i in range(1, 5)}
     return delta_glue(b, b, fm, am)
+
+
+def one_atom(text):
+    return Poset.from_json_dict({"elements": ["0", text], "covers": [["0", text]]})
+
+
+def test_separation_and_gluing_refuse_labels_past_the_cap():
+    """A poset whose one atom is LABEL_DEPTH_MAX copy prefixes deep loads,
+    but its separation, and a gluing onto a point, copy that atom one level
+    deeper: reading their labels raises the reader's error, so no document
+    is written that would not load back.  One prefix less separates, and
+    its document loads back equal."""
+    deep = "1@" * LABEL_DEPTH_MAX + "m"
+    point = one_atom("n")
+    glued = delta_glue(one_atom(deep), point, {L(deep): L("n")}, {L(deep): L("n")})
+    for p in (separation(one_atom(deep)).separated, glued):
+        with pytest.raises(FormatError, match="label is nested too deeply"):
+            p.elements
+        with pytest.raises(FormatError, match="label is nested too deeply"):
+            p.to_json()
+    separated = separation(one_atom(deep[2:])).separated
+    assert Poset.from_json(separated.to_json()) == separated
 
 
 def test_delta_glue_two_boolean_lattices():

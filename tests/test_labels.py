@@ -33,7 +33,7 @@ from simposets.labels import (
     valid_vertex_name,
 )
 
-from oracles import nested_key, oracle_parse, oracle_vertex_name
+from oracles import nested_key, nesting_height, oracle_parse, oracle_vertex_name
 
 names = st.text(alphabet="abcdefgh123", min_size=1, max_size=3).filter(
     lambda s: s != "0"
@@ -300,11 +300,11 @@ def mutated_label_texts():
 def _shallow_agrees(text):
     """None when the shallow reader declines ``text`` on a fresh memo, else
     whether it gives the label key, text and height that ``_parse`` does."""
-    got = _shallow({"0": (Label.bottom(), 0)}, text)
+    got = _shallow({"0": Label.bottom()}, text)
     if got is None:
         return None
-    label, height = _parse({"0": (Label.bottom(), 0)}, text)
-    return (got[0].key, str(got[0]), got[1]) == (label.key, str(label), height)
+    label = _parse({"0": Label.bottom()}, text)
+    return (got.key, str(got), got._height) == (label.key, str(label), label._height)
 
 
 def test_parse_matches_the_oracle_on_mutated_strings():
@@ -329,6 +329,29 @@ def test_parse_matches_the_oracle_on_mutated_strings():
         at += size
     assert sum(e[0] == "label" for e in expected) > 500  # both branches are exercised
     assert any(e[1].startswith("copy index has too many digits") for e in expected)
+
+
+def test_heights_agree_with_the_oracle_on_mutated_strings():
+    """Every label the mutated-string corpus parses to, alone or through one
+    reader whose memo carries from each text to the next, has the height
+    read off its text, and keeps it through a pickle round trip."""
+    corpus, texts, _ = mutated_label_texts()
+    read, heights = reader(), []
+    for text in corpus + texts:
+        try:
+            label = Label.parse(text)
+        except FormatError:
+            continue
+        again = pickle.loads(pickle.dumps(label))
+        heights.append((label._height, read(text)._height, again._height, nesting_height(text)))
+    assert len(heights) > 500 and all(len(set(h)) == 1 for h in heights)
+    assert {h[0] for h in heights} >= {0, 1, 2, 3}
+
+
+@given(labels)
+def test_heights_agree_with_the_oracle(lab):
+    again = pickle.loads(pickle.dumps(lab))
+    assert lab._height == again._height == nesting_height(str(lab))
 
 
 def is_flat(key):

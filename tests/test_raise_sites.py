@@ -319,7 +319,9 @@ RAISE_SITES = [
      "test_labels.py::test_class_members_sorted_and_unique"),
     ("labels", "Label.names", "FormatError", "label {} carries no vertex",
      "test_raise_sites.py::test_input_check_raises"),
-    ("labels", "_check_nesting", "FormatError", "label is nested too deeply",
+    ("labels", "Label._copy", "FormatError", "label is nested too deeply",
+     "test_gluing.py::test_separation_and_gluing_refuse_labels_past_the_cap"),
+    ("labels", "Label._class", "FormatError", "label is nested too deeply",
      "test_labels.py::test_constructors_keep_the_nesting_cap"),
     ("labels", "_read", "FormatError", "cannot parse label from {}",
      "test_cli.py::test_label_that_is_not_a_string_is_io_error"),
