@@ -8,8 +8,9 @@ incomparable, of equal rank, with no common upper bound, and their lower
 sets match class-by-class.  The second condition is read off one bit row
 per element, the classes below it (``_classes_below``), which the pass that
 closes every order, ``poset._spread``, fills level by level of lower-set
-size.  ``quotient_by_gluing`` collapses the classes and asserts the result
-is simplicial again.
+size.  A relation that fails is reported member by member of its failing
+classes, so no list of related pairs is built.  ``quotient_by_gluing``
+collapses the classes and asserts the result is simplicial again.
 
 ``delta_glue`` identifies an order ideal of one poset with an isomorphic
 ideal of another, the isomorphism induced by a facet map plus an atom map.
@@ -225,16 +226,6 @@ _CONDITION_1 = (
 )
 
 
-def _related_pairs(cls):
-    """Ordered pairs (a, b) of distinct elements in one class, by class,
-    then a, then b; ``cls`` gives each element's class."""
-    order = np.argsort(cls, kind="stable")
-    same = cls[order, None] == cls[order]
-    np.fill_diagonal(same, False)
-    a, b = np.nonzero(same)
-    return order[a], order[b]
-
-
 def _classes_below(base, cls, k):
     """Bit rows: bit c of row u is set when some member of class c lies
     below u.  Row u is its own class bit OR the rows of its lower covers,
@@ -268,6 +259,12 @@ def _failing_classes(base, cls, k):
     return fail, below
 
 
+def _slices(items, cells):
+    """``items`` in consecutive slices of ``_block(cells)`` entries."""
+    step = _block(cells)
+    return (items[start : start + step] for start in range(0, items.size, step))
+
+
 def validate_gluing(relation: GluingRelation) -> GluingCheck:
     """Check the two gluing conditions on every pair of related elements.
 
@@ -277,47 +274,50 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     class meets nothing below b, in canonical order.
 
     A class-first pass (``_failing_classes``) finds the classes with a
-    violation; only their pairs are then enumerated, so a valid relation
-    never reaches the pair loop, which reads condition (2) off the same
-    bit rows of classes below.  Beside those n x k bits, the pair list and
-    the f x f class comparison of the f members of failing classes, never
-    larger than ``leq``, every temporary is O(n) or one block of
-    ``_block`` pairs, each a row of ``leq``.
+    violation, so a valid relation returns before any pair is looked at.
+    Each failing class is then walked member by member, in ascending
+    order, which is the order of the report.  For member x, one step flags
+    condition (1) on the pairs (x, y) with y > x: comparable, of unequal
+    rank, or sharing an upper bound, which is to share a maximal element
+    above x.  A second step finds the condition (2) misses of every
+    ordered pair (x, y) by testing the bit rows of classes below y at the
+    classes of the elements below x.  Beside those n x k bits and O(n)
+    arrays, each step holds one slice of ``_block`` other members: the
+    ``leq`` cells at the maxima above x, or the 8-byte words at the
+    classes below x.
     """
     base = relation.base
     leq = base._leq
-    n, k = len(base), len(relation.classes)
+    k = len(relation.classes)
     base._bottom_index()  # the rank counts atoms, so needs a unique minimum
-    rank = base._profile().rank
+    prof = base._profile()
+    rank = prof.rank
     cls = relation.class_index
     fail, below = _failing_classes(base, cls, k)
-    members = np.flatnonzero(fail[cls])
-    a, b = (members[x] for x in _related_pairs(cls[members]))
-    if not a.size:
+    if not fail.any():
         return GluingCheck(violations=())
-    found = []  # (pair, condition, message or element below a) per violation
-    step = _block(n)
-    for start in range(0, a.size, step):
-        i, j = a[start : start + step], b[start : start + step]
-        first = np.column_stack(
-            [leq[i, j] | leq[j, i], rank[i] != rank[j], (leq[i] & leq[j]).any(axis=1)]
-        )
-        first &= (i < j)[:, None]  # unordered pairs, smaller element first
-        pair, what = np.nonzero(first)
-        found.append((pair + start, np.ones_like(pair), what))
-        # each w below i[pair] whose class has no bit in the row of j[pair]
-        what, pair = np.nonzero(leq[:, i])
-        c = cls[what]
-        missing = (below[j[pair], c >> 6] >> (c & 63).astype(np.uint64)) & np.uint64(1) == 0
-        found.append((pair[missing] + start, np.full(np.count_nonzero(missing), 2), what[missing]))
-    pair, condition, what = (np.concatenate(col) for col in zip(*found))
-    sort = np.lexsort((what, pair, condition, cls[a[pair]]))
+    members = np.flatnonzero(fail[cls])
+    members = members[np.argsort(cls[members], kind="stable")]
     el = base.elements
     violations = []
-    for p, c, w in zip(pair[sort].tolist(), condition[sort].tolist(), what[sort].tolist()):
-        x, y = el[a[p]], el[b[p]]
-        reason = _CONDITION_1[w] if c == 1 else f"{el[w]} below {x} is related to nothing below {y}"
-        violations.append(GluingViolation(c, (x, y), reason))
+    for group in np.split(members, np.flatnonzero(np.diff(cls[members])) + 1):
+        second = []  # condition (2), reported after all of the class's condition (1)
+        for at, x in enumerate(group.tolist()):
+            tops = prof.maxima[leq[x, prof.maxima]]
+            for y in _slices(group[at + 1 :], tops.size):
+                flags = [leq[x, y] | leq[y, x], rank[y] != rank[x], leq[np.ix_(y, tops)].any(axis=1)]
+                i, what = np.nonzero(np.column_stack(flags))
+                for b, w in zip(y[i].tolist(), what.tolist()):
+                    violations.append(GluingViolation(1, (el[x], el[b]), _CONDITION_1[w]))
+            down = np.flatnonzero(leq[:, x])
+            c = cls[down]
+            for y in _slices(group[group != x], 8 * down.size):
+                bits = below[y[:, None], c >> 6] >> (c & 63).astype(np.uint64)
+                i, w = np.nonzero(bits & np.uint64(1) == 0)
+                for b, v in zip(y[i].tolist(), down[w].tolist()):
+                    reason = f"{el[v]} below {el[x]} is related to nothing below {el[b]}"
+                    second.append(GluingViolation(2, (el[x], el[b]), reason))
+        violations += second
     return GluingCheck(violations=tuple(violations))
 
 

@@ -49,9 +49,11 @@ Every other text goes to ``_parse``, which is the one reader of nested,
 non-canonical and malformed labels and so the source of every error.  It
 reads a text top down, a node at a time, with an explicit stack of the
 classes and copy prefixes still open, so no Python frame is spent per
-level.  It refuses a text past the cap as it descends, at the first node
-whose depth plus height passes it, wherever a remembered text is met again
-and at any depth of the caller's stack, so it never reads below level
+level, and hands each node it has not met to ``_shallow`` first, so the
+leaves and flat classes inside a nested text take the one match too.  It
+refuses a text past the cap as it descends, at the first node whose depth
+plus height passes it, wherever a text read whole is met and at any depth
+of the caller's stack, so it never reads below level
 ``LABEL_DEPTH_MAX`` + 1.  ``Label.parse`` reads one text with a reader of
 its own.
 """
@@ -74,7 +76,6 @@ LABEL_DEPTH_MAX = 200  # nested braces and copy prefixes a label may hold
 # re's \s matches exactly the characters for which str.isspace holds
 _NAME = "[^" + re.escape("".join(sorted(RESERVED))) + r"\s]+"
 _NAME_RE = re.compile(_NAME)
-_ATOMS_RE = re.compile(rf"{_NAME}(?:\*{_NAME})*")  # names joined by *, each valid but "0"
 # a leaf: "0" or an atom set, after at most one copy index in canonical digits
 _LEAF = rf"(?:(?:0|[1-9][0-9]{{0,17}})@)?{_NAME}(?:\*{_NAME})*"
 _SHALLOW_RE = re.compile(rf"{_LEAF}|\{{{_LEAF}(?:,{_LEAF})*\}}")
@@ -265,13 +266,6 @@ def _shallow(memo: dict, text: str):
     return done
 
 
-def _atom_set(text: str) -> Label:
-    names = text.split("*")
-    if _ATOMS_RE.fullmatch(text) and "0" not in names and len(set(names)) == len(names):
-        return Label._atoms(tuple(sorted(names)))
-    return Label.atom_set(names)  # raises the FormatError of the first fault
-
-
 def _class(memo: dict, s: str, members: list) -> Label:
     """The label of the class ``s`` of ``members``, which its text lists in
     strictly increasing key order unless it repeats one or is unsorted;
@@ -304,19 +298,19 @@ def _parse(memo: dict, text: str) -> Label:
     the classes and copy prefixes still open, each node remembered under its
     text.
 
-    A node is a remembered text, a class, one copy prefix ``<digits>@``
-    before a nonempty text, or an atom set, tried in that order, so errors
-    come in the order of a left-to-right descent that checks a class's
-    braces before its members.  A class with a brace inside is balanced iff
-    its ``}`` matches its ``{`` in the one scan of ``_scan``, which also
-    gives its members; a class with no brace inside is split at its
-    commas."""
+    A node is a remembered text, a shallow one (``_shallow``), a class,
+    one copy prefix ``<digits>@`` before a nonempty text, or an atom set,
+    tried in that order, so errors come in the order of a left-to-right
+    descent that checks a class's braces before its members.  A class is
+    balanced iff its ``}`` matches its ``{`` in the one scan of ``_scan``,
+    which also gives its members.  A node read whole, remembered or
+    shallow, is refused when its depth plus its height passes the cap."""
     scan = None
     stack = []  # (i, j, depth, bounds, members) per class, (i, j, index) per copy
     i, j, depth = 0, len(text), 0
     while True:
         s = text[i:j]
-        done = memo.get(s)
+        done = memo.get(s) or _shallow(memo, s)
         if depth + (done._height if done else 0) > LABEL_DEPTH_MAX:
             raise FormatError("label is nested too deeply")
         if done is None:
@@ -325,17 +319,11 @@ def _parse(memo: dict, text: str) -> Label:
             if s[0] == "{":
                 if s[-1] != "}" or len(s) < 3:
                     raise FormatError(f"malformed class label: {s!r}")
-                inner = s[1:-1]
-                if "{" in inner or "}" in inner:
-                    if scan is None:
-                        scan = _scan(text)
-                    if scan[0].get(i) != j - 1:
-                        raise FormatError(f"unbalanced braces in label: {s!r}")
-                    bounds = [i, *scan[1][i], j - 1]
-                else:
-                    bounds = [i]
-                    for part in inner.split(","):
-                        bounds.append(bounds[-1] + len(part) + 1)
+                if scan is None:
+                    scan = _scan(text)
+                if scan[0].get(i) != j - 1:
+                    raise FormatError(f"unbalanced braces in label: {s!r}")
+                bounds = [i, *scan[1][i], j - 1]
                 stack.append((i, j, depth, bounds, []))
                 i, j, depth = i + 1, bounds[1], depth + 1
                 continue
@@ -347,7 +335,7 @@ def _parse(memo: dict, text: str) -> Label:
                     raise FormatError(f"copy index has too many digits: {at}") from None
                 i, depth = i + at + 1, depth + 1
                 continue
-            done = memo[s] = _atom_set(s)
+            done = memo[s] = Label.atom_set(s.split("*"))
         # the node is read: hand it to the innermost open class or copy
         while stack:
             frame = stack[-1]

@@ -409,6 +409,32 @@ def test_validate_rejects_a_large_class_under_one_top(members):
     assert check.violations[0].elements == tuple(sorted(atoms)[:2])
 
 
+def test_a_rejected_relation_with_one_large_class_stays_within_its_blocks():
+    """The bottom, 1000 atoms and one edge over two of them, the atoms and
+    the edge in one class: each of the 1001 members is checked against the
+    others a slice at a time, with no list of the million ordered pairs.
+    Every atom differs in rank from the edge; the two below it are also
+    comparable to it and share it as an upper bound, with each other too."""
+    atoms = [L(f"v{i:04d}") for i in range(1000)]
+    edge = L("v0000*v0001")
+    covers = [(BOT, a) for a in atoms] + [(atoms[0], edge), (atoms[1], edge)]
+    p = Poset.from_covers([BOT, *atoms, edge], covers)
+    rel = GluingRelation(base=p, classes=(frozenset([BOT]), frozenset([*atoms, edge])))
+    p._profile()
+    tracemalloc.start()
+    try:
+        check = validate_gluing(rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(check.violations) == 1005
+    assert check.violations[:2] == (
+        GluingViolation(1, (atoms[0], edge), INCOMPARABLE),
+        GluingViolation(1, (atoms[0], edge), EQUAL_RANK),
+    )
+    assert peak <= 4 * p._leq.nbytes
+
+
 def test_validate_on_a_2000_element_separation_stays_within_its_blocks():
     """The fiber relation of the n=12, p=0.9 sample's separation (2025
     elements): the check keeps one block of at most ``_BLOCK_CELLS`` bytes

@@ -27,7 +27,6 @@ from simposets.labels import (
     COPY,
     LABEL_DEPTH_MAX,
     Label,
-    _parse,
     _shallow,
     reader,
     valid_vertex_name,
@@ -299,12 +298,13 @@ def mutated_label_texts():
 
 def _shallow_agrees(text):
     """None when the shallow reader declines ``text`` on a fresh memo, else
-    whether it gives the label key, text and height that ``_parse`` does."""
+    whether it gives the label key, text and height that the reference
+    parser does."""
     got = _shallow({"0": Label.bottom()}, text)
     if got is None:
         return None
-    label = _parse({"0": Label.bottom()}, text)
-    return (got.key, str(got), got._height) == (label.key, str(label), label._height)
+    label = oracle_parse(text)
+    return (got.key, str(got), got._height) == (label.key, str(label), nesting_height(text))
 
 
 def test_parse_matches_the_oracle_on_mutated_strings():
@@ -312,7 +312,7 @@ def test_parse_matches_the_oracle_on_mutated_strings():
     reference parser on random edits of real labels, read one at a time
     and as documents: runs of labels through one reader, whose memo of
     sub-labels carries from each label to the next.  On a fresh memo the
-    shallow reader declines each text or reads it as ``_parse`` does."""
+    shallow reader declines each text or reads it as the reference does."""
     corpus, texts, rng = mutated_label_texts()
     shallow = [_shallow_agrees(text) for text in corpus + texts]
     assert False not in shallow

@@ -1226,7 +1226,8 @@ def test_the_documents_the_library_writes_take_the_shallow_path():
     """Theta samples, face posets and boolean lattices have only leaves and
     classes of leaves as labels, so loading them calls ``_parse`` on no
     text; a separation or a gluing quotient holds nested labels, which
-    still go through it."""
+    still go through it, and ``_parse`` hands every flat class inside
+    them to the shallow reader."""
     theta = [rand_simplicial_poset(RandomModelParams(n=10, p1=p, p2=p, seed=s)) for p, s in ((0.8, 3), (0.85, 5))]
     face = clique_complex(erdos_renyi_graph(9, 0.6, SplitMix64(2))).face_poset()
     nested = [separation(theta[0]).separated, quotient_by_gluing(fiber_relation(separation(theta[0])))]
@@ -1238,6 +1239,10 @@ def test_the_documents_the_library_writes_take_the_shallow_path():
         for q in nested:
             assert Poset.from_json(q.to_json()) == q
         assert spy.call_count > 0
+    flat = {c for e in nested[0].elements for c in re.findall(r"\{[^{}]*\}", str(e))}
+    with mock.patch.object(labels_module, "_shallow", side_effect=labels_module._shallow) as spy:
+        assert Poset.from_json(nested[0].to_json()) == nested[0]
+    assert flat and flat <= {call.args[1] for call in spy.call_args_list}
 
 
 def test_to_dot_mentions_every_element_and_cover():
