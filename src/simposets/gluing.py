@@ -10,7 +10,12 @@ per element, the classes below it (``_classes_below``), which the pass that
 closes every order, ``poset._spread``, fills level by level of lower-set
 size.  A relation that fails is reported member by member of its failing
 classes, so no list of related pairs is built.  ``quotient_by_gluing``
-collapses the classes and asserts the result is simplicial again.
+collapses the classes and asserts the result is simplicial again.  For a
+relation that passes, the rows of the classes' least members already are
+the quotient order, and the class images of the base covers are its
+covers, so the quotient is read off them (``_glued``) and no closure runs
+a second time; ``Poset.quotient``, which closes any partition from
+scratch, is its reference in the tests.
 
 ``delta_glue`` identifies an order ideal of one poset with an isomorphic
 ideal of another, the isomorphism induced by a facet map plus an atom map.
@@ -44,7 +49,17 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset, _bit_rows, _block, _class_members, _Lazy, _ranks, _spread
+from .poset import (
+    Poset,
+    _bit_rows,
+    _block,
+    _class_labels,
+    _class_members,
+    _distinct_pairs,
+    _Lazy,
+    _ranks,
+    _spread,
+)
 
 
 @dataclass
@@ -242,6 +257,13 @@ def _classes_below(base, cls, k):
     return below
 
 
+def _least_members(cls):
+    """The least member of each class of a class array numbered by least
+    member index: the elements that raise the running maximum of ``cls``."""
+    seen = np.maximum.accumulate(cls)
+    return np.flatnonzero(np.diff(seen, prepend=-1))
+
+
 def _failing_classes(base, cls, k):
     """A mask of the classes with a gluing violation, and the rows of
     ``_classes_below``.  A class fails when its ranks differ, some maximal
@@ -249,8 +271,7 @@ def _failing_classes(base, cls, k):
     or its members' rows differ, which is condition (2) for all ordered
     pairs at once."""
     rank = base._profile().rank
-    size = np.bincount(cls, minlength=k)
-    first = np.argsort(cls, kind="stable")[np.cumsum(size) - size]  # each class's first member
+    first = _least_members(cls)
     fail = np.zeros(k, dtype=bool)
     fail[cls[rank != rank[first[cls]]]] = True
     fail[base._shared_below_maxima(cls, k)] = True
@@ -286,6 +307,12 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     ``leq`` cells at the maxima above x, or the 8-byte words at the
     classes below x.
     """
+    return GluingCheck(violations=_validate(relation)[0])
+
+
+def _validate(relation: GluingRelation):
+    """The violations ``validate_gluing`` reports, as a tuple, and the rows
+    of ``_classes_below`` it read them from."""
     base = relation.base
     leq = base._leq
     k = len(relation.classes)
@@ -295,7 +322,7 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     cls = relation.class_index
     fail, below = _failing_classes(base, cls, k)
     if not fail.any():
-        return GluingCheck(violations=())
+        return (), below
     members = np.flatnonzero(fail[cls])
     members = members[np.argsort(cls[members], kind="stable")]
     el = base.elements
@@ -318,18 +345,72 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
                     reason = f"{el[v]} below {el[x]} is related to nothing below {el[b]}"
                     second.append(GluingViolation(2, (el[x], el[b]), reason))
         violations += second
-    return GluingCheck(violations=tuple(violations))
+    return tuple(violations), below
 
 
 def quotient_by_gluing(relation: GluingRelation) -> Poset:
-    check = validate_gluing(relation)
-    if not check.ok:
-        shown = "; ".join(str(v) for v in check.violations[:5])
+    """The quotient of the relation's base by its classes, which must pass
+    ``validate_gluing``; asserts that it is simplicial.
+
+    Its order is read off the rows of ``_classes_below`` that validation
+    built (``_glued``), so no closure is run again: class C lies below
+    class D iff bit C is set in the row of D's least member.  For a
+    relation that passes both conditions on a base with a unique minimum,
+    these rows are the quotient order.  All members of D have that row, by
+    condition (2), so C <= D iff some member of C lies below some member
+    of D.  Transitive: if c <= d and d' <= e with d, d' in D, the row of e
+    holds the row of d', which is that of d, which holds C.  Antisymmetric:
+    if c <= d and d' <= c' with c, c' in C and d, d' in D, the rows of c
+    and d hold each other, so some d'' in D lies below c <= d, and d'' = d
+    since related elements are incomparable; then c = d.  The covers are
+    the class images of the base covers: each lower set [0,w] maps one to
+    one onto [0,C(w)], since two members of one class share no upper
+    bound, and both ways order-preserving, since C(u) <= C(v) for u, v <=
+    w puts some member of C(u) below v <= w, which is u itself.  So
+    [0,w] and [0,C(w)] are isomorphic, and w covers u iff C(w) covers
+    C(u).  ``Poset.quotient``, which closes the class image of the covers
+    from scratch, is the reference the tests hold this to.
+    """
+    violations, below = _validate(relation)
+    if violations:
+        shown = "; ".join(str(v) for v in violations[:5])
         raise PreconditionError(f"not a gluing relation: {shown}")
-    out = relation.base.quotient(relation.class_index)
+    out = _glued(relation, below)
     if not out.is_simplicial():
         raise InvariantError("gluing quotient is not simplicial")
     return out
+
+
+def _glued(relation: GluingRelation, below) -> Poset:
+    """The quotient of a valid relation from the rows ``below`` of
+    ``_classes_below``, and the distinct class images of the base covers,
+    which no valid relation collapses.  Classes stand in the order of
+    their least members, which is the order of their class labels, built
+    on first read.
+
+    Row c of ``leq`` is bit c of the least members' rows, so it is read
+    off their byte c // 8, shifted right by c % 8: one byte column of the
+    rows, made contiguous, fills eight rows of ``leq`` with no bool
+    transpose, a block of ``_block`` byte columns at a time, each held
+    twice.  ``leq`` is allocated up to a multiple of eight rows and cut
+    to its first k."""
+    base, cls = relation.base, relation.class_index
+    k = len(relation.classes)
+    first = _least_members(cls)
+    size = -(-k // 8)
+    leq = np.empty((8 * size, k), dtype=bool)
+    bits = leq.view(np.uint8).reshape(size, 8, k)
+    # little-endian words, so bit c of a row is byte c // 8, bit c % 8
+    packed = below.astype("<u8", copy=False).view(np.uint8)[:, :size]
+    shifts = np.arange(8, dtype=np.uint8)[:, None]
+    step = _block(2 * k)
+    for start in range(0, size, step):
+        column = np.ascontiguousarray(packed[first, start : start + step].T)
+        out = bits[start : start + step]
+        np.right_shift(column[:, None, :], shifts, out=out)
+        np.bitwise_and(out, 1, out=out)
+    lo, hi = _distinct_pairs(cls[base._lo], cls[base._hi], k)
+    return Poset(_Lazy(k, _class_labels, base._labels, cls), leq[:k], lo, hi)
 
 
 def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:

@@ -49,8 +49,9 @@ Every other text goes to ``_parse``, which is the one reader of nested,
 non-canonical and malformed labels and so the source of every error.  It
 reads a text top down, a node at a time, with an explicit stack of the
 classes and copy prefixes still open, so no Python frame is spent per
-level, and hands each node it has not met to ``_shallow`` first, so the
-leaves and flat classes inside a nested text take the one match too.  It
+level, and hands each node inside the text that it has not met to
+``_shallow`` first, so the leaves and flat classes inside a nested text
+take the one match too; the whole text has been offered already.  It
 refuses a text past the cap as it descends, at the first node whose depth
 plus height passes it, wherever a text read whole is met and at any depth
 of the caller's stack, so it never reads below level
@@ -300,17 +301,20 @@ def _parse(memo: dict, text: str) -> Label:
 
     A node is a remembered text, a shallow one (``_shallow``), a class,
     one copy prefix ``<digits>@`` before a nonempty text, or an atom set,
-    tried in that order, so errors come in the order of a left-to-right
-    descent that checks a class's braces before its members.  A class is
-    balanced iff its ``}`` matches its ``{`` in the one scan of ``_scan``,
-    which also gives its members.  A node read whole, remembered or
-    shallow, is refused when its depth plus its height passes the cap."""
+    tried in that order (the whole text, which ``_read`` has already looked
+    up and offered to ``_shallow``, from a class on), so errors come in the
+    order of a left-to-right descent that checks a class's braces before
+    its members.  A class is balanced iff its ``}`` matches its ``{`` in
+    the one scan of ``_scan``, which also gives its members.  A node read
+    whole, remembered or shallow, is refused when its depth plus its
+    height passes the cap."""
     scan = None
     stack = []  # (i, j, depth, bounds, members) per class, (i, j, index) per copy
     i, j, depth = 0, len(text), 0
     while True:
         s = text[i:j]
-        done = memo.get(s) or _shallow(memo, s)
+        # _read has tried the whole text both ways
+        done = (memo.get(s) or _shallow(memo, s)) if stack else None
         if depth + (done._height if done else 0) > LABEL_DEPTH_MAX:
             raise FormatError("label is nested too deeply")
         if done is None:

@@ -38,8 +38,10 @@ Garey & Ullman 1972); a second ``_spread`` call finds them, run only on
 the lower ends of pairs two or more Kahn levels apart, since nothing lies
 strictly between the ends of a pair in adjacent levels.  The gluing check
 builds its rows of classes below each element (``gluing._classes_below``)
-with the same pass.  ``restrict`` takes an order ideal, as labels or a
-mask, and keeps the covers inside it.
+with the same pass, and a gluing quotient reads its order off those rows,
+so it runs no ``_dag``; it and ``_dag`` take their pairs distinct and
+sorted from ``_distinct_pairs``.  ``restrict`` takes an order ideal, as
+labels or a mask, and keeps the covers inside it.
 Meets and minimal upper bounds come from one kernel, ``_bounds``: ``ideal``
 runs it on blocks of pairs, ``meet`` and ``minimal_upper_bounds`` on one.
 
@@ -141,9 +143,10 @@ def _spread(dst, src, levels, start, send) -> None:
     Every receiver must have at least one sender, or ``reduceat`` would
     read the next receiver's rows.  ``_dag`` passes the Kahn levels below
     the first, whose elements were waiting on at least one pair, and, for
-    the redundancy rows, lower ends of its pairs; ``_classes_below``
+    the redundancy rows, lower ends of its pairs; ``gluing._classes_below``
     passes the levels of lower-set size above the minimal elements, each
-    of which covers something."""
+    of which covers something, and a gluing quotient then reads its order
+    off the rows of its classes' least members."""
     for level in levels:
         size = start[level + 1] - start[level]
         step = _block(8 * src.shape[1] * int(size.max()))
@@ -151,6 +154,16 @@ def _spread(dst, src, levels, start, send) -> None:
             u, k = level[first : first + step], size[first : first + step]
             rows = src[send[_ranges(start[u], start[u + 1])]]
             dst[u] |= np.bitwise_or.reduceat(rows, np.cumsum(k) - k, axis=0)
+
+
+def _distinct_pairs(lo: np.ndarray, hi: np.ndarray, n: int):
+    """The distinct index pairs ``(lo[k], hi[k])`` on ``range(n)``, sorted
+    by ``(lo, hi)``: a sort and a neighbour test, as np.unique loads
+    numpy.ma."""
+    key = np.sort(lo * n + hi)
+    distinct = np.ones(key.size, dtype=bool)
+    distinct[1:] = key[1:] != key[:-1]
+    return np.divmod(key[distinct], n)
 
 
 def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
@@ -172,10 +185,7 @@ def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
     ends of pairs two or more levels apart get an ``above`` row, and
     graded inputs skip that pass.
     """
-    key = np.sort(lo * n + hi)  # a sort and a neighbour test: np.unique loads numpy.ma
-    distinct = np.ones(key.size, dtype=bool)
-    distinct[1:] = key[1:] != key[:-1]
-    lo, hi = np.divmod(key[distinct], n)
+    lo, hi = _distinct_pairs(lo, hi, n)
     at = np.arange(n + 1)
     out = np.searchsorted(lo, at)  # pairs (a, .) are out[a]:out[a + 1]
     waiting = np.diff(out)
@@ -312,11 +322,14 @@ class Poset:
         recipe, not read; asserts reflexivity and the cover order, and
         freezes the arrays.  The builder vouches for the canonical order; for
         antisymmetry, checked once per matrix by the cycle check of ``_dag``,
-        a disjoint union's ascending blocks or the doubling of
-        ``_simplex_order`` in ``_facet_copies`` (``restrict`` keeps a principal
-        submatrix); and for the cover order: the sorted pairs of ``_dag`` or
-        ``_facet_copies``, a monotone index map, or a disjoint union's block
-        layout.  The test suite checks closure against Warshall's algorithm."""
+        a disjoint union's ascending blocks, the doubling of
+        ``_simplex_order`` in ``_facet_copies`` or, for a gluing quotient,
+        the two gluing conditions that ``gluing._validate`` checks on the
+        rows the quotient reads (``restrict`` keeps a principal submatrix);
+        and for the cover order: the sorted pairs of ``_dag``,
+        ``_facet_copies`` or ``_distinct_pairs``, a monotone index map, or a
+        disjoint union's block layout.  The test suite checks closure
+        against Warshall's algorithm."""
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
         key = lo * leq.shape[0] + hi
@@ -434,7 +447,9 @@ class Poset:
         """The order facts read off ``leq``, computed on first use."""
         if self._profile_cache is None:
             leq = self._leq
-            lower = leq.sum(axis=0)
+            # counted in int32, half the traffic of the default intp; widened
+            # so that _bounds' lower[c] * n + c cannot wrap
+            lower = leq.sum(axis=0, dtype=np.int32).astype(np.intp)
             mins = np.flatnonzero(lower == 1)
             bottom = int(mins[0]) if mins.size == 1 else -1
             # with a unique minimum, a lower set of size 2 is it and an atom
@@ -869,7 +884,7 @@ def find_isomorphism(p: Poset, q: Poset):
     lo, hi = np.concatenate([p._lo, q._lo + n]), np.concatenate([p._hi, q._hi + n])
     seed = (
         np.concatenate([p._profile().lower, q._profile().lower]),
-        np.concatenate([p._leq.sum(axis=1), q._leq.sum(axis=1)]),
+        np.concatenate([p._leq.sum(axis=1, dtype=np.int32), q._leq.sum(axis=1, dtype=np.int32)]),
         np.bincount(hi, minlength=2 * n),
         np.bincount(lo, minlength=2 * n),
     )

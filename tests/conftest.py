@@ -1,5 +1,6 @@
 """Shared fixtures: the two hand-built simplicial posets used across the
-gluing tests, and a reproducible corpus of small random complexes."""
+gluing tests, a reproducible corpus of small random complexes, and random
+small orders over a bottom."""
 
 import random
 
@@ -7,6 +8,8 @@ import pytest
 
 from simposets import Poset, make_complex
 from simposets.labels import Label
+
+from oracles import warshall, warshall_covers
 
 
 def _L(text):
@@ -72,6 +75,15 @@ def random_complex(rng, max_vertices=7, max_facets=5):
         k = rng.randint(1, min(4, n))
         facets.append(tuple(rng.sample(vertices, k)))
     return make_complex(vertices, facets)
+
+
+def random_order_over_bottom(rng, n):
+    """A random order on a bottom and n - 1 further elements: pairs drawn
+    at random, closed by Warshall's algorithm."""
+    pairs = [(0, j) for j in range(1, n)]
+    pairs += [(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < 0.4]
+    elems = [Label.bottom()] + [_L(f"v{i}") for i in range(1, n)]
+    return Poset.from_covers(elems, [(elems[i], elems[j]) for i, j in warshall_covers(warshall(n, pairs))])
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from simposets import (
     GluingSpec,
     GluingViolation,
     InvalidGluingError,
+    InvariantError,
     Poset,
     PreconditionError,
     RandomModelParams,
@@ -45,10 +46,11 @@ from simposets import gluing
 from simposets.labels import ATOMS, BOTTOM, CLASS, COPY, LABEL_DEPTH_MAX, Label
 from simposets.poset import _BLOCK_CELLS, _Lazy
 
-from conftest import random_complex
+from conftest import random_complex, random_order_over_bottom
 from oracles import (
     brute_covers,
     brute_gluing_violations,
+    brute_quotient,
     nested_key,
     oracle_atom_family,
     oracle_meet_poset,
@@ -470,6 +472,97 @@ def test_quotient_by_invalid_relation_raises():
     classes += [frozenset([e]) for e in p.elements if str(e) not in ("a", "b")]
     with pytest.raises(PreconditionError, match="not a gluing relation"):
         quotient_by_gluing(GluingRelation(base=p, classes=tuple(classes)))
+
+
+def handed_to_the_quotient(build):
+    """The relations that ``build()`` hands to ``quotient_by_gluing``; a
+    gluing whose maps ``build`` rejects first hands none."""
+    seen = []
+    real = gluing.quotient_by_gluing
+    with mock.patch.object(gluing, "quotient_by_gluing", lambda rel: seen.append(rel) or real(rel)):
+        try:
+            build()
+        except (InvalidGluingError, ElementNotFoundError):
+            pass
+    return seen
+
+
+def assert_glued_as_the_references(rel):
+    """The quotient a valid relation reads off its validation rows equals
+    ``Poset.quotient`` of its class array, order matrix included, and the
+    pair-loop quotient on small bases, also one class a block;
+    ``quotient_by_gluing`` returns it exactly when it is simplicial."""
+    violations, below = gluing._validate(rel)
+    assert not violations
+    fast = gluing._glued(rel, below)
+    ref = rel.base.quotient(rel.class_index)
+    assert fast == ref
+    assert np.array_equal(fast._leq, ref._leq)
+    with mock.patch("simposets.poset._BLOCK_CELLS", 1):
+        assert np.array_equal(gluing._glued(rel, below)._leq, ref._leq)
+    if len(rel.base) <= 40:
+        assert brute_quotient(rel.base, rel.classes) == (list(fast.elements), set(fast.covers))
+    if fast.is_simplicial():
+        assert quotient_by_gluing(rel) == fast
+    else:
+        with pytest.raises(InvariantError, match="^gluing quotient is not simplicial$"):
+            quotient_by_gluing(rel)
+
+
+def test_theta_quotients_match_the_references():
+    """The relations of theta gluings, and of random-model samples, which
+    glue two complexes by theta each."""
+    relations = []
+    for d1, d2 in theta_cases():
+        relations += handed_to_the_quotient(lambda: theta_glue(d1, d2))
+    for seed in range(6):
+        params = RandomModelParams(n=8, p1=0.8, p2=0.6, seed=seed)
+        relations += handed_to_the_quotient(lambda: rand_simplicial_poset(params))
+    assert len(relations) == len(theta_cases()) + 6
+    for rel in relations:
+        assert_glued_as_the_references(rel)
+
+
+def test_fiber_quotients_match_the_references(complex_corpus, two_points_two_edges, four_triangles_two_shared_edges):
+    posets = [c.face_poset() for c in complex_corpus] + [two_points_two_edges, four_triangles_two_shared_edges]
+    posets += [rand_simplicial_poset(RandomModelParams(n=7, p1=0.7, p2=0.5, seed=s)) for s in range(4)]
+    for p in posets:
+        assert_glued_as_the_references(fiber_relation(separation(p)))
+
+
+def test_delta_quotients_match_the_references():
+    relations = []
+    for seed in range(150):
+        a, b, facet_map, atom_map = random_delta_inputs(random.Random(seed))
+        relations += handed_to_the_quotient(lambda: delta_glue(a, b, facet_map, atom_map))
+    assert len(relations) > 50
+    for rel in relations:
+        assert_glued_as_the_references(rel)
+
+
+def test_quotients_of_random_partitions_match_the_references():
+    """Partitions of random small orders over a bottom, simplicial or not,
+    that merge a few elements with lower sets of one size: the valid ones
+    with a class of two or more members.  Each lower set of the base is
+    isomorphic to the one of its class, so a quotient is simplicial
+    exactly when its base is; both kinds are met."""
+    seen = Counter()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        p = random_order_over_bottom(rng, rng.randint(2, 8))
+        size = p._profile().lower.tolist()
+        cls = np.arange(len(p))
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randrange(len(p))
+            b = rng.choice([v for v in range(len(p)) if size[v] == size[a] and v != a] or [a])
+            cls[cls == cls[b]] = cls[a]
+        rel = GluingRelation(p, cls)
+        if len(rel.classes) == len(p) or not validate_gluing(rel):
+            continue
+        assert_glued_as_the_references(rel)
+        seen[p.is_simplicial(), rel.base.quotient(rel.class_index).is_simplicial()] += 1
+    assert set(seen) == {(False, False), (True, True)}
+    assert min(seen.values()) > 200, seen
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,6 +6,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from operator import lt
 from unittest import mock
 
@@ -46,7 +47,7 @@ from simposets import (
 )
 from simposets.labels import ATOMS, BOTTOM, CLASS, COPY, Label, valid_vertex_name
 
-from conftest import random_complex
+from conftest import random_complex, random_order_over_bottom
 from oracles import (
     brute_atoms,
     brute_bounds,
@@ -160,9 +161,11 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
     antisymmetry once: by the Kahn levels of ``_dag``, which reach every
     element only when the pairs have no cycle (a face poset or boolean
     lattice calls it from ``complexes``), by the ascending members of a
-    disjoint union, or by the doubling of ``_simplex_order`` inside the
+    disjoint union, by the doubling of ``_simplex_order`` inside the
     facet layout (``_facet_copies``), whose matrices a theta gluing's
-    separation copies below one bottom.  ``restrict`` makes no check: its matrix is
+    separation copies below one bottom, or, for a gluing quotient, by the
+    gluing conditions that ``gluing._validate`` checks before the
+    quotient reads its order off the rows it built.  ``restrict`` makes no check: its matrix is
     a principal submatrix of its parent's on ascending indices,
     antisymmetric as the parent's is.  Every Poset is built through
     ``Poset.__init__``."""
@@ -172,6 +175,7 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
         (complexes_module, "_dag"),
         (gluing_module, "_ascending"),
         (gluing_module, "_facet_copies"),
+        (gluing_module, "_validate"),
     )
     for module, name in checks:
         real = getattr(module, name)
@@ -614,15 +618,6 @@ def test_missing_relation_under_support_inclusion_is_not_simplicial():
     assert not p.leq(L("wx1"), L("wxy2"))
     assert not p.is_simplicial()
     assert brute_is_simplicial(p) is False
-
-
-def random_order_over_bottom(rng, n):
-    """A random order on a bottom and n - 1 further elements: pairs drawn
-    at random, closed by Warshall's algorithm."""
-    pairs = [(0, j) for j in range(1, n)]
-    pairs += [(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < 0.4]
-    elems = [BOT] + [L(f"v{i}") for i in range(1, n)]
-    return Poset.from_covers(elems, [(elems[i], elems[j]) for i, j in warshall_covers(warshall(n, pairs))])
 
 
 def test_simplicial_and_face_checks_match_oracle_on_random_orders():
@@ -1243,6 +1238,19 @@ def test_the_documents_the_library_writes_take_the_shallow_path():
     with mock.patch.object(labels_module, "_shallow", side_effect=labels_module._shallow) as spy:
         assert Poset.from_json(nested[0].to_json()) == nested[0]
     assert flat and flat <= {call.args[1] for call in spy.call_args_list}
+
+
+def test_a_nested_element_text_is_offered_to_the_shallow_reader_once():
+    """``_read`` offers each element text of a separation to ``_shallow``,
+    which declines the nested ones; ``_parse`` then reads them from their
+    copy prefix on, without offering the whole text again."""
+    sep = separation(rand_simplicial_poset(RandomModelParams(n=10, p1=0.8, p2=0.8, seed=3))).separated
+    with mock.patch.object(labels_module, "_shallow", side_effect=labels_module._shallow) as spy:
+        assert Poset.from_json(sep.to_json()) == sep
+    offered = Counter(call.args[1] for call in spy.call_args_list)
+    texts = [str(e) for e in sep.elements[1:]]  # the bottom, "0", is remembered from the start
+    assert len(texts) == 350
+    assert {offered[t] for t in texts} == {1}
 
 
 def test_to_dot_mentions_every_element_and_cover():

@@ -172,7 +172,7 @@ def test_theta_glue_checks_its_separation_is_a_face_poset(monkeypatch, two_point
 def test_gluing_checks_its_quotient_is_simplicial(monkeypatch):
     relation = fiber_relation(separation(B3))
     chain = Poset.from_covers([BOT, L("a"), L("b")], [(BOT, L("a")), (L("a"), L("b"))])
-    monkeypatch.setattr(Poset, "quotient", lambda self, classes: chain)
+    monkeypatch.setattr(gluing_module, "_glued", lambda relation, below: chain)
     check_fires("gluing quotient is not simplicial", lambda: quotient_by_gluing(relation))
 
 
