@@ -10,12 +10,9 @@ per element, the classes below it (``_classes_below``), which the pass that
 closes every order, ``poset._spread``, fills level by level of lower-set
 size.  A relation that fails is reported member by member of its failing
 classes, so no list of related pairs is built.  ``quotient_by_gluing``
-collapses the classes and asserts the result is simplicial again.  For a
-relation that passes, the rows of the classes' least members already are
-the quotient order, and the class images of the base covers are its
-covers, so the quotient is read off them (``_glued``) and no closure runs
-a second time; ``Poset.quotient``, which closes any partition from
-scratch, is its reference in the tests.
+collapses the classes and asserts the result is simplicial again; it
+reads the quotient order off those rows and its covers off the base
+covers (``_glued``), so no order is closed twice.
 
 ``delta_glue`` identifies an order ideal of one poset with an isomorphic
 ideal of another, the isomorphism induced by a facet map plus an atom map.
@@ -49,17 +46,7 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import (
-    Poset,
-    _bit_rows,
-    _block,
-    _class_labels,
-    _class_members,
-    _distinct_pairs,
-    _Lazy,
-    _ranks,
-    _spread,
-)
+from .poset import Poset, _bit_rows, _block, _class_labels, _class_members, _distinct_pairs, _Lazy, _ranks, _spread
 
 
 @dataclass
@@ -382,32 +369,26 @@ def quotient_by_gluing(relation: GluingRelation) -> Poset:
 
 
 def _glued(relation: GluingRelation, below) -> Poset:
-    """The quotient of a valid relation from the rows ``below`` of
-    ``_classes_below``, and the distinct class images of the base covers,
-    which no valid relation collapses.  Classes stand in the order of
-    their least members, which is the order of their class labels, built
-    on first read.
-
-    Row c of ``leq`` is bit c of the least members' rows, so it is read
-    off their byte c // 8, shifted right by c % 8: one byte column of the
-    rows, made contiguous, fills eight rows of ``leq`` with no bool
-    transpose, a block of ``_block`` byte columns at a time, each held
-    twice.  ``leq`` is allocated up to a multiple of eight rows and cut
-    to its first k."""
+    """The quotient of a valid relation, its order read off the rows
+    ``below`` of its classes' least members: row c of ``leq`` is bit
+    c % 8 of their byte c // 8, so each byte column, made contiguous,
+    fills eight rows by shifts, ``_block`` columns at a time, with no
+    bool transpose.  Its covers are the distinct class images of the base
+    covers, and its class labels are built on first read."""
     base, cls = relation.base, relation.class_index
     k = len(relation.classes)
     first = _least_members(cls)
     size = -(-k // 8)
-    leq = np.empty((8 * size, k), dtype=bool)
+    leq = np.empty((8 * size, k), dtype=bool)  # eight rows a byte, cut to k at the end
     bits = leq.view(np.uint8).reshape(size, 8, k)
     # little-endian words, so bit c of a row is byte c // 8, bit c % 8
     packed = below.astype("<u8", copy=False).view(np.uint8)[:, :size]
     shifts = np.arange(8, dtype=np.uint8)[:, None]
-    step = _block(2 * k)
+    step = _block(2 * k)  # a column is gathered, then copied contiguous
     for start in range(0, size, step):
-        column = np.ascontiguousarray(packed[first, start : start + step].T)
+        columns = np.ascontiguousarray(packed[first, start : start + step].T)
         out = bits[start : start + step]
-        np.right_shift(column[:, None, :], shifts, out=out)
+        np.right_shift(columns[:, None, :], shifts, out=out)
         np.bitwise_and(out, 1, out=out)
     lo, hi = _distinct_pairs(cls[base._lo], cls[base._hi], k)
     return Poset(_Lazy(k, _class_labels, base._labels, cls), leq[:k], lo, hi)
