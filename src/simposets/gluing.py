@@ -390,7 +390,7 @@ def _glued(relation: GluingRelation, below) -> Poset:
         out = bits[start : start + step]
         np.right_shift(columns[:, None, :], shifts, out=out)
         np.bitwise_and(out, 1, out=out)
-    lo, hi = _distinct_pairs(cls[base._lo], cls[base._hi], k)
+    lo, hi = _distinct_pairs(k, cls[base._lo], cls[base._hi])
     return Poset(_Lazy(k, _class_labels, base._labels, cls), leq[:k], lo, hi)
 
 

@@ -156,7 +156,7 @@ def _spread(dst, src, levels, start, send) -> None:
             dst[u] |= np.bitwise_or.reduceat(rows, np.cumsum(k) - k, axis=0)
 
 
-def _distinct_pairs(lo: np.ndarray, hi: np.ndarray, n: int):
+def _distinct_pairs(n: int, lo: np.ndarray, hi: np.ndarray):
     """The distinct index pairs ``(lo[k], hi[k])`` on ``range(n)``, sorted
     by ``(lo, hi)``: a sort and a neighbour test, as np.unique loads
     numpy.ma."""
@@ -185,7 +185,7 @@ def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
     ends of pairs two or more levels apart get an ``above`` row, and
     graded inputs skip that pass.
     """
-    lo, hi = _distinct_pairs(lo, hi, n)
+    lo, hi = _distinct_pairs(n, lo, hi)
     at = np.arange(n + 1)
     out = np.searchsorted(lo, at)  # pairs (a, .) are out[a]:out[a + 1]
     waiting = np.diff(out)
