@@ -1,0 +1,124 @@
+"""Work budgets: how many times each pipeline stage may run a kernel.
+
+A kernel that runs twice leaves every answer right, so only a count sees
+it: a gluing quotient that closed its order a second time, or a profile
+built again for a poset that already had one.  The counts come from
+wrappers around the kernels, as in
+``test_isomorphism_search_refines_a_bounded_number_of_times``, and each
+budget is an upper bound, so a change that removes work passes unchanged
+and one that adds work must raise a budget here and say why.
+
+The kernels: ``_dag``, which closes an order from generating pairs; a
+profile build, the first ``Poset._profile`` read of a poset;
+``gluing._classes_below``, the bit rows of a gluing check;
+``complexes._simplex_order``, the face order of a simplex of one size; and
+``Poset._bounds``, the meets and minimal upper bounds of a block of pairs.
+"""
+
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+import simposets.complexes as complexes_module
+import simposets.gluing as gluing_module
+import simposets.poset as poset_module
+from simposets import (
+    Poset,
+    RandomModelParams,
+    fiber_relation,
+    quotient_by_gluing,
+    rand_simplicial_poset,
+    separation,
+    stanley_poset_ideal,
+)
+from simposets.random_model import SplitMix64, kahle_complex
+
+SAMPLES = [(6, 0.5, 3), (8, 0.7, 2), (10, 0.9, 1), (10, 1.0, 1)]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """A Counter of kernel runs, by kernel name, from wrappers installed
+    wherever a module binds the kernel."""
+    counts = Counter()
+
+    def counted(name, kernel):
+        def run(*args):
+            counts[name] += 1
+            return kernel(*args)
+
+        return run
+
+    for module in (poset_module, complexes_module):
+        monkeypatch.setattr(module, "_dag", counted("_dag", poset_module._dag))
+    monkeypatch.setattr(gluing_module, "_classes_below", counted("_classes_below", gluing_module._classes_below))
+    monkeypatch.setattr(complexes_module, "_simplex_order", counted("_simplex_order", complexes_module._simplex_order))
+    monkeypatch.setattr(Poset, "_bounds", counted("_bounds", Poset._bounds))
+    profile = Poset._profile
+
+    def first_read(self):
+        counts["profile"] += self._profile_cache is None
+        return profile(self)
+
+    monkeypatch.setattr(Poset, "_profile", first_read)
+    return counts
+
+
+@pytest.mark.parametrize("n, p, seed", SAMPLES)
+def test_a_theta_sample_closes_no_order_and_checks_its_gluing_once(calls, n, p, seed):
+    """A theta sample takes its separation from the facet layout and its
+    quotient order from the validation rows: no ``_dag``, one
+    ``_classes_below``, the separation's and the quotient's profiles, and
+    one simplex order per distinct facet size of d1."""
+    sizes = {len(f) for f in kahle_complex(n, p, SplitMix64(seed)).facets}
+    rand_simplicial_poset(RandomModelParams(n=n, p1=p, p2=p, seed=seed))
+    assert calls["_dag"] == 0
+    assert calls["_classes_below"] <= 1
+    assert calls["profile"] <= 2
+    assert calls["_simplex_order"] <= len(sizes)
+
+
+@pytest.mark.parametrize("n, p, seed", SAMPLES)
+def test_a_separation_quotient_closes_no_order(calls, n, p, seed):
+    """``quotient_by_gluing(fiber_relation(separation(q)))`` on a loaded
+    poset: no ``_dag``, one ``_classes_below``, and three profiles: q's,
+    the separation's and the quotient's."""
+    q = Poset.from_json(rand_simplicial_poset(RandomModelParams(n=n, p1=p, p2=p, seed=seed)).to_json())
+    calls.clear()
+    quotient_by_gluing(fiber_relation(separation(q)))
+    assert calls["_dag"] == 0
+    assert calls["_classes_below"] <= 1
+    assert calls["profile"] <= 3
+
+
+@pytest.mark.parametrize("n, p, seed", SAMPLES)
+def test_a_load_closes_its_order_once(calls, n, p, seed):
+    text = rand_simplicial_poset(RandomModelParams(n=n, p1=p, p2=p, seed=seed)).to_json()
+    calls.clear()
+    Poset.from_json(text)
+    assert calls["_dag"] <= 1
+
+
+@pytest.mark.parametrize("pairs_a_block", [None, 7])
+@pytest.mark.parametrize("n, p, seed", SAMPLES[:2])
+def test_the_poset_ideal_bounds_its_pairs_a_block_at_a_time(calls, monkeypatch, n, p, seed, pairs_a_block):
+    """``stanley_poset_ideal`` builds one profile and runs one ``_bounds``
+    call per block of pairs with a common upper bound, not one per pair,
+    at the default budget and at seven pairs a block."""
+    text = rand_simplicial_poset(RandomModelParams(n=n, p1=p, p2=p, seed=seed)).to_json()
+    # incomparable pairs with a common upper bound, counted off the lower
+    # sets of the maxima of a copy, so that q's profile is not yet built
+    copy = Poset.from_json(text)
+    tops = [copy.lower_set(x) for x in copy.maximal_elements()]
+    pairs = sum(
+        not (copy.leq(u, v) or copy.leq(v, u)) and any(u in t and v in t for t in tops)
+        for u, v in combinations(copy.elements, 2)
+    )
+    q = Poset.from_json(text)
+    cells = pairs_a_block * len(q) if pairs_a_block else poset_module._BLOCK_CELLS  # a row of leq a pair
+    monkeypatch.setattr(poset_module, "_BLOCK_CELLS", cells)
+    calls.clear()
+    stanley_poset_ideal(q)
+    assert calls["profile"] <= 1
+    assert calls["_bounds"] <= -(-pairs // (cells // len(q)))
