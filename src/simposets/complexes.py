@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FormatError, InvariantError, SizeLimitError, StructureError
 from .labels import Label, valid_vertex_name
-from .poset import Poset, _dag, _dumps, _Lazy, _loads, _ranks
+from .poset import Poset, _dag, _distinct_pairs, _dumps, _Lazy, _loads, _ranks
 
 BOOLEAN_LATTICE_MAX = 15
 
@@ -185,11 +185,11 @@ def _facet_copies(position: dict, facets):
     the bottom, then copy i holds the nonempty faces of facet i in
     ``_simplex_order`` order.  Row j of ``rows`` holds element j's vertices
     as ``position`` numbers them, read at the face's row of the simplex's
-    position table and padded with -1.  ``lo``, ``hi`` are the covers in
-    ``(lo, hi)`` order; ``copies[i]`` is copy i's first element and the
-    ``_simplex_order`` matrix of its facet's size.  Each simplex order is
-    taken once, before ``rows`` is allocated, and the facets of one size
-    are laid out at once."""
+    position table and padded with -1.  ``lo``, ``hi`` are the covers, put
+    in ``(lo, hi)`` order by ``_distinct_pairs``; ``copies[i]`` is copy i's
+    first element and the ``_simplex_order`` matrix of its facet's size.
+    Each simplex order is taken once, before ``rows`` is allocated, and the
+    facets of one size are laid out at once."""
     size = np.array([len(f) for f in facets], dtype=np.intp)
     orders = {k: _simplex_order(k) for k in set(size.tolist())}
     faces = (1 << size) - 1  # the nonempty faces of each copy
@@ -204,9 +204,9 @@ def _facet_copies(position: dict, facets):
         rows[base + np.arange(1, 1 << k), :k] = vertex[:, pos[1:]]
         lo.append(np.where(sub_lo > 0, base + sub_lo, 0).ravel())  # each empty face is the bottom
         hi.append((base + sub_hi).ravel())
-    key = np.sort(np.concatenate(lo) * len(rows) + np.concatenate(hi))
+    lo, hi = _distinct_pairs(len(rows), np.concatenate(lo), np.concatenate(hi))
     copies = [(s + 1, orders[k][1]) for s, k in zip(start.tolist(), size.tolist())]
-    return rows, key // len(rows), key % len(rows), copies
+    return rows, lo, hi, copies
 
 
 def _position_labels(names: tuple, flat: np.ndarray, size: np.ndarray) -> tuple:

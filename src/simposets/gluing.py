@@ -46,7 +46,7 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset, _bit_rows, _block, _class_labels, _class_members, _distinct_pairs, _Lazy, _ranks, _spread
+from .poset import Poset, _bit_rows, _class_labels, _class_members, _distinct_pairs, _Lazy, _ranks, _slices, _spread
 
 
 @dataclass
@@ -191,9 +191,7 @@ def _disjoint_union(blocks) -> Poset:
         hi.append(at[p._hi[into]])
         offset += m
     labels = _Lazy(leq.shape[0], _copy_labels, [(ci, p._labels, members) for ci, p, members in blocks])
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    first = np.argsort(lo > 0, kind="stable")  # the bottom's covers, then each block's, which ascend
-    return Poset(labels, leq, lo[first], hi[first])
+    return Poset(labels, leq, *_distinct_pairs(leq.shape[0], np.concatenate(lo), np.concatenate(hi)))
 
 
 def separation(q: Poset) -> SeparationResult:
@@ -267,12 +265,6 @@ def _failing_classes(base, cls, k):
     return fail, below
 
 
-def _slices(items, cells):
-    """``items`` in consecutive slices of ``_block(cells)`` entries."""
-    step = _block(cells)
-    return (items[start : start + step] for start in range(0, items.size, step))
-
-
 def validate_gluing(relation: GluingRelation) -> GluingCheck:
     """Check the two gluing conditions on every pair of related elements.
 
@@ -290,7 +282,7 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     above x.  A second step finds the condition (2) misses of every
     ordered pair (x, y) by testing the bit rows of classes below y at the
     classes of the elements below x.  Beside those n x k bits and O(n)
-    arrays, each step holds one slice of ``_block`` other members: the
+    arrays, each step holds one slice (``_slices``) of other members: the
     ``leq`` cells at the maxima above x, or the 8-byte words at the
     classes below x.
     """
@@ -318,14 +310,18 @@ def _validate(relation: GluingRelation):
         second = []  # condition (2), reported after all of the class's condition (1)
         for at, x in enumerate(group.tolist()):
             tops = prof.maxima[leq[x, prof.maxima]]
-            for y in _slices(group[at + 1 :], tops.size):
+            later = group[at + 1 :]
+            for part in _slices(later.size, tops.size):
+                y = later[part]
                 flags = [leq[x, y] | leq[y, x], rank[y] != rank[x], leq[np.ix_(y, tops)].any(axis=1)]
                 i, what = np.nonzero(np.column_stack(flags))
                 for b, w in zip(y[i].tolist(), what.tolist()):
                     violations.append(GluingViolation(1, (el[x], el[b]), _CONDITION_1[w]))
             down = np.flatnonzero(leq[:, x])
             c = cls[down]
-            for y in _slices(group[group != x], 8 * down.size):
+            others = group[group != x]
+            for part in _slices(others.size, 8 * down.size):
+                y = others[part]
                 bits = below[y[:, None], c >> 6] >> (c & 63).astype(np.uint64)
                 i, w = np.nonzero(bits & np.uint64(1) == 0)
                 for b, v in zip(y[i].tolist(), down[w].tolist()):
@@ -372,9 +368,10 @@ def _glued(relation: GluingRelation, below) -> Poset:
     """The quotient of a valid relation, its order read off the rows
     ``below`` of its classes' least members: row c of ``leq`` is bit
     c % 8 of their byte c // 8, so each byte column, made contiguous,
-    fills eight rows by shifts, ``_block`` columns at a time, with no
-    bool transpose.  Its covers are the distinct class images of the base
-    covers, and its class labels are built on first read."""
+    fills eight rows by shifts, a slice (``_slices``) of columns at a
+    time, with no bool transpose.  Its covers are the distinct class
+    images of the base covers, and its class labels are built on first
+    read."""
     base, cls = relation.base, relation.class_index
     k = len(relation.classes)
     first = _least_members(cls)
@@ -384,10 +381,9 @@ def _glued(relation: GluingRelation, below) -> Poset:
     # little-endian words, so bit c of a row is byte c // 8, bit c % 8
     packed = below.astype("<u8", copy=False).view(np.uint8)[:, :size]
     shifts = np.arange(8, dtype=np.uint8)[:, None]
-    step = _block(2 * k)  # a column is gathered, then copied contiguous
-    for start in range(0, size, step):
-        columns = np.ascontiguousarray(packed[first, start : start + step].T)
-        out = bits[start : start + step]
+    for part in _slices(size, 2 * k):  # a column is gathered, then copied contiguous
+        columns = np.ascontiguousarray(packed[first, part].T)
+        out = bits[part]
         np.right_shift(columns[:, None, :], shifts, out=out)
         np.bitwise_and(out, 1, out=out)
     lo, hi = _distinct_pairs(k, cls[base._lo], cls[base._hi])
@@ -523,9 +519,8 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
     # a face lies in a facet of d2 when none of its vertices lies outside
     # it, tested a block of facets at a time, each an n x words temporary
     shared = (vertex[:, 1:2] < 0).all(axis=1)  # no second vertex: the vertices, and the bottom
-    step = _block(8 * n * rows.shape[1])
-    for start in range(0, len(d2_rows), step):
-        outside = rows[:, None] & ~d2_rows[None, start : start + step]
+    for part in _slices(len(d2_rows), 8 * n * rows.shape[1]):
+        outside = rows[:, None] & ~d2_rows[None, part]
         shared |= (outside == 0).all(axis=2).any(axis=1)
     # copies of a shared face join the class of its vertex set, others stand alone
     cls = np.where(shared, _ranks(list(rows.T)), n + np.arange(n))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex
 from .errors import PreconditionError, InvariantError, StructureError
-from .poset import Poset, _block
+from .poset import Poset, _slices
 
 _EXPONENT_MAX = int(np.iinfo(np.int64).max)
 
@@ -162,11 +162,11 @@ def _pair_blocks(p: Poset):
     row-major order, which is the order of ``combinations(variables, 2)``
     (the bottom is comparable to everything, so it is in no pair).
     ``blocks`` yields ``(gen, lo, hi, sign)`` for a block of pairs with a
-    common upper bound, ``_block`` of them, each a row of ``leq``: per term,
-    its pair's position in ``a``, its two variables (``hi`` -1 for degree
-    1) and its sign.  A pair's terms are its product, then -meet*z for each
-    minimal common upper bound z, or -z when the meet is the bottom, which
-    reads as 1.
+    common upper bound, a slice (``_slices``) of them, each a row of
+    ``leq``: per term, its pair's position in ``a``, its two variables
+    (``hi`` -1 for degree 1) and its sign.  A pair's terms are its
+    product, then -meet*z for each minimal common upper bound z, or -z when
+    the meet is the bottom, which reads as 1.
     """
     leq, prof = p._leq, p._profile()
     n, bot = len(p), p._bottom_index()
@@ -179,9 +179,8 @@ def _pair_blocks(p: Poset):
     geq = np.ascontiguousarray(leq.T)
 
     def blocks():
-        step = _block(n)
-        for start in range(0, with_upper.size, step):
-            gen = with_upper[start : start + step]
+        for part in _slices(with_upper.size, n):
+            gen = with_upper[part]
             x, y = a[gen], b[gen]
             meet, owner, ub = p._bounds(x + (x >= bot), y + (y >= bot), geq)  # elements skip the bottom
             m, z = var_of[meet][owner], var_of[ub]
@@ -299,14 +298,12 @@ def _minimal_rows(exps):
 def _divided(rows, by):
     """For each row of ``rows``, whether some row of ``by`` divides it.
 
-    The rows are tested a block at a time, ``_block`` of them, each taking
-    a cell of the broadcast temporary per entry of ``by``.
+    The rows are tested a slice (``_slices``) at a time, each row taking a
+    cell of the broadcast temporary per entry of ``by``.
     """
     out = np.zeros(len(rows), dtype=bool)
-    step = _block(by.size)
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step]
-        out[start : start + step] = (by[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
+    for part in _slices(len(rows), by.size):
+        out[part] = (by[None, :, :] <= rows[part][:, None, :]).all(axis=2).any(axis=1)
     return out
 
 

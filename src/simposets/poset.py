@@ -31,16 +31,17 @@ and base index.
 their order from generating pairs through one kernel, ``_dag``: Kahn levels
 from the top, where an element Kahn never reaches means a cycle, then one
 bit-row pass, ``_spread``, which ORs packed ``uint64`` rows along the
-pairs, level by level and a block of ``_block`` receiving rows at a time,
-into every element's upper set (Simon 1988).  A pair is redundant when its
-upper end lies strictly above another upper end of its lower end (Aho,
-Garey & Ullman 1972); a second ``_spread`` call finds them, run only on
+pairs, level by level and a slice of receiving rows at a time, into every
+element's upper set (Simon 1988).  A pair is redundant when its upper end
+lies strictly above another upper end of its lower end (Aho, Garey &
+Ullman 1972); a second ``_spread`` call finds them, run only on
 the lower ends of pairs two or more Kahn levels apart, since nothing lies
 strictly between the ends of a pair in adjacent levels.  The gluing check
 builds its rows of classes below each element (``gluing._classes_below``)
 with the same pass, and a gluing quotient reads its order off those rows,
-so it runs no ``_dag``; it and ``_dag`` take their pairs distinct and
-sorted from ``_distinct_pairs``.  ``restrict`` takes an order ideal, as
+so it runs no ``_dag``.  It, ``_dag``, a disjoint union and the facet
+copies of a complex take their pairs distinct and sorted from one
+function, ``_distinct_pairs``.  ``restrict`` takes an order ideal, as
 labels or a mask, and keeps the covers inside it.
 Meets and minimal upper bounds come from one kernel, ``_bounds``: ``ideal``
 runs it on blocks of pairs, ``meet`` and ``minimal_upper_bounds`` on one.
@@ -91,30 +92,31 @@ from .errors import (
 from .labels import Label, reader
 
 ISOMORPHISM_MAX = 500
-# bool cells, or bytes, held by the temporaries of one block of any blocked
-# loop, the bit-row pass (_spread) of _dag and _classes_below included
+# bool cells, or bytes, held by the temporaries of one slice of any loop
+# cut by _slices or _blocks, the bit-row pass (_spread) included
 _BLOCK_CELLS = 1 << 20
 
 
-def _block(cells: int) -> int:
-    """Items per block of a loop whose temporaries hold ``cells`` bool
-    cells (bytes) per item: ``_BLOCK_CELLS`` in all, and at least one item.
-    No result depends on where the blocks end."""
-    return max(1, _BLOCK_CELLS // max(1, cells))
+def _slices(count: int, cells: int):
+    """Consecutive slices over ``range(count)`` for a loop whose temporaries
+    hold ``cells`` bool cells (bytes) per item: ``_BLOCK_CELLS`` a slice,
+    and at least one item.  No result depends on where the slices end."""
+    step = max(1, _BLOCK_CELLS // max(1, cells))
+    return (slice(start, min(count, start + step)) for start in range(0, count, step))
 
 
-def _blocks(cells) -> list:
-    """Bounds ``[0, ..., len(cells)]`` of the consecutive blocks of a loop
-    whose item i holds ``cells[i]`` bool cells (bytes) of temporaries:
-    ``_BLOCK_CELLS`` a block, and at least one item.  No result depends on
-    where the blocks end."""
+def _blocks(cells):
+    """Consecutive slices over ``range(len(cells))`` for a loop whose item
+    i holds ``cells[i]`` bool cells (bytes) of temporaries: ``_BLOCK_CELLS``
+    a slice, and at least one item.  No result depends on where the slices
+    end."""
     ends = np.cumsum(cells)
-    bounds = [0]
-    while bounds[-1] < len(ends):
-        start = bounds[-1]
+    start = 0
+    while start < len(ends):
         held = ends[start - 1] if start else 0
-        bounds.append(max(start + 1, int(np.searchsorted(ends, held + _BLOCK_CELLS, side="right"))))
-    return bounds
+        stop = max(start + 1, int(np.searchsorted(ends, held + _BLOCK_CELLS, side="right")))
+        yield slice(start, stop)
+        start = stop
 
 
 def _ranges(start, stop) -> np.ndarray:
@@ -135,10 +137,10 @@ def _bit_rows(idx: np.ndarray, bits: int) -> np.ndarray:
 def _spread(dst, src, levels, start, send) -> None:
     """The one pass that closes bit rows along pairs: level by level, OR
     into each row u of ``dst`` the rows of ``src`` at
-    ``send[start[u]:start[u + 1]]``, one ``bitwise_or.reduceat`` per block
-    of ``_block`` receiving rows of the level.  ``src`` may be ``dst`` when
-    every row a level reads is final before it: each sender stands in an
-    earlier level.
+    ``send[start[u]:start[u + 1]]``, one ``bitwise_or.reduceat`` per slice
+    (``_slices``) of receiving rows of the level.  ``src`` may be ``dst``
+    when every row a level reads is final before it: each sender stands in
+    an earlier level.
 
     Every receiver must have at least one sender, or ``reduceat`` would
     read the next receiver's rows.  ``_dag`` passes the Kahn levels below
@@ -149,9 +151,8 @@ def _spread(dst, src, levels, start, send) -> None:
     off the rows of its classes' least members."""
     for level in levels:
         size = start[level + 1] - start[level]
-        step = _block(8 * src.shape[1] * int(size.max()))
-        for first in range(0, level.size, step):
-            u, k = level[first : first + step], size[first : first + step]
+        for part in _slices(level.size, 8 * src.shape[1] * int(size.max())):
+            u, k = level[part], size[part]
             rows = src[send[_ranges(start[u], start[u + 1])]]
             dst[u] |= np.bitwise_or.reduceat(rows, np.cumsum(k) - k, axis=0)
 
@@ -326,9 +327,8 @@ class Poset:
         ``_simplex_order`` in ``_facet_copies`` or, for a gluing quotient,
         the two gluing conditions that ``gluing._validate`` checks on the
         rows the quotient reads (``restrict`` keeps a principal submatrix);
-        and for the cover order: the sorted pairs of ``_dag``,
-        ``_facet_copies`` or ``_distinct_pairs``, a monotone index map, or a
-        disjoint union's block layout.  The test suite checks closure
+        and for the cover order: ``_distinct_pairs``, which ``_dag`` calls,
+        or ``restrict``'s monotone index map.  The test suite checks closure
         against Warshall's algorithm."""
         if not leq.diagonal().all():
             raise InvariantError("reachability matrix is not reflexive")
@@ -527,13 +527,12 @@ class Poset:
         """The values of ``ids`` (each in ``range(k)``) that two distinct
         elements below one maximal element share, once per extra such
         element: the pairs (v <= x, x maximal), keyed ``x * k + ids[v]``,
-        sorted and tested for neighbours a block of maximal elements at a
-        time, ``_block`` of them, each a column of ``leq``."""
+        sorted and tested for neighbours a slice (``_slices``) of maximal
+        elements at a time, each a column of ``leq``."""
         maxima = self._profile().maxima
-        step = _block(len(ids))
         found = []
-        for start in range(0, maxima.size, step):
-            x, v = np.nonzero(self._leq[:, maxima[start : start + step]].T)
+        for part in _slices(maxima.size, len(ids)):
+            x, v = np.nonzero(self._leq[:, maxima[part]].T)
             key = np.sort(x * k + ids[v])
             found.append(key[1:][key[1:] == key[:-1]] % k)
         return np.concatenate(found)

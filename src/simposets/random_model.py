@@ -38,7 +38,7 @@ import numpy as np
 from .complexes import Graph, SimplicialComplex, clique_complex, make_graph
 from .errors import SizeLimitError
 from .gluing import theta_glue
-from .poset import _GAMMA, _MIX1, _MIX2, Poset, _block, _blocks, _mix
+from .poset import _GAMMA, _MIX1, _MIX2, Poset, _blocks, _mix, _slices
 
 RAND_N_MAX = 12
 _FACE_BYTES = 32  # bytes ``_tally`` holds per face of d1, temporaries included
@@ -190,8 +190,8 @@ def _tally(adj: np.ndarray) -> tuple:
     The faces come from ``_clique_rows``.  k(F) comes from direct subset
     tests, ``F & ~f == 0``, against the complements of the block's facets,
     sorted by sample into a (samples, width) array and padded with the
-    complement of the empty set, which holds no face.  ``_block`` faces
-    are tested at a time.
+    complement of the empty set, which holds no face.  The faces are
+    tested a slice (``_slices``) at a time.
     """
     samples = len(adj)
     s, mask, shared, facet = _clique_rows(adj)
@@ -208,9 +208,8 @@ def _tally(adj: np.ndarray) -> tuple:
     tested = np.flatnonzero(shared | (_POPCOUNT[mask] == 2))
     # a tested face holds 40 bytes of 8-byte temporaries, and 5 bytes per
     # facet: the gathered complements, their masked copy and its test
-    step = _block(40 + 5 * complements.shape[1])
-    for start in range(0, tested.size, step):
-        rows = tested[start : start + step]
+    for part in _slices(tested.size, 40 + 5 * complements.shape[1]):
+        rows = tested[part]
         sr, sh = s[rows], shared[rows]
         k = ((mask[rows, None] & complements[sr]) == 0).sum(1)
         merged += np.bincount(sr, weights=np.where(sh, k - 1, 0), minlength=samples)
@@ -224,10 +223,11 @@ def _adjacency_blocks(params: RandomModelParams, count: int):
     neighbour bitmasks of both graphs of each sample.
 
     A block's draw grid has one row per sample, the first graph's C(n, 2)
-    draws then the second's; a block takes ``_block`` samples, each
-    holding its draws, seed and masks in 8-byte cells.  A pair (i, j) that
-    is an edge adds ``1 << j`` to vertex i's mask and ``1 << i`` to vertex
-    j's, one product with a (pairs, n) weight table for both graphs."""
+    draws then the second's; a block is a slice (``_slices``) of samples,
+    each holding its draws, seed and masks in 8-byte cells.  A pair (i, j)
+    that is an edge adds ``1 << j`` to vertex i's mask and ``1 << i`` to
+    vertex j's, one product with a (pairs, n) weight table for both
+    graphs."""
     n = params.n
     pairs = list(combinations(range(n), 2))
     weight = np.zeros((len(pairs), n), dtype=np.int64)
@@ -235,9 +235,8 @@ def _adjacency_blocks(params: RandomModelParams, count: int):
         weight[row, i] = 1 << j
         weight[row, j] = 1 << i
     thresholds = np.repeat(np.array([_threshold(params.p1), _threshold(params.p2)], dtype=np.uint64), len(pairs))
-    step = _block(8 * (thresholds.size + 1 + 2 * n))
-    for start in range(0, count, step):
-        seeds = np.uint64(params.seed) + np.arange(start, min(count, start + step), dtype=np.uint64)
+    for part in _slices(count, 8 * (thresholds.size + 1 + 2 * n)):
+        seeds = np.uint64(params.seed) + np.arange(part.start, part.stop, dtype=np.uint64)
         below = _draws(seeds, thresholds.size) < thresholds
         yield seeds, below.reshape(len(seeds), 2, len(pairs)).astype(np.int64) @ weight
 
@@ -264,9 +263,8 @@ def run_batch(params: RandomModelParams, count: int) -> dict:
     for block_seeds, adj in _adjacency_blocks(params, count):
         seeds += block_seeds.tolist()
         faces = (1 << _POPCOUNT[adj[:, 0] & above]).sum(1)
-        bounds = _blocks(_FACE_BYTES * (1 + faces))
-        for start, stop in zip(bounds, bounds[1:]):
-            block_elements, block_face_poset = _tally(adj[start:stop])
+        for part in _blocks(_FACE_BYTES * (1 + faces)):
+            block_elements, block_face_poset = _tally(adj[part])
             elements += block_elements.tolist()
             face_poset += block_face_poset.tolist()
     return {

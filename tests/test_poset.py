@@ -407,6 +407,34 @@ def test_from_covers_matches_warshall_past_one_word(n):
                 Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in back])
 
 
+def assert_within_budget(parts, costs):
+    """The slices cover ``range(costs.size)`` in order, none is empty, and
+    each holds at most ``_BLOCK_CELLS`` cells of ``costs`` unless it holds
+    one item."""
+    parts = list(parts)
+    assert [i for part in parts for i in range(costs.size)[part]] == list(range(costs.size))
+    for part in parts:
+        assert part.stop > part.start
+        assert costs[part].sum() <= poset_module._BLOCK_CELLS or part.stop - part.start == 1
+
+
+BUDGET = poset_module._BLOCK_CELLS
+
+
+@pytest.mark.parametrize("cells", [0, 1, BUDGET, 2 * BUDGET])
+@pytest.mark.parametrize("count", [0, 1, 7, 1000])
+def test_the_slicers_cover_their_items_within_the_budget(count, cells):
+    """``_slices`` at ``cells`` an item, and ``_blocks`` at ``cells`` an
+    item, at random costs up to ``cells``, and with one item above the
+    budget among items of ``cells`` each."""
+    assert_within_budget(poset_module._slices(count, cells), np.full(count, cells))
+    rng = np.random.default_rng(count)
+    above = np.full(count, cells)
+    above[count // 2 :][:1] = BUDGET + 1
+    for costs in (np.full(count, cells), rng.integers(0, cells + 1, count), above):
+        assert_within_budget(poset_module._blocks(costs), costs)
+
+
 def test_from_covers_closes_a_300_element_chain():
     """300 levels, one element each, in a random canonical order, with
     every cover given twice: i <= j exactly when i comes first in the
