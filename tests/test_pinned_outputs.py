@@ -68,8 +68,12 @@ def _theta(n, p1, p2, seed):
         pair = d1.to_json() + d2.to_json()
     except PreconditionError as exc:
         pair = f"PreconditionError: {exc}"
-    texts = {"json": q.to_json(), "separation json": sep.separated.to_json()}
-    texts |= {"quotient json": glued.to_json(), "reconstruction": pair}
+    texts = {
+        "json": q.to_json(),
+        "separation json": sep.separated.to_json(),
+        "quotient json": glued.to_json(),
+        "reconstruction": pair,
+    }
     if (n, p1, p2, seed) in DOT:
         texts |= {"dot": q.to_dot(), "separation dot": sep.separated.to_dot(), "quotient dot": glued.to_dot()}
     return texts
