@@ -5,16 +5,20 @@ faces).  Construction normalizes arbitrary face families: faces contained in
 another are absorbed, and vertices not covered by any given face become
 singleton facets, so every vertex of the complex is a face.
 
-``_simplex_order(k)`` is the face order of a simplex on k sorted vertices,
-the same for every simplex of that size, the one 4^k kernel, guarded at
-``BOOLEAN_LATTICE_MAX`` vertices, and the one layout of a simplex's faces:
-a table of their vertex positions.  ``_facet_copies`` lays out one copy
-of it per facet, joined at the bottom, with each face's vertex row: the
-separation of the face poset.  ``face_poset`` gives the copies of a face
-one id by the rank of its row and closes the covers with ``_dag``;
-``theta_glue`` glues the copies instead.  Both label faces by their
-positions (``_position_labels``).  ``boolean_lattice(n)`` is the face poset
-of one simplex.
+A simplex on k sorted vertices has two tables, the same for every simplex
+of that size: the face table ``_simplex_faces(k)``, a table of the faces'
+vertex positions with their covers, which is the one layout of a simplex's
+faces; and the order matrix ``_simplex_order(k)``, the one 4^k kernel.
+``_simplex`` hands out both read-only, builds each once per process for
+k <= ``_SIMPLEX_KEPT`` (10, about 1.4 MB held for good) and on every call
+above that, and guards them at ``BOOLEAN_LATTICE_MAX`` vertices.
+``_facet_copies`` lays out one copy of the face table per facet, joined at
+the bottom, with each face's vertex row: the separation of the face poset.
+``face_poset`` gives the copies of a face one id by the rank of its row and
+closes the covers with ``_dag``, so it builds no order matrix;
+``theta_glue`` glues the copies instead, and reads the order matrices.
+Both label faces by their positions (``_position_labels``).
+``boolean_lattice(n)`` is the face poset of one simplex.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from .labels import Label, valid_vertex_name
 from .poset import Poset, _dag, _distinct_pairs, _dumps, _Lazy, _loads, _ranks
 
 BOOLEAN_LATTICE_MAX = 15
+# simplex tables up to this many vertices are built once and kept (_simplex)
+_SIMPLEX_KEPT = 10
+_SIMPLEX_TABLES = {}
 
 
 @dataclass(frozen=True)
@@ -45,7 +52,7 @@ class SimplicialComplex:
         ``_dag`` closes the covers, and its cycle check is the one
         antisymmetry check; labels are built on first read."""
         names = tuple(sorted(self.vertices))
-        # no simplex matrix is read, so none is kept while _dag runs
+        # face tables only: no simplex order matrix is built
         rows, lo, hi = _facet_copies({v: j for j, v in enumerate(names)}, self.facets)[:3]
         face = _ranks(list(rows.T))
         n = int(face.max()) + 1
@@ -135,47 +142,71 @@ def make_complex(vertices, facet_candidates) -> SimplicialComplex:
     return SimplicialComplex(vertices=tuple(verts), facets=facets)
 
 
-def _simplex_order(k: int):
-    """The faces of the simplex on positions 0..k-1, ordered by inclusion:
-    ``(pos, leq, lo, hi)``.  Row i of ``pos`` holds the positions of face
-    i, ascending and padded with -1 to width k, in lex order of those
-    tuples, so the empty face comes first; ``leq`` is the order matrix and
-    ``lo``, ``hi`` are the cover pairs.  On sorted vertex names this
-    is canonical label order.
-
-    In lex order the faces of {j..k-1} are the empty face, then each face
-    of {j+1..k-1} with j added, then the nonempty faces of {j+1..k-1}.  So
-    each step doubles the order block by block, with no product: a face
-    with j lies below no face without j, and a face without j lies below
-    F or F + {j} exactly when it lies below F.
+def _simplex(k: int, order: bool = False):
+    """The face table ``(pos, lo, hi)`` of the simplex on k vertices
+    (``_simplex_faces``), or with ``order`` its order matrix
+    (``_simplex_order``), read-only.  Built once per process for k <=
+    ``_SIMPLEX_KEPT``, where both tables together take about 1.4 MB, and on
+    every call above that: at 15 one matrix takes 1 GiB.
 
     Raises SizeLimitError before allocating when k > BOOLEAN_LATTICE_MAX:
-    at 15 ``leq`` takes 1 GiB, at 16 it would take 4 GiB.
-    """
-    if k > BOOLEAN_LATTICE_MAX:
-        raise SizeLimitError(
-            f"a simplex on {k} vertices has 2^{k} faces; face orders are guarded at {BOOLEAN_LATTICE_MAX} vertices"
-        )
+    at 16 a matrix would take 4 GiB."""
+    table = _SIMPLEX_TABLES.get((k, order))
+    if table is None:
+        if k > BOOLEAN_LATTICE_MAX:
+            raise SizeLimitError(
+                f"a simplex on {k} vertices has 2^{k} faces; face orders are guarded at {BOOLEAN_LATTICE_MAX} vertices"
+            )
+        table = _simplex_order(k) if order else _simplex_faces(k)
+        for a in [table] if order else table:
+            a.setflags(write=False)
+        if k <= _SIMPLEX_KEPT:
+            _SIMPLEX_TABLES[k, order] = table
+    return table
+
+
+def _simplex_faces(k: int):
+    """The faces of the simplex on positions 0..k-1: ``(pos, lo, hi)``.
+    Row i of ``pos`` holds the positions of face i, ascending and padded
+    with -1 to width k, in lex order of those tuples, so the empty face
+    comes first; ``lo``, ``hi`` are the cover pairs.  On sorted vertex
+    names this is canonical label order.
+
+    In lex order the faces of {j..k-1} are the empty face, then each face
+    of {j+1..k-1} with j added, then the nonempty faces of {j+1..k-1}, so
+    each step doubles the table."""
     pos = np.zeros((1, 0), dtype=np.intp)
-    leq = np.ones((1, 1), dtype=bool)
     lo = hi = np.zeros(0, dtype=np.intp)
     for j in range(k - 1, -1, -1):
         h = pos.shape[0]
         at = np.arange(h) + h  # the old faces without j, the empty face staying at 0
         at[0] = 0
-        grown = np.zeros((2 * h, 2 * h), dtype=bool)
-        grown[0] = True
-        grown[1 : h + 1, 1 : h + 1] = leq
-        grown[h + 1 :, 1 : h + 1] = leq[1:]
-        grown[h + 1 :, h + 1 :] = leq[1:, 1:]
         # covers among faces with j, among faces without it, and F below F + {j}
         lo = np.concatenate([lo + 1, at[lo], at])
         hi = np.concatenate([hi + 1, at[hi], np.arange(1, h + 1)])
         # j first in the faces with it, the faces without it padded one column on
         rows = np.full((2 * h, k - j), -1, dtype=np.intp)
         rows[1 : h + 1, 0], rows[1 : h + 1, 1:], rows[h + 1 :, :-1] = j, pos, pos[1:]
-        pos, leq = rows, grown
-    return pos, leq, lo, hi
+        pos = rows
+    return pos, lo, hi
+
+
+def _simplex_order(k: int) -> np.ndarray:
+    """The order matrix of the faces of the simplex on positions 0..k-1,
+    in ``_simplex_faces`` order: the one 4^k kernel.  It doubles as the
+    table does, block by block with no product: a face with j lies below
+    no face without j, and a face without j lies below F or F + {j}
+    exactly when it lies below F."""
+    leq = np.ones((1, 1), dtype=bool)
+    for _ in range(k):
+        h = leq.shape[0]
+        grown = np.zeros((2 * h, 2 * h), dtype=bool)
+        grown[0] = True
+        grown[1 : h + 1, 1 : h + 1] = leq
+        grown[h + 1 :, 1 : h + 1] = leq[1:]
+        grown[h + 1 :, h + 1 :] = leq[1:, 1:]
+        leq = grown
+    return leq
 
 
 def _facet_copies(position: dict, facets):
@@ -183,20 +214,19 @@ def _facet_copies(position: dict, facets):
     separation of the complex's face poset, which ``face_poset`` merges and
     ``theta_glue`` glues.  Returns ``(rows, lo, hi, copies)``: element 0 is
     the bottom, then copy i holds the nonempty faces of facet i in
-    ``_simplex_order`` order.  Row j of ``rows`` holds element j's vertices
+    ``_simplex_faces`` order.  Row j of ``rows`` holds element j's vertices
     as ``position`` numbers them, read at the face's row of the simplex's
     position table and padded with -1.  ``lo``, ``hi`` are the covers, put
     in ``(lo, hi)`` order by ``_distinct_pairs``; ``copies[i]`` is copy i's
-    first element and the ``_simplex_order`` matrix of its facet's size.
-    Each simplex order is taken once, before ``rows`` is allocated, and the
-    facets of one size are laid out at once."""
+    first element and its facet's size.  Only face tables are read, and
+    the facets of one size are laid out at once."""
     size = np.array([len(f) for f in facets], dtype=np.intp)
-    orders = {k: _simplex_order(k) for k in set(size.tolist())}
+    tables = {k: _simplex(k) for k in set(size.tolist())}
     faces = (1 << size) - 1  # the nonempty faces of each copy
     start = np.cumsum(faces) - faces  # face f > 0 of copy i is element start[i] + f
-    rows = np.full((1 + int(faces.sum()), max(orders, default=1)), -1, dtype=np.intp)
+    rows = np.full((1 + int(faces.sum()), max(tables, default=1)), -1, dtype=np.intp)
     lo, hi = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for k, (pos, _, sub_lo, sub_hi) in orders.items():
+    for k, (pos, sub_lo, sub_hi) in tables.items():
         which = np.flatnonzero(size == k)
         base = start[which, None]
         # padding -1 picks the -1 at the end of each facet's vertex row
@@ -205,8 +235,7 @@ def _facet_copies(position: dict, facets):
         lo.append(np.where(sub_lo > 0, base + sub_lo, 0).ravel())  # each empty face is the bottom
         hi.append((base + sub_hi).ravel())
     lo, hi = _distinct_pairs(len(rows), np.concatenate(lo), np.concatenate(hi))
-    copies = [(s + 1, orders[k][1]) for s, k in zip(start.tolist(), size.tolist())]
-    return rows, lo, hi, copies
+    return rows, lo, hi, list(zip((start + 1).tolist(), size.tolist()))
 
 
 def _position_labels(names: tuple, flat: np.ndarray, size: np.ndarray) -> tuple:
@@ -221,7 +250,7 @@ def boolean_lattice(n: int) -> Poset:
     """The lattice of subsets of {x1..xn}, the face poset of the simplex on
     those vertices; 2^n elements, labels built on first read.
 
-    Guarded by ``_simplex_order`` at n <= 15, where ``leq`` takes 1 GiB.
+    Guarded by ``_simplex`` at n <= 15, where ``leq`` takes 1 GiB.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"boolean_lattice needs a nonnegative integer, got {n!r}")
@@ -315,6 +344,12 @@ def clique_complex(graph: Graph) -> SimplicialComplex:
     """The complex whose faces are the cliques of the graph."""
     verts = graph.vertices
     index = {v: i for i, v in enumerate(verts)}
-    adj = _adjacency(len(verts), ((index[a], index[b]) for a, b in graph.edges))
-    cliques = [[v for i, v in enumerate(verts) if m >> i & 1] for m in _maximal_cliques(adj)]
-    return make_complex(verts, cliques)
+    return _clique_complex(verts, _adjacency(len(verts), ((index[a], index[b]) for a, b in graph.edges)))
+
+
+def _clique_complex(vertices, adj) -> SimplicialComplex:
+    """The clique complex of the graph on ``vertices`` with neighbour
+    bitmasks ``adj``, bit i standing for ``vertices[i]``: the one clique
+    path, which ``clique_complex`` and the random model's samples take."""
+    cliques = [[v for i, v in enumerate(vertices) if m >> i & 1] for m in _maximal_cliques(adj)]
+    return make_complex(vertices, cliques)

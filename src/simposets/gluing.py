@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _facet_copies, _position_labels, make_complex
+from .complexes import SimplicialComplex, _facet_copies, _position_labels, _simplex, make_complex
 from .errors import (
     ElementNotFoundError,
     FormatError,
@@ -237,8 +237,8 @@ def _classes_below(base, cls, k):
     into = np.searchsorted(base._hi[by_hi], np.arange(cls.size + 1))  # covers into u: into[u]:into[u + 1]
     lower = base._profile().lower
     order = np.argsort(lower, kind="stable")
-    levels = np.split(order, np.flatnonzero(np.diff(lower[order])) + 1)[1:]
-    _spread(below, below, levels, into, base._lo[by_hi])
+    ends = np.append(np.flatnonzero(np.diff(lower[order])) + 1, order.size)  # the levels after the first
+    _spread(below, below, order, ends, into, base._lo[by_hi])
     return below
 
 
@@ -475,16 +475,26 @@ def _facet_separation(facets, position):
     copy i's faces are labelled ``i@face`` over one recipe of face labels,
     built only when read."""
     rows, lo, hi, copies = _facet_copies(position, facets)
+    orders = {k: _simplex(k, order=True) for _, k in copies}  # each built before leq is allocated
     inside = rows >= 0
     faces = _Lazy(len(rows), _position_labels, tuple(sorted(position)), rows[inside], inside.sum(axis=1))
     leq = np.zeros((len(rows), len(rows)), dtype=bool)
     leq[0] = True
     blocks = []
-    for ci, (start, simplex) in enumerate(copies, start=1):
-        end = start + len(simplex) - 1
-        leq[start:end, start:end] = simplex[1:, 1:]
+    for ci, (start, k) in enumerate(copies, start=1):
+        end = start + (1 << k) - 1
+        leq[start:end, start:end] = orders[k][1:, 1:]
         blocks.append((ci, faces, np.arange(start, end)))
     return Poset(_Lazy(len(rows), _copy_labels, blocks), leq, lo, hi), rows
+
+
+def _packed_sets(pos, words):
+    """Row i of ``pos``, positions padded with -1, as a set of ``words``
+    ``uint64`` words: one ``bitwise_or.reduce`` along the rows per word."""
+    bit = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
+    word = pos >> 6  # -1 at the padding, which no word takes
+    zero = np.uint64(0)
+    return np.stack([np.bitwise_or.reduce(np.where(word == w, bit, zero), axis=1) for w in range(words)], axis=1)
 
 
 def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
@@ -507,15 +517,13 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
     sep, vertex = _facet_separation(sorted(d1.facets), position)
     if not sep.is_face_poset():  # as separation checks its output
         raise InvariantError("separation produced a non face poset")
-    # pack the rows of the copies, then of d2's facets, 64 vertices to a word
+    # the vertex sets of the copies and of d2's facets, 64 vertices to a word
     n = len(sep)
-    r, c = np.nonzero(vertex >= 0)
-    pairs = [(g, position[v]) for g, f in enumerate(d2.facets, start=n) for v in f if v in position]
-    g, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    r, j = np.concatenate([r, g]), np.concatenate([vertex[r, c], j])
-    rows = np.zeros((n + len(d2.facets), -(-len(position) // 64) or 1), dtype=np.uint64)
-    np.bitwise_or.at(rows, (r, j >> 6), np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)))
-    rows, d2_rows = rows[:n], rows[n:]
+    words = -(-len(position) // 64) or 1
+    inside = [[position[v] for v in f if v in position] for f in d2.facets]
+    width = max(map(len, inside), default=0)
+    padded = np.array([f + [-1] * (width - len(f)) for f in inside], dtype=np.intp).reshape(len(inside), width)
+    rows, d2_rows = _packed_sets(vertex, words), _packed_sets(padded, words)
     # a face lies in a facet of d2 when none of its vertices lies outside
     # it, tested a block of facets at a time, each an n x words temporary
     shared = (vertex[:, 1:2] < 0).all(axis=1)  # no second vertex: the vertices, and the bottom

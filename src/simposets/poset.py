@@ -32,11 +32,14 @@ their order from generating pairs through one kernel, ``_dag``: Kahn levels
 from the top, where an element Kahn never reaches means a cycle, then one
 bit-row pass, ``_spread``, which ORs packed ``uint64`` rows along the
 pairs, level by level and a slice of receiving rows at a time, into every
-element's upper set (Simon 1988).  A pair is redundant when its upper end
-lies strictly above another upper end of its lower end (Aho, Garey &
-Ullman 1972); a second ``_spread`` call finds them, run only on
-the lower ends of pairs two or more Kahn levels apart, since nothing lies
-strictly between the ends of a pair in adjacent levels.  The gluing check
+element's upper set (Simon 1988).  ``_spread`` takes its levels laid end
+to end in one array and lays out the senders of all of them once per
+call, so a level costs a slice, a gather, a ``reduceat`` and an OR.  A
+pair is redundant when its upper end lies strictly above another upper
+end of its lower end (Aho, Garey & Ullman 1972); a second ``_spread``
+call finds them, run only on the lower ends of pairs two or more Kahn
+levels apart, since nothing lies strictly between the ends of a pair in
+adjacent levels.  The gluing check
 builds its rows of classes below each element (``gluing._classes_below``)
 with the same pass, and a gluing quotient reads its order off those rows,
 so it runs no ``_dag``.  It, ``_dag``, a disjoint union and the facet
@@ -51,8 +54,9 @@ use, into a private profile (``Poset._profile``): ``lower``, the lower-set
 sizes; ``bottom``, the index of the unique minimum or -1; ``atoms``, the
 elements with a lower set of size 2; ``supp``, their rows ``leq[atoms]``,
 whose columns are the atom supports; ``rank``, the atoms below each
-element; ``ids``, one dense id per distinct support, ranked from the packed
-``supp`` columns by ``_ranks``; and ``maxima``, the ascending indices of
+element; ``ids``, one dense id per distinct support, ranked by ``_ranks``
+from the ``supp`` columns, padded to whole 64-bit words and packed by one
+flat ``packbits``; and ``maxima``, the ascending indices of
 the elements that no cover leaves, the one place they are found.  Building
 it never raises; readers that need the unique minimum check it through
 ``_bottom_index()``.
@@ -134,27 +138,40 @@ def _bit_rows(idx: np.ndarray, bits: int) -> np.ndarray:
     return rows
 
 
-def _spread(dst, src, levels, start, send) -> None:
+def _spread(dst, src, recv, ends, start, send) -> None:
     """The one pass that closes bit rows along pairs: level by level, OR
     into each row u of ``dst`` the rows of ``src`` at
-    ``send[start[u]:start[u + 1]]``, one ``bitwise_or.reduceat`` per slice
-    (``_slices``) of receiving rows of the level.  ``src`` may be ``dst``
-    when every row a level reads is final before it: each sender stands in
-    an earlier level.
+    ``send[start[u]:start[u + 1]]``.  Level i is ``recv[ends[i]:ends[i +
+    1]]``, so ``recv[:ends[0]]`` receives nothing.  The senders of every
+    receiver are laid out once per call, end to end, with one cumulative
+    offset array; a level then takes a slice of that layout, one gather
+    and one ``bitwise_or.reduceat`` per slice (``_slices``) of its
+    receivers.  ``src`` may be ``dst`` when every row a level reads is
+    final before it: each sender stands in an earlier level.
 
     Every receiver must have at least one sender, or ``reduceat`` would
-    read the next receiver's rows.  ``_dag`` passes the Kahn levels below
-    the first, whose elements were waiting on at least one pair, and, for
-    the redundancy rows, lower ends of its pairs; ``gluing._classes_below``
-    passes the levels of lower-set size above the minimal elements, each
-    of which covers something, and a gluing quotient then reads its order
-    off the rows of its classes' least members."""
-    for level in levels:
-        size = start[level + 1] - start[level]
-        for part in _slices(level.size, 8 * src.shape[1] * int(size.max())):
-            u, k = level[part], size[part]
-            rows = src[send[_ranges(start[u], start[u + 1])]]
-            dst[u] |= np.bitwise_or.reduceat(rows, np.cumsum(k) - k, axis=0)
+    read the next receiver's rows, and every level at least one.  ``_dag``
+    passes the Kahn levels below the first, whose elements were waiting on
+    at least one pair, and, for the redundancy rows, lower ends of its
+    pairs; ``gluing._classes_below`` passes the levels of lower-set size
+    above the minimal elements, each of which covers something, and a
+    gluing quotient then reads its order off the rows of its classes'
+    least members."""
+    if len(ends) < 2:
+        return
+    u = recv[ends[0] : ends[-1]]
+    size = start[u + 1] - start[u]
+    at = np.zeros(u.size + 1, dtype=np.intp)  # receiver i's senders are senders[at[i]:at[i + 1]]
+    np.cumsum(size, out=at[1:])
+    senders = send[_ranges(start[u], start[u + 1])]
+    ends = np.asarray(ends) - ends[0]
+    most = np.maximum.reduceat(size, ends[:-1])
+    cells = 8 * src.shape[1]
+    for a, b, m in zip(ends[:-1].tolist(), ends[1:].tolist(), most.tolist()):
+        for part in _slices(b - a, cells * m):
+            i, j = a + part.start, a + part.stop
+            rows = src[senders[at[i] : at[j]]]
+            dst[u[i:j]] |= np.bitwise_or.reduceat(rows, at[i:j] - at[i], axis=0)
 
 
 def _distinct_pairs(n: int, lo: np.ndarray, hi: np.ndarray):
@@ -201,13 +218,13 @@ def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
     if (waiting >= 0).any():  # never reached: on or below a cycle
         return None
     up = _bit_rows(at[:-1], n)
-    _spread(up, up, levels[1:], out, hi)
+    _spread(up, up, np.concatenate(levels), np.cumsum([lv.size for lv in levels]), out, hi)
     redundant = np.zeros(lo.size, dtype=bool)
     wide = np.flatnonzero(np.bincount(lo[depth[lo] - depth[hi] > 1], minlength=n))
     if wide.size:
         seed = _bit_rows(at[:-1], n)
         above = np.zeros_like(up)
-        _spread(above, up ^ seed, [wide], out, hi)
+        _spread(above, up ^ seed, wide, [0, wide.size], out, hi)
         redundant = (above[lo, hi >> 6] & seed[hi, hi >> 6]) != 0
     # little-endian words, so bit j of a row is byte j // 8, bit j % 8
     leq = np.unpackbits(up.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
@@ -324,8 +341,8 @@ class Poset:
         freezes the arrays.  The builder vouches for the canonical order; for
         antisymmetry, checked once per matrix by the cycle check of ``_dag``,
         a disjoint union's ascending blocks, the doubling of
-        ``_simplex_order`` in ``_facet_copies`` or, for a gluing quotient,
-        the two gluing conditions that ``gluing._validate`` checks on the
+        ``complexes._simplex_order`` in a facet separation or, for a gluing
+        quotient, the two gluing conditions that ``gluing._validate`` checks on the
         rows the quotient reads (``restrict`` keeps a principal submatrix);
         and for the cover order: ``_distinct_pairs``, which ``_dag`` calls,
         or ``restrict``'s monotone index map.  The test suite checks closure
@@ -456,10 +473,12 @@ class Poset:
             atoms = np.flatnonzero(lower == 2)
             supp = leq[atoms]
             rank = np.count_nonzero(supp, axis=0)
-            # np.unique would load numpy.ma
-            packed = np.zeros((max(1, -(-atoms.size // 64)) * 8, leq.shape[0]), dtype=np.uint8)
-            packed[: -(-atoms.size // 8)] = np.packbits(supp, axis=0)
-            ids = _ranks(list(np.ascontiguousarray(packed.T).view(np.uint64).T))
+            # each support padded to whole words, all packed by one flat
+            # packbits; np.unique would load numpy.ma
+            words = max(1, -(-atoms.size // 64))
+            padded = np.zeros((leq.shape[0], 64 * words), dtype=bool)
+            padded[:, : atoms.size] = supp.T
+            ids = _ranks(list(np.packbits(padded).view(np.uint64).reshape(-1, words).T))
             maxima = np.flatnonzero(np.bincount(self._lo, minlength=leq.shape[0]) == 0)
             for a in (lower, atoms, supp, rank, ids, maxima):
                 a.setflags(write=False)

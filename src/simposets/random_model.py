@@ -7,20 +7,25 @@ one output word.  Test vectors live in the test suite and the README.
 
 The k-th output (k >= 1) of the stream with state s is the finalizer of
 ``s + k*gamma`` mod 2**64, so ``_draws`` computes any number of
-streams' draws at once, as one ``uint64`` array expression, for the
-batches.  ``SplitMix64`` draws one at a time: it draws single graphs, and
-it is the reference for ``_draws``.  A pair is an edge iff its draw is
-below p by Python's ``draw < p``, whatever the type of p; ``_threshold``
-turns that compare into one integer bound on the batches' draws.
+streams' draws at once, as one ``uint64`` array expression.  A pair is an
+edge iff its draw is below p by Python's ``draw < p``, whatever the type
+of p; ``_threshold`` turns that compare into one integer bound on the
+draws.  ``SplitMix64`` draws one at a time, for ``erdos_renyi_graph`` and
+``kahle_complex``; it is the reference that the tests hold ``_draws`` and
+the samples to.
 
 ``rand_simplicial_poset`` draws one graph for each of the two probability
-parameters from a single ``SplitMix64`` stream (the first graph's edges
-are drawn first, in canonical pair order), takes clique complexes, and
-glues the pair with ``theta_glue``.  Identical parameters therefore
-reproduce identical posets bit for bit.  ``run_batch`` draws the same two
-graphs through ``_draws``, one grid for a block of samples (a row of both
-graphs' draws per sample), and reads their neighbour bitmasks off the grid
-with one product.  ``_tally`` then counts the gluings of a block of samples
+parameters from a single splitmix64 stream (the first graph's edges are
+drawn first, in canonical pair order), takes clique complexes, and glues
+the pair with ``theta_glue``: ``theta_glue(kahle_complex(n, p1, rng),
+kahle_complex(n, p2, rng))`` on one ``SplitMix64(seed)``.  Identical
+parameters therefore reproduce identical posets bit for bit.  It and
+``run_batch`` share one draw path, ``_adjacency_blocks``: one grid of
+``_draws`` for a block of samples (a row of both graphs' draws per
+sample), with the neighbour bitmasks read off the grid by one product.  A
+sample then takes the clique complexes of its masks through the clique
+path of ``clique_complex`` (``complexes._clique_complex``), a block of
+``run_batch`` through ``_tally``, which counts the gluings of the samples
 without building them: it enumerates the faces of the first complex as
 clique rows of the whole block, vertex by vertex, and counts the facets
 above a face by subset tests against the block's padded facet array.
@@ -35,7 +40,7 @@ from numbers import Real
 
 import numpy as np
 
-from .complexes import Graph, SimplicialComplex, clique_complex, make_graph
+from .complexes import Graph, SimplicialComplex, _clique_complex, clique_complex, make_graph
 from .errors import SizeLimitError
 from .gluing import theta_glue
 from .poset import _GAMMA, _MIX1, _MIX2, Poset, _blocks, _mix, _slices
@@ -99,8 +104,12 @@ def erdos_renyi_graph(n: int, p: float, rng: SplitMix64) -> Graph:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    vertices = [f"v{i + 1}" for i in range(n)]
+    vertices = _vertex_names(n)
     return make_graph(vertices, [pair for pair in combinations(vertices, 2) if rng.random() < p])
+
+
+def _vertex_names(n: int) -> list:
+    return [f"v{i + 1}" for i in range(n)]
 
 
 def _threshold(p) -> int:
@@ -126,9 +135,13 @@ def kahle_complex(n: int, p: float, rng: SplitMix64) -> SimplicialComplex:
 
 
 def rand_simplicial_poset(params: RandomModelParams) -> Poset:
-    rng = SplitMix64(params.seed)
-    first = kahle_complex(params.n, params.p1, rng)
-    second = kahle_complex(params.n, params.p2, rng)
+    """``theta_glue(kahle_complex(n, p1, rng), kahle_complex(n, p2, rng))``
+    on one ``SplitMix64(seed)`` stream, drawn as ``run_batch`` draws it: the
+    neighbour bitmasks of both graphs come from ``_adjacency_blocks`` and
+    go through the clique path of ``clique_complex``."""
+    _, adj = next(_adjacency_blocks(params, 1))
+    vertices = _vertex_names(params.n)
+    first, second = (_clique_complex(vertices, masks) for masks in adj[0].tolist())
     return theta_glue(first, second)
 
 

@@ -17,7 +17,7 @@ from simposets import (
     make_graph,
     parse_facet_string,
 )
-from simposets.complexes import _position_labels, _simplex_order
+from simposets.complexes import _position_labels, _simplex
 from simposets.labels import Label
 
 from conftest import random_complex
@@ -137,7 +137,7 @@ def test_simplex_order_position_table(k):
     the empty face, then every position tuple in sorted order.  ``leq`` is
     the subset test on those rows, the covers add one position, and the
     labels read from the table are those of the simplex's face poset."""
-    pos, leq, lo, hi = _simplex_order(k)
+    (pos, lo, hi), leq = _simplex(k), _simplex(k, order=True)
     assert pos.shape == (1 << k, k)
     faces = [tuple(j for j in row if j >= 0) for row in pos.tolist()]
     assert faces == [()] + sorted(c for r in range(1, k + 1) for c in combinations(range(k), r))

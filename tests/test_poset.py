@@ -161,9 +161,9 @@ def test_each_matrix_is_checked_for_antisymmetry_once(monkeypatch):
     antisymmetry once: by the Kahn levels of ``_dag``, which reach every
     element only when the pairs have no cycle (a face poset or boolean
     lattice calls it from ``complexes``), by the ascending members of a
-    disjoint union, by the doubling of ``_simplex_order`` inside the
-    facet layout (``_facet_copies``), whose matrices a theta gluing's
-    separation copies below one bottom, or, for a gluing quotient, by the
+    disjoint union, by the doubling of ``_simplex_order``, whose matrices
+    a theta gluing's separation copies below one bottom over the facet
+    layout (``_facet_copies``, counted once per separation), or, for a gluing quotient, by the
     gluing conditions that ``gluing._validate`` checks before the
     quotient reads its order off the rows it built.  ``restrict`` makes no check: its matrix is
     a principal submatrix of its parent's on ascending indices,
@@ -433,6 +433,61 @@ def test_the_slicers_cover_their_items_within_the_budget(count, cells):
     above[count // 2 :][:1] = BUDGET + 1
     for costs in (np.full(count, cells), rng.integers(0, cells + 1, count), above):
         assert_within_budget(poset_module._blocks(costs), costs)
+
+
+def random_spread(seed, same):
+    """Arguments of ``_spread`` on a random DAG, and the rows a brute
+    per-receiver OR leaves in ``dst``.  Each element gets a random level
+    and some senders in earlier levels; the elements with no sender come
+    first in ``recv`` and receive nothing, the others follow level by
+    level.  Rows are one to three ``uint64`` words of random bits; with
+    ``same``, ``src`` is ``dst``."""
+    rng = np.random.default_rng(seed)
+    n, words = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+    level = rng.integers(0, int(rng.integers(1, 6)), n)
+    pairs = [(u, v) for u in range(n) for v in range(n) if level[v] < level[u] and rng.random() < 0.3]
+    lo, hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    start, send = np.searchsorted(lo, np.arange(n + 1)), hi  # pairs come sorted by lo
+    has = np.diff(start) > 0
+    recv = np.concatenate([np.flatnonzero(~has), *(np.flatnonzero(has & (level == k)) for k in range(level.max() + 1))])
+    sizes = [np.count_nonzero(has & (level == k)) for k in range(level.max() + 1)]
+    ends = np.cumsum([np.count_nonzero(~has)] + [k for k in sizes if k])
+    dst = rng.integers(0, 1 << 63, (n, words), dtype=np.uint64) << np.uint64(1)
+    src = dst if same else rng.integers(0, 1 << 63, (n, words), dtype=np.uint64)
+    want = dst.copy()
+    read = want if same else src
+    for u in recv[ends[0] :].tolist():  # by level, each sender final before it is read
+        for v in send[start[u] : start[u + 1]].tolist():
+            want[u] |= read[v]
+    return (dst, src, recv, ends, start, send), want
+
+
+@pytest.mark.parametrize("cells", [None, 16, 100])
+@pytest.mark.parametrize("same", [True, False], ids=["src-is-dst", "src-is-not-dst"])
+@pytest.mark.parametrize("seed", range(12))
+def test_spread_matches_a_per_receiver_or(seed, same, cells):
+    """``_spread`` against a per-receiver OR on random DAGs, with
+    ``src`` as ``dst`` and apart, at the default budget and at budgets
+    that cut a level into slices of one or a few receivers."""
+    args, want = random_spread(seed, same)
+    with mock.patch.object(poset_module, "_BLOCK_CELLS", cells or poset_module._BLOCK_CELLS):
+        poset_module._spread(*args)
+    assert args[0].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("ends", [[], [0], [3], [3, 5]], ids=["no-ends", "no-level-0", "no-level-3", "one-level"])
+def test_spread_on_no_level_and_on_one_level(ends):
+    """No level changes nothing; one level ORs each receiver's senders in,
+    and the rows before ``ends[0]`` receive nothing."""
+    start, send = np.array([0, 0, 0, 0, 2, 3]), np.array([0, 1, 2])  # 3 <- {0, 1}, 4 <- {2}
+    recv = np.array([0, 1, 2, 3, 4])
+    dst = (np.uint64(1) << np.arange(5, dtype=np.uint64))[:, None]
+    before = dst.copy()
+    poset_module._spread(dst, dst, recv, ends, start, send)
+    after = before.copy()
+    if len(ends) == 2:
+        after[3], after[4] = 0b1011, 0b10100
+    assert dst.tolist() == after.tolist()
 
 
 def test_from_covers_closes_a_300_element_chain():
@@ -709,6 +764,23 @@ def test_wide_posets_are_checked(k):
     # [0,t] would need 2^k elements; the oracle cannot enumerate them
     capped = poset_over_bottom({**atoms, "t": list(atoms)})
     assert not capped.is_simplicial()
+
+
+@pytest.mark.parametrize("k", [63, 64, 65, 130])
+def test_support_ids_partition_the_elements_as_their_supports_do(k):
+    """The profile's support ids, ranked from atom supports packed into
+    64-bit words, are equal exactly when the supports are: k atoms, and
+    elements above random sets of them, some sets repeated and some one
+    atom apart at the ends of a word."""
+    rng = random.Random(k)
+    atoms = [f"v{i}" for i in range(k)]
+    sets = [sorted(rng.sample(range(k), rng.randint(2, k))) for _ in range(20)]
+    sets += [sets[0], sets[3]] + [[a % k, b % k] for a, b in [(0, -1), (0, -2), (62, 63), (63, 64), (1, 64), (1, 65)]]
+    tops = {f"t{i}": [atoms[a] for a in set(s)] for i, s in enumerate(sets) if len(set(s)) > 1}
+    p = poset_over_bottom({**{v: ["0"] for v in atoms}, **tops})
+    ids = p._profile().ids.tolist()
+    supports = [p.atom_support(e) for e in p.elements]
+    assert len(set(zip(ids, supports))) == len(set(ids)) == len(set(supports))
 
 
 def test_interval_of_a_wrapped_power_of_two_is_not_simplicial():

@@ -217,7 +217,7 @@ RAISE_SITES = [
      "test_complexes.py::test_make_complex_validation"),
     ("complexes", "make_complex", "StructureError", "facet uses unknown vertex: {}",
      "test_complexes.py::test_make_complex_validation"),
-    ("complexes", "_simplex_order", "SizeLimitError", "a simplex on {} vertices",
+    ("complexes", "_simplex", "SizeLimitError", "a simplex on {} vertices",
      "test_cli.py::test_check_complex_on_a_16_vertex_facet_exits_2_without_allocating"),
     ("complexes", "boolean_lattice", "ValueError", "boolean_lattice needs a nonnegative integer,",
      "test_poset.py::test_boolean_lattice_guards"),

@@ -266,11 +266,17 @@ def test_mean_edge_count_matches_binomial_expectation():
     assert 7.0 < mean < 8.0  # expectation C(6,2)/2 = 7.5
 
 
-def test_rand_simplicial_poset_uses_one_stream():
-    params = RandomModelParams(n=5, p1=0.7, p2=0.3, seed=424242)
-    rng = SplitMix64(params.seed)
-    first = kahle_complex(params.n, params.p1, rng)
-    second = kahle_complex(params.n, params.p2, rng)
+@pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
+@pytest.mark.parametrize("p1, p2", [(0.0, 1.0), (1.0, Fraction(1, 3)), (Fraction(1, 3), 0.0), (0.7, 0.3)])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rand_simplicial_poset_uses_one_stream(n, p1, p2, seed):
+    """A sample, drawn on the batch's draw path (``_adjacency_blocks``),
+    against the one-at-a-time reference: both graphs from one
+    ``SplitMix64(seed)``, the first graph's draws first."""
+    rng = SplitMix64(seed)
+    first = kahle_complex(n, p1, rng)
+    second = kahle_complex(n, p2, rng)
+    params = RandomModelParams(n=n, p1=p1, p2=p2, seed=seed)
     assert rand_simplicial_poset(params).to_json() == theta_glue(first, second).to_json()
 
 

@@ -10,9 +10,13 @@ and one that adds work must raise a budget here and say why.
 
 The kernels: ``_dag``, which closes an order from generating pairs; a
 profile build, the first ``Poset._profile`` read of a poset;
-``gluing._classes_below``, the bit rows of a gluing check;
-``complexes._simplex_order``, the face order of a simplex of one size; and
+``gluing._classes_below``, the bit rows of a gluing check; a simplex
+table build, a call of ``complexes._simplex_faces`` or
+``complexes._simplex_order``, which ``complexes._simplex`` makes once per
+process for a size up to its bound and on every call above it; and
 ``Poset._bounds``, the meets and minimal upper bounds of a block of pairs.
+The simplex tables are counted as builds, not as reads, so the counts
+pin the memo and its bound.
 """
 
 from collections import Counter
@@ -27,10 +31,12 @@ from simposets import (
     Poset,
     RandomModelParams,
     fiber_relation,
+    make_complex,
     quotient_by_gluing,
     rand_simplicial_poset,
     separation,
     stanley_poset_ideal,
+    theta_glue,
 )
 from simposets.random_model import SplitMix64, kahle_complex
 
@@ -53,7 +59,8 @@ def calls(monkeypatch):
     for module in (poset_module, complexes_module):
         monkeypatch.setattr(module, "_dag", counted("_dag", poset_module._dag))
     monkeypatch.setattr(gluing_module, "_classes_below", counted("_classes_below", gluing_module._classes_below))
-    monkeypatch.setattr(complexes_module, "_simplex_order", counted("_simplex_order", complexes_module._simplex_order))
+    for builder in ("_simplex_faces", "_simplex_order"):
+        monkeypatch.setattr(complexes_module, builder, counted("simplex", getattr(complexes_module, builder)))
     monkeypatch.setattr(Poset, "_bounds", counted("_bounds", Poset._bounds))
     profile = Poset._profile
 
@@ -70,13 +77,37 @@ def test_a_theta_sample_closes_no_order_and_checks_its_gluing_once(calls, n, p, 
     """A theta sample takes its separation from the facet layout and its
     quotient order from the validation rows: no ``_dag``, one
     ``_classes_below``, the separation's and the quotient's profiles, and
-    one simplex order per distinct facet size of d1."""
+    at most a face table and an order matrix per distinct facet size of
+    d1.  A second sample with the same facets builds no table."""
     sizes = {len(f) for f in kahle_complex(n, p, SplitMix64(seed)).facets}
-    rand_simplicial_poset(RandomModelParams(n=n, p1=p, p2=p, seed=seed))
+    params = RandomModelParams(n=n, p1=p, p2=p, seed=seed)
+    rand_simplicial_poset(params)
     assert calls["_dag"] == 0
     assert calls["_classes_below"] <= 1
     assert calls["profile"] <= 2
-    assert calls["_simplex_order"] <= len(sizes)
+    assert calls["simplex"] <= 2 * len(sizes)
+    calls.clear()
+    rand_simplicial_poset(params)
+    assert calls["simplex"] == 0
+
+
+@pytest.mark.parametrize("k, kept", [(10, True), (11, False)])
+def test_simplex_tables_are_kept_up_to_ten_vertices(calls, monkeypatch, k, kept):
+    """From an empty memo, two theta gluings of the k-simplex with itself
+    build its face table and order matrix once at k = 10 and on each call
+    at k = 11, and two face posets of it build the face table alone: the
+    bound of the memo, and no order matrix for a face poset."""
+    monkeypatch.setattr(complexes_module, "_SIMPLEX_TABLES", {})
+    names = [f"x{i}" for i in range(k)]
+    simplex = make_complex(names, [names])
+    for _ in range(2):
+        theta_glue(simplex, simplex)
+    assert calls["simplex"] == (2 if kept else 4)
+    calls.clear()
+    monkeypatch.setattr(complexes_module, "_SIMPLEX_TABLES", {})
+    for _ in range(2):
+        simplex.face_poset()
+    assert calls["simplex"] == (1 if kept else 2)
 
 
 @pytest.mark.parametrize("n, p, seed", SAMPLES)
