@@ -10,8 +10,9 @@ of that size: the face table ``_simplex_faces(k)``, a table of the faces'
 vertex positions with their covers, which is the one layout of a simplex's
 faces; and the order matrix ``_simplex_order(k)``, the one 4^k kernel.
 ``_simplex`` hands out both read-only, builds each once per process for
-k <= ``_SIMPLEX_KEPT`` (10, about 1.4 MB held for good) and on every call
-above that, and guards them at ``BOOLEAN_LATTICE_MAX`` vertices.
+k <= ``_SIMPLEX_KEPT`` (10: at most 1.4 MB of order matrices and 0.3 MB of
+face tables held for good) and on every call above that, and guards them
+at ``BOOLEAN_LATTICE_MAX`` vertices.
 ``_facet_copies`` lays out one copy of the face table per facet, joined at
 the bottom, with each face's vertex row: the separation of the face poset.
 ``face_poset`` gives the copies of a face one id by the rank of its row and
@@ -146,8 +147,8 @@ def _simplex(k: int, order: bool = False):
     """The face table ``(pos, lo, hi)`` of the simplex on k vertices
     (``_simplex_faces``), or with ``order`` its order matrix
     (``_simplex_order``), read-only.  Built once per process for k <=
-    ``_SIMPLEX_KEPT``, where both tables together take about 1.4 MB, and on
-    every call above that: at 15 one matrix takes 1 GiB.
+    ``_SIMPLEX_KEPT``, where the tables of all those sizes take at most
+    1.7 MB, and on every call above that: at 15 one matrix takes 1 GiB.
 
     Raises SizeLimitError before allocating when k > BOOLEAN_LATTICE_MAX:
     at 16 a matrix would take 4 GiB."""
