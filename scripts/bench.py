@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Compare the benchmark of a commit with that of its parent, in
-alternating pairs, and write the result to ``BENCH_<short-sha>.json``.
+alternating pairs, and write the result to ``BENCH_<short-sha>.json``
+(``BENCH_<short-sha>-seed<S>.json`` for a seed other than 1).
 
     python3 scripts/bench.py --parent HEAD~1 --workloads roundtrip,ideal --pairs 10
+    python3 scripts/bench.py --parent HEAD~1 --workloads batch --seed 977
 
 ``HEAD`` and the parent revision are extracted with ``git archive`` into a
 temporary directory, so only committed files are measured.  Each pair runs
-``perfbench/run.py --seed 1 --seconds 15 --trace 0`` once on each tree, the
+``perfbench/run.py --seed S --seconds 15 --trace 0`` once on each tree (S is
+``--seed``, default 1; 977 is the benchmark's holdout seed), the
 parent first in odd pairs and the change first in even ones, and reads the
 last JSON line of each run.  The file holds, for each workload and each
 end-to-end metric of ``BENCHMARK.json``: the values of every pair, the
@@ -107,9 +110,15 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
-def run(tree: Path, workload: str) -> dict:
+def result_name(sha: str, seed: int) -> str:
+    """The file name of a result: the seed is named unless it is the
+    default, so a holdout run never overwrites the default seed's record."""
+    return f"BENCH_{sha}.json" if seed == SEED else f"BENCH_{sha}-seed{seed}.json"
+
+
+def run(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
@@ -122,6 +131,7 @@ def main(argv=None) -> None:
     ap.add_argument("--parent", required=True, help="the revision to compare against")
     ap.add_argument("--workloads", help="comma-separated workloads (default: all of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=SEED, help=f"the workloads' seed (default {SEED})")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
@@ -133,20 +143,20 @@ def main(argv=None) -> None:
         for k in range(1, args.pairs + 1):
             sides = ("parent", "change") if k % 2 else ("change", "parent")
             for w in workloads:
-                got = {side: run(trees[side], w) for side in sides}
+                got = {side: run(trees[side], w, args.seed) for side in sides}
                 runs[w].append((got["parent"], got["change"]))
                 print(f"pair {k} {w}: " + ", ".join(
                     f"{side} {got[side]['metrics']['ops_per_s']['value']:.1f} ops/s" for side in sides), file=sys.stderr)
     result = {
         "parent": {"rev": args.parent, "sha": shas["parent"]},
         "change": {"rev": "HEAD", "sha": shas["change"]},
-        "seed": SEED,
+        "seed": args.seed,
         "seconds": SECONDS,
         "pairs": args.pairs,
         "host": host(),
         "workloads": {w: summarise(runs[w], spec["end_to_end"]) for w in workloads},
     }
-    path = ROOT / f"BENCH_{shas['change']}.json"
+    path = ROOT / result_name(shas["change"], args.seed)
     path.write_text(json.dumps(result, indent=2) + "\n")
     for w, summary in result["workloads"].items():
         for name, m in summary["metrics"].items():

@@ -6,11 +6,23 @@ file is expected, an inline facet string like "a*b*c,b*c*d" also works.
 
 Exit codes: 0 success, 1 unreadable or malformed input, 2 violated
 precondition, size guard or memory limit, 3 invalid gluing spec.
+
+``run`` parses with one parser per process, ``_parser``, built by
+``build_parser`` on the first ``run`` and kept: building it costs about
+ten times a parse, which a process that runs the CLI many times (a batch
+of ``random`` chunks, a script that embeds the CLI) would pay on every
+call.  A shell invocation runs once and so still builds one parser.
+Reuse is safe because ``parse_args`` returns a new namespace on each call
+and only reads the parser, and because no action of the parser has a
+mutable default (no ``append``, ``extend`` or list default), the one way
+an argparse parser carries state from one parse to the next.
+``build_parser`` still returns a fresh parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -194,8 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``run``, built on the first call; safe to share only
+    while no action has a mutable default (see the module docstring)."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, StructureError, ElementNotFoundError, json.JSONDecodeError, OSError) as exc:

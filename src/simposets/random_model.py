@@ -33,6 +33,7 @@ above a face by subset tests against the block's padded facet array.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -114,9 +115,20 @@ def _vertex_names(n: int) -> list:
 
 def _threshold(p) -> int:
     """The number of draws ``u * 2**-53`` (``u`` in ``[0, 2**53)``) that
-    compare below ``p``, so a draw is below ``p`` iff its ``u`` is below
-    this.  The comparison is Python's ``draw < p``, whatever the type of
-    ``p``; it is monotone in the draw, so a bisection finds the count."""
+    compare below ``p`` in ``[0, 1]``, so a draw is below ``p`` iff its
+    ``u`` is below this.  The comparison is Python's ``draw < p``,
+    whatever the type of ``p``.
+
+    For a float ``p`` (``np.float64`` included) the count is
+    ``ceil(p * 2**53)``: scaling by a power of two is exact, so
+    ``u * 2**-53 < p`` is the exact compare ``u < p * 2**53``.  Any other
+    ``Real`` (an int, a ``Fraction``, a ``np.float32``, which compares at
+    its own precision) is bisected, since the compare is monotone in the
+    draw.  No cache keyed on ``p`` may stand in for either: a
+    ``np.float32`` equals and hashes like its float64 value, yet its
+    count differs."""
+    if isinstance(p, float):
+        return math.ceil(p * 2.0**53)
     return bisect_left(range(1 << 53), True, key=lambda u: not u * 2.0**-53 < p)
 
 

@@ -76,3 +76,9 @@ def test_host_names_python_numpy_and_the_cpu_count():
     facts = bench.host()
     assert set(facts) == {"python", "numpy", "cpu_count"}
     assert all(facts.values())
+
+
+def test_the_result_file_names_a_seed_other_than_the_default():
+    assert bench.result_name("abc1234", 1) == "BENCH_abc1234.json"
+    assert bench.result_name("abc1234", 977) == "BENCH_abc1234-seed977.json"
+    assert bench.result_name("abc1234", 0) == "BENCH_abc1234-seed0.json"

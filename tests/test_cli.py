@@ -23,6 +23,7 @@ from simposets import (
     stanley_poset_ideal,
 )
 import simposets.ideal as ideal_module
+import simposets.cli as cli_module
 import simposets.poset as poset_module
 from simposets.cli import run
 
@@ -442,3 +443,56 @@ def test_check_requires_exactly_one_input(capsys):
     with pytest.raises(SystemExit) as e:
         run(["check", "--test", "simplicial"])
     assert e.value.code == 2
+
+
+SHARED_PARSER_SEQUENCE = [
+    ["random", "--n", "6", "--p1", "0.5", "--p2", "0.7", "--seed", "3", "--count", "5", "--tally", "--out", "F.json"],
+    ["random", "--n", "6", "--p1", "0.5", "--seed", "3"],  # no --p2: a parse error
+    ["--help"],
+    ["check", "--complex", "a*b*c,b*c*d", "--test", "faceposet"],
+    ["check", "--poset", "P.json", "--test", "simplicial"],
+    ["random", "--n", "6", "--p1", "0.5", "--p2", "0.7", "--seed", "3"],
+]
+
+
+def _run_sequence(directory, capsys):
+    """Exit code, stdout, stderr and the files of ``directory`` after each
+    argv of ``SHARED_PARSER_SEQUENCE``, run there in order."""
+    (directory / "P.json").write_text(boolean_lattice(3).to_json())
+    outcomes = []
+    for argv in SHARED_PARSER_SEQUENCE:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+        outcomes.append((code, out, err, files))
+    return outcomes
+
+
+def test_the_shared_parser_leaks_nothing_between_runs(tmp_path, monkeypatch, capsys):
+    """``run`` keeps one parser for the process.  A sequence that sets
+    flags, fails to parse, prints help and uses each side of a mutually
+    exclusive group gives, step by step, the exit code, output and files
+    of the same argv parsed by a fresh ``build_parser()``, and its last
+    ``random`` run sees none of the first one's flags."""
+    assert cli_module._parser() is cli_module._parser()
+    (tmp_path / "shared").mkdir()
+    monkeypatch.chdir(tmp_path / "shared")
+    shared = _run_sequence(tmp_path / "shared", capsys)
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "fresh")
+    monkeypatch.setattr(cli_module, "_parser", cli_module.build_parser)
+    fresh = _run_sequence(tmp_path / "fresh", capsys)
+    assert shared == fresh
+    assert [code for code, *_ in shared] == [0, 2, 0, 0, 0, 0]
+    assert shared[1][2].startswith("usage: simposets random")
+    assert shared[2][1].startswith("usage: simposets")
+    code, out, err, files = shared[-1]
+    assert json.loads(out)["samples"] == 1 and "faceposet:" not in out
+    assert files == shared[0][3]
+
+
+def test_build_parser_returns_a_new_parser_on_each_call():
+    assert cli_module.build_parser() is not cli_module.build_parser()

@@ -195,6 +195,33 @@ def test_threshold_of_a_float32_p_is_not_the_float64_compare():
         assert not draw < p
 
 
+def _floats_across_exponents(count, seed=39):
+    """``count`` seeded floats in [0, 1), a random significand at each of
+    a random binary exponent from 0 down past the subnormals, and each
+    one's neighbours."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count // 3):
+        x = float(rng.random()) * 2.0 ** -int(rng.integers(0, 1080))
+        out += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, 1.0))]
+    return out
+
+
+EDGE_FLOATS = [0.0, -0.0, 1.0, 5e-324, 2.0**-1022, 2.0**-54, 2.0**-53, 3 * 2.0**-54, 1 - 2.0**-54, 1 - 2.0**-53]
+
+
+@pytest.mark.parametrize("floats", [EDGE_FLOATS, _floats_across_exponents(510)], ids=["edges", "seeded"])
+def test_threshold_of_a_float_is_the_exact_count(floats):
+    """The closed form for a float p, ``ceil(p * 2**53)``, counts what the
+    bisection counts on the same p as an exact ``Fraction``, at the ends
+    of [0, 1], around the subnormals and around the draws' own step, for
+    plain floats and ``np.float64``."""
+    for p in floats:
+        expected = _threshold(Fraction(p))
+        assert _threshold(p) == expected, p
+        assert _threshold(np.float64(p)) == expected, p
+
+
 @pytest.mark.parametrize("p", P_TYPES, ids=lambda p: f"{type(p).__name__}({p})")
 def test_edges_of_every_p_type_follow_the_reference_stream(p):
     for seed in SEEDS_NEAR_THE_TOP:

@@ -14,16 +14,21 @@ profile build, the first ``Poset._profile`` read of a poset;
 table build, a call of ``complexes._simplex_faces`` or
 ``complexes._simplex_order``, which ``complexes._simplex`` makes once per
 process for a size up to its bound and on every call above it; and
-``Poset._bounds``, the meets and minimal upper bounds of a block of pairs.
+``Poset._bounds``, the meets and minimal upper bounds of a block of pairs;
+and a parser build, an ``argparse.ArgumentParser`` construction, which
+``cli.run`` makes once per process (a parser and its seven subparsers).
 The simplex tables are counted as builds, not as reads, so the counts
 pin the memo and its bound.
 """
 
+import argparse
+import inspect
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+import simposets.cli as cli_module
 import simposets.complexes as complexes_module
 import simposets.gluing as gluing_module
 import simposets.poset as poset_module
@@ -153,3 +158,59 @@ def test_the_poset_ideal_bounds_its_pairs_a_block_at_a_time(calls, monkeypatch, 
     stanley_poset_ideal(q)
     assert calls["profile"] <= 1
     assert calls["_bounds"] <= -(-pairs // (cells // len(q)))
+
+
+def test_the_cli_builds_its_parser_on_the_first_run_only(monkeypatch, tmp_path, capsys):
+    """From an empty memo, the first ``cli.run`` builds the parser and its
+    seven subparsers; five more runs (``random``, ``check``, a parse error
+    and ``--help`` among them) build none."""
+    built = Counter()
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built["parser"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli_module._parser.cache_clear()
+    draw = ["random", "--n", "4", "--p1", "0.5", "--p2", "0.5", "--seed", "1"]
+    assert cli_module.run(draw) == 0
+    assert built["parser"] == 8
+    built.clear()
+    assert cli_module.run([*draw, "--count", "3", "--tally", "--out", str(tmp_path / "out.json")]) == 0
+    assert cli_module.run(["check", "--complex", "a*b,b*c", "--test", "simplicial"]) == 0
+    for argv, code in ((["check", "--test", "simplicial"], 2), (["--help"], 0), (["random", "--help"], 0)):
+        with pytest.raises(SystemExit) as exit_:
+            cli_module.run(argv)
+        assert exit_.value.code == code
+    capsys.readouterr()
+    assert built["parser"] == 0
+
+
+def _parsers(parser):
+    """``parser`` and, recursively, every subparser it holds."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_no_parser_action_carries_state_between_runs():
+    """``cli.run`` parses every call with one shared parser, which is safe
+    only while a parse reads the parser and never writes it.  An argparse
+    parser keeps state from one parse to the next in one way: an action
+    with a mutable default, such as the list an ``append``, ``extend`` or
+    ``append_const`` action (or a list default) fills in place.  So every
+    action of the parser and of each subparser has a default of None or
+    of an immutable scalar type, is of none of those kinds, and each
+    parser-level default is such a scalar or a function."""
+    parsers = list(_parsers(cli_module.build_parser()))
+    assert len(parsers) == 8
+    stateful = (argparse._AppendAction, argparse._AppendConstAction)  # _ExtendAction is an _AppendAction
+    for parser in parsers:
+        for action in parser._actions:
+            assert action.default is None or type(action.default) in (bool, int, float, str), (parser.prog, action)
+            assert not isinstance(action, stateful), (parser.prog, action)
+        for name, value in parser._defaults.items():
+            assert inspect.isfunction(value) or value is None or type(value) in (bool, int, float, str), (parser.prog, name)
