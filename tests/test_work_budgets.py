@@ -207,10 +207,11 @@ def test_no_parser_action_carries_state_between_runs():
     parser-level default is such a scalar or a function."""
     parsers = list(_parsers(cli_module.build_parser()))
     assert len(parsers) == 8
+    scalars = (type(None), bool, int, float, str)
     stateful = (argparse._AppendAction, argparse._AppendConstAction)  # _ExtendAction is an _AppendAction
     for parser in parsers:
         for action in parser._actions:
-            assert action.default is None or type(action.default) in (bool, int, float, str), (parser.prog, action)
+            assert type(action.default) in scalars, (parser.prog, action)
             assert not isinstance(action, stateful), (parser.prog, action)
         for name, value in parser._defaults.items():
-            assert inspect.isfunction(value) or value is None or type(value) in (bool, int, float, str), (parser.prog, name)
+            assert inspect.isfunction(value) or type(value) in scalars, (parser.prog, name)
