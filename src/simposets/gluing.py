@@ -10,9 +10,13 @@ per element, the classes below it (``_classes_below``), which the pass that
 closes every order, ``poset._spread``, fills level by level of lower-set
 size.  A relation that fails is reported member by member of its failing
 classes, so no list of related pairs is built.  ``quotient_by_gluing``
-collapses the classes and asserts the result is simplicial again; it
-reads the quotient order off those rows and its covers off the base
-covers (``_glued``), so no order is closed twice.
+takes a simplicial base, collapses the classes and asserts the result is
+simplicial again; it reads the quotient order off the rows of the classes'
+least members and its covers off the base covers (``_glued``), so no order
+is closed twice.  The rows are packed in the one format of ``poset``, and
+this module builds, spreads and reads them only through its functions
+(``_bit_rows``, ``_spread``, ``_has_bit``, ``_order_of_rows``); the least
+members are those ``Poset._partition`` finds for the relation.
 
 ``delta_glue`` identifies an order ideal of one poset with an isomorphic
 ideal of another, the isomorphism induced by a facet map plus an atom map.
@@ -46,7 +50,8 @@ from .errors import (
     PreconditionError,
 )
 from .labels import Label
-from .poset import Poset, _bit_rows, _class_labels, _class_members, _distinct_pairs, _Lazy, _ranks, _slices, _spread
+from .poset import Poset, _bit_rows, _class_labels, _class_members, _distinct_pairs, _has_bit, _Lazy, _order_of_rows
+from .poset import _ranks, _slices, _spread
 
 
 @dataclass
@@ -89,17 +94,18 @@ class GluingRelation:
     elements of ``base``, or an integer array holding each element's class,
     as the gluing constructors build it.  Either way the relation holds one
     class array, ``class_index``, its classes numbered by least member
-    index, which is the order of their least members.  ``classes`` lists
-    them as frozensets of labels in that order; its length is known at
+    index, which is the order of their least members, and those least
+    members, as ``Poset._partition`` finds them.  ``classes`` lists the
+    classes as frozensets of labels in that order; its length is known at
     once, and the sets are built on first read of one.
     """
 
-    __slots__ = ("base", "class_index", "classes")
+    __slots__ = ("base", "class_index", "classes", "_least")
 
     def __init__(self, base: Poset, classes):
         self.base = base
-        self.class_index, k = base._partition(classes)
-        self.classes = _Lazy(k, _class_sets, base._labels, self.class_index)
+        self.class_index, self._least = base._partition(classes)
+        self.classes = _Lazy(self._least.size, _class_sets, base._labels, self.class_index)
 
 
 def _class_sets(labels: _Lazy, cls: np.ndarray) -> tuple:
@@ -242,25 +248,19 @@ def _classes_below(base, cls, k):
     return below
 
 
-def _least_members(cls):
-    """The least member of each class of a class array numbered by least
-    member index: the elements that raise the running maximum of ``cls``."""
-    seen = np.maximum.accumulate(cls)
-    return np.flatnonzero(np.diff(seen, prepend=-1))
-
-
-def _failing_classes(base, cls, k):
-    """A mask of the classes with a gluing violation, and the rows of
-    ``_classes_below``.  A class fails when its ranks differ, some maximal
-    element lies above two members (as it does above two comparable ones),
-    or its members' rows differ, which is condition (2) for all ordered
+def _failing_classes(relation: GluingRelation):
+    """A mask of the relation's classes with a gluing violation, and the
+    rows of ``_classes_below``.  A class fails when its members' ranks
+    differ from its least member's, some maximal element lies above two
+    members (as it does above two comparable ones), or its members' rows
+    differ from its least member's, which is condition (2) for all ordered
     pairs at once."""
+    base, cls, first = relation.base, relation.class_index, relation._least
     rank = base._profile().rank
-    first = _least_members(cls)
-    fail = np.zeros(k, dtype=bool)
+    fail = np.zeros(first.size, dtype=bool)
     fail[cls[rank != rank[first[cls]]]] = True
-    fail[base._shared_below_maxima(cls, k)] = True
-    below = _classes_below(base, cls, k)
+    fail[base._shared_below_maxima(cls, first.size)] = True
+    below = _classes_below(base, cls, first.size)
     fail[cls[(below != below[first[cls]]).any(axis=1)]] = True
     return fail, below
 
@@ -283,7 +283,7 @@ def validate_gluing(relation: GluingRelation) -> GluingCheck:
     ordered pair (x, y) by testing the bit rows of classes below y at the
     classes of the elements below x.  Beside those n x k bits and O(n)
     arrays, each step holds one slice (``_slices``) of other members: the
-    ``leq`` cells at the maxima above x, or the 8-byte words at the
+    ``leq`` cells at the maxima above x, or the words of their rows at the
     classes below x.
     """
     return GluingCheck(violations=_validate(relation)[0])
@@ -294,12 +294,11 @@ def _validate(relation: GluingRelation):
     of ``_classes_below`` it read them from."""
     base = relation.base
     leq = base._leq
-    k = len(relation.classes)
     base._bottom_index()  # the rank counts atoms, so needs a unique minimum
     prof = base._profile()
     rank = prof.rank
     cls = relation.class_index
-    fail, below = _failing_classes(base, cls, k)
+    fail, below = _failing_classes(relation)
     if not fail.any():
         return (), below
     members = np.flatnonzero(fail[cls])
@@ -320,10 +319,9 @@ def _validate(relation: GluingRelation):
             down = np.flatnonzero(leq[:, x])
             c = cls[down]
             others = group[group != x]
-            for part in _slices(others.size, 8 * down.size):
+            for part in _slices(others.size, below.itemsize * down.size):
                 y = others[part]
-                bits = below[y[:, None], c >> 6] >> (c & 63).astype(np.uint64)
-                i, w = np.nonzero(bits & np.uint64(1) == 0)
+                i, w = np.nonzero(~_has_bit(below, y[:, None], c))
                 for b, v in zip(y[i].tolist(), down[w].tolist()):
                     reason = f"{el[v]} below {el[x]} is related to nothing below {el[b]}"
                     second.append(GluingViolation(2, (el[x], el[b]), reason))
@@ -332,8 +330,12 @@ def _validate(relation: GluingRelation):
 
 
 def quotient_by_gluing(relation: GluingRelation) -> Poset:
-    """The quotient of the relation's base by its classes, which must pass
-    ``validate_gluing``; asserts that it is simplicial.
+    """The quotient of the relation's base, which must be simplicial, by
+    its classes, which must pass ``validate_gluing``; either failure raises
+    PreconditionError.  ``validate_gluing`` needs only a unique minimum of
+    the base, but a valid quotient of a base that is not simplicial is not
+    simplicial either, by the isomorphism of lower sets below.  The result is then
+    asserted simplicial.
 
     Its order is read off the rows of ``_classes_below`` that validation
     built (``_glued``), so no closure is run again: class C lies below
@@ -354,6 +356,8 @@ def quotient_by_gluing(relation: GluingRelation) -> Poset:
     C(u).  ``Poset.quotient``, which closes the class image of the covers
     from scratch, is the reference the tests hold this to.
     """
+    if not relation.base.is_simplicial():
+        raise PreconditionError("quotient_by_gluing requires a simplicial poset")
     violations, below = _validate(relation)
     if violations:
         shown = "; ".join(str(v) for v in violations[:5])
@@ -365,29 +369,14 @@ def quotient_by_gluing(relation: GluingRelation) -> Poset:
 
 
 def _glued(relation: GluingRelation, below) -> Poset:
-    """The quotient of a valid relation, its order read off the rows
-    ``below`` of its classes' least members: row c of ``leq`` is bit
-    c % 8 of their byte c // 8, so each byte column, made contiguous,
-    fills eight rows by shifts, a slice (``_slices``) of columns at a
-    time, with no bool transpose.  Its covers are the distinct class
-    images of the base covers, and its class labels are built on first
-    read."""
-    base, cls = relation.base, relation.class_index
-    k = len(relation.classes)
-    first = _least_members(cls)
-    size = -(-k // 8)
-    leq = np.empty((8 * size, k), dtype=bool)  # eight rows a byte, cut to k at the end
-    bits = leq.view(np.uint8).reshape(size, 8, k)
-    # little-endian words, so bit c of a row is byte c // 8, bit c % 8
-    packed = below.astype("<u8", copy=False).view(np.uint8)[:, :size]
-    shifts = np.arange(8, dtype=np.uint8)[:, None]
-    for part in _slices(size, 2 * k):  # a column is gathered, then copied contiguous
-        columns = np.ascontiguousarray(packed[first, part].T)
-        out = bits[part]
-        np.right_shift(columns[:, None, :], shifts, out=out)
-        np.bitwise_and(out, 1, out=out)
+    """The quotient of a valid relation: its order is the rows ``below``
+    of its classes' least members, read as columns (``_order_of_rows``),
+    its covers are the distinct class images of the base covers, and its
+    class labels are built on first read."""
+    base, cls, first = relation.base, relation.class_index, relation._least
+    k = first.size
     lo, hi = _distinct_pairs(k, cls[base._lo], cls[base._hi])
-    return Poset(_Lazy(k, _class_labels, base._labels, cls), leq[:k], lo, hi)
+    return Poset(_Lazy(k, _class_labels, base._labels, cls), _order_of_rows(below, first, k), lo, hi)
 
 
 def delta_glue(a: Poset, b: Poset, facet_map, atom_map) -> Poset:
@@ -490,7 +479,9 @@ def _facet_separation(facets, position):
 
 def _packed_sets(pos, words):
     """Row i of ``pos``, positions padded with -1, as a set of ``words``
-    ``uint64`` words: one ``bitwise_or.reduce`` along the rows per word."""
+    ``uint64`` words: one ``bitwise_or.reduce`` along the rows per word.
+    Theta compares these vertex words only with each other, so they are
+    its own, not the order rows of ``poset``."""
     bit = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
     word = pos >> 6  # -1 at the padding, which no word takes
     zero = np.uint64(0)
@@ -527,7 +518,7 @@ def theta_glue(d1: SimplicialComplex, d2: SimplicialComplex) -> Poset:
     # a face lies in a facet of d2 when none of its vertices lies outside
     # it, tested a block of facets at a time, each an n x words temporary
     shared = (vertex[:, 1:2] < 0).all(axis=1)  # no second vertex: the vertices, and the bottom
-    for part in _slices(len(d2_rows), 8 * n * rows.shape[1]):
+    for part in _slices(len(d2_rows), rows.nbytes):
         outside = rows[:, None] & ~d2_rows[None, part]
         shared |= (outside == 0).all(axis=2).any(axis=1)
     # copies of a shared face join the class of its vertex set, others stand alone

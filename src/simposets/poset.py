@@ -41,13 +41,23 @@ call finds them, run only on the lower ends of pairs two or more Kahn
 levels apart, since nothing lies strictly between the ends of a pair in
 adjacent levels.  The gluing check
 builds its rows of classes below each element (``gluing._classes_below``)
-with the same pass, and a gluing quotient reads its order off those rows,
-so it runs no ``_dag``.  It, ``_dag``, a disjoint union and the facet
-copies of a complex take their pairs distinct and sorted from one
-function, ``_distinct_pairs``.  ``restrict`` takes an order ideal, as
-labels or a mask, and keeps the covers inside it.
+with the same pass, and a gluing quotient reads its order off the rows of
+its classes' least members, which ``_partition`` finds, so it runs no
+``_dag``.  It, ``_dag``, a disjoint union and the facet copies of a
+complex take their pairs distinct and sorted from one function,
+``_distinct_pairs``.  ``restrict`` takes an order ideal, as labels or a
+mask, and keeps the covers inside it.
 Meets and minimal upper bounds come from one kernel, ``_bounds``: ``ideal``
 runs it on blocks of pairs, ``meet`` and ``minimal_upper_bounds`` on one.
+
+A packed row is a set of indices as ``uint64`` words: index j is bit
+``j & 63`` of word ``j >> 6``, and the words are read as little-endian
+bytes, so j is also bit ``j % 8`` of byte ``j // 8`` (Knuth, TAOCP 4A
+§7.1.3).  Only this module knows that format.  Four functions use it:
+``_bit_rows`` writes rows of one bit each, ``_spread`` ORs whole rows,
+``_has_bit`` tests one bit of a row, and ``_order_of_rows`` reads chosen
+rows as the columns of a bool matrix; ``_dag`` unpacks its upper sets the
+same way.  ``gluing`` builds, spreads and reads its rows through them.
 
 The facts the checks share are read off ``leq`` once per poset, on first
 use, into a private profile (``Poset._profile``): ``lower``, the lower-set
@@ -138,6 +148,12 @@ def _bit_rows(idx: np.ndarray, bits: int) -> np.ndarray:
     return rows
 
 
+def _has_bit(rows: np.ndarray, r, bit) -> np.ndarray:
+    """Whether row ``r`` of the packed rows ``rows`` holds bit ``bit``,
+    elementwise over the broadcast index arrays ``r`` and ``bit``."""
+    return (rows[r, bit >> 6] >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
+
+
 def _spread(dst, src, recv, ends, start, send) -> None:
     """The one pass that closes bit rows along pairs: level by level, OR
     into each row u of ``dst`` the rows of ``src`` at
@@ -222,13 +238,33 @@ def _dag(n: int, lo: np.ndarray, hi: np.ndarray):
     redundant = np.zeros(lo.size, dtype=bool)
     wide = np.flatnonzero(np.bincount(lo[depth[lo] - depth[hi] > 1], minlength=n))
     if wide.size:
-        seed = _bit_rows(at[:-1], n)
         above = np.zeros_like(up)
-        _spread(above, up ^ seed, wide, [0, wide.size], out, hi)
-        redundant = (above[lo, hi >> 6] & seed[hi, hi >> 6]) != 0
+        _spread(above, up ^ _bit_rows(at[:-1], n), wide, [0, wide.size], out, hi)
+        redundant = _has_bit(above, lo, hi)
     # little-endian words, so bit j of a row is byte j // 8, bit j % 8
     leq = np.unpackbits(up.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
     return leq.view(bool), lo, hi, redundant
+
+
+def _order_of_rows(rows: np.ndarray, first: np.ndarray, k: int) -> np.ndarray:
+    """The bool matrix of k rows whose column d is the first k bits of row
+    ``first[d]`` of the packed rows ``rows``: the order matrix, when those
+    rows are the lower sets of k elements.  Row c is bit c % 8 of byte
+    c // 8 of those rows, so each byte column, made contiguous, fills eight
+    rows by shifts, a slice (``_slices``) of columns at a time, with no
+    bool transpose."""
+    size, m = -(-k // 8), first.size
+    leq = np.empty((8 * size, m), dtype=bool)  # eight rows a byte, cut to k at the end
+    bits = leq.view(np.uint8).reshape(size, 8, m)
+    # little-endian words, so bit c of a row is byte c // 8, bit c % 8
+    packed = rows.astype("<u8", copy=False).view(np.uint8)[:, :size]
+    shifts = np.arange(8, dtype=np.uint8)[:, None]
+    for part in _slices(size, 2 * m):  # a column is gathered, then copied contiguous
+        columns = np.ascontiguousarray(packed[first, part].T)
+        out = bits[part]
+        np.right_shift(columns[:, None, :], shifts, out=out)
+        np.bitwise_and(out, 1, out=out)
+    return leq[:k]
 
 
 def _dumps(obj: dict) -> str:
@@ -637,22 +673,23 @@ class Poset:
         order of their least members.  Raises StructureError when the
         classes do not partition the elements or the closure is not
         antisymmetric."""
-        cls, k = self._partition(classes)
+        cls, least = self._partition(classes)
         lo, hi = cls[self._lo], cls[self._hi]
         apart = lo != hi
-        order = _dag(k, lo[apart], hi[apart])
+        order = _dag(least.size, lo[apart], hi[apart])
         if order is None:
             raise StructureError("quotient is not a partial order")
         leq, lo, hi, redundant = order
-        labels = _Lazy(k, _class_labels, self._labels, cls)
+        labels = _Lazy(least.size, _class_labels, self._labels, cls)
         return Poset(labels, leq, lo[~redundant], hi[~redundant])
 
     def _partition(self, classes):
         """The class array of a partition, given as in ``quotient``, with
-        the classes renumbered densely by least member index, and the class
-        count.  Elements stand in canonical label order, so this is also the
-        order of the classes' least member labels, and of their class
-        labels: disjoint classes differ in their first member."""
+        the classes renumbered densely by least member index, and the least
+        member of each class in that order, ascending.  Elements stand in
+        canonical label order, so this is also the order of the classes'
+        least member labels, and of their class labels: disjoint classes
+        differ in their first member."""
         if not isinstance(classes, np.ndarray):
             classes = self._class_array([frozenset(c) for c in classes])
         elif classes.shape != (len(self),):
@@ -663,11 +700,10 @@ class Poset:
         new = np.ones(order.size, dtype=bool)
         new[1:] = classes[order[1:]] != classes[order[:-1]]
         first = order[new]  # least member of each class, classes by value
-        rank = np.empty(first.size, dtype=np.intp)
-        rank[np.argsort(first)] = np.arange(first.size)
+        least = np.sort(first)
         cls = np.empty(order.size, dtype=np.intp)
-        cls[order] = rank[np.cumsum(new) - 1]
-        return cls, first.size
+        cls[order] = np.searchsorted(least, first)[np.cumsum(new) - 1]
+        return cls, least
 
     def _class_array(self, blocks) -> np.ndarray:
         """Position of each element's block; StructureError unless the

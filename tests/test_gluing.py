@@ -335,11 +335,10 @@ def test_validate_matches_oracle_when_some_classes_fail():
         with mock.patch("simposets.poset._BLOCK_CELLS", 1):
             assert [(x.condition, x.elements, x.reason) for x in validate_gluing(rel).violations] == expected
         class_of = {e: i for i, c in enumerate(rel.classes) for e in c}
-        cls = rel.base._class_array(rel.classes)
         lower = [rel.base.lower_set(u) for u in rel.base.elements]
         for cells in (_BLOCK_CELLS, 1):  # the default budget, and one receiving row a block
             with mock.patch("simposets.poset._BLOCK_CELLS", cells):
-                marked, below = gluing._failing_classes(rel.base, cls, len(rel.classes))
+                marked, below = gluing._failing_classes(rel)
             assert set(marked.nonzero()[0].tolist()) == {class_of[x[1][0]] for x in expected}, seed
             # the bit rows the pair loop reads: bit c of row u when class c meets the lower set of u
             words = below.astype("<u8", copy=False).view(np.uint8)
@@ -474,6 +473,20 @@ def test_quotient_by_invalid_relation_raises():
         quotient_by_gluing(GluingRelation(base=p, classes=tuple(classes)))
 
 
+def test_quotient_by_gluing_requires_a_simplicial_base():
+    """Three atoms under one top: [0, top] has 5 elements, not 8.  The
+    identity relation passes both gluing conditions, which need only a
+    unique minimum of the base, but its quotient is the base, so
+    ``quotient_by_gluing`` rejects the base as a precondition, not as a
+    broken invariant."""
+    a, b, c, top = L("a"), L("b"), L("c"), L("t")
+    p = Poset.from_covers([BOT, a, b, c, top], [(BOT, a), (BOT, b), (BOT, c), (a, top), (b, top), (c, top)])
+    rel = GluingRelation(p, np.arange(len(p)))
+    assert not p.is_simplicial() and validate_gluing(rel).ok
+    with pytest.raises(PreconditionError, match="^quotient_by_gluing requires a simplicial poset$"):
+        quotient_by_gluing(rel)
+
+
 def handed_to_the_quotient(build):
     """The relations that ``build()`` hands to ``quotient_by_gluing``; a
     gluing whose maps ``build`` rejects first hands none."""
@@ -505,7 +518,7 @@ def assert_glued_as_the_references(rel):
     if fast.is_simplicial():
         assert quotient_by_gluing(rel) == fast
     else:
-        with pytest.raises(InvariantError, match="^gluing quotient is not simplicial$"):
+        with pytest.raises(PreconditionError, match="^quotient_by_gluing requires a simplicial poset$"):
             quotient_by_gluing(rel)
 
 

@@ -490,6 +490,61 @@ def test_spread_on_no_level_and_on_one_level(ends):
     assert dst.tolist() == after.tolist()
 
 
+def packed(cells):
+    """Packed rows of a bool matrix by Python ints: bit j of a row is bit
+    j % 64 of its word j // 64, words padded to whole 64 bits."""
+    words = -(-cells.shape[1] // 64)
+    rows = [[sum(1 << j % 64 for j in np.flatnonzero(row).tolist() if j // 64 == w) for w in range(words)] for row in cells]
+    return np.array(rows, dtype=np.uint64).reshape(len(cells), words)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+def test_packed_rows_against_a_bool_oracle(k):
+    """The one row format at and around the byte and word edges:
+    ``_bit_rows`` sets exactly bit ``idx[i]`` of row i, ``_has_bit`` reads
+    every cell, and ``_order_of_rows`` reads the first k bits of chosen
+    rows as columns, padding bits ignored, at the default budget and one
+    byte column a slice."""
+    rng = np.random.default_rng(k)
+    idx = rng.integers(0, k, 2 * k + 3)
+    one = np.zeros((idx.size, k), dtype=bool)
+    one[np.arange(idx.size), idx] = True
+    assert poset_module._bit_rows(idx, k).tolist() == packed(one).tolist()
+    words = -(-k // 64)
+    cells = rng.random((k + 5, 64 * words)) < 0.4  # random bits in the padding too
+    rows = packed(cells)
+    got = poset_module._has_bit(rows, np.arange(len(rows))[:, None], np.arange(k)[None, :])
+    assert got.tolist() == cells[:, :k].tolist()
+    first = np.sort(rng.choice(len(rows), int(rng.integers(1, len(rows) + 1)), replace=False))
+    for cells_a_slice in (poset_module._BLOCK_CELLS, 1):
+        with mock.patch.object(poset_module, "_BLOCK_CELLS", cells_a_slice):
+            order = poset_module._order_of_rows(rows, first, k)
+        assert order.dtype == bool and order.tolist() == cells[first, :k].T.tolist()
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_partition_returns_each_class_least_member_ascending(seed):
+    """``_partition`` numbers the classes by least member index and returns
+    those members ascending, so class c's least member is the first index
+    holding c.  Array partitions with sparse, shuffled class values of
+    several integer types, and the same partitions as label collections in
+    shuffled order, give the one class array."""
+    rng = np.random.default_rng(seed)
+    p = boolean_lattice(int(rng.integers(0, 6)))
+    n = len(p)
+    values = rng.choice(np.arange(-5000, 5000), int(rng.integers(1, n + 1)), replace=False)
+    raw = values[rng.integers(0, values.size, n)]
+    blocks = [frozenset(p.elements[i] for i in np.flatnonzero(raw == v).tolist()) for v in rng.permutation(np.unique(raw))]
+    results = [p._partition(raw.astype(dtype)) for dtype in (np.int64, np.int32, np.int16)]
+    results.append(p._partition(blocks))
+    for cls, least in results:
+        assert np.array_equal(cls, results[0][0]) and np.array_equal(least, results[0][1])
+    cls, least = results[0]
+    assert (np.diff(least) > 0).all()
+    assert least.tolist() == [int(np.flatnonzero(cls == c)[0]) for c in range(least.size)]
+    assert (cls[:, None] == cls[None, :]).tolist() == (raw[:, None] == raw[None, :]).tolist()
+
+
 def test_from_covers_closes_a_300_element_chain():
     """300 levels, one element each, in a random canonical order, with
     every cover given twice: i <= j exactly when i comes first in the

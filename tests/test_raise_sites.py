@@ -243,6 +243,8 @@ RAISE_SITES = [
      "test_gluing.py::test_separation_requires_simplicial"),
     ("gluing", "separation", "InvariantError", "separation produced a non face",
      "test_raise_sites.py::test_separation_checks_its_union_is_a_face_poset"),
+    ("gluing", "quotient_by_gluing", "PreconditionError", "quotient_by_gluing requires a simplicial poset",
+     "test_gluing.py::test_quotient_by_gluing_requires_a_simplicial_base"),
     ("gluing", "quotient_by_gluing", "PreconditionError", "not a gluing relation: {}",
      "test_gluing.py::test_quotient_by_invalid_relation_raises"),
     ("gluing", "quotient_by_gluing", "InvariantError", "gluing quotient is not simplicial",
