@@ -17,7 +17,6 @@ from simposets import (
     GluingSpec,
     GluingViolation,
     InvalidGluingError,
-    InvariantError,
     Poset,
     PreconditionError,
     RandomModelParams,

@@ -494,7 +494,8 @@ def packed(cells):
     """Packed rows of a bool matrix by Python ints: bit j of a row is bit
     j % 64 of its word j // 64, words padded to whole 64 bits."""
     words = -(-cells.shape[1] // 64)
-    rows = [[sum(1 << j % 64 for j in np.flatnonzero(row).tolist() if j // 64 == w) for w in range(words)] for row in cells]
+    rows = [[sum(1 << j % 64 for j in np.flatnonzero(row).tolist() if j // 64 == w) for w in range(words)]
+            for row in cells]
     return np.array(rows, dtype=np.uint64).reshape(len(cells), words)
 
 
@@ -534,7 +535,8 @@ def test_partition_returns_each_class_least_member_ascending(seed):
     n = len(p)
     values = rng.choice(np.arange(-5000, 5000), int(rng.integers(1, n + 1)), replace=False)
     raw = values[rng.integers(0, values.size, n)]
-    blocks = [frozenset(p.elements[i] for i in np.flatnonzero(raw == v).tolist()) for v in rng.permutation(np.unique(raw))]
+    members = [np.flatnonzero(raw == v).tolist() for v in rng.permutation(np.unique(raw))]
+    blocks = [frozenset(p.elements[i] for i in m) for m in members]
     results = [p._partition(raw.astype(dtype)) for dtype in (np.int64, np.int32, np.int16)]
     results.append(p._partition(blocks))
     for cls, least in results:
